@@ -27,24 +27,27 @@ from .curves import (
     denominator_lcm,
     divisor,
     floor_divisor,
-    h1_dim,
+    h1_dim_of_degree,
     is_principal,
 )
 from .errors import (
     CurveDomainError,
+    InternalError,
     NotProperError,
-    ShapeError,
     UnsupportedRankError,
 )
-from .geometry import chamber_fan, ratvec, support_eval
+from .geometry import chamber_fan, ratvec
 from .linalg import solve
 from .pdiv import (
     PolyhedralDivisor,
     PropernessReport,
+    RaySlope,
     contraction_iso_codim1,
     evaluate,
     is_proper,
+    ray_slopes,
     require_proper,
+    unit_weight,
 )
 from .verdicts import Verdict
 
@@ -55,44 +58,21 @@ def _is_projective_curve(d: PolyhedralDivisor) -> bool:
     return not isinstance(d.base, AffineSpace) and d.base.projective
 
 
-def _unit_weight(d: PolyhedralDivisor) -> tuple[int, ...]:
-    """The generator of the weight monoid of a rank-one divisor."""
-    if d.rank != 1:
-        raise ShapeError("this question is answered for rank-one divisors only")
-    rays = d.weight_cone.rays
-    if len(rays) != 1:
-        raise ShapeError("rank-one classification needs a nontrivial tail ray")
-    return rays[0]
+def _floor_degrees(slopes: tuple[RaySlope, ...], m_max: int) -> tuple[int, ...]:
+    """deg of the rounded-down evaluation at m = 0 .. m_max, from the slopes alone."""
+    return tuple(sum((m * s.p) // s.q for s in slopes) for m in range(m_max + 1))
 
 
-@dataclass(frozen=True)
-class RaySlope:
-    """Evaluation of one coefficient at the weight-cone generator, in lowest terms."""
-
-    point: CurvePoint
-    p: int
-    q: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-
-def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
-    unit = _unit_weight(d)
-    out = []
-    for pt, poly in d.coefficients:
-        v = support_eval(poly, unit)
-        out.append(RaySlope(pt, v.numerator, v.denominator))
-    return tuple(out)
+def _floor_at(d: PolyhedralDivisor, unit: tuple[int, ...], m: int) -> QDivisor:
+    """The rounded-down evaluation at weight m along the unit weight, as a divisor."""
+    return floor_divisor(evaluate(d, tuple(m * u for u in unit)))
 
 
 def floor_degree_profile(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
     """deg of the rounded-down evaluation at m = 0 .. m_max (rank one)."""
     if not _is_projective_curve(d):
         raise CurveDomainError("floor degrees need a projective base curve")
-    slopes = ray_slopes(d)
-    return tuple(sum((m * s.p) // s.q for s in slopes) for m in range(m_max + 1))
+    return _floor_degrees(ray_slopes(d), m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +319,11 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     count = len(slopes)
     deg1 = sum((s.value for s in slopes), Fraction(0))
     period = lcm(*[s.q for s in slopes]) if slopes else 1
-    unit = _unit_weight(d)
+    unit = unit_weight(d)
 
     if genus == 0:
         top = max(ceil(Fraction(count - 2) / deg1), period, 1)
-        profile = floor_degree_profile(d, top)
+        profile = _floor_degrees(slopes, top)
         hits = [m for m in range(1, top + 1) if profile[m] == -2]
         below = [m for m in range(1, top + 1) if profile[m] < -2]
         if below:
@@ -356,16 +336,15 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
 
     if genus == 1:
         top = max(ceil(Fraction(count) / deg1), 1)
+        profile = _floor_degrees(slopes, top)
         undecided = None
         for m in range(1, top + 1):
-            fl = floor_divisor(evaluate(d, tuple(m * u for u in unit)))
-            deg_m = degree(fl)
-            if deg_m < 0:
+            if profile[m] < 0:
                 return EllipticReport(
                     Verdict.NO, "negative-floor-degree-on-genus-one-base", witness_m=m
                 )
-            if deg_m == 0:
-                principal = is_principal(fl)
+            if profile[m] == 0:
+                principal = is_principal(_floor_at(d, unit, m))
                 if principal == Verdict.YES:
                     return EllipticReport(
                         Verdict.NO, "principal-floor-on-genus-one-base", witness_m=m
@@ -412,30 +391,32 @@ class H1Report:
 
 
 def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
+    """dim H^1 of the rounded-down evaluation at m = 0 .. bound (or m_max).
+
+    Entries come from the integer floor-degree kernel: the degree at weight m
+    is sum((m * p) // q) over the ray slopes, and on every base model the
+    degree alone fixes dim H^1, except at degree zero on an elliptic curve.
+    Only there is the rounded-down divisor built, to test its principality.
+    """
     require_proper(d)
     if not _is_projective_curve(d):
         raise CurveDomainError("cohomology reports need a projective base curve")
-    unit = _unit_weight(d)
+    unit = unit_weight(d)
     slopes = ray_slopes(d)
     count = len(slopes)
     deg1 = sum((s.value for s in slopes), Fraction(0))
     genus = d.base.genus
     period = lcm(*[s.q for s in slopes]) if slopes else 1
     bound = max(ceil(Fraction(count + max(2 * genus - 2, 0)) / deg1), period, 1)
-
-    def entry(m: int) -> int | None:
-        fl = floor_divisor(evaluate(d, tuple(m * u for u in unit)))
-        return h1_dim(fl)
-
-    values = {m: entry(m) for m in range(0, bound + 1)}
-    total: int | None
-    if any(v is None for v in values.values()):
-        total = None
-    else:
-        total = sum(values.values())
     top = bound if m_max is None else m_max
-    entries = tuple((m, values[m] if m in values else entry(m)) for m in range(0, top + 1))
-    return H1Report(bound=bound, entries=entries, total=total)
+
+    def entry(m: int, deg: int) -> int | None:
+        return h1_dim_of_degree(d.base, deg, lambda: is_principal(_floor_at(d, unit, m)))
+
+    values = [entry(m, deg) for m, deg in enumerate(_floor_degrees(slopes, max(bound, top)))]
+    series = values[: bound + 1]
+    total = None if None in series else sum(series)
+    return H1Report(bound=bound, entries=tuple(enumerate(values[: top + 1])), total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +432,27 @@ class ClassifyReport:
     elliptic: EllipticReport
     minimal_elliptic: Verdict
     h1: H1Report | None
+
+
+def _check_consistency(rational: RationalReport, ell: EllipticReport, h1: H1Report | None) -> None:
+    """Raise InternalError unless the implications that hold by construction do.
+
+    An elliptic singularity is not rational and carries exactly one unit of
+    cohomology; rational singularities are exactly those with no cohomology.
+    """
+    total = h1.total if h1 is not None else None
+    if ell.verdict == Verdict.YES:
+        if rational.verdict != Verdict.NO:
+            raise InternalError(
+                f"elliptic singularity reported with rationality verdict {rational.verdict.value}"
+            )
+        if total is not None and total != 1:
+            raise InternalError(f"elliptic singularity reported with h1 total {total}")
+    if total is not None and rational.verdict != Verdict.UNKNOWN:
+        if (rational.verdict == Verdict.YES) != (total == 0):
+            raise InternalError(
+                f"rationality verdict {rational.verdict.value} disagrees with h1 total {total}"
+            )
 
 
 def classify_report(d: PolyhedralDivisor, isolated: bool = False) -> ClassifyReport:
@@ -479,13 +481,7 @@ def classify_report(d: PolyhedralDivisor, isolated: bool = False) -> ClassifyRep
     if d.rank == 1 and _is_projective_curve(d):
         h1 = h1_report(d)
 
-    # internal consistency: these implications hold by construction
-    if ell.verdict == Verdict.YES:
-        assert rational.verdict == Verdict.NO
-        if h1 is not None and h1.total is not None:
-            assert h1.total == 1
-    if h1 is not None and h1.total is not None and rational.verdict != Verdict.UNKNOWN:
-        assert (rational.verdict == Verdict.YES) == (h1.total == 0)
+    _check_consistency(rational, ell, h1)
 
     return ClassifyReport(
         properness=prop,

@@ -6,8 +6,9 @@ output in the selected format.
 
 Exit codes: 0 the report is complete; 2 the document (or command line) does
 not parse; 3 the input is invalid for the request, including non-proper
-divisors; 4 the report contains an undecided verdict.  When several apply
-the most severe wins, in the order 2, 3, 4, 0.
+divisors, or an internal consistency check failed (payload error
+"internal"); 4 the report contains an undecided verdict.  When several
+apply the most severe wins, in the order 2, 3, 4, 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .classify import (
     minimal_elliptic_verdict,
     rational_singularities,
 )
-from .errors import InvalidInputError, NotProperError, ParseError, PolydivError
+from .errors import InternalError, InvalidInputError, NotProperError, ParseError, PolydivError
 from .pdiv import is_proper
 from .problem_io import emit_report, parse_problem, report_payload
 from .sections import ring_presentation
@@ -222,6 +223,9 @@ def _process(text: str, command: str, args) -> tuple[object, int]:
     except NotProperError as exc:
         payload = {"error": "not-proper", "message": str(exc), "witness": exc.witness}
         return payload, EXIT_INVALID
+    except InternalError as exc:
+        # a consistency check failed: a bug in polydiv, not a property of the input
+        return {"error": "internal", "message": str(exc)}, EXIT_INVALID
     except PolydivError as exc:
         # the divisor is fine but this command does not apply to it
         return {"error": "domain", "message": str(exc)}, EXIT_INVALID

@@ -10,6 +10,7 @@ and raise CurveDomainError.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
@@ -457,20 +458,33 @@ def h1_dim(d: QDivisor) -> int | None:
         raise CurveDomainError("cohomology is only defined on projective models")
     if not is_integral(d):
         raise NonIntegralError("cohomology dimensions need an integral divisor")
-    deg = degree(d)
-    if isinstance(d.curve, ProjectiveLine) or (
-        isinstance(d.curve, AbstractProjectiveCurve) and d.curve.genus == 0
+    return h1_dim_of_degree(d.curve, int(degree(d)), lambda: is_principal(d))
+
+
+def h1_dim_of_degree(
+    curve: CurveModel, deg: int, principal: Callable[[], Verdict]
+) -> int | None:
+    """dim H^1 of an integral divisor of degree deg on curve, None when undecidable.
+
+    The degree decides everything except a degree-zero divisor on an elliptic
+    curve, where the answer is its principality: principal is a zero-argument
+    callable returning that Verdict, and it is called in that case only.
+    """
+    if not curve.projective:
+        raise CurveDomainError("cohomology is only defined on projective models")
+    if isinstance(curve, ProjectiveLine) or (
+        isinstance(curve, AbstractProjectiveCurve) and curve.genus == 0
     ):
-        return max(0, -int(deg) - 1)
-    if isinstance(d.curve, EllipticCurveQ):
+        return max(0, -deg - 1)
+    if isinstance(curve, EllipticCurveQ):
         if deg > 0:
             return 0
         if deg < 0:
-            return -int(deg)
-        return 1 if is_principal(d) == Verdict.YES else 0
-    g = d.curve.genus
+            return -deg
+        return 1 if principal() == Verdict.YES else 0
+    g = curve.genus
     if deg > 2 * g - 2:
         return 0
     if deg < 0:
-        return g - 1 - int(deg)
+        return g - 1 - deg
     return None

@@ -69,3 +69,7 @@ class ParseError(PolydivError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+class InternalError(PolydivError):
+    """A consistency check between independently computed answers failed: a bug."""

@@ -208,6 +208,44 @@ def evaluate(d: PolyhedralDivisor, m) -> QDivisor:
     return divisor(d.base, coeffs)
 
 
+def unit_weight(d: PolyhedralDivisor) -> tuple[int, ...]:
+    """The generator of the weight monoid of a rank-one divisor."""
+    if d.rank != 1:
+        raise ShapeError("this question is answered for rank-one divisors only")
+    rays = d.weight_cone.rays
+    if len(rays) != 1:
+        raise ShapeError("rank-one classification needs a nontrivial tail ray")
+    return rays[0]
+
+
+@dataclass(frozen=True)
+class RaySlope:
+    """Evaluation of one coefficient at the weight-cone generator, in lowest terms."""
+
+    point: CurvePoint
+    p: int
+    q: int
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+
+def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
+    """Coefficients of the evaluation at the unit weight (rank one).
+
+    Support functions are positively homogeneous, so the evaluation at the
+    weight m times the unit has coefficients m * p / q, and its rounding down
+    has coefficients (m * p) // q.
+    """
+    unit = unit_weight(d)
+    out = []
+    for pt, poly in d.coefficients:
+        v = support_eval(poly, unit)
+        out.append(RaySlope(pt, v.numerator, v.denominator))
+    return tuple(out)
+
+
 def degree_polyhedron(d: PolyhedralDivisor) -> TailedPolyhedron:
     """Minkowski sum of all coefficients; encodes the degree of every evaluation."""
     if not (_is_curve_base(d.base) and d.base.projective):

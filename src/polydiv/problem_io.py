@@ -273,7 +273,11 @@ def parse_problem(text: str) -> PolyhedralDivisor:
                 vertices.append(v)
         if len(vertices) != len(verts_obj):
             continue
-        for j, ray in enumerate(entry.get("extra_rays", [])):
+        extra_rays = entry.get("extra_rays", [])
+        if not isinstance(extra_rays, list):
+            violations.append(f"{path}.extra_rays: expected a list of rays")
+            continue
+        for j, ray in enumerate(extra_rays):
             v = _vector(ray, rank, f"{path}.extra_rays[{j}]", violations)
             if v is not None and not cone_contains(tail, v):
                 violations.append(

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import RaySlope, ray_slopes
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, ShapeError
 from .linalg import kernel_basis, rref
-from .pdiv import PolyhedralDivisor
+from .pdiv import PolyhedralDivisor, RaySlope, ray_slopes
 
 Vector = tuple[Fraction, ...]
 

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import ceil
+from random import Random
 
 import pytest
 
 from polydiv.classify import (
+    EllipticReport,
+    H1Report,
     classify_report,
     cohen_macaulay,
     decide_floor_bound,
@@ -25,11 +29,15 @@ from polydiv.curves import (
     ProjectiveLine,
     RationalPoint,
     degree,
+    denominator_lcm,
+    floor_divisor,
+    h1_dim,
+    is_principal,
     p1_point,
 )
 from polydiv.errors import CurveDomainError, NotProperError, ShapeError
 from polydiv.geometry import make_cone, make_polyhedron
-from polydiv.pdiv import polyhedral_divisor
+from polydiv.pdiv import evaluate, polyhedral_divisor
 from polydiv.verdicts import Verdict
 
 P1 = ProjectiveLine()
@@ -427,3 +435,125 @@ def test_classify_report_rational_cone():
     assert report.h1.total == 0
     assert report.elliptic.verdict == Verdict.NO
     assert report.minimal_elliptic == Verdict.NO
+
+
+# ---------------------------------------------------------------------------
+# the integer floor-degree kernel against the QDivisor reference path
+
+
+def reference_bound(d):
+    ev1 = evaluate(d, 1)
+    excess = max(2 * d.base.genus - 2, 0)
+    return max(ceil(Fraction(len(d.coefficients) + excess) / degree(ev1)), denominator_lcm(ev1), 1)
+
+
+def reference_h1(d, m_max=None):
+    """h1_report rebuilt from h1_dim(floor_divisor(evaluate(d, m))) at every m."""
+    bound = reference_bound(d)
+    top = bound if m_max is None else m_max
+    values = [h1_dim(floor_divisor(evaluate(d, m))) for m in range(max(bound, top) + 1)]
+    series = values[: bound + 1]
+    total = None if None in series else sum(series)
+    return H1Report(bound, tuple(enumerate(values[: top + 1])), total)
+
+
+def reference_elliptic(d):
+    """elliptic_singularity rebuilt from the rounded-down divisors themselves."""
+    ev1 = evaluate(d, 1)
+    count = len(d.coefficients)
+    genus = d.base.genus
+    if genus == 0:
+        top = max(ceil(Fraction(count - 2) / degree(ev1)), denominator_lcm(ev1), 1)
+        degs = {m: degree(floor_divisor(evaluate(d, m))) for m in range(1, top + 1)}
+        below = [m for m, g in degs.items() if g < -2]
+        hits = [m for m, g in degs.items() if g == -2]
+        if below:
+            return EllipticReport(Verdict.NO, "floor-degree-below-minus-two", below[0])
+        if len(hits) == 1:
+            return EllipticReport(Verdict.YES, "unique-floor-degree-minus-two", hits[0])
+        if not hits:
+            return EllipticReport(Verdict.NO, "no-floor-degree-minus-two")
+        return EllipticReport(Verdict.NO, "repeated-floor-degree-minus-two", hits[1])
+    if genus == 1:
+        undecided = None
+        for m in range(1, max(ceil(Fraction(count) / degree(ev1)), 1) + 1):
+            fl = floor_divisor(evaluate(d, m))
+            if degree(fl) < 0:
+                return EllipticReport(Verdict.NO, "negative-floor-degree-on-genus-one-base", m)
+            if degree(fl) == 0:
+                principal = is_principal(fl)
+                if principal == Verdict.YES:
+                    return EllipticReport(Verdict.NO, "principal-floor-on-genus-one-base", m)
+                if principal == Verdict.UNKNOWN:
+                    undecided = m
+        if undecided is not None:
+            return EllipticReport(
+                Verdict.UNKNOWN, "principality-undecided-on-abstract-base", undecided
+            )
+        return EllipticReport(Verdict.YES, "genus-one-base-floors-never-principal", 0)
+    return EllipticReport(Verdict.NO, "genus-at-least-two-base", 0)
+
+
+EC_TWO_TORSION = EllipticCurveQ(-1, 0)  # y^2 = x^3 - x: O and three points of order 2
+EC_RANK_ONE = EllipticCurveQ(0, -2)  # y^2 = x^3 - 2: (3, +-5) has infinite order
+
+KERNEL_BASES = (
+    (P1, (P1_INFINITY, p1_point(0), p1_point(1), p1_point(-1), p1_point(1, 2))),
+    (
+        EC_TWO_TORSION,
+        (EC_ORIGIN, EllipticPoint(0, 0), EllipticPoint(1, 0), EllipticPoint(-1, 0)),
+    ),
+    (EC_RANK_ONE, (EC_ORIGIN, EllipticPoint(3, 5), EllipticPoint(3, -5))),
+    *(
+        (AbstractProjectiveCurve(g), tuple(LabelPoint(x) for x in "pqrs"))
+        for g in (0, 1, 2)
+    ),
+)
+
+
+def random_kernel_family(rng, base, pool, count, scan_cap):
+    """Proper rank-one divisors on base whose h1 scan stays below scan_cap."""
+    out = []
+    while len(out) < count:
+        pts = rng.sample(pool, rng.randint(1, len(pool)))
+        # slopes in [-1, 1/2], then the first one tops the degree up to a small
+        # positive value, so the floors dip below zero in every pattern the
+        # criteria tell apart
+        slopes = [Fraction(rng.randint(-q, q // 2), q) for q in (rng.randint(1, 6) for _ in pts)]
+        slopes[0] += max(0, -sum(slopes)) + Fraction(1, rng.randint(1, 8))
+        d = rank1(base, dict(zip(pts, slopes)))
+        if reference_bound(d) <= scan_cap:
+            out.append(d)
+    return out
+
+
+def test_floor_degree_kernel_matches_divisor_reference():
+    rng = Random(2024)
+    seen = dict.fromkeys(
+        ("principal-degree-zero", "nonprincipal-degree-zero", "none-entry", "beyond-bound"), 0
+    )
+    criteria = set()
+    checked = 0
+    for base, pool in KERNEL_BASES:
+        for d in random_kernel_family(rng, base, pool, 40, 300):
+            m_max = rng.choice((None, None, rng.randint(0, 400)))
+            kernel = h1_report(d, m_max)
+            assert kernel == reference_h1(d, m_max), d
+            elliptic = elliptic_singularity(d)
+            assert elliptic == reference_elliptic(d), d
+            criteria.add(elliptic.criterion)
+            checked += 1
+            if m_max is not None and m_max > kernel.bound:
+                seen["beyond-bound"] += 1
+            if any(v is None for _, v in kernel.entries):
+                seen["none-entry"] += 1
+            if isinstance(base, EllipticCurveQ):
+                for m, _ in kernel.entries[1:]:
+                    fl = floor_divisor(evaluate(d, m))
+                    if degree(fl) == 0:
+                        key = "principal" if is_principal(fl) == Verdict.YES else "nonprincipal"
+                        seen[f"{key}-degree-zero"] += 1
+    assert checked == 40 * len(KERNEL_BASES)
+    # every branch of the kernel must be exercised, not vacuously matched
+    assert all(seen.values()), seen
+    assert len(criteria) == 9, criteria  # every outcome of the elliptic criterion

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import polydiv.classify as classify
 from polydiv.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -172,6 +173,33 @@ def test_invalid_input_exits_three(capsys, tmp_path):
     assert code == 3
     assert payload["error"] == "invalid-input"
     assert any("point" in v for v in payload["violations"])
+
+
+def test_non_list_extra_rays_is_invalid_input(capsys, tmp_path):
+    doc = tmp_path / "extra.json"
+    doc.write_text(
+        '{"lattice_rank": 1, "tail_cone": {"rays": [[1]]},'
+        ' "base": {"kind": "P1"},'
+        ' "coefficients": [{"point": "0", "vertices": [["1/2"]], "extra_rays": 5}]}\n'
+    )
+    code, payload = run_json(capsys, "classify", str(doc))
+    assert code == 3
+    assert payload["error"] == "invalid-input"
+    assert payload["violations"] == ["coefficients[0].extra_rays: expected a list of rays"]
+
+
+def test_failed_consistency_check_is_internal_error(capsys, monkeypatch):
+    real = classify.h1_report
+
+    def wrong_total(d, m_max=None):
+        report = real(d, m_max)
+        return classify.H1Report(report.bound, report.entries, report.total + 1)
+
+    monkeypatch.setattr(classify, "h1_report", wrong_total)
+    code, payload = run_json(capsys, "classify", GOLDEN_ONE)
+    assert code == 3
+    assert payload["error"] == "internal"
+    assert "h1 total 2" in payload["message"]
 
 
 def test_non_proper_input_exits_three(capsys, tmp_path):

@@ -24,6 +24,7 @@ from polydiv.curves import (
     floor_divisor,
     h0_dim,
     h1_dim,
+    h1_dim_of_degree,
     is_integral,
     is_principal,
     is_torsion_class,
@@ -198,6 +199,25 @@ def test_h0_h1_elliptic_degree_zero_splits_on_principality():
     assert h0_dim(principal) == 1 and h1_dim(principal) == 1
     nontrivial = divisor(e, {p0: 1, EC_ORIGIN: -1})
     assert h0_dim(nontrivial) == 0 and h1_dim(nontrivial) == 0
+
+
+def test_h1_dim_of_degree_asks_principality_only_at_elliptic_degree_zero():
+    calls = []
+
+    def principal():
+        calls.append(True)
+        return Verdict.NO
+
+    for curve in (P1, EC_TWO_TORSION, *(AbstractProjectiveCurve(g) for g in range(3))):
+        for deg in range(-3, 4):
+            if not (curve == EC_TWO_TORSION and deg == 0):
+                h1_dim_of_degree(curve, deg, principal)
+    assert not calls
+    assert h1_dim_of_degree(EC_TWO_TORSION, 0, principal) == 0
+    assert calls == [True]
+    assert h1_dim_of_degree(EC_TWO_TORSION, 0, lambda: Verdict.YES) == 1
+    with pytest.raises(CurveDomainError):
+        h1_dim_of_degree(AffineLine(), 0, principal)
 
 
 def test_h0_h1_abstract_window_is_unknown():
