@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
 from math import ceil, floor, lcm
+from operator import mul
 
 from .curves import (
     CurvePoint,
@@ -36,8 +37,8 @@ from .errors import (
     NotProperError,
     UnsupportedRankError,
 )
-from .geometry import chamber_fan, ratvec
-from .linalg import solve
+from .geometry import ratvec
+from .linalg import adjugate, determinant
 from .pdiv import (
     PolyhedralDivisor,
     PropernessReport,
@@ -88,13 +89,21 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
     each linearity chamber that region is bounded along rays of positive
     degree and periodic along rays of degree zero, leaving a finite search
     over integer weights.
+
+    The search runs in integers, chamber by chamber. On a chamber each
+    coefficient is minimized by one vertex v_z = n_z / q_z
+    (``Chamber.minimizers``), so the rounded-down degree at m is
+    sum(<m, n_z> // q_z). A point m of the chamber's bounding box lies in the
+    capped chamber when mu = sign(det R) adj(R) m, for the ray matrix R,
+    satisfies 0 <= mu_i and mu_i <= cap_i |det R|. Chambers and box points
+    are scanned in a fixed order; the witness is the first violating weight.
     """
     if not _is_projective_curve(d):
         raise CurveDomainError("floor-degree bounds need a projective base curve")
     count = len(d.coefficients)
     if count == 0:
         return None if c <= 0 else tuple(0 for _ in range(d.rank))
-    fan = chamber_fan([poly for _, poly in d.coefficients], d.weight_cone)
+    fan = d.fan
     ray_degree: dict[tuple[int, ...], Fraction] = {}
     for u in fan.all_rays():
         g = degree(evaluate(d, u))
@@ -108,13 +117,14 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
     if bound <= 0:
         return None
     for chamber in fan.chambers:
-        witness = _search_chamber(d, chamber.rays, ray_degree, bound, c)
+        witness = _search_chamber(d, chamber, ray_degree, bound, c)
         if witness is not None:
             return witness
     return None
 
 
-def _search_chamber(d, rays, ray_degree, bound: Fraction, c: int) -> tuple[int, ...] | None:
+def _search_chamber(d, chamber, ray_degree, bound: Fraction, c: int) -> tuple[int, ...] | None:
+    rays = chamber.rays
     caps = []
     for u in rays:
         g = ray_degree[u]
@@ -129,15 +139,24 @@ def _search_chamber(d, rays, ray_degree, bound: Fraction, c: int) -> tuple[int, 
     for i in range(k):
         lo.append(floor(sum(min(Fraction(0), cap * u[i]) for cap, u in zip(caps, rays))))
         hi.append(ceil(sum(max(Fraction(0), cap * u[i]) for cap, u in zip(caps, rays))))
+    # m = R lam with the rays as the columns of R, so lam = adj(R) m / det(R)
     rows = [[u[i] for u in rays] for i in range(k)]
+    det = int(determinant(rows))
+    sign = 1 if det > 0 else -1
+    coords = [tuple(sign * a for a in row) for row in adjugate(rows)]
+    limits = [(cap.numerator * abs(det), cap.denominator) for cap in caps]
+    floors = []
+    for v in chamber.minimizers:
+        q = lcm(*(x.denominator for x in v))
+        floors.append((tuple(int(x * q) for x in v), q))
     for m in cartesian_product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        lam = solve(rows, m)
-        if lam is None:
-            continue
-        if any(x < 0 or x > cap for x, cap in zip(lam, caps)):
-            continue
-        if degree(floor_divisor(evaluate(d, m))) < c:
-            return tuple(m)
+        for row, (top, den) in zip(coords, limits):
+            mu = sum(map(mul, row, m))
+            if mu < 0 or mu * den > top:
+                break
+        else:
+            if sum(sum(map(mul, n, m)) // q for n, q in floors) < c:
+                return m
     return None
 
 
@@ -203,7 +222,13 @@ def cohen_macaulay(d: PolyhedralDivisor, isolated: bool = False) -> CohenMacaula
         return CohenMacaulayReport(Verdict.YES, "affine-base")
     if d.rank == 1:
         return CohenMacaulayReport(Verdict.YES, "normal-surface")
-    rational = rational_singularities(d)
+    return _cohen_macaulay_given(d, rational_singularities(d), isolated)
+
+
+def _cohen_macaulay_given(
+    d: PolyhedralDivisor, rational: RationalReport, isolated: bool
+) -> CohenMacaulayReport:
+    """The higher-rank projective case, once rationality has been decided."""
     if rational.verdict == Verdict.YES:
         return CohenMacaulayReport(Verdict.YES, "rational-singularities")
     if rational.verdict == Verdict.UNKNOWN:
@@ -473,7 +498,10 @@ def classify_report(d: PolyhedralDivisor, isolated: bool = False) -> ClassifyRep
         )
 
     rational = rational_singularities(d)
-    cm = cohen_macaulay(d, isolated=isolated)
+    if _is_projective_curve(d) and d.rank > 1:
+        cm = _cohen_macaulay_given(d, rational, isolated)
+    else:
+        cm = cohen_macaulay(d, isolated=isolated)
     gor = gorenstein(d)
     ell = elliptic_singularity(d)
     minimal = minimal_elliptic_verdict(ell, gor)

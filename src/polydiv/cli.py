@@ -217,6 +217,8 @@ def _process(text: str, command: str, args) -> tuple[object, int]:
         return payload, EXIT_PARSE
     except InvalidInputError as exc:
         return {"error": "invalid-input", "violations": exc.violations}, EXIT_INVALID
+    except InternalError as exc:
+        return {"error": "internal", "message": str(exc)}, EXIT_INVALID
 
     try:
         result, code = _analyze(command, d, args)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import PolydivError, RankMismatchError
+from .errors import PolydivError, RankMismatchError, ShapeError
 
 # A safety valve for Fourier-Motzkin blowup. Our systems are tiny (rank <= 4,
 # a few dozen constraints); hitting this means a caller bug, not bad luck.
@@ -109,6 +109,27 @@ def determinant(rows) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return det
+
+
+def adjugate(rows) -> list[list[int]]:
+    """Transposed cofactor matrix of an integer matrix: adj(A) A = det(A) I.
+
+    Entries are exact integers, so A x = b is solved over the rationals as
+    x = adj(A) b / det(A) without leaving integer arithmetic.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise RankMismatchError("adjugate needs a square matrix")
+    if any(Fraction(x).denominator != 1 for row in rows for x in row):
+        raise ShapeError("adjugate needs an integer matrix")
+    if n == 1:
+        return [[1]]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [list(row[:j]) + list(row[j + 1 :]) for r, row in enumerate(rows) if r != i]
+            adj[j][i] = (-1) ** (i + j) * int(determinant(minor))
+    return adj
 
 
 def kernel_basis(rows, ncols):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .curves import (
     CurveModel,
@@ -31,6 +32,7 @@ from .curves import (
 )
 from .errors import (
     CurveDomainError,
+    InternalError,
     InvalidInputError,
     NotProperError,
     RankMismatchError,
@@ -40,6 +42,7 @@ from .errors import (
 )
 from .geometry import (
     MINUS_INFINITY,
+    ChamberFan,
     Cone,
     TailedPolyhedron,
     chamber_fan,
@@ -91,6 +94,10 @@ class PolyhedralDivisor:
     plain tail cone contributes nothing to any evaluation and is dropped by
     the factory. weight_cone is the dual of the tail cone, the set of weights
     where every evaluation is finite.
+
+    The chamber fan and the properness report are derived once per divisor
+    and kept on it (``fan``, ``properness``); they are not fields, so they
+    take no part in equality or hashing. A failed derivation is not kept.
     """
 
     base: DivisorBase
@@ -108,6 +115,16 @@ class PolyhedralDivisor:
     @property
     def support(self) -> tuple[object, ...]:
         return tuple(k for k, _ in self.coefficients)
+
+    @cached_property
+    def fan(self) -> ChamberFan:
+        """Common linearity decomposition of the weight cone for all coefficients."""
+        return chamber_fan([poly for _, poly in self.coefficients], self.weight_cone)
+
+    @cached_property
+    def properness(self) -> PropernessReport:
+        """The properness decision; see is_proper."""
+        return _decide_properness(self)
 
 
 def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) -> PolyhedralDivisor:
@@ -203,7 +220,9 @@ def evaluate(d: PolyhedralDivisor, m) -> QDivisor:
     coeffs: dict[CurvePoint, Fraction] = {}
     for pt, poly in d.coefficients:
         value = support_eval(poly, mm)
-        assert value is not MINUS_INFINITY  # excluded by the weight-cone check
+        if value is MINUS_INFINITY:
+            # check_weight already placed mm in the dual of the tail cone
+            raise InternalError(f"support minimum at {pt} is unbounded inside the weight cone")
         coeffs[pt] = value
     return divisor(d.base, coeffs)
 
@@ -268,7 +287,7 @@ class PropernessReport:
 
 
 def is_proper(d: PolyhedralDivisor) -> PropernessReport:
-    """Decide properness.
+    """Decide properness, once per divisor.
 
     Affine bases: always proper. Projective curves: every evaluation within
     the weight cone must be semiample and evaluations at interior weights must
@@ -277,6 +296,10 @@ def is_proper(d: PolyhedralDivisor) -> PropernessReport:
     exact; degree-zero boundary rays additionally need a torsion divisor
     class, which certifies the whole face they span.
     """
+    return d.properness
+
+
+def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
     if not _is_curve_base(d.base) or not d.base.projective:
         return PropernessReport(Verdict.YES, "affine base: properness is automatic")
 
@@ -297,7 +320,7 @@ def is_proper(d: PolyhedralDivisor) -> PropernessReport:
         )
 
     try:
-        fan = chamber_fan([poly for _, poly in d.coefficients], d.weight_cone)
+        fan = d.fan
     except UnsupportedRankError as exc:
         return PropernessReport(Verdict.UNKNOWN, f"undecided: {exc}")
 

@@ -11,8 +11,11 @@ A problem document is one JSON object:
       ]
     }
 
-Rationals are written as integers or exact strings like "-2/3"; floating
-point numbers are rejected rather than rounded. Points take the form the
+Rationals are written as integers or exact strings like "-2/3": an optional
+sign, digits, and optionally a slash and more digits, with at most
+MAX_DIGITS digits in the numerator and in the denominator (JSON integers
+included). Anything else, floating point numbers in particular, is rejected
+rather than rounded or read in another notation. Points take the form the
 base dictates: "inf" or a rational for the projective line, "O" or
 {"x": ..., "y": ...} for an elliptic curve, a string label for abstract
 curves, a rational for the affine line, and {"hyperplane": i} over affine
@@ -29,7 +32,8 @@ each prefixed with the JSON path.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+import re
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -49,11 +53,28 @@ from .curves import (
     RationalPoint,
     p1_point,
 )
-from .errors import InvalidInputError, ParseError, PointError, ShapeError
+from .errors import InternalError, InvalidInputError, ParseError, ShapeError
 from .geometry import cone_contains, make_cone, make_polyhedron
 from .pdiv import AffineSpace, PolyhedralDivisor, polyhedral_divisor
 
 _BASE_KINDS = ("P1", "elliptic", "abstract", "affine_line", "affine_space")
+
+# Longest numerator or denominator accepted, in decimal digits.
+MAX_DIGITS = 100
+
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+@dataclass(frozen=True)
+class _LongInteger:
+    """A JSON integer literal with more than MAX_DIGITS digits, never converted."""
+
+    literal: str
+
+
+def _json_int(literal: str):
+    digits = literal.lstrip("-")
+    return _LongInteger(literal) if len(digits) > MAX_DIGITS else int(literal)
 
 
 def _rational(value, path: str, violations: list) -> Fraction | None:
@@ -62,17 +83,31 @@ def _rational(value, path: str, violations: list) -> Fraction | None:
         return None
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, _LongInteger):
+        violations.append(f"{path}: integer has more than {MAX_DIGITS} digits")
+        return None
     if isinstance(value, float):
         violations.append(
             f"{path}: floating-point numbers are not exact; write a string like \"1/4\""
         )
         return None
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            shown = value if len(value) <= 40 else value[:40] + "..."
+            violations.append(f"{path}: cannot read {shown!r} as a rational")
+            return None
+        sign, num, den = match.groups()
+        if len(num) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
+            violations.append(
+                f"{path}: numerator or denominator has more than {MAX_DIGITS} digits"
+            )
+            return None
+        if den is not None and int(den) == 0:
             violations.append(f"{path}: cannot read {value!r} as a rational")
             return None
+        numerator = -int(num) if sign == "-" else int(num)
+        return Fraction(numerator, 1 if den is None else int(den))
     violations.append(f"{path}: expected a rational, got {type(value).__name__}")
     return None
 
@@ -188,7 +223,8 @@ def _parse_point(value, base, path: str, violations: list):
     if isinstance(base, AffineLine):
         q = _rational(value, path, violations)
         return None if q is None else RationalPoint(q)
-    assert isinstance(base, AffineSpace)
+    if not isinstance(base, AffineSpace):
+        raise InternalError(f"no point syntax for the base {base!r}")
     if not isinstance(value, dict) or not _check_keys(
         value, ("hyperplane",), ("hyperplane",), path, violations
     ):
@@ -205,7 +241,7 @@ def _parse_point(value, base, path: str, violations: list):
 def parse_problem(text: str) -> PolyhedralDivisor:
     """Parse a problem document into a validated polyhedral divisor."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
 
@@ -311,7 +347,8 @@ def _base_json(base):
         return {"kind": "abstract", "proper": False}
     if isinstance(base, AffineLine):
         return {"kind": "affine_line"}
-    assert isinstance(base, AffineSpace)
+    if not isinstance(base, AffineSpace):
+        raise InternalError(f"no document form for the base {base!r}")
     return {"kind": "affine_space", "dim": base.dim}
 
 
@@ -326,7 +363,8 @@ def _point_json(key):
         return {"x": _rat_str(key.x), "y": _rat_str(key.y)}
     if isinstance(key, LabelPoint):
         return key.label
-    assert isinstance(key, RationalPoint)
+    if not isinstance(key, RationalPoint):
+        raise InternalError(f"no document form for the point {key!r}")
     return _rat_str(key.value)
 
 

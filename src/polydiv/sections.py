@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import P1Point, ProjectiveLine
-from .errors import CurveDomainError, ShapeError
+from .errors import CurveDomainError, InternalError, ShapeError
 from .linalg import kernel_basis, rref
 from .pdiv import PolyhedralDivisor, RaySlope, ray_slopes
 
@@ -85,7 +85,8 @@ def _correction(slopes, m1: int, m2: int):
         if isinstance(s.point, P1Point) and s.point.is_infinity:
             continue
         e = _floor_coeff(s, m1 + m2) - _floor_coeff(s, m1) - _floor_coeff(s, m2)
-        assert e >= 0
+        if e < 0:
+            raise InternalError(f"negative correction exponent {e} at {s.point}")
         z = s.point.affine_value
         for _ in range(e):
             poly = _poly_mul(poly, [-z, Fraction(1)])
@@ -111,7 +112,8 @@ def multiply_sections(
             raise ShapeError(f"the ring has no sections in degree {m}")
     target = graded_dimension(d, m1 + m2)
     prod = _poly_mul(_poly_mul(v1, v2), _correction(slopes, m1, m2))
-    assert all(c == 0 for c in prod[target:])
+    if any(c != 0 for c in prod[target:]):
+        raise InternalError(f"product of degrees {m1} and {m2} leaves the degree-{m1 + m2} piece")
     prod = prod[:target]
     return tuple(prod) + (Fraction(0),) * (target - len(prod))
 
@@ -138,7 +140,8 @@ def _product_span_rows(d, slopes, dims, m: int):
             vec = [Fraction(0)] * dims[m]
             for k, c in enumerate(corr):
                 if c != 0:
-                    assert shift + k < dims[m]
+                    if shift + k >= dims[m]:
+                        raise InternalError(f"product of degrees {i} and {j} leaves piece {m}")
                     vec[shift + k] = c
             rows.append(tuple(vec))
     return rows

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import CurveDomainError, RankMismatchError
+from .errors import CurveDomainError, InternalError, RankMismatchError
 from .geometry import MINUS_INFINITY, make_cone, support_eval
 from .linalg import determinant, dot, matrix_rank, primitive
 from .pdiv import AffineSpace, PolyhedralDivisor, coerce_weight
@@ -93,7 +93,9 @@ def monomial_admissible(d: PolyhedralDivisor, m, r) -> bool:
             value = Fraction(0)
         else:
             value = support_eval(poly, mm)
-            assert value is not MINUS_INFINITY
+            if value is MINUS_INFINITY:
+                # the tail-ray test above placed mm in the weight cone
+                raise InternalError(f"support minimum at hyperplane {i} is unbounded")
         if rr[i - 1] < -value:
             return False
     return True

@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+import polydiv.classify as classify_module
+import polydiv.pdiv as pdiv_module
 from polydiv.classify import (
     EllipticReport,
     H1Report,
@@ -37,7 +39,7 @@ from polydiv.curves import (
 )
 from polydiv.errors import CurveDomainError, NotProperError, ShapeError
 from polydiv.geometry import make_cone, make_polyhedron
-from polydiv.pdiv import evaluate, polyhedral_divisor
+from polydiv.pdiv import evaluate, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
 
 P1 = ProjectiveLine()
@@ -435,6 +437,36 @@ def test_classify_report_rational_cone():
     assert report.h1.total == 0
     assert report.elliptic.verdict == Verdict.NO
     assert report.minimal_elliptic == Verdict.NO
+
+
+def test_classify_report_builds_one_fan_and_runs_one_search(monkeypatch):
+    calls = {"fan": 0, "search": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pdiv_module, "chamber_fan", counted("fan", pdiv_module.chamber_fan))
+    monkeypatch.setattr(
+        classify_module, "decide_floor_bound", counted("search", decide_floor_bound)
+    )
+    d = polyhedral_divisor(
+        P1,
+        2,
+        ((1, 0), (0, 1)),
+        {
+            p1_point(0): quadrant_poly((Fraction(-1, 2), 0), (0, Fraction(-1, 3))),
+            P1_INFINITY: quadrant_poly((1, Fraction(1, 2))),
+        },
+    )
+    report = classify_report(d)
+    assert report.cohen_macaulay.criterion == "rational-singularities"
+    assert calls == {"fan": 1, "search": 1}
+    assert is_proper(d) is report.properness  # later questions read the kept report
+    assert calls["fan"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from time import monotonic
 
 import pytest
 
@@ -173,6 +174,24 @@ def test_invalid_input_exits_three(capsys, tmp_path):
     assert code == 3
     assert payload["error"] == "invalid-input"
     assert any("point" in v for v in payload["violations"])
+
+
+def test_exponent_notation_is_invalid_input_without_delay(capsys, tmp_path):
+    doc = tmp_path / "exponent.json"
+    doc.write_text(
+        '{"lattice_rank": 1, "tail_cone": {"rays": [[1]]},'
+        ' "base": {"kind": "P1"},'
+        ' "coefficients": [{"point": "0", "vertices": [["-1e-2000"]]},'
+        ' {"point": "inf", "vertices": [["1"]]}]}\n'
+    )
+    start = monotonic()
+    code, payload = run_json(capsys, "classify", str(doc))
+    assert monotonic() - start < 5.0
+    assert code == 3
+    assert payload == {
+        "error": "invalid-input",
+        "violations": ["coefficients[0].vertices[0][0]: cannot read '-1e-2000' as a rational"],
+    }
 
 
 def test_non_list_extra_rays_is_invalid_input(capsys, tmp_path):

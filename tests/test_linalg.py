@@ -1,8 +1,11 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from polydiv.errors import RankMismatchError, ShapeError
 from polydiv.linalg import (
+    adjugate,
     cone_from_inequalities,
     determinant,
     dot,
@@ -46,6 +49,29 @@ def test_determinant_hand_values():
 def test_determinant_rejects_non_square():
     with pytest.raises(Exception):
         determinant([[1, 2, 3], [4, 5, 6]])
+
+
+def test_adjugate_times_matrix_is_determinant():
+    rng = Random(3)
+    assert adjugate([[-4]]) == [[1]]
+    assert adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
+    for n in (2, 3):
+        for _ in range(20):
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            det = determinant(rows)
+            adj = adjugate(rows)
+            for i in range(n):
+                for j in range(n):
+                    entry = sum(adj[i][k] * rows[k][j] for k in range(n))
+                    assert entry == (det if i == j else 0)
+                    assert isinstance(adj[i][j], int)
+
+
+def test_adjugate_needs_a_square_integer_matrix():
+    with pytest.raises(RankMismatchError):
+        adjugate([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ShapeError):
+        adjugate([[Fraction(1, 2), 0], [0, 1]])
 
 
 def test_kernel_basis_dimension_and_membership():

@@ -21,6 +21,7 @@ from polydiv.errors import (
     NotProperError,
     RankMismatchError,
     ShapeError,
+    UnsupportedRankError,
     WeightError,
 )
 from polydiv.geometry import make_cone, make_polyhedron
@@ -228,6 +229,27 @@ def test_proper_unknown_on_abstract_base_with_boundary_degree_zero():
     assert report.verdict == Verdict.UNKNOWN
     with pytest.raises(NotProperError):
         require_proper(d)
+
+
+def test_rank_four_fan_failure_is_reported_and_not_kept():
+    rays = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    tail = make_cone(rays, 4)
+    d = polyhedral_divisor(
+        P1,
+        4,
+        rays,
+        {
+            p1_point(0): make_polyhedron([(0, 0, 0, 0), (1, -1, 0, 0)], tail),
+            P1_INFINITY: make_polyhedron([(1, 1, 1, 1)], tail),
+        },
+    )
+    report = is_proper(d)
+    assert report.verdict == Verdict.UNKNOWN
+    assert "rank 3" in report.reason
+    assert is_proper(d) is report
+    for _ in range(2):
+        with pytest.raises(UnsupportedRankError):
+            d.fan
 
 
 def test_contraction_rank1_always_collapses():

@@ -17,6 +17,7 @@ from polydiv.errors import InvalidInputError, ParseError, ShapeError
 from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.pdiv import AffineSpace, is_proper, polyhedral_divisor
 from polydiv.problem_io import (
+    MAX_DIGITS,
     emit_problem,
     emit_report,
     parse_problem,
@@ -146,6 +147,74 @@ def test_floats_are_rejected_with_path():
         parse_problem(text)
     assert any("coefficients[0].vertices[0][0]" in v for v in exc.value.violations)
     assert any("floating-point" in v for v in exc.value.violations)
+
+
+def _vertex_doc(literal: str) -> str:
+    """A one-point P1 document whose vertex is the given JSON literal."""
+    return (
+        '{"lattice_rank": 1, "tail_cone": {"rays": [[1]]}, "base": {"kind": "P1"},'
+        f' "coefficients": [{{"point": "0", "vertices": [[{literal}]]}}]}}'
+    )
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        '"1e-200000"',
+        '"-1e-2000"',
+        '"1_000"',
+        '"1.5"',
+        '" 1/2"',
+        '"1/-2"',
+        '"1/0"',
+        f'"{"7" * (MAX_DIGITS + 1)}/3"',
+        f'"3/{"7" * (MAX_DIGITS + 1)}"',
+        "7" * (MAX_DIGITS + 1),
+        "-" + "7" * 5000,
+    ],
+    ids=[
+        "exponent",
+        "negative-exponent",
+        "underscore",
+        "decimal",
+        "whitespace",
+        "signed-denominator",
+        "zero-denominator",
+        "long-numerator",
+        "long-denominator",
+        "long-json-integer",
+        "huge-json-integer",
+    ],
+)
+def test_rationals_outside_the_grammar_are_violations(literal):
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(_vertex_doc(literal))
+    assert len(exc.value.violations) == 1
+    violation = exc.value.violations[0]
+    assert violation.startswith("coefficients[0].vertices[0][0]: ")
+    assert len(violation) < 200
+
+
+@pytest.mark.parametrize(
+    "literal,value",
+    [
+        ('"+3/4"', Fraction(3, 4)),
+        ('"-007/014"', Fraction(-1, 2)),
+        (f'"-{"9" * MAX_DIGITS}/{"9" * MAX_DIGITS}"', Fraction(-1)),
+        ("-" + "9" * MAX_DIGITS, Fraction(-(10**MAX_DIGITS - 1))),
+    ],
+)
+def test_rationals_inside_the_grammar_are_read_exactly(literal, value):
+    d = parse_problem(_vertex_doc(literal))
+    assert d.coefficient(p1_point(0)).vertices == ((value,),)
+
+
+def test_long_integers_are_rejected_outside_rationals_too():
+    text = '{"lattice_rank": ' + "1" * (MAX_DIGITS + 1) + ', "tail_cone": {"rays": []},' \
+        ' "base": {"kind": "P1"}}'
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(text)
+    assert exc.value.violations == ["lattice_rank: expected a positive integer"]
 
 
 def test_violations_are_collected_together():
