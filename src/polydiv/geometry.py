@@ -116,15 +116,17 @@ def cone_contains(cone: Cone, v) -> bool:
 def dual_cone(cone: Cone) -> Cone:
     """Generators of {m : <m, v> >= 0 for all v in the cone}.
 
-    Exact at any rank via double description; a non-pointed dual is returned
-    with both orientations of each lineality generator.
+    Exact at any rank via double description, whose rays are already
+    primitive and irredundant modulo its lines, so they are taken as they
+    come. A non-pointed dual is returned with both orientations of each
+    lineality generator; it is pointed exactly when there are no lines.
     """
     lines, rays = cone_from_inequalities(cone.rays, cone.rank)
     gens = list(rays)
     for l in lines:
         gens.append(l)
         gens.append(vec_neg(l))
-    return make_cone(gens, cone.rank)
+    return Cone(rays=tuple(sorted(gens)), rank=cone.rank, pointed=not lines)
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,10 @@ class PolyhedralDivisor:
     the factory. weight_cone is the dual of the tail cone, the set of weights
     where every evaluation is finite.
 
-    The chamber fan and the properness report are derived once per divisor
-    and kept on it (``fan``, ``properness``); they are not fields, so they
-    take no part in equality or hashing. A failed derivation is not kept.
+    The chamber fan, the properness report and the rank-one slopes are
+    derived once per divisor and kept on it (``fan``, ``properness``,
+    ``slopes``); they are not fields, so they take no part in equality or
+    hashing. A failed derivation is not kept.
     """
 
     base: DivisorBase
@@ -125,6 +126,16 @@ class PolyhedralDivisor:
     def properness(self) -> PropernessReport:
         """The properness decision; see is_proper."""
         return _decide_properness(self)
+
+    @cached_property
+    def slopes(self) -> tuple[RaySlope, ...]:
+        """The evaluation at the unit weight (rank one); see ray_slopes."""
+        unit = unit_weight(self)
+        out = []
+        for pt, poly in self.coefficients:
+            v = support_eval(poly, unit)
+            out.append(RaySlope(pt, v.numerator, v.denominator))
+        return tuple(out)
 
 
 def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) -> PolyhedralDivisor:
@@ -255,14 +266,9 @@ def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
 
     Support functions are positively homogeneous, so the evaluation at the
     weight m times the unit has coefficients m * p / q, and its rounding down
-    has coefficients (m * p) // q.
+    has coefficients (m * p) // q. Derived once per divisor (``d.slopes``).
     """
-    unit = unit_weight(d)
-    out = []
-    for pt, poly in d.coefficients:
-        v = support_eval(poly, unit)
-        out.append(RaySlope(pt, v.numerator, v.denominator))
-    return tuple(out)
+    return d.slopes
 
 
 def degree_polyhedron(d: PolyhedralDivisor) -> TailedPolyhedron:

@@ -24,7 +24,8 @@ an optional extra_rays list is checked for containment in it, so documents
 carrying ray generators alongside vertices are accepted without silently
 changing meaning.
 
-Malformed JSON raises ParseError with the position; well-formed JSON with
+Malformed JSON raises ParseError with the position, and JSON nested too
+deeply for the decoder raises ParseError without one; well-formed JSON with
 bad content raises InvalidInputError carrying one message per violation,
 each prefixed with the JSON path.
 """
@@ -244,6 +245,8 @@ def parse_problem(text: str) -> PolyhedralDivisor:
         doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("arrays or objects are nested too deeply") from exc
 
     violations: list[str] = []
     if not isinstance(doc, dict):

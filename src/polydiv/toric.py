@@ -9,20 +9,19 @@ vertex v of the i-th coefficient contributes the primitive ray through
 unit ray (0, e_i).
 
 Ray-level diagnostics (simpliciality, multiplicity of the ray lattice inside
-its saturation, smoothness) are exact: the multiplicity is the gcd of all
-maximal minors of the ray matrix.
+its saturation, smoothness) are exact: the multiplicity is the gcd of the
+maximal minors of the ray matrix, read off as the product of the pivots
+after an integer column reduction of that matrix to lower-triangular form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
 
 from .errors import CurveDomainError, InternalError, RankMismatchError
 from .geometry import MINUS_INFINITY, make_cone, support_eval
-from .linalg import determinant, dot, matrix_rank, primitive
+from .linalg import dot, matrix_rank, primitive
 from .pdiv import AffineSpace, PolyhedralDivisor, coerce_weight
 
 
@@ -144,12 +143,41 @@ def cone_diagnostics(tc: ToricCone) -> ConeDiagnostics:
 
 
 def _span_multiplicity(rays, ambient: int) -> int:
-    """gcd of all maximal minors of the ray matrix; 1 for no rays at all."""
+    """Index of the rays' lattice in its saturation; 1 for no rays at all.
+
+    The index is the gcd of the maximal minors of the k x ambient ray
+    matrix, and unimodular column operations keep that gcd (Cauchy-Binet).
+    Row by row, extended-gcd steps on pairs of columns clear the entries
+    right of the diagonal, so the only nonzero maximal minor left is the
+    leading lower-triangular block: the index is |product of its pivots|.
+    The k <= ambient rays must be linearly independent.
+    """
     k = len(rays)
-    if k == 0:
-        return 1
-    g = 0
-    for cols in combinations(range(ambient), k):
-        sub = [[ray[c] for c in cols] for ray in rays]
-        g = gcd(g, abs(int(determinant(sub))))
-    return g
+    cols = [[int(ray[c]) for ray in rays] for c in range(ambient)]
+    mult = 1
+    for i in range(k):
+        for j in range(i + 1, ambient):
+            b = cols[j][i]
+            if b == 0:
+                continue
+            a = cols[i][i]
+            g, x, y = _xgcd(a, b)
+            # [[x, -b/g], [y, a/g]] has determinant 1 and clears row i of column j
+            ci, cj = cols[i], cols[j]
+            cols[i] = [x * u + y * v for u, v in zip(ci, cj)]
+            cols[j] = [(a // g) * v - (b // g) * u for u, v in zip(ci, cj)]
+        if cols[i][i] == 0:
+            raise InternalError(f"ray {i} lies in the span of the rays before it")
+        mult *= cols[i][i]
+    return abs(mult)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with |g| = gcd(a, b) and x * a + y * b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0

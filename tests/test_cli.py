@@ -163,6 +163,20 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert payload["line"] == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000],
+    ids=["arrays", "objects"],
+)
+def test_deeply_nested_document_is_a_parse_error(capsys, tmp_path, text):
+    doc = tmp_path / "nested.json"
+    doc.write_text(text)
+    code, payload = run_json(capsys, "proper", str(doc))
+    assert code == 2
+    assert payload["error"] == "parse"
+    assert "nested too deeply" in payload["message"]
+
+
 def test_invalid_input_exits_three(capsys, tmp_path):
     doc = tmp_path / "bad.json"
     doc.write_text(

@@ -2,7 +2,10 @@
 
 The expected outputs in golden/cli_outputs.json were written by the CLI
 before the integer chamber kernel and the cached chamber fan replaced the
-per-point floor-degree search; any change to them is a change of behaviour.
+per-point floor-degree search. The cases on golden/documents were written
+before the kept slopes, the single pruning in dual_cone and the
+column-reduced toric multiplicity replaced their predecessors. Any change to
+them is a change of behaviour.
 Regenerate them only for a deliberate output change, by running this file
 as a script with the intended ``polydiv`` on the path.
 """
@@ -20,6 +23,7 @@ from polydiv.cli import main
 HERE = Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden" / "cli_outputs.json"
+DOCUMENTS = HERE / "golden" / "documents"
 
 # every command, with the options that change what it computes
 COMMANDS = (
@@ -39,14 +43,29 @@ COMMANDS = (
     ("--format", "text", "classify"),
 )
 
+# documents outside tests/data, each run under the commands that reach the
+# paths it covers: the whole-lattice weight cone of a trivial tail, a
+# non-simplicial toric cone, a simplicial one of multiplicity 2, and a
+# section ring presented up to degree 30
+DOCUMENT_COMMANDS = (
+    ("trivial_tail_6x3.json", ("toric",)),
+    ("trivial_tail_6x3.json", ("classify",)),
+    ("square_coefficient.json", ("toric",)),
+    ("square_coefficient.json", ("classify",)),
+    ("ring_p1.json", ("ring", "--max-degree", "30")),
+)
+
 
 def golden_cases():
-    """(case name, argv) for every document and command, then the batch run."""
+    """(case name, argv) for every document and command, the batch run, then
+    the golden/documents cases."""
     cases = []
     for doc in sorted(p.name for p in DATA.glob("*.json")):
         for command in COMMANDS:
             cases.append((f"{doc} {' '.join(command)}", [*command, str(DATA / doc)]))
     cases.append(("classify --batch", ["classify", "--batch", str(DATA)]))
+    for doc, command in DOCUMENT_COMMANDS:
+        cases.append((f"documents/{doc} {' '.join(command)}", [*command, str(DOCUMENTS / doc)]))
     return cases
 
 

@@ -32,6 +32,7 @@ from polydiv.pdiv import (
     evaluate,
     is_proper,
     polyhedral_divisor,
+    ray_slopes,
     require_proper,
 )
 from polydiv.verdicts import Verdict
@@ -250,6 +251,19 @@ def test_rank_four_fan_failure_is_reported_and_not_kept():
     for _ in range(2):
         with pytest.raises(UnsupportedRankError):
             d.fan
+
+
+def test_slopes_are_kept_and_a_rank_two_failure_is_not():
+    d = rank1_divisor(P1, GOLDEN_ONE)
+    assert ray_slopes(d) is ray_slopes(d) is d.slopes
+    assert [s.value for s in d.slopes] == [Fraction(-1, 4), Fraction(-1, 4), Fraction(3, 4)]
+    quadrant = polyhedral_divisor(
+        P1, 2, ((1, 0), (0, 1)), {p1_point(0): quadrant_poly((1, 0))}
+    )
+    for _ in range(2):
+        with pytest.raises(ShapeError):
+            ray_slopes(quadrant)
+    assert "slopes" not in vars(quadrant)
 
 
 def test_contraction_rank1_always_collapses():

@@ -11,6 +11,7 @@ from polydiv.curves import (
     RationalPoint,
     p1_point,
 )
+import polydiv.pdiv as pdiv
 from polydiv.errors import CurveDomainError, ShapeError
 from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.pdiv import polyhedral_divisor
@@ -253,3 +254,21 @@ def test_negative_truncation_degree_is_rejected():
         hilbert_series(golden("one"), -1)
     with pytest.raises(ShapeError):
         graded_dimension(golden("one"), -2)
+
+
+def test_ring_presentation_evaluates_each_coefficient_once(monkeypatch):
+    # the slopes are derived once per divisor and kept on it (d.slopes), not
+    # again for every graded piece and every product
+    calls = []
+    real = pdiv.support_eval
+
+    def counting(poly, m):
+        calls.append(m)
+        return real(poly, m)
+
+    monkeypatch.setattr(pdiv, "support_eval", counting)
+    d = golden("three")
+    ring_presentation(d, 30)
+    assert 0 < len(calls) <= len(d.coefficients)
+    assert pdiv.ray_slopes(d) is d.slopes
+    assert len(calls) <= len(d.coefficients)

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from random import Random
+from time import monotonic
 
 import pytest
 
+import polydiv.linalg as linalg
+import polydiv.toric as toric
 from polydiv.curves import ProjectiveLine, p1_point
 from polydiv.errors import CurveDomainError, RankMismatchError
 from polydiv.geometry import make_cone, make_polyhedron
@@ -159,3 +163,36 @@ def test_weight_length_checks():
         weight_in_dual(tc, (1, 0, 0))
     with pytest.raises(RankMismatchError):
         monomial_admissible(d, 1, (0, 0))
+
+
+def trivial_tail_model(rank, dim, seed):
+    """Family (c): one random vertex per hyperplane over a trivial tail."""
+    rng = Random(seed)
+    tail = make_cone([], rank)
+    coefficients = []
+    for i in range(1, dim + 1):
+        vertex = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank))
+        coefficients.append((i, make_polyhedron([vertex], tail)))
+    return polyhedral_divisor(AffineSpace(dim), rank, [], coefficients)
+
+
+def test_cone_diagnostics_takes_no_determinant(monkeypatch):
+    def no_determinant(rows):
+        raise AssertionError("cone_diagnostics computed a determinant")
+
+    # wherever a caller may have imported it from
+    monkeypatch.setattr(linalg, "determinant", no_determinant)
+    monkeypatch.setattr(toric, "determinant", no_determinant, raising=False)
+    diag = cone_diagnostics(toric_cone(trivial_tail_model(6, 3, 11)))
+    assert diag.simplicial
+    assert diag.multiplicity >= 1
+
+
+def test_trivial_tail_model_at_rank_16_over_dimension_8_is_fast():
+    # C(24, 8) = 735,471 maximal minors: the gcd over all of them took minutes
+    start = monotonic()
+    d = trivial_tail_model(16, 8, 16)
+    diag = cone_diagnostics(toric_cone(d))
+    assert monotonic() - start < 10.0
+    assert (diag.ambient_rank, diag.ray_count, diag.span_rank) == (24, 8, 8)
+    assert diag.simplicial
