@@ -14,6 +14,7 @@ apply the most severe wins, in the order 2, 3, 4, 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -58,7 +59,9 @@ def _nonneg(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="polydiv",
         description="Classify the singularities attached to a polyhedral divisor.",

@@ -72,6 +72,10 @@ def make_cone(rays, rank: int) -> Cone:
         p = primitive(r)
         if not is_zero(p) and p not in prim:
             prim.append(p)
+    if matrix_rank(prim) == len(prim):
+        # linearly independent generators: none is redundant, and the cone
+        # is simplicial, hence pointed
+        return Cone(rays=tuple(sorted(prim)), rank=rank, pointed=True)
     kept = list(prim)
     changed = True
     while changed:

@@ -76,7 +76,7 @@ def rref(rows):
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -14,6 +14,20 @@ On top of that multiplication the module computes minimal generator degrees
 (per degree, the complement of the span of products of lower pieces),
 relation spaces (kernels of the monomial evaluation maps, modulo shifts of
 relations found in lower degrees), and truncated dimension series.
+
+A presentation builds the facts about its ring once, in one table: the
+dimensions, the rounded coefficients n_z(m) at the finite marked points and
+the correction polynomials, kept by exponent tuple. The corrections of a
+chain of products telescope: multiplying generators g_i of degrees m_i
+a_i times each, in any order, inserts the exponents
+sum of e_z over the steps = n_z(M) - sum_i a_i n_z(m_i), with M = sum_i a_i m_i,
+so the monomial x^a is evaluated in one step as
+prod_i g_i^{a_i} * prod_z (t - z)^{n_z(M) - sum_i a_i n_z(m_i)},
+a shift of one correction polynomial when every g_i is a power of t.
+Generators and new relations are read off one echelon basis per degree,
+extended one row at a time; its pivots are those of the reduced echelon
+form, which is unique, so the choices are those of a fresh rref of all the
+rows.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from fractions import Fraction
 
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, InternalError, ShapeError
-from .linalg import kernel_basis, rref
+from .linalg import kernel_basis
 from .pdiv import PolyhedralDivisor, RaySlope, ray_slopes
 
 Vector = tuple[Fraction, ...]
@@ -44,11 +58,15 @@ def _floor_coeff(s: RaySlope, m: int) -> int:
     return (m * s.p) // s.q
 
 
+def _dimension(slopes, m: int) -> int:
+    return max(0, sum(_floor_coeff(s, m) for s in slopes) + 1)
+
+
 def graded_dimension(d: PolyhedralDivisor, m: int) -> int:
     """Dimension of the degree-m piece of the section ring."""
     slopes = _require_line_base(d)
     _check_degree(m)
-    return max(0, sum(_floor_coeff(s, m) for s in slopes) + 1)
+    return _dimension(slopes, m)
 
 
 def monomial_basis(d: PolyhedralDivisor, m: int) -> tuple[Vector, ...]:
@@ -64,7 +82,7 @@ def hilbert_series(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
     _require_line_base(d)
     if m_max < 0:
         raise ShapeError("the series needs a nonnegative truncation degree")
-    return tuple(graded_dimension(d, m) for m in range(m_max + 1))
+    return _RingTable(d, m_max).dims
 
 
 def _poly_mul(a, b):
@@ -78,19 +96,85 @@ def _poly_mul(a, b):
     return out
 
 
-def _correction(slopes, m1: int, m2: int):
-    """Coefficients of prod (t - z)^{e_z} over the finite marked points."""
+def _finite(slopes):
+    """The slopes at finite marked points, in order."""
+    return [s for s in slopes if not (isinstance(s.point, P1Point) and s.point.is_infinity)]
+
+
+def _correction_poly(finite, exponents):
+    """Coefficients of prod (t - z)^{e_z}; every exponent must be nonnegative."""
     poly = [Fraction(1)]
-    for s in slopes:
-        if isinstance(s.point, P1Point) and s.point.is_infinity:
-            continue
-        e = _floor_coeff(s, m1 + m2) - _floor_coeff(s, m1) - _floor_coeff(s, m2)
+    for s, e in zip(finite, exponents):
         if e < 0:
             raise InternalError(f"negative correction exponent {e} at {s.point}")
         z = s.point.affine_value
         for _ in range(e):
             poly = _poly_mul(poly, [-z, Fraction(1)])
     return poly
+
+
+def _correction(slopes, m1: int, m2: int):
+    """Coefficients of prod (t - z)^{e_z} over the finite marked points."""
+    finite = _finite(slopes)
+    exponents = [
+        _floor_coeff(s, m1 + m2) - _floor_coeff(s, m1) - _floor_coeff(s, m2) for s in finite
+    ]
+    return _correction_poly(finite, exponents)
+
+
+class _RingTable:
+    """The facts about one ring up to a degree, built once per presentation.
+
+    dims[m] is the dimension of piece m, floors[m] the rounded coefficients
+    n_z(m) at the finite marked points, and correction() keeps each
+    correction polynomial by its exponent tuple.
+    """
+
+    def __init__(self, d: PolyhedralDivisor, max_degree: int):
+        slopes = _require_line_base(d)
+        self.finite = _finite(slopes)
+        degrees = range(max_degree + 1)
+        self.floors = tuple(tuple(_floor_coeff(s, m) for s in self.finite) for m in degrees)
+        self.dims = tuple(_dimension(slopes, m) for m in degrees)
+        self._corrections: dict[tuple[int, ...], list[Fraction]] = {}
+
+    def correction(self, exponents: tuple[int, ...]) -> list[Fraction]:
+        poly = self._corrections.get(exponents)
+        if poly is None:
+            poly = self._corrections[exponents] = _correction_poly(self.finite, exponents)
+        return poly
+
+
+class _EchelonBasis:
+    """Row echelon basis of a span that grows one row at a time.
+
+    rows maps each pivot column to its row, in the order the rows came: a
+    row is 1 at its pivot and 0 at the pivots of the rows before it, so a new
+    row reduced by them in that order is 0 at every pivot. The pivots of an
+    echelon basis are those of the reduced echelon form, which the span
+    alone determines, so they do not depend on the order of the rows.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, list[Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        """Extend the basis by row; False when row is already in the span."""
+        row = list(row)
+        for c, basis_row in self.rows.items():
+            f = row[c]
+            if f != 0:
+                row = [x - f * y if y else x for x, y in zip(row, basis_row)]
+        lead = next((c for c, x in enumerate(row) if x != 0), None)
+        if lead is None:
+            return False
+        inv = 1 / row[lead]
+        self.rows[lead] = [x * inv for x in row]
+        return True
 
 
 def multiply_sections(
@@ -127,24 +211,46 @@ class RingGenerator:
     coeffs: Vector
 
 
-def _product_span_rows(d, slopes, dims, m: int):
-    """Vectors spanning the products of all lower graded pieces inside piece m."""
-    rows = []
-    for i in range(1, m // 2 + 1):
-        j = m - i
-        if dims[i] == 0 or dims[j] == 0:
+def _minimal_generators(table: _RingTable) -> tuple[RingGenerator, ...]:
+    dims, floors = table.dims, table.floors
+    gens: list[RingGenerator] = []
+    for m in range(1, len(dims)):
+        if dims[m] == 0:
             continue
-        corr = _correction(slopes, i, j)
-        # basis products t^a * t^b * corr depend only on the shift a + b
-        for shift in range(dims[i] + dims[j] - 1):
-            vec = [Fraction(0)] * dims[m]
-            for k, c in enumerate(corr):
-                if c != 0:
-                    if shift + k >= dims[m]:
-                        raise InternalError(f"product of degrees {i} and {j} leaves piece {m}")
-                    vec[shift + k] = c
-            rows.append(tuple(vec))
-    return rows
+        # the products of lower pieces i + j = m span corr_ij * t^shift for
+        # every shift below dims[i] + dims[j] - 1; stop once they fill piece m
+        span = _EchelonBasis()
+        for i in range(1, m // 2 + 1):
+            j = m - i
+            if dims[i] == 0 or dims[j] == 0:
+                continue
+            if span.rank == dims[m]:
+                break
+            corr = table.correction(
+                tuple(a - b - c for a, b, c in zip(floors[m], floors[i], floors[j]))
+            )
+            # corr is monic, so the highest shift reaches furthest
+            if dims[i] + dims[j] + len(corr) - 3 >= dims[m]:
+                raise InternalError(f"product of degrees {i} and {j} leaves piece {m}")
+            for shift in range(dims[i] + dims[j] - 1):
+                if span.rank == dims[m]:
+                    break
+                row = [Fraction(0)] * dims[m]
+                row[shift : shift + len(corr)] = corr
+                span.add(row)
+        for j in range(dims[m]):
+            if j in span.rows:
+                continue
+            coeffs = tuple(Fraction(int(i == j)) for i in range(dims[m]))
+            gens.append(RingGenerator(name=f"g{len(gens) + 1}", degree=m, coeffs=coeffs))
+    return tuple(gens)
+
+
+def _generator_table(d: PolyhedralDivisor, max_degree: int) -> _RingTable:
+    _require_line_base(d)
+    if max_degree < 0:
+        raise ShapeError("the generator search needs a nonnegative degree bound")
+    return _RingTable(d, max_degree)
 
 
 def minimal_generators(d: PolyhedralDivisor, max_degree: int) -> tuple[RingGenerator, ...]:
@@ -154,22 +260,7 @@ def minimal_generators(d: PolyhedralDivisor, max_degree: int) -> tuple[RingGener
     non-pivot columns of the span of products of lower pieces; that span is
     exactly the decomposable part of the piece.
     """
-    slopes = _require_line_base(d)
-    if max_degree < 0:
-        raise ShapeError("the generator search needs a nonnegative degree bound")
-    dims = [graded_dimension(d, m) for m in range(max_degree + 1)]
-    gens: list[RingGenerator] = []
-    for m in range(1, max_degree + 1):
-        if dims[m] == 0:
-            continue
-        rows = _product_span_rows(d, slopes, dims, m)
-        _, pivots = rref(rows) if rows else ([], [])
-        for j in range(dims[m]):
-            if j in pivots:
-                continue
-            coeffs = tuple(Fraction(int(i == j)) for i in range(dims[m]))
-            gens.append(RingGenerator(name=f"g{len(gens) + 1}", degree=m, coeffs=coeffs))
-    return tuple(gens)
+    return _minimal_generators(_generator_table(d, max_degree))
 
 
 def _monomials(degrees, total: int):
@@ -191,14 +282,57 @@ def _monomials(degrees, total: int):
     return out
 
 
-def _eval_monomial(d, gens, exponents) -> Vector:
-    m = 0
-    vec: Vector = (Fraction(1),)
-    for g, a in zip(gens, exponents):
-        for _ in range(a):
-            vec = multiply_sections(d, m, vec, g.degree, g.coeffs)
-            m += g.degree
-    return vec
+def _generator_factors(table: _RingTable, gens):
+    """Per generator: (c, k, None, floors) when it is c * t^k, else
+    (1, 0, its coefficients, floors), with floors the n_z of its degree."""
+    factors = []
+    for g in gens:
+        if not 0 < g.degree < len(table.dims):
+            # never part of a monomial up to the truncation degree
+            factors.append(None)
+            continue
+        coeffs = [Fraction(x) for x in g.coeffs]
+        dim = table.dims[g.degree]
+        if len(coeffs) != dim:
+            raise ShapeError(
+                f"a degree-{g.degree} section has {dim} coordinates, got {len(coeffs)}"
+            )
+        if dim == 0:
+            raise ShapeError(f"the ring has no sections in degree {g.degree}")
+        nonzero = [k for k, c in enumerate(coeffs) if c != 0]
+        if len(nonzero) == 1:
+            k = nonzero[0]
+            factors.append((coeffs[k], k, None, table.floors[g.degree]))
+        else:
+            factors.append((Fraction(1), 0, coeffs, table.floors[g.degree]))
+    return factors
+
+
+def _eval_monomial(table: _RingTable, factors, exponents, total: int) -> Vector:
+    """The monomial x^a of degree total, in closed form:
+    prod g_i^{a_i} * prod_z (t - z)^{n_z(total) - sum_i a_i n_z(deg g_i)}."""
+    scale, shift, poly = Fraction(1), 0, [Fraction(1)]
+    exps = list(table.floors[total])
+    for factor, a in zip(factors, exponents):
+        if a == 0:
+            continue
+        c, k, full, floors = factor
+        scale *= c**a
+        shift += k * a
+        if full is not None:
+            for _ in range(a):
+                poly = _poly_mul(poly, full)
+        for z, n in enumerate(floors):
+            exps[z] -= a * n
+    corr = table.correction(tuple(exps))
+    prod = _poly_mul(poly, corr) if len(poly) > 1 else corr
+    target = table.dims[total]
+    if shift + len(prod) > target and any(c != 0 for c in prod[max(0, target - shift) :]):
+        raise InternalError(f"the monomial {tuple(exponents)} leaves the degree-{total} piece")
+    vec = [Fraction(0)] * target
+    for k, c in enumerate(prod[: max(0, target - shift)]):
+        vec[shift + k] = scale * c
+    return tuple(vec)
 
 
 @dataclass(frozen=True)
@@ -218,48 +352,30 @@ class RelationBlock:
     relations: tuple[Vector, ...]
 
 
-def relation_blocks(
-    d: PolyhedralDivisor, max_degree: int, gens=None
-) -> tuple[RelationBlock, ...]:
-    """Relation spaces per degree, for all degrees carrying a monomial."""
-    _require_line_base(d)
-    if gens is None:
-        gens = minimal_generators(d, max_degree)
+def _relation_blocks(table: _RingTable, gens) -> tuple[RelationBlock, ...]:
     degrees = [g.degree for g in gens]
+    factors = _generator_factors(table, gens)
     blocks: list[RelationBlock] = []
-    for total in range(1, max_degree + 1):
+    for total in range(1, len(table.dims)):
         monos = _monomials(degrees, total)
         if not monos:
             continue
-        vectors = [_eval_monomial(d, gens, a) for a in monos]
-        target = graded_dimension(d, total)
+        vectors = [_eval_monomial(table, factors, a, total) for a in monos]
+        target = table.dims[total]
         matrix = [[v[i] for v in vectors] for i in range(target)]
         kernel = kernel_basis(matrix, len(monos))
-        index = {nu: k for k, nu in enumerate(monos)}
-        shifted = []
-        for block in blocks:
-            if not block.relations:
-                continue
-            for mu in _monomials(degrees, total - block.degree):
-                for rel in block.relations:
-                    vec = [Fraction(0)] * len(monos)
-                    for k, c in enumerate(rel):
-                        if c != 0:
-                            shift = tuple(a + b for a, b in zip(block.monomials[k], mu))
-                            vec[index[shift]] += c
-                    shifted.append(tuple(vec))
         new: list[Vector] = []
         if kernel:
-            span = list(shifted)
-            rank = len(rref(span)[1]) if span else 0
+            # shifts of lower relations are relations: once they span the
+            # kernel, no kernel vector is new
+            span = _EchelonBasis()
+            for vec in _shifted_relations(blocks, degrees, monos, total):
+                if span.rank == len(kernel):
+                    break
+                span.add(vec)
             for kv in kernel:
-                span.append(kv)
-                r = len(rref(span)[1])
-                if r > rank:
-                    rank = r
+                if span.rank < len(kernel) and span.add(kv):
                     new.append(kv)
-                else:
-                    span.pop()
         blocks.append(
             RelationBlock(
                 degree=total,
@@ -270,6 +386,35 @@ def relation_blocks(
             )
         )
     return tuple(blocks)
+
+
+def _shifted_relations(blocks, degrees, monos, total: int):
+    """The relations of lower degrees times every monomial that lifts them to
+    degree total, as vectors over monos."""
+    index = {nu: k for k, nu in enumerate(monos)}
+    for block in blocks:
+        if not block.relations:
+            continue
+        for mu in _monomials(degrees, total - block.degree):
+            for rel in block.relations:
+                vec = [Fraction(0)] * len(monos)
+                for k, c in enumerate(rel):
+                    if c != 0:
+                        shift = tuple(a + b for a, b in zip(block.monomials[k], mu))
+                        vec[index[shift]] += c
+                yield vec
+
+
+def relation_blocks(
+    d: PolyhedralDivisor, max_degree: int, gens=None
+) -> tuple[RelationBlock, ...]:
+    """Relation spaces per degree, for all degrees carrying a monomial."""
+    if gens is None:
+        table = _generator_table(d, max_degree)
+        gens = _minimal_generators(table)
+    else:
+        table = _RingTable(d, max_degree)
+    return _relation_blocks(table, gens)
 
 
 @dataclass(frozen=True)
@@ -283,10 +428,11 @@ class RingPresentation:
 
 
 def ring_presentation(d: PolyhedralDivisor, max_degree: int) -> RingPresentation:
-    gens = minimal_generators(d, max_degree)
+    table = _generator_table(d, max_degree)
+    gens = _minimal_generators(table)
     return RingPresentation(
         max_degree=max_degree,
-        dimensions=hilbert_series(d, max_degree),
+        dimensions=table.dims,
         generators=gens,
-        blocks=relation_blocks(d, max_degree, gens),
+        blocks=_relation_blocks(table, gens),
     )

@@ -7,7 +7,7 @@ from time import monotonic
 import pytest
 
 import polydiv.classify as classify
-from polydiv.cli import main
+from polydiv.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -318,3 +318,39 @@ def test_negative_bounds_are_usage_errors(capsys):
         main(["profile", "--m-max", "-3", GOLDEN_ONE])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def run_captured(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (("classify", "--format", "text", GOLDEN_ONE), ("classify", GOLDEN_ONE)),
+        (("--format", "text", "classify", GOLDEN_ONE), ("classify", GOLDEN_ONE)),
+        (("h1", "--m-max", "3", GOLDEN_ONE), ("h1", GOLDEN_ONE)),
+        (("classify", "-", "--batch", str(DATA)), ("proper", GOLDEN_ONE)),
+        (("classify", "-", "--batch", str(DATA)), ("classify", "--batch", str(DATA))),
+    ],
+)
+def test_runs_in_one_process_match_runs_alone(capsys, first, second):
+    # the parser is built once per process; no option of one run may leak
+    # into the next
+    alone = []
+    for argv in (first, second):
+        build_parser.cache_clear()
+        alone.append(run_captured(capsys, argv))
+    build_parser.cache_clear()
+    together = [run_captured(capsys, argv) for argv in (first, second, first, second)]
+    assert together == alone + alone
+    assert build_parser() is build_parser()
+    second_out = alone[1][1]
+    if second[0] == "classify" and "--format" not in second:
+        json.loads(second_out)

@@ -1,12 +1,16 @@
-"""The toric multiplicity and the dual cone against the code they replaced.
+"""The toric multiplicity and the cones against the code they replaced.
 
 The references below are the computations as they were written before the
 rewrite: the multiplicity as the gcd of all maximal minors of the ray matrix,
-one exact determinant each, and the dual cone as the double-description
-generators pruned once more by make_cone. The new code must give the very
-same integer and the very same Cone value. The families are seeded, so
-failures reproduce.
+one exact determinant each; the dual cone as the double-description
+generators pruned once more by make_cone; and make_cone itself as the
+Fourier-Motzkin pruning of every generator followed by a Fourier-Motzkin
+pointedness test, with no shortcut for linearly independent generators. The
+new code must give the very same integer and the very same Cone value. The
+families are seeded, so failures reproduce.
 """
+
+import json
 
 from itertools import combinations
 from math import gcd
@@ -14,10 +18,21 @@ from random import Random
 
 import pytest
 
+import polydiv.geometry as geometry
+import polydiv.linalg as linalg
 from polydiv.errors import InternalError
-from polydiv.geometry import Cone, dual_cone, make_cone
-from polydiv.linalg import cone_from_inequalities, determinant, matrix_rank, vec_neg
-from polydiv.toric import _span_multiplicity
+from polydiv.geometry import Cone, _in_ray_span, dual_cone, make_cone
+from polydiv.linalg import (
+    cone_from_inequalities,
+    determinant,
+    feasible,
+    is_zero,
+    matrix_rank,
+    primitive,
+    vec_neg,
+)
+from polydiv.problem_io import parse_problem
+from polydiv.toric import _span_multiplicity, toric_cone
 
 
 def reference_span_multiplicity(rays, ambient):
@@ -132,3 +147,90 @@ def test_dual_cone_matches_make_cone_of_old_generators():
                     cone.pointed and bool(cone.rays) and matrix_rank(cone.rays) == rank
                 )
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def reference_make_cone(rays, rank):
+    """Primitive and deduplicated generators, each dropped while it is a
+    nonnegative combination of the others, then a pointedness test."""
+    kept = []
+    for r in rays:
+        p = primitive(r)
+        if not is_zero(p) and p not in kept:
+            kept.append(p)
+    changed = True
+    while changed:
+        changed = False
+        for i, r in enumerate(kept):
+            others = kept[:i] + kept[i + 1 :]
+            if others and _in_ray_span(r, others, rank):
+                kept.pop(i)
+                changed = True
+                break
+    kept.sort()
+    pointed = feasible(rank, [(r, 1) for r in kept]) if kept else True
+    return Cone(rays=tuple(kept), rank=rank, pointed=pointed)
+
+
+def random_generators(rng, rank, shape):
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(rank))
+
+    if shape == "independent":
+        return list(random_full_row_rank(rng, rng.randint(1, rank), rank))
+    if shape == "duplicated":
+        # scaled copies of independent generators, and zero vectors
+        rows = random_full_row_rank(rng, rng.randint(1, rank), rank)
+        gens = [tuple(rng.randint(1, 3) * x for x in r) for r in rows for _ in range(2)]
+        return gens + [(0,) * rank] * rng.randint(1, 2)
+    if shape == "dependent":
+        return [vec() for _ in range(rng.randint(rank + 1, rank + 3))]
+    if shape == "lineality":
+        line = vec()
+        return [line, vec_neg(line)] + [vec() for _ in range(rng.randint(0, rank - 1))]
+    return [(0,) * rank] * rng.randint(0, 2)
+
+
+def test_make_cone_matches_the_fourier_motzkin_path():
+    rng = Random(20094)
+    shapes = ("independent", "duplicated", "dependent", "lineality", "zero")
+    seen = {"simplicial": 0, "redundant dropped": 0, "not pointed": 0, "trivial": 0}
+    for rank in range(1, 6):
+        for shape in shapes:
+            for _ in range(8 if rank < 5 else 3):
+                gens = random_generators(rng, rank, shape)
+                got = make_cone(gens, rank)
+                assert got == reference_make_cone(gens, rank), (gens, got)
+                seen["simplicial"] += bool(got.rays) and matrix_rank(got.rays) == len(got.rays)
+                seen["redundant dropped"] += matrix_rank(got.rays) < len(got.rays)
+                seen["not pointed"] += not got.pointed
+                seen["trivial"] += not got.rays
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_trivial_tail_toric_cone_decides_no_feasibility(monkeypatch):
+    k, n = 8, 4
+    doc = {
+        "lattice_rank": k,
+        "tail_cone": {"rays": []},
+        "base": {"kind": "affine_space", "dim": n},
+        "coefficients": [
+            {
+                "point": {"hyperplane": i},
+                "vertices": [[f"{(3 * i + 5 * j) % 11 - 5}/{1 + (i + j) % 6}" for j in range(k)]],
+            }
+            for i in range(1, n + 1)
+        ],
+    }
+    d = parse_problem(json.dumps(doc))
+    calls = []
+    real = linalg.feasible
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "feasible", counting)
+    monkeypatch.setattr(geometry, "feasible", counting)
+    cone = toric_cone(d)
+    assert cone.ambient_rank == k + n and cone.rays
+    assert calls == []

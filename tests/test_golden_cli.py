@@ -4,7 +4,10 @@ The expected outputs in golden/cli_outputs.json were written by the CLI
 before the integer chamber kernel and the cached chamber fan replaced the
 per-point floor-degree search. The cases on golden/documents were written
 before the kept slopes, the single pruning in dual_cone and the
-column-reduced toric multiplicity replaced their predecessors. Any change to
+column-reduced toric multiplicity replaced their predecessors; the ring
+cases to degree 60 and on ring_rational_points.json were written before the
+per-ring table, the closed-form monomials and the incremental echelon basis
+of the section-ring presentation. Any change to
 them is a change of behaviour.
 Regenerate them only for a deliberate output change, by running this file
 as a script with the intended ``polydiv`` on the path.
@@ -45,14 +48,17 @@ COMMANDS = (
 
 # documents outside tests/data, each run under the commands that reach the
 # paths it covers: the whole-lattice weight cone of a trivial tail, a
-# non-simplicial toric cone, a simplicial one of multiplicity 2, and a
-# section ring presented up to degree 30
+# non-simplicial toric cone, a simplicial one of multiplicity 2, a section
+# ring presented up to degrees 30 and 60, and a section ring whose finite
+# marked points are not integers
 DOCUMENT_COMMANDS = (
     ("trivial_tail_6x3.json", ("toric",)),
     ("trivial_tail_6x3.json", ("classify",)),
     ("square_coefficient.json", ("toric",)),
     ("square_coefficient.json", ("classify",)),
     ("ring_p1.json", ("ring", "--max-degree", "30")),
+    ("ring_p1.json", ("ring", "--max-degree", "60")),
+    ("ring_rational_points.json", ("ring", "--max-degree", "30")),
 )
 
 
