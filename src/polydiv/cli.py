@@ -222,6 +222,10 @@ def _process(text: str, command: str, args) -> tuple[object, int]:
         return {"error": "invalid-input", "violations": exc.violations}, EXIT_INVALID
     except InternalError as exc:
         return {"error": "internal", "message": str(exc)}, EXIT_INVALID
+    except PolydivError as exc:
+        # a structural precondition of the divisor failed, e.g. a tail cone
+        # that is not pointed
+        return {"error": "invalid-input", "violations": [str(exc)]}, EXIT_INVALID
 
     try:
         result, code = _analyze(command, d, args)

@@ -15,7 +15,6 @@ from .errors import RankMismatchError, ShapeError, UnsupportedRankError
 from .linalg import (
     cone_from_inequalities,
     dot,
-    feasible,
     is_zero,
     matrix_rank,
     primitive,
@@ -87,23 +86,18 @@ def make_cone(rays, rank: int) -> Cone:
                 changed = True
                 break
     kept.sort()
-    if kept:
-        pointed = feasible(rank, [(r, 1) for r in kept])
-    else:
-        pointed = True
-    return Cone(rays=tuple(kept), rank=rank, pointed=pointed)
+    return Cone(rays=tuple(kept), rank=rank, pointed=_full_dim(kept, rank))
 
 
-def _in_ray_span(v, rays, rank: int) -> bool:
-    """Is v a nonnegative rational combination of the given rays?"""
-    nv = len(rays)
-    eqs = [([r[c] for r in rays], v[c]) for c in range(rank)]
-    ineqs = []
-    for k in range(nv):
-        unit = [0] * nv
-        unit[k] = 1
-        ineqs.append((unit, 0))
-    return feasible(nv, ineqs, eqs)
+def _in_ray_span(v, gens, rank: int) -> bool:
+    """Is v a nonnegative rational combination of gens?
+
+    The cone of gens is the dual of {x : <g, x> >= 0 for every g}, so v lies
+    in it iff v is orthogonal to the lines and nonnegative on the rays of that
+    dual's double description.
+    """
+    lines, rays = cone_from_inequalities(gens, rank)
+    return all(dot(l, v) == 0 for l in lines) and all(dot(r, v) >= 0 for r in rays)
 
 
 def cone_contains(cone: Cone, v) -> bool:
@@ -170,20 +164,9 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
 
 
 def _vertex_redundant(v, others, tail: Cone) -> bool:
-    """Is v inside conv(others) + tail?"""
-    rank = tail.rank
-    nv = len(others) + len(tail.rays)
-    eqs = []
-    for c in range(rank):
-        coeffs = [o[c] for o in others] + [r[c] for r in tail.rays]
-        eqs.append((coeffs, v[c]))
-    eqs.append(([1] * len(others) + [0] * len(tail.rays), 1))
-    ineqs = []
-    for k in range(nv):
-        unit = [0] * nv
-        unit[k] = 1
-        ineqs.append((unit, 0))
-    return feasible(nv, ineqs, eqs)
+    """Is v inside conv(others) + tail? Decided on the homogenized cone."""
+    gens = [o + (1,) for o in others] + [r + (0,) for r in tail.rays]
+    return _in_ray_span(v + (1,), gens, tail.rank + 1)
 
 
 def support_eval(poly: TailedPolyhedron, m):
@@ -209,20 +192,12 @@ def ray_meets(poly: TailedPolyhedron, ray) -> bool:
     rr = ratvec(ray)
     if len(rr) != poly.rank:
         raise RankMismatchError(f"ray {tuple(ray)} does not have rank {poly.rank}")
-    verts = poly.vertices
-    tail = poly.tail.rays
-    nv = 1 + len(verts) + len(tail)
-    eqs = []
-    for c in range(poly.rank):
-        coeffs = [rr[c]] + [-v[c] for v in verts] + [-r[c] for r in tail]
-        eqs.append((coeffs, 0))
-    eqs.append(([0] + [1] * len(verts) + [0] * len(tail), 1))
-    ineqs = []
-    for k in range(nv):
-        unit = [0] * nv
-        unit[k] = 1
-        ineqs.append((unit, 0))
-    return feasible(nv, ineqs, eqs)
+    # t * ray = p in the polyhedron iff (0, ..., 0, 1) is a nonnegative
+    # combination of the (v, 1), the (r, 0) and (-ray, 0)
+    gens = [v + (1,) for v in poly.vertices] + [r + (0,) for r in poly.tail.rays]
+    gens.append(vec_neg(rr) + (0,))
+    apex = (0,) * poly.rank + (1,)
+    return _in_ray_span(apex, gens, poly.rank + 1)
 
 
 @dataclass(frozen=True)
@@ -319,7 +294,9 @@ def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
 
 
 def _full_dim(normals, rank: int) -> bool:
-    return feasible(rank, [(n, 1) for n in normals])
+    """Does {x : <n, x> >= 0 for every normal} span the whole space?"""
+    lines, rays = cone_from_inequalities(normals, rank)
+    return matrix_rank(lines + rays) == rank
 
 
 def _split(normals, wall, rank: int, force: bool = False):

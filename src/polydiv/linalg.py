@@ -2,9 +2,18 @@
 
 Everything downstream (cone arithmetic, chamber fans, section-ring kernels)
 reduces to a handful of primitives implemented here: reduced row echelon form,
-kernels, feasibility of linear systems by Fourier-Motzkin elimination, and ray
-enumeration for homogeneous inequality systems by double description. All
-arithmetic is fractions.Fraction or int; no floats anywhere.
+determinants and integer adjugates, kernels, and ray enumeration for
+homogeneous inequality systems by double description. Every cone question in
+the package (duals, membership, redundancy, pointedness, full dimension) is
+answered by that one kernel; there is no Fourier-Motzkin elimination.
+
+Double description combines a pair of rays on opposite sides of a new
+hyperplane only when the two rays are adjacent: no third ray is tight on
+every processed inequality on which both are tight (the combinatorial
+adjacency test of Fukuda and Prodon, "Double description method revisited",
+1996). The rays it returns are then extreme and pairwise distinct without
+any further pruning. All arithmetic is fractions.Fraction or int; no floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -12,11 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import PolydivError, RankMismatchError, ShapeError
-
-# A safety valve for Fourier-Motzkin blowup. Our systems are tiny (rank <= 4,
-# a few dozen constraints); hitting this means a caller bug, not bad luck.
-_FM_CONSTRAINT_CAP = 200_000
+from .errors import RankMismatchError, ShapeError
 
 
 def dot(u, v):
@@ -148,151 +153,17 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def solve(rows, rhs):
-    """One exact solution of A x = b, or None if the system is inconsistent."""
-    if not rows:
-        return ()
-    n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][-1]
-    return tuple(x)
-
-
-def _normalize_constraint(coeffs, rhs):
-    """Scale <coeffs, x> >= rhs by a positive rational to primitive integers."""
-    scale = 1
-    for x in list(coeffs) + [rhs]:
-        x = Fraction(x)
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(Fraction(x) * scale) for x in coeffs]
-    ri = int(Fraction(rhs) * scale)
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    g = gcd(g, abs(ri))
-    if g > 1:
-        ints = [x // g for x in ints]
-        ri //= g
-    return tuple(ints), ri
-
-
-def feasible(nvars: int, ineqs, eqs=()) -> bool:
-    """Exact feasibility of {x : <a,x> >= b for (a,b) in ineqs, <c,x> = d in eqs}.
-
-    Equalities are eliminated by substitution first, then Fourier-Motzkin
-    elimination decides the remaining inequality system.
-    """
-    eq_list = [([Fraction(c) for c in a], Fraction(b)) for a, b in eqs]
-    in_list = [([Fraction(c) for c in a], Fraction(b)) for a, b in ineqs]
-
-    while True:
-        idx = next((i for i, (a, _) in enumerate(eq_list) if any(x != 0 for x in a)), None)
-        if idx is None:
-            break
-        a, b = eq_list.pop(idx)
-        j = next(k for k, x in enumerate(a) if x != 0)
-        inv = 1 / a[j]
-        a = [x * inv for x in a]
-        b = b * inv
-
-        def substitute(coeffs, rhs):
-            f = coeffs[j]
-            if f == 0:
-                return coeffs, rhs
-            return [x - f * y for x, y in zip(coeffs, a)], rhs - f * b
-
-        eq_list = [substitute(c, r) for c, r in eq_list]
-        in_list = [substitute(c, r) for c, r in in_list]
-
-    for _, b in eq_list:
-        if b != 0:
-            return False
-
-    cons: set[tuple[tuple[int, ...], int]] = set()
-
-    def add(coeffs, rhs) -> bool:
-        """Insert a constraint; False means it is already unsatisfiable."""
-        c, r = _normalize_constraint(coeffs, rhs)
-        if all(x == 0 for x in c):
-            return r <= 0
-        cons.add((c, r))
-        return True
-
-    for coeffs, rhs in in_list:
-        if not add(coeffs, rhs):
-            return False
-
-    remaining = [j for j in range(nvars) if any(c[j] for c, _ in cons)]
-    while remaining:
-        best = None
-        for j in remaining:
-            pos = sum(1 for c, _ in cons if c[j] > 0)
-            neg = sum(1 for c, _ in cons if c[j] < 0)
-            score = pos * neg
-            if best is None or score < best[0]:
-                best = (score, j)
-        j = best[1]
-        pos = [(c, r) for c, r in cons if c[j] > 0]
-        neg = [(c, r) for c, r in cons if c[j] < 0]
-        zero = [(c, r) for c, r in cons if c[j] == 0]
-        cons = set(zero)
-        for cp, rp in pos:
-            for cn, rn in neg:
-                mp, mn = -cn[j], cp[j]
-                coeffs = tuple(mp * x + mn * y for x, y in zip(cp, cn))
-                if not add(coeffs, mp * rp + mn * rn):
-                    return False
-        if len(cons) > _FM_CONSTRAINT_CAP:
-            raise PolydivError("feasibility system grew past the safety cap")
-        remaining = [k for k in remaining if k != j and any(c[k] for c, _ in cons)]
-    return True
-
-
-def _ray_redundant(ray, others, lines, rank) -> bool:
-    """Is ray a nonnegative combination of the other rays plus the lines?"""
-    nv = len(others) + len(lines)
-    if nv == 0:
-        return False
-    eqs = []
-    for c in range(rank):
-        coeffs = [o[c] for o in others] + [l[c] for l in lines]
-        eqs.append((coeffs, ray[c]))
-    ineqs = []
-    for k in range(len(others)):
-        unit = [0] * nv
-        unit[k] = 1
-        ineqs.append((unit, 0))
-    return feasible(nv, ineqs, eqs)
-
-
-def _prune_rays(rays, lines, rank):
-    rays = list(dict.fromkeys(r for r in rays if not is_zero(r)))
-    changed = True
-    while changed:
-        changed = False
-        for i, r in enumerate(rays):
-            others = rays[:i] + rays[i + 1 :]
-            if _ray_redundant(r, others, lines, rank):
-                rays.pop(i)
-                changed = True
-                break
-    return rays
-
-
 def cone_from_inequalities(normals, rank: int):
     """V-representation (lines, rays) of {x : <n, x> >= 0 for every normal}.
 
-    Double description with explicit lineality handling. Output vectors are
-    primitive integers; lines are sign-normalized so the first nonzero entry
-    is positive. The rays returned are irredundant.
+    Double description with explicit lineality handling and the adjacency
+    test. Output vectors are primitive integers; lines are sign-normalized so
+    the first nonzero entry is positive. The rays returned are irredundant:
+    one primitive generator per extreme ray modulo the lines.
     """
     lines = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     rays: list[tuple[int, ...]] = []
+    done: list[tuple[int, ...]] = []
     for raw in normals:
         a = primitive(raw)
         if is_zero(a):
@@ -313,17 +184,22 @@ def cone_from_inequalities(normals, rank: int):
             ]
             rays.append(l0)
         else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            negs = [r for r in rays if dot(a, r) < 0]
+            tight = [{k for k, b in enumerate(done) if dot(b, r) == 0} for r in rays]
+            side = [dot(a, r) for r in rays]
+            pos = [i for i, s in enumerate(side) if s > 0]
+            zero = [i for i, s in enumerate(side) if s == 0]
+            negs = [i for i, s in enumerate(side) if s < 0]
             combos = []
             for p in pos:
-                ap = dot(a, p)
                 for n in negs:
-                    an = dot(a, n)
-                    combos.append(primitive(vec_sub(vec_scale(ap, n), vec_scale(an, p))))
-            rays = pos + zero + combos
-        rays = _prune_rays(rays, lines, rank)
+                    common = tight[p] & tight[n]
+                    if any(common <= z for i, z in enumerate(tight) if i != p and i != n):
+                        continue
+                    combos.append(
+                        primitive(vec_sub(vec_scale(side[p], rays[n]), vec_scale(side[n], rays[p])))
+                    )
+            rays = [rays[i] for i in pos + zero] + combos
+        done.append(a)
     lines = [
         l if next(x for x in l if x != 0) > 0 else vec_neg(l)
         for l in (primitive(l) for l in lines)

@@ -221,6 +221,23 @@ def test_non_list_extra_rays_is_invalid_input(capsys, tmp_path):
     assert payload["violations"] == ["coefficients[0].extra_rays: expected a list of rays"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["proper"], ["classify"], ["h1"], ["profile", "--m-max", "2"], ["toric"], ["ring", "--max-degree", "2"]],
+)
+def test_non_pointed_tail_is_invalid_input(capsys, tmp_path, argv):
+    # the divisor constructor rejects it, after the document itself validated
+    doc = tmp_path / "line_tail.json"
+    doc.write_text(
+        '{"lattice_rank": 2, "tail_cone": {"rays": [[1, -1], [-1, 1]]},'
+        ' "base": {"kind": "affine_space", "dim": 1},'
+        ' "coefficients": [{"point": {"hyperplane": 1}, "vertices": [[0, 0]]}]}\n'
+    )
+    code, payload = run_json(capsys, *argv, str(doc))
+    assert code == 3
+    assert payload == {"error": "invalid-input", "violations": ["the tail cone must be pointed"]}
+
+
 def test_failed_consistency_check_is_internal_error(capsys, monkeypatch):
     real = classify.h1_report
 

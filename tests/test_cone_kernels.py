@@ -1,38 +1,292 @@
-"""The toric multiplicity and the cones against the code they replaced.
+"""The toric multiplicity and the cone kernel against the code they replaced.
 
 The references below are the computations as they were written before the
-rewrite: the multiplicity as the gcd of all maximal minors of the ray matrix,
-one exact determinant each; the dual cone as the double-description
-generators pruned once more by make_cone; and make_cone itself as the
-Fourier-Motzkin pruning of every generator followed by a Fourier-Motzkin
-pointedness test, with no shortcut for linearly independent generators. The
-new code must give the very same integer and the very same Cone value. The
-families are seeded, so failures reproduce.
+rewrites, kept here as independent oracles:
+
+- the multiplicity as the gcd of all maximal minors of the ray matrix, one
+  exact determinant each;
+- exact feasibility of a linear system by Fourier-Motzkin elimination
+  (`feasible`), and one solution of a linear equation system (`solve`);
+- double description that combines every positive/negative pair of rays and
+  then prunes each candidate ray with one Fourier-Motzkin feasibility test;
+- make_cone as the Fourier-Motzkin pruning of every generator followed by a
+  Fourier-Motzkin pointedness test, with no shortcut for linearly
+  independent generators, and the dual cone as the double-description
+  generators pruned once more by that make_cone;
+- make_polyhedron and ray_meets as Fourier-Motzkin systems in the
+  coefficients of a convex combination.
+
+The code in src/ must give the very same integers, lists (in order) and
+values. The families are seeded, so failures reproduce.
 """
 
 import json
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from random import Random
+from time import perf_counter
 
 import pytest
 
 import polydiv.geometry as geometry
 import polydiv.linalg as linalg
-from polydiv.errors import InternalError
-from polydiv.geometry import Cone, _in_ray_span, dual_cone, make_cone
+from polydiv.errors import InternalError, PolydivError
+from polydiv.geometry import (
+    Cone,
+    TailedPolyhedron,
+    dual_cone,
+    make_cone,
+    make_polyhedron,
+    ray_meets,
+)
 from polydiv.linalg import (
     cone_from_inequalities,
     determinant,
-    feasible,
+    dot,
     is_zero,
     matrix_rank,
     primitive,
+    rref,
     vec_neg,
+    vec_scale,
+    vec_sub,
 )
 from polydiv.problem_io import parse_problem
 from polydiv.toric import _span_multiplicity, toric_cone
+
+# A safety valve for Fourier-Motzkin blowup in the reference.
+_FM_CONSTRAINT_CAP = 200_000
+
+
+def solve(rows, rhs):
+    """One exact solution of A x = b, or None if the system is inconsistent."""
+    if not rows:
+        return ()
+    n = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    reduced, pivots = rref(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i][-1]
+    return tuple(x)
+
+
+def _normalize_constraint(coeffs, rhs):
+    """Scale <coeffs, x> >= rhs by a positive rational to primitive integers."""
+    scale = 1
+    for x in list(coeffs) + [rhs]:
+        x = Fraction(x)
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(Fraction(x) * scale) for x in coeffs]
+    ri = int(Fraction(rhs) * scale)
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    g = gcd(g, abs(ri))
+    if g > 1:
+        ints = [x // g for x in ints]
+        ri //= g
+    return tuple(ints), ri
+
+
+def feasible(nvars, ineqs, eqs=()):
+    """Exact feasibility of {x : <a,x> >= b for (a,b) in ineqs, <c,x> = d in eqs}.
+
+    Equalities are eliminated by substitution first, then Fourier-Motzkin
+    elimination decides the remaining inequality system.
+    """
+    eq_list = [([Fraction(c) for c in a], Fraction(b)) for a, b in eqs]
+    in_list = [([Fraction(c) for c in a], Fraction(b)) for a, b in ineqs]
+
+    while True:
+        idx = next((i for i, (a, _) in enumerate(eq_list) if any(x != 0 for x in a)), None)
+        if idx is None:
+            break
+        a, b = eq_list.pop(idx)
+        j = next(k for k, x in enumerate(a) if x != 0)
+        inv = 1 / a[j]
+        a = [x * inv for x in a]
+        b = b * inv
+
+        def substitute(coeffs, rhs):
+            f = coeffs[j]
+            if f == 0:
+                return coeffs, rhs
+            return [x - f * y for x, y in zip(coeffs, a)], rhs - f * b
+
+        eq_list = [substitute(c, r) for c, r in eq_list]
+        in_list = [substitute(c, r) for c, r in in_list]
+
+    for _, b in eq_list:
+        if b != 0:
+            return False
+
+    cons = set()
+
+    def add(coeffs, rhs):
+        """Insert a constraint; False means it is already unsatisfiable."""
+        c, r = _normalize_constraint(coeffs, rhs)
+        if all(x == 0 for x in c):
+            return r <= 0
+        cons.add((c, r))
+        return True
+
+    for coeffs, rhs in in_list:
+        if not add(coeffs, rhs):
+            return False
+
+    remaining = [j for j in range(nvars) if any(c[j] for c, _ in cons)]
+    while remaining:
+        best = None
+        for j in remaining:
+            pos = sum(1 for c, _ in cons if c[j] > 0)
+            neg = sum(1 for c, _ in cons if c[j] < 0)
+            score = pos * neg
+            if best is None or score < best[0]:
+                best = (score, j)
+        j = best[1]
+        pos = [(c, r) for c, r in cons if c[j] > 0]
+        neg = [(c, r) for c, r in cons if c[j] < 0]
+        zero = [(c, r) for c, r in cons if c[j] == 0]
+        cons = set(zero)
+        for cp, rp in pos:
+            for cn, rn in neg:
+                mp, mn = -cn[j], cp[j]
+                coeffs = tuple(mp * x + mn * y for x, y in zip(cp, cn))
+                if not add(coeffs, mp * rp + mn * rn):
+                    return False
+        if len(cons) > _FM_CONSTRAINT_CAP:
+            raise PolydivError("feasibility system grew past the safety cap")
+        remaining = [k for k in remaining if k != j and any(c[k] for c, _ in cons)]
+    return True
+
+
+def _nonnegative(nv, count):
+    """The inequalities x_k >= 0 for the first count of nv variables."""
+    return [(tuple(int(i == k) for i in range(nv)), 0) for k in range(count)]
+
+
+def reference_in_ray_span(v, rays, rank):
+    """Is v a nonnegative rational combination of the given rays?"""
+    eqs = [([r[c] for r in rays], v[c]) for c in range(rank)]
+    return feasible(len(rays), _nonnegative(len(rays), len(rays)), eqs)
+
+
+def _prune_rays(rays, lines, rank):
+    """Drop zero and repeated rays, then each ray in the cone of the others."""
+    rays = list(dict.fromkeys(r for r in rays if not is_zero(r)))
+    changed = True
+    while changed:
+        changed = False
+        for i, r in enumerate(rays):
+            others = rays[:i] + rays[i + 1 :]
+            nv = len(others) + len(lines)
+            eqs = [([o[c] for o in others] + [l[c] for l in lines], r[c]) for c in range(rank)]
+            if nv and feasible(nv, _nonnegative(nv, len(others)), eqs):
+                rays.pop(i)
+                changed = True
+                break
+    return rays
+
+
+def reference_cone_from_inequalities(normals, rank):
+    """Double description over every pos/neg pair, pruned after each step."""
+    lines = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    rays = []
+    for raw in normals:
+        a = primitive(raw)
+        if is_zero(a):
+            continue
+        i0 = next((i for i, l in enumerate(lines) if dot(a, l) != 0), None)
+        if i0 is not None:
+            l0 = lines.pop(i0)
+            if dot(a, l0) < 0:
+                l0 = vec_neg(l0)
+            d0 = dot(a, l0)
+            lines = [primitive(vec_sub(vec_scale(d0, l), vec_scale(dot(a, l), l0))) for l in lines]
+            rays = [primitive(vec_sub(vec_scale(d0, r), vec_scale(dot(a, r), l0))) for r in rays]
+            rays.append(l0)
+        else:
+            pos = [r for r in rays if dot(a, r) > 0]
+            zero = [r for r in rays if dot(a, r) == 0]
+            negs = [r for r in rays if dot(a, r) < 0]
+            combos = [
+                primitive(vec_sub(vec_scale(dot(a, p), n), vec_scale(dot(a, n), p)))
+                for p in pos
+                for n in negs
+            ]
+            rays = pos + zero + combos
+        rays = _prune_rays(rays, lines, rank)
+    lines = [
+        l if next(x for x in l if x != 0) > 0 else vec_neg(l)
+        for l in (primitive(l) for l in lines)
+        if not is_zero(l)
+    ]
+    return lines, rays
+
+
+def reference_make_cone(rays, rank):
+    """Primitive and deduplicated generators, each dropped while it is a
+    nonnegative combination of the others, then a pointedness test."""
+    kept = []
+    for r in rays:
+        p = primitive(r)
+        if not is_zero(p) and p not in kept:
+            kept.append(p)
+    changed = True
+    while changed:
+        changed = False
+        for i, r in enumerate(kept):
+            others = kept[:i] + kept[i + 1 :]
+            if others and reference_in_ray_span(r, others, rank):
+                kept.pop(i)
+                changed = True
+                break
+    kept.sort()
+    pointed = feasible(rank, [(r, 1) for r in kept]) if kept else True
+    return Cone(rays=tuple(kept), rank=rank, pointed=pointed)
+
+
+def reference_dual_cone(cone):
+    """Double description, then every generator pruned again by make_cone."""
+    lines, rays = reference_cone_from_inequalities(cone.rays, cone.rank)
+    gens = list(rays)
+    for l in lines:
+        gens.append(l)
+        gens.append(vec_neg(l))
+    return reference_make_cone(gens, cone.rank)
+
+
+def reference_make_polyhedron(vertices, tail):
+    """Distinct vertices, each dropped while it lies in conv(others) + tail."""
+    kept = list(dict.fromkeys(tuple(Fraction(x) for x in v) for v in vertices))
+    changed = True
+    while changed:
+        changed = False
+        for i, v in enumerate(kept):
+            others = kept[:i] + kept[i + 1 :]
+            nv = len(others) + len(tail.rays)
+            eqs = [([o[c] for o in others] + [r[c] for r in tail.rays], v[c]) for c in range(tail.rank)]
+            eqs.append(([1] * len(others) + [0] * len(tail.rays), 1))
+            if others and feasible(nv, _nonnegative(nv, nv), eqs):
+                kept.pop(i)
+                changed = True
+                break
+    kept.sort()
+    return TailedPolyhedron(vertices=tuple(kept), tail=tail)
+
+
+def reference_ray_meets(poly, ray):
+    """Is t * ray = sum lambda_v v + sum mu_r r with t, lambda, mu >= 0, sum lambda = 1?"""
+    verts, tail = poly.vertices, poly.tail.rays
+    nv = 1 + len(verts) + len(tail)
+    eqs = [([Fraction(ray[c])] + [-v[c] for v in verts] + [-r[c] for r in tail], 0) for c in range(poly.rank)]
+    eqs.append(([0] + [1] * len(verts) + [0] * len(tail), 1))
+    return feasible(nv, _nonnegative(nv, nv), eqs)
 
 
 def reference_span_multiplicity(rays, ambient):
@@ -45,16 +299,6 @@ def reference_span_multiplicity(rays, ambient):
         sub = [[ray[c] for c in cols] for ray in rays]
         g = gcd(g, abs(int(determinant(sub))))
     return g
-
-
-def reference_dual_cone(cone):
-    """Double description, then every generator pruned again by make_cone."""
-    lines, rays = cone_from_inequalities(cone.rays, cone.rank)
-    gens = list(rays)
-    for l in lines:
-        gens.append(l)
-        gens.append(vec_neg(l))
-    return make_cone(gens, cone.rank)
 
 
 def random_full_row_rank(rng, k, ambient):
@@ -149,28 +393,6 @@ def test_dual_cone_matches_make_cone_of_old_generators():
     assert all(n >= 10 for n in seen.values()), seen
 
 
-def reference_make_cone(rays, rank):
-    """Primitive and deduplicated generators, each dropped while it is a
-    nonnegative combination of the others, then a pointedness test."""
-    kept = []
-    for r in rays:
-        p = primitive(r)
-        if not is_zero(p) and p not in kept:
-            kept.append(p)
-    changed = True
-    while changed:
-        changed = False
-        for i, r in enumerate(kept):
-            others = kept[:i] + kept[i + 1 :]
-            if others and _in_ray_span(r, others, rank):
-                kept.pop(i)
-                changed = True
-                break
-    kept.sort()
-    pointed = feasible(rank, [(r, 1) for r in kept]) if kept else True
-    return Cone(rays=tuple(kept), rank=rank, pointed=pointed)
-
-
 def random_generators(rng, rank, shape):
     def vec():
         return tuple(rng.randint(-3, 3) for _ in range(rank))
@@ -223,14 +445,143 @@ def test_trivial_tail_toric_cone_decides_no_feasibility(monkeypatch):
     }
     d = parse_problem(json.dumps(doc))
     calls = []
-    real = linalg.feasible
+    real = linalg.cone_from_inequalities
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "feasible", counting)
-    monkeypatch.setattr(geometry, "feasible", counting)
+    monkeypatch.setattr(linalg, "cone_from_inequalities", counting)
+    monkeypatch.setattr(geometry, "cone_from_inequalities", counting)
     cone = toric_cone(d)
     assert cone.ambient_rank == k + n and cone.rays
     assert calls == []
+
+
+def test_solve_consistent_and_inconsistent():
+    assert solve([[2, 0], [0, 4]], [6, 8]) == (3, 2)
+    assert solve([[1, 1], [2, 2]], [1, 3]) is None
+
+
+def test_feasible_one_dimensional():
+    # x >= 1 and -x >= 0 cannot both hold
+    assert not feasible(1, [((1,), 1), ((-1,), 0)])
+    assert feasible(1, [((1,), -1), ((-1,), 0)])
+
+
+def test_feasible_with_equalities():
+    # x + y = 1, x >= 0, y >= 0 is the standard simplex
+    assert feasible(2, [((1, 0), 0), ((0, 1), 0)], eqs=[((1, 1), 1)])
+    assert not feasible(2, [((1, 0), 0), ((0, 1), 0)], eqs=[((1, 1), -1)])
+
+
+def test_feasible_strict_interior_encoding():
+    # the open first quadrant has points with both coordinates >= 1
+    assert feasible(2, [((1, 0), 1), ((0, 1), 1)])
+    # but the line x = 0 does not
+    assert not feasible(2, [((1, 0), 1), ((-1, 0), 0)])
+
+
+def random_normals(rng, rank, shape):
+    """Small signed normals, with a zero, a repeated or an opposite one mixed in.
+
+    At most six at ranks 4 and 5, where the pruned reference can take minutes
+    on seven.
+    """
+    limit = rank + 4 if rank <= 3 else 6
+    count = rng.randint(1, limit - (shape != "plain"))
+    normals = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)]
+    if shape == "zero":
+        normals.insert(rng.randint(0, count), (0,) * rank)
+    elif shape == "duplicate":
+        normals.insert(rng.randint(0, count), vec_scale(rng.randint(1, 3), rng.choice(normals)))
+    elif shape == "lineality":
+        normals.insert(rng.randint(0, count), vec_neg(rng.choice(normals)))
+    return normals
+
+
+def test_cone_from_inequalities_matches_the_pruned_reference():
+    rng = Random(20095)
+    shapes = ("plain", "zero", "duplicate", "lineality")
+    seen = {"lines": 0, "pointed with rays": 0, "more rays than rank": 0, "origin": 0}
+    for rank in range(1, 6):
+        for shape in shapes:
+            for _ in range(40 if rank < 4 else 15):
+                normals = random_normals(rng, rank, shape)
+                got = cone_from_inequalities(normals, rank)
+                assert got == reference_cone_from_inequalities(normals, rank), normals
+                lines, rays = got
+                seen["lines"] += bool(lines)
+                seen["pointed with rays"] += not lines and bool(rays)
+                seen["more rays than rank"] += len(rays) > rank
+                seen["origin"] += not lines and not rays
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def random_polyhedron_input(rng, rank, shape):
+    """Fraction vertices, some repeated, over a trivial or a pointed tail."""
+    if shape == "trivial":
+        tail = make_cone([], rank)
+    else:
+        f = tuple(rng.choice((1, 2)) * rng.choice((-1, 1)) for _ in range(rank))
+        gens = []
+        while len(gens) < rng.randint(1, rank + 1):
+            v = tuple(rng.randint(-2, 2) for _ in range(rank))
+            s = dot(f, v)
+            if s != 0:
+                gens.append(v if s > 0 else vec_neg(v))
+        tail = make_cone(gens, rank)
+    verts = [
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank))
+        for _ in range(rng.randint(1, rank + 3))
+    ]
+    verts += [rng.choice(verts) for _ in range(rng.randint(0, 1))]
+    return verts, tail
+
+
+def test_make_polyhedron_and_ray_meets_match_the_fourier_motzkin_path():
+    rng = Random(20096)
+    seen = {"vertex dropped": 0, "pointed tail": 0, "meets": 0, "misses": 0}
+    for rank in range(1, 5):
+        for shape in ("trivial", "pointed"):
+            for _ in range(10 if rank < 4 else 5):
+                verts, tail = random_polyhedron_input(rng, rank, shape)
+                assert tail == reference_make_cone(tail.rays, rank)
+                poly = make_polyhedron(verts, tail)
+                assert poly == reference_make_polyhedron(verts, tail), (verts, tail)
+                seen["vertex dropped"] += len(poly.vertices) < len(set(verts))
+                seen["pointed tail"] += bool(tail.rays)
+                rays = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(3)]
+                rays += [primitive(v) for v in poly.vertices[:2]] + list(tail.rays[:1])
+                for ray in rays:
+                    got = ray_meets(poly, ray)
+                    assert got == reference_ray_meets(poly, ray), (poly, ray)
+                    seen["meets" if got else "misses"] += 1
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_eight_rank_four_normals_give_extreme_rays_fast():
+    # the pruned reference grows past its safety cap on this system
+    normals = [
+        (3, 3, 2, 0), (0, -2, -1, 0), (2, -3, 2, 1), (1, -1, 1, 0),
+        (3, 2, -2, 0), (2, -3, -1, -1), (2, 1, 1, -2), (3, -1, -2, -3),
+    ]
+    start = perf_counter()
+    lines, rays = cone_from_inequalities(normals, 4)
+    assert perf_counter() - start < 1.0
+    assert rays and len(set(rays)) == len(rays)
+    for r in rays:
+        assert all(dot(n, r) >= 0 for n in normals)
+        assert matrix_rank([n for n in normals if dot(n, r) == 0]) == 4 - 1 - len(lines)
+
+
+@pytest.mark.parametrize("n, budget", [(8, 0.1), (16, 1.0)])
+def test_ngon_dual_cone_is_fast(n, budget):
+    cone = make_cone([(i, i * i, 1) for i in range(n)], 3)
+    assert len(cone.rays) == n
+    start = perf_counter()
+    dual = dual_cone(cone)
+    assert perf_counter() - start < budget
+    # the dual of the cone over an n-gon is the cone over an n-gon
+    assert dual.pointed and len(dual.rays) == n
+    assert all(dot(f, r) >= 0 for f in dual.rays for r in cone.rays)

@@ -24,9 +24,10 @@ from polydiv.curves import (
     p1_point,
 )
 from polydiv.geometry import chamber_fan, make_cone, make_polyhedron
-from polydiv.linalg import solve
 from polydiv.pdiv import evaluate, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
+
+from test_cone_kernels import solve
 
 P1 = ProjectiveLine()
 

@@ -16,7 +16,9 @@ from polydiv.geometry import (
     ray_meets,
     support_eval,
 )
-from polydiv.linalg import dot, solve
+from polydiv.linalg import dot
+
+from test_cone_kernels import solve
 
 
 def orthant(rank=2):

@@ -9,12 +9,10 @@ from polydiv.linalg import (
     cone_from_inequalities,
     determinant,
     dot,
-    feasible,
     kernel_basis,
     matrix_rank,
     primitive,
     rref,
-    solve,
 )
 
 
@@ -84,30 +82,6 @@ def test_kernel_basis_dimension_and_membership():
 
 def test_kernel_of_empty_matrix_is_everything():
     assert len(kernel_basis([], 2)) == 2
-
-
-def test_solve_consistent_and_inconsistent():
-    assert solve([[2, 0], [0, 4]], [6, 8]) == (3, 2)
-    assert solve([[1, 1], [2, 2]], [1, 3]) is None
-
-
-def test_feasible_one_dimensional():
-    # x >= 1 and -x >= 0 cannot both hold
-    assert not feasible(1, [((1,), 1), ((-1,), 0)])
-    assert feasible(1, [((1,), -1), ((-1,), 0)])
-
-
-def test_feasible_with_equalities():
-    # x + y = 1, x >= 0, y >= 0 is the standard simplex
-    assert feasible(2, [((1, 0), 0), ((0, 1), 0)], eqs=[((1, 1), 1)])
-    assert not feasible(2, [((1, 0), 0), ((0, 1), 0)], eqs=[((1, 1), -1)])
-
-
-def test_feasible_strict_interior_encoding():
-    # the open first quadrant has points with both coordinates >= 1
-    assert feasible(2, [((1, 0), 1), ((0, 1), 1)])
-    # but the line x = 0 does not
-    assert not feasible(2, [((1, 0), 1), ((-1, 0), 0)])
 
 
 def test_cone_from_inequalities_halfplane():
