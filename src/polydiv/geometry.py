@@ -1,8 +1,10 @@
 """Rational convex geometry: cones, tailed polyhedra, chamber fans.
 
-Values are immutable and canonical. Cones store sorted primitive integer ray
-generators with redundant rays removed; polyhedra store exactly their extreme
-points plus a tail cone. Support minima are exact Fractions, with an explicit
+Values are immutable and canonical, read off one double description each.
+Pointed cones store the sorted primitive generators of their extreme rays;
+other cones their extreme rays modulo lines plus each line both ways, as
+dual_cone does. Polyhedra store exactly their extreme points plus a pointed
+tail cone. Support minima are exact Fractions, with an explicit
 MinusInfinity object when the functional is unbounded below on the polyhedron.
 """
 
@@ -63,7 +65,14 @@ class Cone:
 
 
 def make_cone(rays, rank: int) -> Cone:
-    """Canonical cone from generators: primitive, deduplicated, irredundant."""
+    """Canonical cone from generators: primitive, deduplicated, irredundant.
+
+    One double description of the generators gives the facets of their cone.
+    It is not pointed iff some generator is tight on every facet (the
+    lineality space is a face, spanned by the generators it contains), and
+    is then stored as its double dual, as dual_cone gives it. A pointed cone
+    keeps a generator unless another's set of tight facets contains its own.
+    """
     prim = []
     for r in rays:
         if len(r) != rank:
@@ -71,22 +80,22 @@ def make_cone(rays, rank: int) -> Cone:
         p = primitive(r)
         if not is_zero(p) and p not in prim:
             prim.append(p)
-    if matrix_rank(prim) == len(prim):
+    if len(prim) <= rank and matrix_rank(prim) == len(prim):
         # linearly independent generators: none is redundant, and the cone
         # is simplicial, hence pointed
         return Cone(rays=tuple(sorted(prim)), rank=rank, pointed=True)
-    kept = list(prim)
-    changed = True
-    while changed:
-        changed = False
-        for i, r in enumerate(kept):
-            others = kept[:i] + kept[i + 1 :]
-            if others and _in_ray_span(r, others, rank):
-                kept.pop(i)
-                changed = True
-                break
-    kept.sort()
-    return Cone(rays=tuple(kept), rank=rank, pointed=_full_dim(kept, rank))
+    lines, facets = cone_from_inequalities(prim, rank)
+    tight = [{j for j, f in enumerate(facets) if dot(f, g) == 0} for g in prim]
+    if any(len(t) == len(facets) for t in tight):
+        return dual_cone(_cone(lines, facets, rank))
+    kept = [g for g, t in zip(prim, tight) if not any(u >= t for u in tight if u is not t)]
+    return Cone(rays=tuple(sorted(kept)), rank=rank, pointed=True)
+
+
+def _cone(lines, rays, rank: int) -> Cone:
+    """The Cone of a double description: its rays and each line both ways."""
+    gens = list(rays) + list(lines) + [vec_neg(l) for l in lines]
+    return Cone(rays=tuple(sorted(gens)), rank=rank, pointed=not lines)
 
 
 def _in_ray_span(v, gens, rank: int) -> bool:
@@ -119,12 +128,7 @@ def dual_cone(cone: Cone) -> Cone:
     come. A non-pointed dual is returned with both orientations of each
     lineality generator; it is pointed exactly when there are no lines.
     """
-    lines, rays = cone_from_inequalities(cone.rays, cone.rank)
-    gens = list(rays)
-    for l in lines:
-        gens.append(l)
-        gens.append(vec_neg(l))
-    return Cone(rays=tuple(sorted(gens)), rank=cone.rank, pointed=not lines)
+    return _cone(*cone_from_inequalities(cone.rays, cone.rank), cone.rank)
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,13 @@ class TailedPolyhedron:
 
 
 def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
+    """conv(vertices) + tail, stored as its extreme points.
+
+    They are the rays r with r[-1] != 0 of the cone over the (v, 1) and the
+    (r, 0), read back as r[:-1] / r[-1]; the tail must be pointed.
+    """
+    if not tail.pointed:
+        raise ShapeError("a tailed polyhedron needs a pointed tail cone")
     verts = []
     for v in vertices:
         vv = ratvec(v)
@@ -149,24 +160,12 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
             verts.append(vv)
     if not verts:
         raise ShapeError("a tailed polyhedron needs at least one vertex")
-    kept = list(verts)
-    changed = True
-    while changed:
-        changed = False
-        for i, v in enumerate(kept):
-            others = kept[:i] + kept[i + 1 :]
-            if others and _vertex_redundant(v, others, tail):
-                kept.pop(i)
-                changed = True
-                break
-    kept.sort()
-    return TailedPolyhedron(vertices=tuple(kept), tail=tail)
-
-
-def _vertex_redundant(v, others, tail: Cone) -> bool:
-    """Is v inside conv(others) + tail? Decided on the homogenized cone."""
-    gens = [o + (1,) for o in others] + [r + (0,) for r in tail.rays]
-    return _in_ray_span(v + (1,), gens, tail.rank + 1)
+    if len(verts) > 1:
+        gens = [v + (1,) for v in verts] + [r + (0,) for r in tail.rays]
+        cone = make_cone(gens, tail.rank + 1)
+        verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in cone.rays if r[-1]]
+    verts.sort()
+    return TailedPolyhedron(vertices=tuple(verts), tail=tail)
 
 
 def support_eval(poly: TailedPolyhedron, m):
@@ -314,7 +313,11 @@ def _split(normals, wall, rank: int, force: bool = False):
 
 
 def _triangulate(rays, rank: int):
-    """Split a pointed full-dimensional cone into simplicial pieces."""
+    """Split a pointed full-dimensional cone into simplicial pieces.
+
+    At rank 3 each facet holds exactly two extreme rays, so the simplices
+    spanned by the first ray and each facet away from it fill the cone.
+    """
     k = len(rays)
     if k == rank:
         return [tuple(sorted(rays))]
@@ -322,37 +325,10 @@ def _triangulate(rays, rank: int):
         raise UnsupportedRankError(
             f"pointed rank-{rank} region with {k} extreme rays cannot be triangulated"
         )
-    facets = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            n = _cross(rays[i], rays[j])
-            if is_zero(n):
-                continue
-            sides = [dot(n, r) for r in rays]
-            if all(s >= 0 for s in sides):
-                pass
-            elif all(s <= 0 for s in sides):
-                n = vec_neg(n)
-                sides = [-s for s in sides]
-            else:
-                continue
-            on = tuple(sorted(idx for idx, s in enumerate(sides) if s == 0))
-            if len(on) == 2 and (n, on) not in facets:
-                facets.append((n, on))
     g0 = rays[0]
-    pieces = []
-    for n, (i, j) in facets:
-        if dot(n, g0) > 0:
-            pieces.append(tuple(sorted((g0, rays[i], rays[j]))))
-    return pieces
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+    facets = cone_from_inequalities(rays, rank)[1]
+    on = ([r for r in rays if dot(n, r) == 0] for n in facets if dot(n, g0) > 0)
+    return [tuple(sorted([g0] + pair)) for pair in on]
 
 
 def _finish_chamber(simplex_rays, polys) -> Chamber:

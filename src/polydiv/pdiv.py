@@ -141,6 +141,7 @@ class PolyhedralDivisor:
 def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) -> PolyhedralDivisor:
     """Validate and canonicalize raw divisor data.
 
+    tail_rays are the generators of the tail cone, or the Cone itself.
     coefficients maps points (curve bases) or hyperplane indices 1..dim
     (affine-space base) to TailedPolyhedron values. All violations are
     collected before anything is raised, so parse-layer callers can report
@@ -149,7 +150,9 @@ def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) ->
     violations: list[str] = []
     if rank < 1:
         raise ShapeError("the lattice rank must be at least 1")
-    tail = make_cone(tail_rays, rank)
+    tail = tail_rays if isinstance(tail_rays, Cone) else make_cone(tail_rays, rank)
+    if tail.rank != rank:
+        raise RankMismatchError(f"the tail cone has rank {tail.rank}, expected {rank}")
     if not tail.pointed:
         raise ShapeError("the tail cone must be pointed")
 

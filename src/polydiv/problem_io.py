@@ -26,8 +26,9 @@ changing meaning.
 
 Malformed JSON raises ParseError with the position, and JSON nested too
 deeply for the decoder raises ParseError without one; well-formed JSON with
-bad content raises InvalidInputError carrying one message per violation,
-each prefixed with the JSON path.
+bad content, or larger than the MAX_* caps, raises InvalidInputError carrying
+one message per violation, each prefixed with the JSON path. Only then is the
+tail cone checked for pointedness, raising ShapeError.
 """
 
 from __future__ import annotations
@@ -60,8 +61,13 @@ from .pdiv import AffineSpace, PolyhedralDivisor, polyhedral_divisor
 
 _BASE_KINDS = ("P1", "elliptic", "abstract", "affine_line", "affine_space")
 
-# Longest numerator or denominator accepted, in decimal digits.
+# Longest numerator or denominator accepted, in decimal digits; then the
+# largest rank, affine dimension, coefficient count and vertices per coefficient.
 MAX_DIGITS = 100
+MAX_LATTICE_RANK = 32
+MAX_AFFINE_DIM = 32
+MAX_COEFFICIENTS = 128
+MAX_VERTICES = 128
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
@@ -192,6 +198,9 @@ def _parse_base(obj, violations: list):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             violations.append(f"{path}.dim: expected a positive integer")
             return None
+        if dim > MAX_AFFINE_DIM:
+            violations.append(f"{path}.dim: at most {MAX_AFFINE_DIM} is supported")
+            return None
         return AffineSpace(dim)
     violations.append(f"{path}.kind: expected one of {', '.join(_BASE_KINDS)}")
     return None
@@ -264,6 +273,8 @@ def parse_problem(text: str) -> PolyhedralDivisor:
     rank = doc["lattice_rank"]
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise InvalidInputError(["lattice_rank: expected a positive integer"])
+    if rank > MAX_LATTICE_RANK:
+        raise InvalidInputError([f"lattice_rank: at most {MAX_LATTICE_RANK} is supported"])
 
     tail_obj = doc["tail_cone"]
     tail_rays = []
@@ -286,11 +297,13 @@ def parse_problem(text: str) -> PolyhedralDivisor:
     if violations or base is None:
         raise InvalidInputError(violations)
 
-    tail = make_cone(tail_rays, rank)
-    pairs = []
     entries = doc.get("coefficients", [])
     if not isinstance(entries, list):
         raise InvalidInputError(["coefficients: expected a list"])
+    if len(entries) > MAX_COEFFICIENTS:
+        raise InvalidInputError([f"coefficients: at most {MAX_COEFFICIENTS} are supported"])
+    tail = make_cone(tail_rays, rank)
+    pairs = []
     for i, entry in enumerate(entries):
         path = f"coefficients[{i}]"
         if not isinstance(entry, dict):
@@ -304,6 +317,9 @@ def parse_problem(text: str) -> PolyhedralDivisor:
         verts_obj = entry["vertices"]
         if not isinstance(verts_obj, list) or not verts_obj:
             violations.append(f"{path}.vertices: expected a nonempty list of vertices")
+            continue
+        if len(verts_obj) > MAX_VERTICES:
+            violations.append(f"{path}.vertices: at most {MAX_VERTICES} are supported")
             continue
         vertices = []
         for j, vert in enumerate(verts_obj):
@@ -324,11 +340,14 @@ def parse_problem(text: str) -> PolyhedralDivisor:
                 )
         if point is None:
             continue
-        pairs.append((point, make_polyhedron(vertices, tail)))
+        pairs.append((point, vertices))
 
     if violations:
         raise InvalidInputError(violations)
-    return polyhedral_divisor(base, rank, tail_rays, pairs)
+    if not tail.pointed:
+        raise ShapeError("the tail cone must be pointed")
+    polys = [(point, make_polyhedron(vertices, tail)) for point, vertices in pairs]
+    return polyhedral_divisor(base, rank, tail, polys)
 
 
 # ---------------------------------------------------------------------------

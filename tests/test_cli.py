@@ -226,7 +226,7 @@ def test_non_list_extra_rays_is_invalid_input(capsys, tmp_path):
     [["proper"], ["classify"], ["h1"], ["profile", "--m-max", "2"], ["toric"], ["ring", "--max-degree", "2"]],
 )
 def test_non_pointed_tail_is_invalid_input(capsys, tmp_path, argv):
-    # the divisor constructor rejects it, after the document itself validated
+    # parsing rejects it, after the document itself validated
     doc = tmp_path / "line_tail.json"
     doc.write_text(
         '{"lattice_rank": 2, "tail_cone": {"rays": [[1, -1], [-1, 1]]},'
@@ -236,6 +236,16 @@ def test_non_pointed_tail_is_invalid_input(capsys, tmp_path, argv):
     code, payload = run_json(capsys, *argv, str(doc))
     assert code == 3
     assert payload == {"error": "invalid-input", "violations": ["the tail cone must be pointed"]}
+
+
+def test_oversized_document_is_invalid_input(capsys, tmp_path):
+    doc = tmp_path / "rank_1500.json"
+    doc.write_text(
+        '{"lattice_rank": 1500, "tail_cone": {"rays": []}, "base": {"kind": "affine_space", "dim": 1}}\n'
+    )
+    code, payload = run_json(capsys, "proper", str(doc))
+    assert code == 3
+    assert payload == {"error": "invalid-input", "violations": ["lattice_rank: at most 32 is supported"]}
 
 
 def test_failed_consistency_check_is_internal_error(capsys, monkeypatch):

@@ -17,7 +17,11 @@ rewrites, kept here as independent oracles:
   coefficients of a convex combination.
 
 The code in src/ must give the very same integers, lists (in order) and
-values. The families are seeded, so failures reproduce.
+values, with one exception: a cone that is not pointed has no extreme rays,
+and the reference make_cone keeps an order-dependent subset of its
+generators, so there make_cone must give the same set (by mutual
+membership) and the same value for any order of the generators. The
+families are seeded, so failures reproduce.
 """
 
 import json
@@ -32,7 +36,7 @@ import pytest
 
 import polydiv.geometry as geometry
 import polydiv.linalg as linalg
-from polydiv.errors import InternalError, PolydivError
+from polydiv.errors import InternalError, PolydivError, ShapeError
 from polydiv.geometry import (
     Cone,
     TailedPolyhedron,
@@ -414,6 +418,7 @@ def random_generators(rng, rank, shape):
 
 def test_make_cone_matches_the_fourier_motzkin_path():
     rng = Random(20094)
+    permute = Random(20097)
     shapes = ("independent", "duplicated", "dependent", "lineality", "zero")
     seen = {"simplicial": 0, "redundant dropped": 0, "not pointed": 0, "trivial": 0}
     for rank in range(1, 6):
@@ -421,12 +426,40 @@ def test_make_cone_matches_the_fourier_motzkin_path():
             for _ in range(8 if rank < 5 else 3):
                 gens = random_generators(rng, rank, shape)
                 got = make_cone(gens, rank)
-                assert got == reference_make_cone(gens, rank), (gens, got)
+                want = reference_make_cone(gens, rank)
+                if want.pointed:
+                    assert got == want, (gens, got)
+                else:
+                    # no extreme rays: the reference keeps an order-dependent
+                    # subset of the generators, make_cone one form per set
+                    assert not got.pointed, (gens, got)
+                    assert all(reference_in_ray_span(r, want.rays, rank) for r in got.rays)
+                    assert all(reference_in_ray_span(r, got.rays, rank) for r in want.rays)
+                    shuffled = list(gens)
+                    permute.shuffle(shuffled)
+                    assert make_cone(shuffled, rank) == got, (gens, shuffled)
+                    assert make_cone(got.rays, rank) == got
                 seen["simplicial"] += bool(got.rays) and matrix_rank(got.rays) == len(got.rays)
                 seen["redundant dropped"] += matrix_rank(got.rays) < len(got.rays)
                 seen["not pointed"] += not got.pointed
                 seen["trivial"] += not got.rays
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_make_cone_of_the_whole_plane_does_not_depend_on_generators():
+    whole = make_cone([(1, 0), (-1, 1), (-1, -1)], 2)
+    assert whole == make_cone([(1, 0), (0, 1), (-1, 0), (0, -1)], 2)
+    assert whole == Cone(rays=((-1, 0), (0, -1), (0, 1), (1, 0)), rank=2, pointed=False)
+
+
+def test_make_cone_of_parabola_generators_is_fast():
+    # one double description per candidate generator would be quadratic here
+    extreme = [(i, i * i, 1) for i in range(32)]
+    interior = [(i, i * i + 1, 2) for i in range(1, 31)]
+    start = perf_counter()
+    cone = make_cone(extreme + interior, 3)
+    assert perf_counter() - start < 1.0
+    assert cone == Cone(rays=tuple(sorted(extreme)), rank=3, pointed=True)
 
 
 def test_trivial_tail_toric_cone_decides_no_feasibility(monkeypatch):
@@ -558,6 +591,39 @@ def test_make_polyhedron_and_ray_meets_match_the_fourier_motzkin_path():
                     assert got == reference_ray_meets(poly, ray), (poly, ray)
                     seen["meets" if got else "misses"] += 1
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_make_polyhedron_with_many_rank_three_vertices_matches_the_reference():
+    rng = Random(20098)
+    seen = {"vertex dropped": 0, "pointed tail": 0}
+    for shape in ("trivial", "pointed"):
+        for _ in range(10):
+            verts, tail = random_polyhedron_input(rng, 3, shape)
+            verts += [
+                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
+                for _ in range(rng.randint(1, 4))
+            ]
+            poly = make_polyhedron(verts, tail)
+            assert poly == reference_make_polyhedron(verts, tail), (verts, tail)
+            seen["vertex dropped"] += len(poly.vertices) < len(set(verts))
+            seen["pointed tail"] += bool(tail.rays)
+    assert all(n >= 5 for n in seen.values()), seen
+
+
+def test_make_polyhedron_of_parabola_points_is_fast():
+    # one double description per candidate vertex would be quadratic here
+    low = [(Fraction(i, 7), Fraction(i * i, 49)) for i in range(40)]
+    high = [(Fraction(i, 7), Fraction(i * i + 3, 49)) for i in range(40)]
+    tail = make_cone([(0, 1)], 2)
+    start = perf_counter()
+    poly = make_polyhedron([p for pair in zip(low, high) for p in pair], tail)
+    assert perf_counter() - start < 1.0
+    assert poly == TailedPolyhedron(vertices=tuple(low), tail=tail)
+
+
+def test_make_polyhedron_needs_a_pointed_tail():
+    with pytest.raises(ShapeError):
+        make_polyhedron([(0, 0), (1, 0)], make_cone([(1, -1), (-1, 1)], 2))
 
 
 def test_eight_rank_four_normals_give_extreme_rays_fast():

@@ -13,11 +13,17 @@ from polydiv.curves import (
     ProjectiveLine,
     p1_point,
 )
+import polydiv.pdiv as pdiv
+import polydiv.problem_io as problem_io
 from polydiv.errors import InvalidInputError, ParseError, ShapeError
 from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.pdiv import AffineSpace, is_proper, polyhedral_divisor
 from polydiv.problem_io import (
+    MAX_AFFINE_DIM,
+    MAX_COEFFICIENTS,
     MAX_DIGITS,
+    MAX_LATTICE_RANK,
+    MAX_VERTICES,
     emit_problem,
     emit_report,
     parse_problem,
@@ -126,6 +132,94 @@ def test_extra_rays_outside_the_tail_are_rejected():
     with pytest.raises(InvalidInputError) as exc:
         parse_problem(text)
     assert any("extra_rays[0]" in v for v in exc.value.violations)
+
+
+def test_non_pointed_tail_reports_the_documents_own_violations_first():
+    text = json.dumps(
+        {
+            "lattice_rank": 2,
+            "tail_cone": {"rays": [[1, -1], [-1, 1]]},
+            "base": {"kind": "affine_space", "dim": 1},
+            "coefficients": [
+                {"point": {"hyperplane": 1}, "vertices": [[0, 0]], "extra_rays": [[1, 0]]}
+            ],
+        }
+    )
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(text)
+    assert exc.value.violations == [
+        "coefficients[0].extra_rays[0]: ray ('1', '0') is not in the tail cone"
+    ]
+    with pytest.raises(ShapeError, match="the tail cone must be pointed"):
+        parse_problem(text.replace(', "extra_rays": [[1, 0]]', ""))
+
+
+def test_parse_builds_the_tail_cone_once(monkeypatch):
+    calls = []
+    real = problem_io.make_cone
+
+    def counting(rays, rank):
+        calls.append((tuple(map(tuple, rays)), rank))
+        return real(rays, rank)
+
+    monkeypatch.setattr(problem_io, "make_cone", counting)
+    monkeypatch.setattr(pdiv, "make_cone", counting)
+    rays = [[i, i * i, 1] for i in range(6)] + [[2, 5, 1]]
+    d = parse_problem(
+        json.dumps(
+            {
+                "lattice_rank": 3,
+                "tail_cone": {"rays": rays},
+                "base": {"kind": "affine_line"},
+                "coefficients": [{"point": "0", "vertices": [[0, 0, 1], [1, 1, 1]]}],
+            }
+        )
+    )
+    assert calls == [(tuple(tuple(Fraction(x) for x in r) for r in rays), 3)]
+    assert len(d.tail.rays) == 6
+
+
+def _sized_document(rank=1, dim=1, coefficients=1, vertices=1):
+    return json.dumps(
+        {
+            "lattice_rank": rank,
+            "tail_cone": {"rays": []},
+            "base": {"kind": "affine_space", "dim": dim},
+            "coefficients": [
+                {"point": {"hyperplane": 1}, "vertices": [[k] + [0] * (rank - 1) for k in range(vertices)]}
+            ] * coefficients,
+        }
+    )
+
+
+def test_lattice_rank_is_capped():
+    parse_problem(_sized_document(rank=MAX_LATTICE_RANK))
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(_sized_document(rank=MAX_LATTICE_RANK + 1))
+    assert exc.value.violations == [f"lattice_rank: at most {MAX_LATTICE_RANK} is supported"]
+
+
+def test_affine_dimension_is_capped():
+    parse_problem(_sized_document(dim=MAX_AFFINE_DIM))
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(_sized_document(dim=MAX_AFFINE_DIM + 1))
+    assert exc.value.violations == [f"base.dim: at most {MAX_AFFINE_DIM} is supported"]
+
+
+def test_number_of_coefficients_is_capped():
+    points = [{"point": str(k), "vertices": [["1/2"]]} for k in range(MAX_COEFFICIENTS)]
+    doc = {"lattice_rank": 1, "tail_cone": {"rays": [[1]]}, "base": {"kind": "P1"}}
+    assert len(parse_problem(json.dumps({**doc, "coefficients": points})).support) == MAX_COEFFICIENTS
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(_sized_document(coefficients=MAX_COEFFICIENTS + 1))
+    assert exc.value.violations == [f"coefficients: at most {MAX_COEFFICIENTS} are supported"]
+
+
+def test_number_of_vertices_is_capped():
+    parse_problem(_sized_document(vertices=MAX_VERTICES))
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(_sized_document(vertices=MAX_VERTICES + 1))
+    assert exc.value.violations == [f"coefficients[0].vertices: at most {MAX_VERTICES} are supported"]
 
 
 def test_malformed_json_reports_position():
