@@ -333,6 +333,12 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     degree and the degree-zero ones must be non-principal, so the unit of
     cohomology sits at weight zero. Genus two or more always fails already
     at weight zero.
+
+    Rounding down loses less than one unit per marked point, so the degree
+    at m exceeds m * deg1 - count. From m >= (count - 2) / deg1 on it is at
+    least -1 in genus zero, and from m >= count / deg1 on it is positive in
+    genus one: both scans stop there, whatever the denominators of the
+    slopes, and no later weight can change the verdict or the witness.
     """
     require_proper(d)
     if not _is_projective_curve(d):
@@ -343,11 +349,10 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     slopes = ray_slopes(d)
     count = len(slopes)
     deg1 = sum((s.value for s in slopes), Fraction(0))
-    period = lcm(*[s.q for s in slopes]) if slopes else 1
     unit = unit_weight(d)
 
     if genus == 0:
-        top = max(ceil(Fraction(count - 2) / deg1), period, 1)
+        top = max(ceil(Fraction(count - 2) / deg1), 1)
         profile = _floor_degrees(slopes, top)
         hits = [m for m in range(1, top + 1) if profile[m] == -2]
         below = [m for m in range(1, top + 1) if profile[m] < -2]
@@ -406,8 +411,9 @@ def minimal_elliptic_verdict(elliptic: EllipticReport, gor: GorensteinReport) ->
 class H1Report:
     """First cohomology of the rounded-down evaluations, weight by weight.
 
-    bound is the index beyond which every entry provably vanishes; total sums
-    the whole series and is None when some entry is undecidable.
+    bound is an index beyond which every entry provably vanishes, at least
+    the period lcm(q) of the slopes; total sums the whole series and is None
+    when some entry is undecidable.
     """
 
     bound: int
@@ -422,6 +428,13 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     is sum((m * p) // q) over the ray slopes, and on every base model the
     degree alone fixes dim H^1, except at degree zero on an elliptic curve.
     Only there is the rounded-down divisor built, to test its principality.
+
+    Rounding down loses less than one unit per marked point, so the degree
+    at m exceeds m * deg1 - count, which is at least 2g - 2 once
+    m >= (count + 2g - 2) / deg1. Past that weight H^1 vanishes on every
+    base model, so entries are computed only up to it and the rest are 0.
+    The reported bound and the default listing length still reach the
+    period lcm(q) of the slopes, as they always have.
     """
     require_proper(d)
     if not _is_projective_curve(d):
@@ -434,11 +447,14 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     period = lcm(*[s.q for s in slopes]) if slopes else 1
     bound = max(ceil(Fraction(count + max(2 * genus - 2, 0)) / deg1), period, 1)
     top = bound if m_max is None else m_max
+    last = max(bound, top)
+    vanish = min(max(ceil(Fraction(count + 2 * genus - 2) / deg1), 0), last)
 
     def entry(m: int, deg: int) -> int | None:
         return h1_dim_of_degree(d.base, deg, lambda: is_principal(_floor_at(d, unit, m)))
 
-    values = [entry(m, deg) for m, deg in enumerate(_floor_degrees(slopes, max(bound, top)))]
+    values = [entry(m, deg) for m, deg in enumerate(_floor_degrees(slopes, vanish))]
+    values += [0] * (last - vanish)
     series = values[: bound + 1]
     total = None if None in series else sum(series)
     return H1Report(bound=bound, entries=tuple(enumerate(values[: top + 1])), total=total)

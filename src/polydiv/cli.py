@@ -6,9 +6,9 @@ output in the selected format.
 
 Exit codes: 0 the report is complete; 2 the document (or command line) does
 not parse; 3 the input is invalid for the request, including non-proper
-divisors, or an internal consistency check failed (payload error
-"internal"); 4 the report contains an undecided verdict.  When several
-apply the most severe wins, in the order 2, 3, 4, 0.
+divisors, or an internal consistency check failed or an unforeseen exception
+was raised (payload error "internal"); 4 the report contains an undecided
+verdict.  When several apply the most severe wins, in the order 2, 3, 4, 0.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .classify import (
+    ClassifyReport,
+    H1Report,
     classify_report,
     cohen_macaulay,
     elliptic_singularity,
@@ -31,7 +33,7 @@ from .classify import (
 )
 from .errors import InternalError, InvalidInputError, NotProperError, ParseError, PolydivError
 from .pdiv import is_proper
-from .problem_io import emit_report, parse_problem, report_payload
+from .problem_io import emit_report, parse_problem
 from .sections import ring_presentation
 from .toric import cone_diagnostics, toric_cone
 from .verdicts import Verdict
@@ -130,24 +132,31 @@ def _read_text(source: str) -> str:
     return Path(source).read_text(encoding="utf-8")
 
 
-def _has_unknown(payload) -> bool:
-    """Does a serialized report contain an undecided verdict anywhere?"""
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            if key in ("verdict", "minimal_elliptic", "minimal"):
-                if value == Verdict.UNKNOWN.value:
-                    return True
-            if key == "total" and value is None:
-                return True
-            if key == "entries" and isinstance(value, list):
-                if any(isinstance(e, list) and None in e for e in value):
-                    return True
-            if _has_unknown(value):
-                return True
-        return False
-    if isinstance(payload, list):
-        return any(_has_unknown(x) for x in payload)
-    return False
+def _undecided(result) -> bool:
+    """Does a report carry an undecided verdict or an undecidable h1 total?
+
+    An undecidable h1 entry makes the total undecidable too: listed entries
+    up to the bound are a prefix of the summed series, and entries past the
+    bound are never undecidable.
+    """
+    if isinstance(result, dict):
+        return Verdict.UNKNOWN in (result.get("verdict"), result.get("minimal"))
+    if isinstance(result, H1Report):
+        return result.total is None
+    if isinstance(result, ClassifyReport):
+        parts = (
+            result.properness,
+            result.rational,
+            result.cohen_macaulay,
+            result.gorenstein,
+            result.elliptic,
+        )
+        return (
+            any(part.verdict == Verdict.UNKNOWN for part in parts)
+            or result.minimal_elliptic == Verdict.UNKNOWN
+            or (result.h1 is not None and result.h1.total is None)
+        )
+    return getattr(result, "verdict", None) == Verdict.UNKNOWN
 
 
 def _analyze(command: str, d, args) -> tuple[object, int]:
@@ -207,7 +216,19 @@ def _analyze(command: str, d, args) -> tuple[object, int]:
 
 
 def _process(text: str, command: str, args) -> tuple[object, int]:
-    """Parse one document and run one command, mapping errors to exit codes."""
+    """Parse one document and run one command, mapping errors to exit codes.
+
+    Returns the report object, or an error payload, for emit_report.
+    """
+    try:
+        return _process_unguarded(text, command, args)
+    except Exception as exc:
+        # last resort: a failure no other branch foresaw is a bug in polydiv,
+        # answered like a failed consistency check rather than a traceback
+        return {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}, EXIT_INVALID
+
+
+def _process_unguarded(text: str, command: str, args) -> tuple[object, int]:
     try:
         d = parse_problem(text)
     except ParseError as exc:
@@ -239,10 +260,9 @@ def _process(text: str, command: str, args) -> tuple[object, int]:
         # the divisor is fine but this command does not apply to it
         return {"error": "domain", "message": str(exc)}, EXIT_INVALID
 
-    payload = report_payload(result)
-    if code == EXIT_OK and _has_unknown(payload):
+    if code == EXIT_OK and _undecided(result):
         code = EXIT_UNKNOWN
-    return payload, code
+    return result, code
 
 
 def _run_batch(directory: str, args) -> tuple[object, int]:
@@ -261,8 +281,8 @@ def _run_batch(directory: str, args) -> tuple[object, int]:
             results[doc.name] = {"error": "read", "message": str(exc)}
             codes.append(EXIT_PARSE)
             continue
-        payload, code = _process(text, "classify", args)
-        results[doc.name] = payload
+        result, code = _process(text, "classify", args)
+        results[doc.name] = result
         codes.append(code)
     return results, _worst(codes)
 

@@ -163,7 +163,9 @@ def cone_from_inequalities(normals, rank: int):
     """
     lines = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     rays: list[tuple[int, ...]] = []
-    done: list[tuple[int, ...]] = []
+    # tight[i]: indices of the processed normals on which rays[i] is tight
+    tight: list[frozenset[int]] = []
+    k = 0
     for raw in normals:
         a = primitive(raw)
         if is_zero(a):
@@ -182,14 +184,18 @@ def cone_from_inequalities(normals, rank: int):
                 primitive(vec_sub(vec_scale(d0, r), vec_scale(dot(a, r), l0)))
                 for r in rays
             ]
+            # lines are tight on every processed normal, so the shifted rays
+            # keep their tight sets and gain k; l0 is tight on all but k
             rays.append(l0)
+            tight = [t | {k} for t in tight]
+            tight.append(frozenset(range(k)))
         else:
-            tight = [{k for k, b in enumerate(done) if dot(b, r) == 0} for r in rays]
             side = [dot(a, r) for r in rays]
             pos = [i for i, s in enumerate(side) if s > 0]
             zero = [i for i, s in enumerate(side) if s == 0]
             negs = [i for i, s in enumerate(side) if s < 0]
             combos = []
+            combo_tight = []
             for p in pos:
                 for n in negs:
                     common = tight[p] & tight[n]
@@ -198,8 +204,12 @@ def cone_from_inequalities(normals, rank: int):
                     combos.append(
                         primitive(vec_sub(vec_scale(side[p], rays[n]), vec_scale(side[n], rays[p])))
                     )
+                    # rays satisfy every processed normal, so the combination
+                    # is tight exactly where both rays are, and on k
+                    combo_tight.append(common | {k})
             rays = [rays[i] for i in pos + zero] + combos
-        done.append(a)
+            tight = [tight[i] for i in pos] + [tight[i] | {k} for i in zero] + combo_tight
+        k += 1
     lines = [
         l if next(x for x in l if x != 0) > 0 else vec_neg(l)
         for l in (primitive(l) for l in lines)

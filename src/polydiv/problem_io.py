@@ -62,12 +62,14 @@ from .pdiv import AffineSpace, PolyhedralDivisor, polyhedral_divisor
 _BASE_KINDS = ("P1", "elliptic", "abstract", "affine_line", "affine_space")
 
 # Longest numerator or denominator accepted, in decimal digits; then the
-# largest rank, affine dimension, coefficient count and vertices per coefficient.
+# largest rank, affine dimension, coefficient count and vertices per
+# coefficient, and the most tail rays and extra_rays per coefficient.
 MAX_DIGITS = 100
 MAX_LATTICE_RANK = 32
 MAX_AFFINE_DIM = 32
 MAX_COEFFICIENTS = 128
 MAX_VERTICES = 128
+MAX_RAYS = 128
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
@@ -287,6 +289,8 @@ def parse_problem(text: str) -> PolyhedralDivisor:
         rays_obj = tail_obj["rays"]
         if not isinstance(rays_obj, list):
             violations.append("tail_cone.rays: expected a list of rays")
+        elif len(rays_obj) > MAX_RAYS:
+            violations.append(f"tail_cone.rays: at most {MAX_RAYS} are supported")
         else:
             for i, ray in enumerate(rays_obj):
                 v = _vector(ray, rank, f"tail_cone.rays[{i}]", violations)
@@ -331,6 +335,9 @@ def parse_problem(text: str) -> PolyhedralDivisor:
         extra_rays = entry.get("extra_rays", [])
         if not isinstance(extra_rays, list):
             violations.append(f"{path}.extra_rays: expected a list of rays")
+            continue
+        if len(extra_rays) > MAX_RAYS:
+            violations.append(f"{path}.extra_rays: at most {MAX_RAYS} are supported")
             continue
         for j, ray in enumerate(extra_rays):
             v = _vector(ray, rank, f"{path}.extra_rays[{j}]", violations)
@@ -407,8 +414,19 @@ def emit_problem(d: PolyhedralDivisor) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# exact types that are already plain data; subclasses such as Verdict (a str
+# Enum) take the general path
+_LEAF_TYPES = frozenset((int, str, bool, type(None)))
+
+
 def report_payload(obj):
     """Plain JSON-ready data for a report object, with stable key order."""
+    kind = type(obj)
+    if kind in _LEAF_TYPES:
+        return obj
+    if kind is tuple or kind is list:
+        # long h1 listings are tuples of int pairs: skip the call per leaf
+        return [x if type(x) in _LEAF_TYPES else report_payload(x) for x in obj]
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from random import Random
 
 import pytest
@@ -34,6 +34,7 @@ from polydiv.curves import (
     denominator_lcm,
     floor_divisor,
     h1_dim,
+    h1_dim_of_degree,
     is_principal,
     p1_point,
 )
@@ -589,3 +590,110 @@ def test_floor_degree_kernel_matches_divisor_reference():
     # every branch of the kernel must be exercised, not vacuously matched
     assert all(seen.values()), seen
     assert len(criteria) == 9, criteria  # every outcome of the elliptic criterion
+
+
+# ---------------------------------------------------------------------------
+# the scans as they were before they stopped at the vanishing degree: every
+# weight up to the period lcm(q) of the slopes
+
+
+def period_scan_h1(d, m_max=None):
+    """h1_report with an entry computed at every weight up to max(bound, m_max)."""
+    unit = pdiv_module.unit_weight(d)
+    slopes = ray_slopes(d)
+    deg1 = sum((s.value for s in slopes), Fraction(0))
+    genus = d.base.genus
+    period = lcm(*[s.q for s in slopes]) if slopes else 1
+    bound = max(ceil(Fraction(len(slopes) + max(2 * genus - 2, 0)) / deg1), period, 1)
+    top = bound if m_max is None else m_max
+
+    def entry(m, deg):
+        return h1_dim_of_degree(
+            d.base, deg, lambda: is_principal(classify_module._floor_at(d, unit, m))
+        )
+
+    degrees = classify_module._floor_degrees(slopes, max(bound, top))
+    values = [entry(m, deg) for m, deg in enumerate(degrees)]
+    series = values[: bound + 1]
+    total = None if None in series else sum(series)
+    return H1Report(bound=bound, entries=tuple(enumerate(values[: top + 1])), total=total)
+
+
+def period_scan_elliptic(d):
+    """elliptic_singularity with the genus-zero scan running up to the period."""
+    slopes = ray_slopes(d)
+    if d.base.genus != 0:
+        return elliptic_singularity(d)
+    deg1 = sum((s.value for s in slopes), Fraction(0))
+    period = lcm(*[s.q for s in slopes]) if slopes else 1
+    top = max(ceil(Fraction(len(slopes) - 2) / deg1), period, 1)
+    profile = classify_module._floor_degrees(slopes, top)
+    hits = [m for m in range(1, top + 1) if profile[m] == -2]
+    below = [m for m in range(1, top + 1) if profile[m] < -2]
+    if below:
+        return EllipticReport(Verdict.NO, "floor-degree-below-minus-two", witness_m=below[0])
+    if len(hits) == 1:
+        return EllipticReport(Verdict.YES, "unique-floor-degree-minus-two", witness_m=hits[0])
+    if not hits:
+        return EllipticReport(Verdict.NO, "no-floor-degree-minus-two")
+    return EllipticReport(Verdict.NO, "repeated-floor-degree-minus-two", witness_m=hits[1])
+
+
+PERIOD_BASES = (
+    KERNEL_BASES[0],  # the projective line
+    KERNEL_BASES[1],  # y^2 = x^3 - x
+    *KERNEL_BASES[3:],  # abstract curves of genus 0, 1 and 2
+)
+
+
+def test_scans_stopping_at_the_vanishing_degree_match_the_period_scans():
+    rng = Random(808)
+    seen = dict.fromkeys(("below-bound", "beyond-bound", "skipped-weights", "none-entry"), 0)
+    criteria = set()
+    for base, pool in PERIOD_BASES:
+        for _ in range(30):
+            pts = rng.sample(pool, rng.randint(1, len(pool)))
+            # coprime-ish denominators up to 40 make periods of hundreds to
+            # tens of thousands, far past the vanishing degree
+            slopes = [Fraction(rng.randint(-q, q // 2), q) for q in (rng.randint(1, 40) for _ in pts)]
+            slopes[0] += max(0, -sum(slopes)) + Fraction(1, rng.randint(1, 8))
+            d = rank1(base, dict(zip(pts, slopes)))
+            want = period_scan_h1(d)
+            if want.bound > 20000:
+                continue
+            m_max = rng.choice((None, rng.randint(0, want.bound), want.bound + rng.randint(1, 50)))
+            got = h1_report(d, m_max)
+            assert got == period_scan_h1(d, m_max), d
+            ell = elliptic_singularity(d)
+            assert ell == period_scan_elliptic(d), d
+            criteria.add(ell.criterion)
+            if m_max is not None:
+                seen["below-bound" if m_max <= got.bound else "beyond-bound"] += 1
+            genus = d.base.genus
+            vanish = max(ceil(Fraction(len(d.coefficients) + 2 * genus - 2) / degree(evaluate(d, 1))), 0)
+            seen["skipped-weights"] += vanish < got.bound
+            seen["none-entry"] += got.total is None
+    assert all(seen.values()), seen
+    assert {"unique-floor-degree-minus-two", "floor-degree-below-minus-two"} <= criteria, criteria
+
+
+@pytest.mark.parametrize(
+    "slopes, hit",
+    [
+        (("-56/61", "27/65", "39/67"), 12),
+        (("-22/61", "23/64", "7/176"), 25),
+        (("-79/81", "4/161", "194/199"), 40),
+    ],
+)
+def test_elliptic_hit_one_weight_before_the_scan_bound(slopes, hit):
+    # m * p_i = -1 mod q_i at the hit: each point loses almost a full unit
+    # there, so the hit sits one weight below ceil((count - 2) / deg1)
+    d = rank1(P1, dict(zip((p1_point(0), p1_point(1), P1_INFINITY), map(Fraction, slopes))))
+    deg1 = degree(evaluate(d, 1))
+    assert ceil(Fraction(1) / deg1) == hit + 1
+    report = elliptic_singularity(d)
+    assert report == EllipticReport(Verdict.YES, "unique-floor-degree-minus-two", witness_m=hit)
+    if hit == 12:  # a period of 265,655; the others take seconds to scan
+        assert report == period_scan_elliptic(d)
+        assert h1_report(d) == period_scan_h1(d)
+

@@ -7,9 +7,14 @@ from time import monotonic
 import pytest
 
 import polydiv.classify as classify
+import polydiv.cli as cli
 from polydiv.cli import build_parser, main
+from polydiv.errors import PolydivError
+from polydiv.problem_io import parse_problem, report_payload
+from polydiv.verdicts import Verdict
 
 DATA = Path(__file__).parent / "data"
+GOLDEN_DOCUMENTS = Path(__file__).parent / "golden" / "documents"
 
 GOLDEN_ONE = str(DATA / "golden_one.json")
 GOLDEN_THREE = str(DATA / "golden_three.json")
@@ -381,3 +386,133 @@ def test_runs_in_one_process_match_runs_alone(capsys, first, second):
     second_out = alone[1][1]
     if second[0] == "classify" and "--format" not in second:
         json.loads(second_out)
+
+
+def test_unforeseen_analysis_exception_is_internal_error(capsys, monkeypatch):
+    def broken(d):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "elliptic_singularity", broken)
+    code, payload = run_json(capsys, "elliptic", GOLDEN_ONE)
+    assert code == 3
+    assert payload == {"error": "internal", "message": "ZeroDivisionError: division by zero"}
+
+
+def test_unforeseen_parse_exception_is_internal_error_in_a_batch(capsys, monkeypatch):
+    def broken(text):
+        raise ValueError("no value")
+
+    monkeypatch.setattr(cli, "parse_problem", broken)
+    code, payload = run_json(capsys, "classify", "--batch", str(DATA))
+    assert code == 3
+    assert len(payload) == 4
+    assert all(p == {"error": "internal", "message": "ValueError: no value"} for p in payload.values())
+
+
+def test_signals_that_are_not_exceptions_still_propagate(capsys, monkeypatch):
+    class Stop(BaseException):
+        pass
+
+    def interrupted(d):
+        raise Stop()
+
+    monkeypatch.setattr(cli, "elliptic_singularity", interrupted)
+    with pytest.raises(Stop):
+        main(["elliptic", GOLDEN_ONE])
+    capsys.readouterr()
+
+
+def test_elliptic_on_a_period_of_about_one_hundred_million_answers_fast(capsys, tmp_path):
+    doc = tmp_path / "period_1e8.json"
+    slopes = (("0", "-1/97"), ("1", "-1/101"), ("inf", "-1/103"), ("2", "4239528/107972737"))
+    doc.write_text(
+        json.dumps(
+            {
+                "lattice_rank": 1,
+                "tail_cone": {"rays": [[1]]},
+                "base": {"kind": "P1"},
+                "coefficients": [{"point": p, "vertices": [[v]]} for p, v in slopes],
+            }
+        )
+    )
+    start = monotonic()
+    code, payload = run_json(capsys, "elliptic", str(doc))
+    assert monotonic() - start < 1.0
+    assert code == 0
+    assert payload["verdict"] == "no" and payload["witness_m"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the typed unknown check against the scan of serialized key names it replaced
+
+
+def reference_has_unknown(payload) -> bool:
+    """Does a serialized report contain an undecided verdict anywhere?"""
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            if key in ("verdict", "minimal_elliptic", "minimal"):
+                if value == Verdict.UNKNOWN.value:
+                    return True
+            if key == "total" and value is None:
+                return True
+            if key == "entries" and isinstance(value, list):
+                if any(isinstance(e, list) and None in e for e in value):
+                    return True
+            if reference_has_unknown(value):
+                return True
+        return False
+    if isinstance(payload, list):
+        return any(reference_has_unknown(x) for x in payload)
+    return False
+
+
+# abstract genus two: floor degrees 0 .. 2 leave h1 entries undecidable
+GENUS_TWO_DOC = """{
+  "lattice_rank": 1,
+  "tail_cone": {"rays": [[1]]},
+  "base": {"kind": "abstract", "genus": 2},
+  "coefficients": [
+    {"point": "p", "vertices": [["1/3"]]},
+    {"point": "q", "vertices": [["1/5"]]}
+  ]
+}
+"""
+
+TYPED_CHECK_ARGV = (
+    ("classify",),
+    ("classify", "--isolated"),
+    ("proper",),
+    ("rational",),
+    ("cm",),
+    ("cm", "--isolated"),
+    ("gorenstein",),
+    ("elliptic",),
+    ("h1",),
+    ("h1", "--m-max", "2"),
+    ("h1", "--m-max", "40"),
+    ("profile", "--m-max", "6"),
+    ("toric",),
+    ("ring", "--max-degree", "4"),
+)
+
+
+def test_typed_unknown_check_agrees_with_the_serialized_scan(tmp_path):
+    extra = {"undecided.json": UNDECIDED_DOC, "genus_two.json": GENUS_TWO_DOC}
+    for name, text in extra.items():
+        (tmp_path / name).write_text(text)
+    docs = [*sorted(DATA.glob("*.json")), *sorted(GOLDEN_DOCUMENTS.glob("*.json"))]
+    docs += [tmp_path / name for name in extra]
+    outcomes = set()
+    for doc in docs:
+        d = parse_problem(doc.read_text(encoding="utf-8"))
+        for argv in TYPED_CHECK_ARGV:
+            args = build_parser().parse_args([*argv, str(doc)])
+            try:
+                result, _ = cli._analyze(args.command, d, args)
+            except PolydivError:
+                continue
+            want = reference_has_unknown(report_payload(result))
+            assert cli._undecided(result) == want, (doc.name, argv)
+            outcomes.add((argv[0], want))
+    assert {("classify", True), ("classify", False), ("h1", True), ("h1", False)} <= outcomes
+    assert {("cm", True), ("proper", True), ("rational", True), ("elliptic", False)} <= outcomes

@@ -462,6 +462,18 @@ def test_make_cone_of_parabola_generators_is_fast():
     assert cone == Cone(rays=tuple(sorted(extreme)), rank=3, pointed=True)
 
 
+def test_double_description_of_two_hundred_parabola_rays_is_fast():
+    # tight sets rebuilt against every processed normal at each step made
+    # this cubic in the number of rays: 21.5 million dot products
+    gens = [(i, i * i, 1) for i in range(200)]
+    start = perf_counter()
+    cone = make_cone(gens, 3)
+    dual = dual_cone(cone)
+    assert perf_counter() - start < 2.0
+    assert cone == Cone(rays=tuple(gens), rank=3, pointed=True)
+    assert dual.pointed and len(dual.rays) == 200
+
+
 def test_trivial_tail_toric_cone_decides_no_feasibility(monkeypatch):
     k, n = 8, 4
     doc = {

@@ -23,6 +23,7 @@ from polydiv.problem_io import (
     MAX_COEFFICIENTS,
     MAX_DIGITS,
     MAX_LATTICE_RANK,
+    MAX_RAYS,
     MAX_VERTICES,
     emit_problem,
     emit_report,
@@ -220,6 +221,40 @@ def test_number_of_vertices_is_capped():
     with pytest.raises(InvalidInputError) as exc:
         parse_problem(_sized_document(vertices=MAX_VERTICES + 1))
     assert exc.value.violations == [f"coefficients[0].vertices: at most {MAX_VERTICES} are supported"]
+
+
+def test_number_of_tail_rays_is_capped():
+    def fan_document(count):
+        return json.dumps(
+            {
+                "lattice_rank": 2,
+                "tail_cone": {"rays": [[1, k] for k in range(count)]},
+                "base": {"kind": "affine_space", "dim": 1},
+                "coefficients": [{"point": {"hyperplane": 1}, "vertices": [[0, 0]]}],
+            }
+        )
+
+    assert parse_problem(fan_document(MAX_RAYS)).tail.rays == ((1, 0), (1, MAX_RAYS - 1))
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(fan_document(MAX_RAYS + 1))
+    assert exc.value.violations == [f"tail_cone.rays: at most {MAX_RAYS} are supported"]
+
+
+def test_number_of_extra_rays_is_capped():
+    def extra_document(count):
+        return json.dumps(
+            {
+                "lattice_rank": 1,
+                "tail_cone": {"rays": [[1]]},
+                "base": {"kind": "P1"},
+                "coefficients": [{"point": "0", "vertices": [["1/2"]], "extra_rays": [[k + 1] for k in range(count)]}],
+            }
+        )
+
+    parse_problem(extra_document(MAX_RAYS))
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(extra_document(MAX_RAYS + 1))
+    assert exc.value.violations == [f"coefficients[0].extra_rays: at most {MAX_RAYS} are supported"]
 
 
 def test_malformed_json_reports_position():
