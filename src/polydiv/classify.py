@@ -53,12 +53,6 @@ from .pdiv import (
 from .verdicts import Verdict
 
 
-def _is_projective_curve(d: PolyhedralDivisor) -> bool:
-    from .pdiv import AffineSpace
-
-    return not isinstance(d.base, AffineSpace) and d.base.projective
-
-
 def _floor_degrees(slopes: tuple[RaySlope, ...], m_max: int) -> tuple[int, ...]:
     """deg of the rounded-down evaluation at m = 0 .. m_max, from the slopes alone."""
     return tuple(sum((m * s.p) // s.q for s in slopes) for m in range(m_max + 1))
@@ -71,7 +65,7 @@ def _floor_at(d: PolyhedralDivisor, unit: tuple[int, ...], m: int) -> QDivisor:
 
 def floor_degree_profile(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
     """deg of the rounded-down evaluation at m = 0 .. m_max (rank one)."""
-    if not _is_projective_curve(d):
+    if not d.base.projective:
         raise CurveDomainError("floor degrees need a projective base curve")
     return _floor_degrees(ray_slopes(d), m_max)
 
@@ -98,25 +92,22 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
     satisfies 0 <= mu_i and mu_i <= cap_i |det R|. Chambers and box points
     are scanned in a fixed order; the witness is the first violating weight.
     """
-    if not _is_projective_curve(d):
+    if not d.base.projective:
         raise CurveDomainError("floor-degree bounds need a projective base curve")
     count = len(d.coefficients)
     if count == 0:
         return None if c <= 0 else tuple(0 for _ in range(d.rank))
-    fan = d.fan
-    ray_degree: dict[tuple[int, ...], Fraction] = {}
-    for u in fan.all_rays():
-        g = degree(evaluate(d, u))
+    ray_degree = d.ray_degrees
+    for u, g in ray_degree.items():
         if g < 0:
             raise NotProperError(
                 f"degree {g} at weight {u}: the divisor is not semiample there",
                 witness=ratvec(u),
             )
-        ray_degree[u] = g
     bound = Fraction(count + c)
     if bound <= 0:
         return None
-    for chamber in fan.chambers:
+    for chamber in d.fan.chambers:
         witness = _search_chamber(d, chamber, ray_degree, bound, c)
         if witness is not None:
             return witness
@@ -180,7 +171,7 @@ def rational_singularities(d: PolyhedralDivisor) -> RationalReport:
     evaluation has degree at least -1; the bounded search decides it exactly.
     """
     require_proper(d)
-    if not _is_projective_curve(d):
+    if not d.base.projective:
         return RationalReport(Verdict.YES, "affine-base")
     g = d.base.genus
     if g >= 1:
@@ -218,7 +209,7 @@ def cohen_macaulay(d: PolyhedralDivisor, isolated: bool = False) -> CohenMacaula
     isolated; otherwise the question is left open.
     """
     require_proper(d)
-    if not _is_projective_curve(d):
+    if not d.base.projective:
         return CohenMacaulayReport(Verdict.YES, "affine-base")
     if d.rank == 1:
         return CohenMacaulayReport(Verdict.YES, "normal-surface")
@@ -263,7 +254,7 @@ def gorenstein(d: PolyhedralDivisor) -> GorensteinReport:
     divisor differs from the canonical divisor of the base by a principal one.
     """
     require_proper(d)
-    if not _is_projective_curve(d):
+    if not d.base.projective:
         return GorensteinReport(Verdict.NOT_APPLICABLE, "affine-base")
     if d.rank != 1:
         return GorensteinReport(Verdict.NOT_APPLICABLE, "higher-rank-criteria-unavailable")
@@ -341,7 +332,7 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     slopes, and no later weight can change the verdict or the witness.
     """
     require_proper(d)
-    if not _is_projective_curve(d):
+    if not d.base.projective:
         return EllipticReport(Verdict.NO, "affine-base-rational")
     if d.rank != 1:
         return EllipticReport(Verdict.UNKNOWN, "higher-rank-criteria-unavailable")
@@ -437,7 +428,7 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     period lcm(q) of the slopes, as they always have.
     """
     require_proper(d)
-    if not _is_projective_curve(d):
+    if not d.base.projective:
         raise CurveDomainError("cohomology reports need a projective base curve")
     unit = unit_weight(d)
     slopes = ray_slopes(d)
@@ -514,7 +505,7 @@ def classify_report(d: PolyhedralDivisor, isolated: bool = False) -> ClassifyRep
         )
 
     rational = rational_singularities(d)
-    if _is_projective_curve(d) and d.rank > 1:
+    if d.base.projective and d.rank > 1:
         cm = _cohen_macaulay_given(d, rational, isolated)
     else:
         cm = cohen_macaulay(d, isolated=isolated)
@@ -522,7 +513,7 @@ def classify_report(d: PolyhedralDivisor, isolated: bool = False) -> ClassifyRep
     ell = elliptic_singularity(d)
     minimal = minimal_elliptic_verdict(ell, gor)
     h1 = None
-    if d.rank == 1 and _is_projective_curve(d):
+    if d.rank == 1 and d.base.projective:
         h1 = h1_report(d)
 
     _check_consistency(rational, ell, h1)

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (cone arithmetic, chamber fans, section-ring kernels)
-reduces to a handful of primitives implemented here: reduced row echelon form,
-determinants and integer adjugates, kernels, and ray enumeration for
-homogeneous inequality systems by double description. Every cone question in
-the package (duals, membership, redundancy, pointedness, full dimension) is
-answered by that one kernel; there is no Fourier-Motzkin elimination.
+reduces to a handful of primitives implemented here: an echelon basis,
+determinants and integer adjugates, and ray enumeration for homogeneous
+inequality systems by double description. The echelon basis, extended one
+row at a time, is the one elimination kernel: ranks, kernels (relations)
+and the section-ring presentation are read off it; determinant keeps its own
+elimination for the signed pivot product. Every cone question in the package
+(duals, membership, redundancy, pointedness, full dimension) is answered by
+double description; there is no Fourier-Motzkin elimination.
 
 Double description combines a pair of rays on opposite sides of a new
 hyperplane only when the two rays are adjacent: no third ray is tight on
@@ -65,32 +68,81 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+class EchelonBasis:
+    """Row echelon basis of a span that grows one row at a time.
+
+    rows maps each pivot column to its row, in the order the rows came: a
+    row is 1 at its pivot and 0 at the pivots of the rows before it, so a new
+    row reduced by them in that order is 0 at every pivot. The pivots of an
+    echelon basis are those of the reduced echelon form, which the span
+    alone determines, so they do not depend on the order of the rows.
+    Entries become Fractions on entry.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, list[Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row) -> list[Fraction]:
+        """row minus its combination of the basis rows: 0 at every pivot."""
+        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+        for c, basis_row in self.rows.items():
+            f = row[c]
+            if f != 0:
+                row = [x - f * y if y else x for x, y in zip(row, basis_row)]
+        return row
+
+    def add(self, row) -> bool:
+        """Extend the basis by row; False when row is already in the span."""
+        row = self.reduce(row)
+        lead = next((c for c, x in enumerate(row) if x != 0), None)
+        if lead is None:
+            return False
+        inv = 1 / row[lead]
+        self.rows[lead] = [x * inv for x in row]
+        return True
 
 
 def matrix_rank(rows) -> int:
-    return len(rref(rows)[1]) if rows else 0
+    basis = EchelonBasis()
+    for row in rows:
+        basis.add(row)
+    return basis.rank
+
+
+def relations(vectors, width: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the linear relations among vectors of length width.
+
+    Each vector enters an echelon basis with a unit vector appended at the
+    slot it takes if it is independent of the vectors before it (width slots
+    suffice; the unit vector is 0 once all are taken). When its first width
+    entries reduce to 0, the slots hold minus its unique coordinates over the
+    earlier independent vectors: the relation is 1 at its own index and those
+    coordinates at theirs. That is the kernel vector a reduced row echelon
+    form of the matrix with these columns gives at that free column, so the
+    basis is the same, in the same order.
+    """
+    basis = EchelonBasis()
+    independent: list[int] = []
+    out = []
+    for k, v in enumerate(vectors):
+        if len(v) != width:
+            raise RankMismatchError(f"vector {k} has length {len(v)}, expected {width}")
+        slot = len(independent)
+        row = basis.reduce([*v, *(int(i == slot) for i in range(width))])
+        if any(row[:width]):
+            basis.add(row)
+            independent.append(k)
+            continue
+        rel = [Fraction(0)] * len(vectors)
+        rel[k] = Fraction(1)
+        for s, i in enumerate(independent):
+            rel[i] = row[width + s]
+        out.append(tuple(rel))
+    return out
 
 
 def determinant(rows) -> Fraction:
@@ -135,22 +187,6 @@ def adjugate(rows) -> list[list[int]]:
             minor = [list(row[:j]) + list(row[j + 1 :]) for r, row in enumerate(rows) if r != i]
             adj[j][i] = (-1) ** (i + j) * int(determinant(minor))
     return adj
-
-
-def kernel_basis(rows, ncols):
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(tuple(v))
-    return basis
 
 
 def cone_from_inequalities(normals, rank: int):

@@ -15,9 +15,11 @@ decomposition of the weight cone.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .curves import (
     CurveModel,
@@ -95,10 +97,10 @@ class PolyhedralDivisor:
     the factory. weight_cone is the dual of the tail cone, the set of weights
     where every evaluation is finite.
 
-    The chamber fan, the properness report and the rank-one slopes are
-    derived once per divisor and kept on it (``fan``, ``properness``,
-    ``slopes``); they are not fields, so they take no part in equality or
-    hashing. A failed derivation is not kept.
+    The chamber fan, the degrees along its rays, the properness report and
+    the rank-one slopes are derived once per divisor and kept on it (``fan``,
+    ``ray_degrees``, ``properness``, ``slopes``); they are not fields, so they
+    take no part in equality or hashing. A failed derivation is not kept.
     """
 
     base: DivisorBase
@@ -121,6 +123,11 @@ class PolyhedralDivisor:
     def fan(self) -> ChamberFan:
         """Common linearity decomposition of the weight cone for all coefficients."""
         return chamber_fan([poly for _, poly in self.coefficients], self.weight_cone)
+
+    @cached_property
+    def ray_degrees(self) -> Mapping[tuple[int, ...], Fraction]:
+        """degree(evaluate(d, u)) at every ray u of the chamber fan, in fan order."""
+        return MappingProxyType({u: degree(evaluate(self, u)) for u in self.fan.all_rays()})
 
     @cached_property
     def properness(self) -> PropernessReport:
@@ -276,7 +283,7 @@ def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
 
 def degree_polyhedron(d: PolyhedralDivisor) -> TailedPolyhedron:
     """Minkowski sum of all coefficients; encodes the degree of every evaluation."""
-    if not (_is_curve_base(d.base) and d.base.projective):
+    if not d.base.projective:
         raise CurveDomainError("the degree polyhedron needs a projective base curve")
     acc = make_polyhedron([tuple(0 for _ in range(d.rank))], d.tail)
     for _, poly in d.coefficients:
@@ -309,7 +316,7 @@ def is_proper(d: PolyhedralDivisor) -> PropernessReport:
 
 
 def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
-    if not _is_curve_base(d.base) or not d.base.projective:
+    if not d.base.projective:
         return PropernessReport(Verdict.YES, "affine base: properness is automatic")
 
     if d.tail.is_trivial:
@@ -329,14 +336,12 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
         )
 
     try:
-        fan = d.fan
+        ray_degrees = d.ray_degrees
     except UnsupportedRankError as exc:
         return PropernessReport(Verdict.UNKNOWN, f"undecided: {exc}")
 
-    rays = fan.all_rays()
     degree_zero_rays = []
-    for u in rays:
-        deg_u = degree(evaluate(d, u))
+    for u, deg_u in ray_degrees.items():
         if deg_u < 0:
             return PropernessReport(
                 Verdict.NO,
@@ -346,7 +351,7 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
         if deg_u == 0:
             degree_zero_rays.append(u)
 
-    sample = _interior_sample(rays, d.rank)
+    sample = _interior_sample(ray_degrees, d.rank)
     if degree(evaluate(d, sample)) <= 0:
         return PropernessReport(
             Verdict.NO,
@@ -402,7 +407,7 @@ def contraction_iso_codim1(d: PolyhedralDivisor) -> Verdict:
     meets the degree polyhedron, so the answer is yes precisely when every
     tail ray misses it.
     """
-    if not _is_curve_base(d.base) or not d.base.projective:
+    if not d.base.projective:
         return Verdict.YES
     deg_poly = degree_polyhedron(d)
     for ray in d.tail.rays:

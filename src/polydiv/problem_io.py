@@ -63,13 +63,15 @@ _BASE_KINDS = ("P1", "elliptic", "abstract", "affine_line", "affine_space")
 
 # Longest numerator or denominator accepted, in decimal digits; then the
 # largest rank, affine dimension, coefficient count and vertices per
-# coefficient, and the most tail rays and extra_rays per coefficient.
+# coefficient, the most tail rays and extra_rays per coefficient, and the
+# largest genus of an abstract base (the h1 listing grows with it).
 MAX_DIGITS = 100
 MAX_LATTICE_RANK = 32
 MAX_AFFINE_DIM = 32
 MAX_COEFFICIENTS = 128
 MAX_VERTICES = 128
 MAX_RAYS = 128
+MAX_GENUS = 1000
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
@@ -188,6 +190,9 @@ def _parse_base(obj, violations: list):
         genus = obj.get("genus")
         if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
             violations.append(f"{path}.genus: expected a nonnegative integer")
+            return None
+        if genus > MAX_GENUS:
+            violations.append(f"{path}.genus: at most {MAX_GENUS} is supported")
             return None
         return AbstractProjectiveCurve(genus)
     if kind == "affine_line":

@@ -24,10 +24,10 @@ sum of e_z over the steps = n_z(M) - sum_i a_i n_z(m_i), with M = sum_i a_i m_i,
 so the monomial x^a is evaluated in one step as
 prod_i g_i^{a_i} * prod_z (t - z)^{n_z(M) - sum_i a_i n_z(m_i)},
 a shift of one correction polynomial when every g_i is a power of t.
-Generators and new relations are read off one echelon basis per degree,
-extended one row at a time; its pivots are those of the reduced echelon
-form, which is unique, so the choices are those of a fresh rref of all the
-rows.
+Generators, kernels and new relations are read off echelon bases
+(linalg.EchelonBasis) extended one row at a time; their pivots are those of
+the reduced echelon form, which is unique, so the choices are those of a
+fresh rref of all the rows.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, InternalError, ShapeError
-from .linalg import kernel_basis
+from .linalg import EchelonBasis, relations
 from .pdiv import PolyhedralDivisor, RaySlope, ray_slopes
 
 Vector = tuple[Fraction, ...]
@@ -79,9 +79,6 @@ def monomial_basis(d: PolyhedralDivisor, m: int) -> tuple[Vector, ...]:
 
 def hilbert_series(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
     """Dimensions of the graded pieces for m = 0 .. m_max."""
-    _require_line_base(d)
-    if m_max < 0:
-        raise ShapeError("the series needs a nonnegative truncation degree")
     return _RingTable(d, m_max).dims
 
 
@@ -113,15 +110,6 @@ def _correction_poly(finite, exponents):
     return poly
 
 
-def _correction(slopes, m1: int, m2: int):
-    """Coefficients of prod (t - z)^{e_z} over the finite marked points."""
-    finite = _finite(slopes)
-    exponents = [
-        _floor_coeff(s, m1 + m2) - _floor_coeff(s, m1) - _floor_coeff(s, m2) for s in finite
-    ]
-    return _correction_poly(finite, exponents)
-
-
 class _RingTable:
     """The facts about one ring up to a degree, built once per presentation.
 
@@ -132,6 +120,7 @@ class _RingTable:
 
     def __init__(self, d: PolyhedralDivisor, max_degree: int):
         slopes = _require_line_base(d)
+        _check_degree(max_degree)
         self.finite = _finite(slopes)
         degrees = range(max_degree + 1)
         self.floors = tuple(tuple(_floor_coeff(s, m) for s in self.finite) for m in degrees)
@@ -145,57 +134,28 @@ class _RingTable:
         return poly
 
 
-class _EchelonBasis:
-    """Row echelon basis of a span that grows one row at a time.
-
-    rows maps each pivot column to its row, in the order the rows came: a
-    row is 1 at its pivot and 0 at the pivots of the rows before it, so a new
-    row reduced by them in that order is 0 at every pivot. The pivots of an
-    echelon basis are those of the reduced echelon form, which the span
-    alone determines, so they do not depend on the order of the rows.
-    """
-
-    def __init__(self):
-        self.rows: dict[int, list[Fraction]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, row) -> bool:
-        """Extend the basis by row; False when row is already in the span."""
-        row = list(row)
-        for c, basis_row in self.rows.items():
-            f = row[c]
-            if f != 0:
-                row = [x - f * y if y else x for x, y in zip(row, basis_row)]
-        lead = next((c for c, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            return False
-        inv = 1 / row[lead]
-        self.rows[lead] = [x * inv for x in row]
-        return True
-
-
 def multiply_sections(
     d: PolyhedralDivisor, m1: int, vec1, m2: int, vec2
 ) -> Vector:
     """Product of a degree-m1 and a degree-m2 section, in the m1+m2 basis."""
-    slopes = _require_line_base(d)
+    table = _RingTable(d, m1 + m2)
     _check_degree(m1)
     _check_degree(m2)
     v1 = tuple(Fraction(x) for x in vec1)
     v2 = tuple(Fraction(x) for x in vec2)
     for m, v in ((m1, v1), (m2, v2)):
-        dim = graded_dimension(d, m)
+        dim = table.dims[m]
         if len(v) != dim:
             raise ShapeError(
                 f"a degree-{m} section has {dim} coordinates, got {len(v)}"
             )
         if dim == 0:
             raise ShapeError(f"the ring has no sections in degree {m}")
-    target = graded_dimension(d, m1 + m2)
-    prod = _poly_mul(_poly_mul(v1, v2), _correction(slopes, m1, m2))
+    floors, target = table.floors, table.dims[m1 + m2]
+    corr = table.correction(
+        tuple(a - b - c for a, b, c in zip(floors[m1 + m2], floors[m1], floors[m2]))
+    )
+    prod = _poly_mul(_poly_mul(v1, v2), corr)
     if any(c != 0 for c in prod[target:]):
         raise InternalError(f"product of degrees {m1} and {m2} leaves the degree-{m1 + m2} piece")
     prod = prod[:target]
@@ -219,7 +179,7 @@ def _minimal_generators(table: _RingTable) -> tuple[RingGenerator, ...]:
             continue
         # the products of lower pieces i + j = m span corr_ij * t^shift for
         # every shift below dims[i] + dims[j] - 1; stop once they fill piece m
-        span = _EchelonBasis()
+        span = EchelonBasis()
         for i in range(1, m // 2 + 1):
             j = m - i
             if dims[i] == 0 or dims[j] == 0:
@@ -246,13 +206,6 @@ def _minimal_generators(table: _RingTable) -> tuple[RingGenerator, ...]:
     return tuple(gens)
 
 
-def _generator_table(d: PolyhedralDivisor, max_degree: int) -> _RingTable:
-    _require_line_base(d)
-    if max_degree < 0:
-        raise ShapeError("the generator search needs a nonnegative degree bound")
-    return _RingTable(d, max_degree)
-
-
 def minimal_generators(d: PolyhedralDivisor, max_degree: int) -> tuple[RingGenerator, ...]:
     """Minimal algebra generators in degrees 1 .. max_degree.
 
@@ -260,7 +213,7 @@ def minimal_generators(d: PolyhedralDivisor, max_degree: int) -> tuple[RingGener
     non-pivot columns of the span of products of lower pieces; that span is
     exactly the decomposable part of the piece.
     """
-    return _minimal_generators(_generator_table(d, max_degree))
+    return _minimal_generators(_RingTable(d, max_degree))
 
 
 def _monomials(degrees, total: int):
@@ -362,13 +315,12 @@ def _relation_blocks(table: _RingTable, gens) -> tuple[RelationBlock, ...]:
             continue
         vectors = [_eval_monomial(table, factors, a, total) for a in monos]
         target = table.dims[total]
-        matrix = [[v[i] for v in vectors] for i in range(target)]
-        kernel = kernel_basis(matrix, len(monos))
+        kernel = relations(vectors, target)
         new: list[Vector] = []
         if kernel:
             # shifts of lower relations are relations: once they span the
             # kernel, no kernel vector is new
-            span = _EchelonBasis()
+            span = EchelonBasis()
             for vec in _shifted_relations(blocks, degrees, monos, total):
                 if span.rank == len(kernel):
                     break
@@ -409,11 +361,9 @@ def relation_blocks(
     d: PolyhedralDivisor, max_degree: int, gens=None
 ) -> tuple[RelationBlock, ...]:
     """Relation spaces per degree, for all degrees carrying a monomial."""
+    table = _RingTable(d, max_degree)
     if gens is None:
-        table = _generator_table(d, max_degree)
         gens = _minimal_generators(table)
-    else:
-        table = _RingTable(d, max_degree)
     return _relation_blocks(table, gens)
 
 
@@ -428,7 +378,7 @@ class RingPresentation:
 
 
 def ring_presentation(d: PolyhedralDivisor, max_degree: int) -> RingPresentation:
-    table = _generator_table(d, max_degree)
+    table = _RingTable(d, max_degree)
     gens = _minimal_generators(table)
     return RingPresentation(
         max_degree=max_degree,

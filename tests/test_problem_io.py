@@ -22,6 +22,7 @@ from polydiv.problem_io import (
     MAX_AFFINE_DIM,
     MAX_COEFFICIENTS,
     MAX_DIGITS,
+    MAX_GENUS,
     MAX_LATTICE_RANK,
     MAX_RAYS,
     MAX_VERTICES,
@@ -238,6 +239,24 @@ def test_number_of_tail_rays_is_capped():
     with pytest.raises(InvalidInputError) as exc:
         parse_problem(fan_document(MAX_RAYS + 1))
     assert exc.value.violations == [f"tail_cone.rays: at most {MAX_RAYS} are supported"]
+
+
+def test_genus_of_an_abstract_base_is_capped():
+    def genus_document(genus):
+        return json.dumps(
+            {
+                "lattice_rank": 1,
+                "tail_cone": {"rays": [[1]]},
+                "base": {"kind": "abstract", "genus": genus},
+                "coefficients": [{"point": "p", "vertices": [["1/2"]]}],
+            }
+        )
+
+    assert parse_problem(genus_document(MAX_GENUS)).base.genus == MAX_GENUS
+    for genus in (MAX_GENUS + 1, 100000):
+        with pytest.raises(InvalidInputError) as exc:
+            parse_problem(genus_document(genus))
+        assert exc.value.violations == [f"base.genus: at most {MAX_GENUS} is supported"]
 
 
 def test_number_of_extra_rays_is_capped():

@@ -250,10 +250,20 @@ def test_section_rings_need_rank_one():
 
 
 def test_negative_truncation_degree_is_rejected():
+    d = golden("one")
     with pytest.raises(ShapeError):
-        hilbert_series(golden("one"), -1)
+        hilbert_series(d, -1)
     with pytest.raises(ShapeError):
-        graded_dimension(golden("one"), -2)
+        graded_dimension(d, -2)
+    gens = minimal_generators(d, 6)
+    for call in (
+        lambda: minimal_generators(d, -1),
+        lambda: relation_blocks(d, -1),
+        lambda: relation_blocks(d, -1, gens),
+        lambda: ring_presentation(d, -1),
+    ):
+        with pytest.raises(ShapeError):
+            call()
 
 
 def test_ring_presentation_evaluates_each_coefficient_once(monkeypatch):
