@@ -402,9 +402,10 @@ def minimal_elliptic_verdict(elliptic: EllipticReport, gor: GorensteinReport) ->
 class H1Report:
     """First cohomology of the rounded-down evaluations, weight by weight.
 
-    bound is an index beyond which every entry provably vanishes, at least
-    the period lcm(q) of the slopes; total sums the whole series and is None
-    when some entry is undecidable.
+    bound is an index beyond which every entry provably vanishes,
+    max(ceil((count + max(2g - 2, 0)) / deg1), 1) for count marked points of
+    total slope deg1 on a base of genus g; the default listing ends there.
+    total sums the whole series and is None when some entry is undecidable.
     """
 
     bound: int
@@ -423,9 +424,11 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     Rounding down loses less than one unit per marked point, so the degree
     at m exceeds m * deg1 - count, which is at least 2g - 2 once
     m >= (count + 2g - 2) / deg1. Past that weight H^1 vanishes on every
-    base model, so entries are computed only up to it and the rest are 0.
-    The reported bound and the default listing length still reach the
-    period lcm(q) of the slopes, as they always have.
+    base model: these are the only nonzero summands of
+    R^1 pi_* O = sum_m H^1(Y, O(floor D(m))). Entries are computed up to it,
+    the total is their sum, and an m_max beyond it lists 0 for the rest.
+    Nothing depends on the period lcm(q) of the slopes, so neither the work
+    nor the listing grows with the denominators.
     """
     require_proper(d)
     if not d.base.projective:
@@ -435,19 +438,16 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     count = len(slopes)
     deg1 = sum((s.value for s in slopes), Fraction(0))
     genus = d.base.genus
-    period = lcm(*[s.q for s in slopes]) if slopes else 1
-    bound = max(ceil(Fraction(count + max(2 * genus - 2, 0)) / deg1), period, 1)
-    top = bound if m_max is None else m_max
-    last = max(bound, top)
-    vanish = min(max(ceil(Fraction(count + 2 * genus - 2) / deg1), 0), last)
+    bound = max(ceil(Fraction(count + max(2 * genus - 2, 0)) / deg1), 1)
+    vanish = max(ceil(Fraction(count + 2 * genus - 2) / deg1), 0)
 
     def entry(m: int, deg: int) -> int | None:
         return h1_dim_of_degree(d.base, deg, lambda: is_principal(_floor_at(d, unit, m)))
 
     values = [entry(m, deg) for m, deg in enumerate(_floor_degrees(slopes, vanish))]
-    values += [0] * (last - vanish)
-    series = values[: bound + 1]
-    total = None if None in series else sum(series)
+    total = None if None in values else sum(values)
+    top = bound if m_max is None else m_max
+    values += [0] * (top - vanish)
     return H1Report(bound=bound, entries=tuple(enumerate(values[: top + 1])), total=total)
 
 

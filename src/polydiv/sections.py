@@ -137,23 +137,31 @@ class _RingTable:
 def multiply_sections(
     d: PolyhedralDivisor, m1: int, vec1, m2: int, vec2
 ) -> Vector:
-    """Product of a degree-m1 and a degree-m2 section, in the m1+m2 basis."""
-    table = _RingTable(d, m1 + m2)
+    """Product of a degree-m1 and a degree-m2 section, in the m1+m2 basis.
+
+    Only the three degrees involved are looked at, so the cost does not grow
+    with m1 + m2 beyond the sizes of the vectors.
+    """
+    slopes = _require_line_base(d)
     _check_degree(m1)
     _check_degree(m2)
     v1 = tuple(Fraction(x) for x in vec1)
     v2 = tuple(Fraction(x) for x in vec2)
     for m, v in ((m1, v1), (m2, v2)):
-        dim = table.dims[m]
+        dim = _dimension(slopes, m)
         if len(v) != dim:
             raise ShapeError(
                 f"a degree-{m} section has {dim} coordinates, got {len(v)}"
             )
         if dim == 0:
             raise ShapeError(f"the ring has no sections in degree {m}")
-    floors, target = table.floors, table.dims[m1 + m2]
-    corr = table.correction(
-        tuple(a - b - c for a, b, c in zip(floors[m1 + m2], floors[m1], floors[m2]))
+    finite, target = _finite(slopes), _dimension(slopes, m1 + m2)
+    corr = _correction_poly(
+        finite,
+        tuple(
+            _floor_coeff(s, m1 + m2) - _floor_coeff(s, m1) - _floor_coeff(s, m2)
+            for s in finite
+        ),
     )
     prod = _poly_mul(_poly_mul(v1, v2), corr)
     if any(c != 0 for c in prod[target:]):

@@ -490,6 +490,29 @@ def reference_h1(d, m_max=None):
     return H1Report(bound, tuple(enumerate(values[: top + 1])), total)
 
 
+def vanishing_bound(d):
+    """The index past which every h1 entry vanishes, from the count and deg1 alone."""
+    excess = max(2 * d.base.genus - 2, 0)
+    return max(ceil(Fraction(len(d.coefficients) + excess) / degree(evaluate(d, 1))), 1)
+
+
+def assert_h1_within_reference(got, want, d, m_max):
+    """got stops listing at the vanishing degree; want is a period-length listing.
+
+    The totals agree, got.bound is the vanishing bound and at most the
+    reference's, got lists a prefix of the reference (all of it for an
+    explicit m_max), and the reference itself is 0 past got.bound.
+    """
+    assert got.total == want.total, d
+    assert got.bound == vanishing_bound(d) <= want.bound, d
+    if m_max is None:
+        assert len(got.entries) == got.bound + 1, d
+        assert got.entries == want.entries[: len(got.entries)], d
+    else:
+        assert got.entries == want.entries, d
+    assert all(v == 0 for m, v in want.entries if m > got.bound), d
+
+
 def reference_elliptic(d):
     """elliptic_singularity rebuilt from the rounded-down divisors themselves."""
     ev1 = evaluate(d, 1)
@@ -571,7 +594,7 @@ def test_floor_degree_kernel_matches_divisor_reference():
         for d in random_kernel_family(rng, base, pool, 40, 300):
             m_max = rng.choice((None, None, rng.randint(0, 400)))
             kernel = h1_report(d, m_max)
-            assert kernel == reference_h1(d, m_max), d
+            assert_h1_within_reference(kernel, reference_h1(d, m_max), d, m_max)
             elliptic = elliptic_singularity(d)
             assert elliptic == reference_elliptic(d), d
             criteria.add(elliptic.criterion)
@@ -663,7 +686,7 @@ def test_scans_stopping_at_the_vanishing_degree_match_the_period_scans():
                 continue
             m_max = rng.choice((None, rng.randint(0, want.bound), want.bound + rng.randint(1, 50)))
             got = h1_report(d, m_max)
-            assert got == period_scan_h1(d, m_max), d
+            assert_h1_within_reference(got, period_scan_h1(d, m_max), d, m_max)
             ell = elliptic_singularity(d)
             assert ell == period_scan_elliptic(d), d
             criteria.add(ell.criterion)
@@ -695,5 +718,16 @@ def test_elliptic_hit_one_weight_before_the_scan_bound(slopes, hit):
     assert report == EllipticReport(Verdict.YES, "unique-floor-degree-minus-two", witness_m=hit)
     if hit == 12:  # a period of 265,655; the others take seconds to scan
         assert report == period_scan_elliptic(d)
-        assert h1_report(d) == period_scan_h1(d)
+        assert_h1_within_reference(h1_report(d), period_scan_h1(d), d, None)
 
+
+def test_h1_bound_does_not_depend_on_the_period():
+    # the same count and deg1, with periods 10 * 97 * 101 * 103 and 7 times that
+    points = (p1_point(0), p1_point(1), p1_point(2), P1_INFINITY)
+    small = (Fraction(-1, 97), Fraction(-1, 101), Fraction(-1, 103), Fraction(1, 10))
+    large = small[:2] + (small[2] - Fraction(1, 7), small[3] + Fraction(1, 7))
+    a, b = (rank1(P1, dict(zip(points, slopes))) for slopes in (small, large))
+    assert lcm(*(s.denominator for s in large)) == 7 * lcm(*(s.denominator for s in small))
+    got_a, got_b = h1_report(a), h1_report(b)
+    assert got_a.bound == got_b.bound == vanishing_bound(a) == 58
+    assert len(got_a.entries) == len(got_b.entries) == 59

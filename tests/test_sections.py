@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,24 @@ def test_multiplication_validates_inputs():
         multiply_sections(d, 1, (), 3, (1,))
     with pytest.raises(ShapeError):
         multiply_sections(d, -1, (1,), 3, (1,))
+
+
+def test_multiplication_reads_only_the_three_degrees_involved():
+    # the slopes of tests/golden/documents/ring_p1.json; the cost of one
+    # product must not grow with m1 + m2
+    d = rank1(
+        P1,
+        {p1_point(0): Fraction(-3, 7), p1_point(1): Fraction(-5, 11), P1_INFINITY: Fraction(1)},
+    )
+    big, small = 10**6, 2
+    vec = (1,) + (0,) * (graded_dimension(d, big) - 1)
+    start = time.perf_counter()
+    prod = multiply_sections(d, big, vec, small, (1,))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    # 1 * 1 times a correction prod (t - z)^{e_z} with e_z in {0, 1}
+    assert len(prod) == graded_dimension(d, big + small)
+    assert prod[2] in (0, 1) and not any(prod[3:])
 
 
 def test_generators_of_golden_one():
