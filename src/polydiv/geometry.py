@@ -4,17 +4,23 @@ Values are immutable and canonical, read off one double description each.
 Pointed cones store the sorted primitive generators of their extreme rays;
 other cones their extreme rays modulo lines plus each line both ways, as
 dual_cone does. Polyhedra store exactly their extreme points plus a pointed
-tail cone. Support minima are exact Fractions, with an explicit
-MinusInfinity object when the functional is unbounded below on the polyhedron.
+tail cone, and keep their vertices cleared to integers over one common
+denominator, on which support minima at integral weights are taken in int.
+Support minima are exact Fractions, with an explicit MinusInfinity object
+when the functional is unbounded below on the polyhedron. A chamber-fan
+region is its double description, and each cut extends it by one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from math import lcm
 
 from .errors import RankMismatchError, ShapeError, UnsupportedRankError
 from .linalg import (
+    DoubleDescription,
     cone_from_inequalities,
     dot,
     is_zero,
@@ -45,7 +51,7 @@ MINUS_INFINITY = MinusInfinity()
 
 
 def ratvec(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in values)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,14 @@ class TailedPolyhedron:
     def rank(self) -> int:
         return self.tail.rank
 
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(numerators, denominator): the vertices, in order, as integer
+        vectors over one common positive denominator. Kept on the value,
+        outside equality and hashing."""
+        den = lcm(*(x.denominator for v in self.vertices for x in v))
+        return tuple(tuple(int(x * den) for x in v) for v in self.vertices), den
+
 
 def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
     """conv(vertices) + tail, stored as its extreme points.
@@ -169,14 +183,22 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
 
 
 def support_eval(poly: TailedPolyhedron, m):
-    """min{<m, p> : p in the polyhedron}, or MINUS_INFINITY off the tail dual."""
+    """min{<m, p> : p in the polyhedron}, or MINUS_INFINITY off the tail dual.
+
+    An integral weight is paired with the cleared vertices in int.
+    """
     mm = ratvec(m)
     if len(mm) != poly.rank:
         raise RankMismatchError(f"weight {tuple(m)} does not have rank {poly.rank}")
-    for r in poly.tail.rays:
-        if dot(mm, r) < 0:
-            return MINUS_INFINITY
-    return min(dot(mm, v) for v in poly.vertices)
+    integral = all(x.denominator == 1 for x in mm)
+    if integral:
+        mm = tuple(x.numerator for x in mm)
+    if any(dot(mm, r) < 0 for r in poly.tail.rays):
+        return MINUS_INFINITY
+    if not integral:
+        return min(dot(mm, v) for v in poly.vertices)
+    nums, den = poly.cleared
+    return Fraction(min(dot(mm, n) for n in nums), den)
 
 
 def minkowski_sum(p: TailedPolyhedron, q: TailedPolyhedron) -> TailedPolyhedron:
@@ -271,45 +293,39 @@ def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
             return ChamberFan(rank, weight_cone, tuple(chambers))
         raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
 
-    base_normals = list(dual_cone(weight_cone).rays)
-    regions = [tuple(base_normals)]
+    normals = dual_cone(weight_cone).rays
+    regions = [reduce(DoubleDescription.extend, normals, DoubleDescription.whole_space(rank))]
     for n in walls:
-        regions = [piece for region in regions for piece in _split(region, n, rank)]
+        regions = [piece for region in regions for piece in _split(region, n)]
 
     axes = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     chambers: list[Chamber] = []
     queue = list(regions)
     while queue:
-        normals = queue.pop()
-        lines, rays = cone_from_inequalities(normals, rank)
-        if lines:
-            axis = next(a for a in axes if any(dot(a, l) != 0 for l in lines))
-            queue.extend(_split(normals, axis, rank, force=True))
+        dd = queue.pop()
+        if dd.lines:
+            axis = next(a for a in axes if any(dot(a, l) != 0 for l in dd.lines))
+            queue.extend(_split(dd, axis, force=True))
             continue
-        for simplex in _triangulate(rays, rank):
+        for simplex in _triangulate(dd.rays, rank):
             chambers.append(_finish_chamber(simplex, polys))
     chambers.sort(key=lambda ch: ch.rays)
     return ChamberFan(rank, weight_cone, tuple(chambers))
 
 
-def _full_dim(normals, rank: int) -> bool:
-    """Does {x : <n, x> >= 0 for every normal} span the whole space?"""
-    lines, rays = cone_from_inequalities(normals, rank)
-    return matrix_rank(lines + rays) == rank
+def _split(dd, wall, force: bool = False):
+    """Cut a full-dimensional region along a hyperplane, keeping fat pieces.
 
-
-def _split(normals, wall, rank: int, force: bool = False):
-    """Cut a full-dimensional H-cone along a hyperplane, keeping fat pieces."""
-    pos = normals + (wall,)
-    neg = normals + (vec_neg(wall),)
-    pos_ok = _full_dim(pos, rank)
-    neg_ok = _full_dim(neg, rank)
-    if pos_ok and neg_ok:
-        return [pos, neg]
+    The side <wall, x> >= 0 of a full-dimensional cone is full-dimensional
+    exactly when some line has <wall, l> != 0 or some ray has <wall, r> > 0.
+    """
+    side = [dot(wall, r) for r in dd.rays]
+    if any(dot(wall, l) != 0 for l in dd.lines) or (side and min(side) < 0 < max(side)):
+        return [dd.extend(wall), dd.extend(vec_neg(wall))]
     if force:
         # requested split along a lineality axis; both sides must be fat
         raise ShapeError("degenerate region while removing lineality")
-    return [normals]
+    return [dd]
 
 
 def _triangulate(rays, rank: int):
@@ -336,12 +352,13 @@ def _finish_chamber(simplex_rays, polys) -> Chamber:
     sample = tuple(sum(r[c] for r in simplex_rays) for c in range(cone.rank))
     minimizers = []
     for p in polys:
-        best = min(dot(sample, v) for v in p.vertices)
-        candidates = sorted(v for v in p.vertices if dot(sample, v) == best)
-        chosen = candidates[0]
+        # a positive common denominator keeps minima and lexicographic order
+        nums = p.cleared[0]
+        values = [dot(sample, n) for n in nums]
+        best = min(values)
+        chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
         for u in simplex_rays:
-            low = min(dot(u, v) for v in p.vertices)
-            if dot(u, chosen) != low:
+            if dot(u, nums[chosen]) != min(dot(u, n) for n in nums):
                 raise ShapeError("chamber is not a linearity region; internal error")
-        minimizers.append(chosen)
+        minimizers.append(p.vertices[chosen])
     return Chamber(cone=cone, minimizers=tuple(minimizers))

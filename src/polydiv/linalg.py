@@ -6,23 +6,28 @@ determinants and integer adjugates, and ray enumeration for homogeneous
 inequality systems by double description. The echelon basis, extended one
 row at a time, is the one elimination kernel: ranks, kernels (relations)
 and the section-ring presentation are read off it; determinant keeps its own
-elimination for the signed pivot product. Every cone question in the package
-(duals, membership, redundancy, pointedness, full dimension) is answered by
-double description; there is no Fourier-Motzkin elimination.
+fraction-free (Bareiss) elimination in int. Every cone question in the
+package (duals, membership, redundancy, pointedness, full dimension) is
+answered by double description; there is no Fourier-Motzkin elimination.
 
-Double description combines a pair of rays on opposite sides of a new
-hyperplane only when the two rays are adjacent: no third ray is tight on
-every processed inequality on which both are tight (the combinatorial
-adjacency test of Fukuda and Prodon, "Double description method revisited",
-1996). The rays it returns are then extreme and pairwise distinct without
-any further pruning. All arithmetic is fractions.Fraction or int; no floats
-anywhere.
+Double description is one step on an immutable state (DoubleDescription:
+lines, rays, tight sets and the count of processed normals), and
+cone_from_inequalities is its fold over the normals; a caller that cuts one
+cone several ways extends the same state. The step combines a pair of rays
+on opposite sides of a new hyperplane only when the two rays are adjacent:
+no third ray is tight on every processed inequality on which both are tight
+(the combinatorial adjacency test of Fukuda and Prodon, "Double description
+method revisited", 1996). The rays it returns are then extreme and pairwise
+distinct without any further pruning. All arithmetic is fractions.Fraction
+or int, and integer vectors stay in int; no floats anywhere.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 
 from .errors import RankMismatchError, ShapeError
 
@@ -54,18 +59,19 @@ def is_zero(u) -> bool:
 
 
 def primitive(v) -> tuple[int, ...]:
-    """Shortest integer vector on the same ray (zero stays zero)."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    scale = 1
-    for x in fr:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    """Shortest integer vector on the same ray (zero stays zero).
+
+    An all-int vector is divided by the gcd of its entries and never leaves
+    int; only rational entries are cleared of their denominators first.
+    """
+    if not all(isinstance(x, int) for x in v):
+        fr = [Fraction(x) for x in v]
+        scale = lcm(*(x.denominator for x in fr))
+        v = [int(x * scale) for x in fr]
+    g = gcd(*v)
+    if g == 0:
+        return tuple(0 for _ in v)
+    return tuple(x // g for x in v)
 
 
 class EchelonBasis:
@@ -146,26 +152,38 @@ def relations(vectors, width: int) -> list[tuple[Fraction, ...]]:
 
 
 def determinant(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination with exact pivots."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Each row is cleared of its denominators once; the elimination then stays
+    in int, where every Bareiss division is exact, and the result is scaled
+    back by the product of the row denominators.
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise RankMismatchError("determinant needs a square matrix")
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+    m = []
+    scale = 1
+    for row in rows:
+        q = 1
+        if not all(isinstance(x, int) for x in row):
+            row = [Fraction(x) for x in row]
+            q = lcm(*(x.denominator for x in row))
+        m.append([int(x * q) for x in row])
+        scale *= q
+    sign, prev = 1, 1
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
+        p = m[c][c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[c])]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def adjugate(rows) -> list[list[int]]:
@@ -189,66 +207,79 @@ def adjugate(rows) -> list[list[int]]:
     return adj
 
 
+@dataclass(frozen=True)
+class DoubleDescription:
+    """The cone {x : <n, x> >= 0 for the normals processed so far}.
+
+    lines and rays are primitive integer vectors; tight[i] holds the indices
+    of the processed normals on which rays[i] is tight, and count is the
+    number of nonzero normals processed. extend returns a new state and
+    leaves this one as it was, so two extensions can share one parent.
+    """
+
+    lines: tuple[tuple[int, ...], ...]
+    rays: tuple[tuple[int, ...], ...] = ()
+    tight: tuple[frozenset[int], ...] = ()
+    count: int = 0
+
+    @classmethod
+    def whole_space(cls, rank: int) -> DoubleDescription:
+        return cls(lines=tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+
+    def extend(self, normal) -> DoubleDescription:
+        """One double-description step: intersect with <normal, x> >= 0."""
+        a = primitive(normal)
+        if is_zero(a):
+            return self
+        k = self.count
+        i0 = next((i for i, l in enumerate(self.lines) if dot(a, l) != 0), None)
+        if i0 is not None:
+            l0 = self.lines[i0]
+            if dot(a, l0) < 0:
+                l0 = vec_neg(l0)
+            d0 = dot(a, l0)
+
+            def shift(v):
+                return primitive(vec_sub(vec_scale(d0, v), vec_scale(dot(a, v), l0)))
+
+            # lines are tight on every processed normal, so the shifted rays
+            # keep their tight sets and gain k; l0 is tight on all but k
+            return DoubleDescription(
+                tuple(shift(l) for i, l in enumerate(self.lines) if i != i0),
+                tuple(shift(r) for r in self.rays) + (l0,),
+                tuple(t | {k} for t in self.tight) + (frozenset(range(k)),),
+                k + 1,
+            )
+        rays, tight = self.rays, self.tight
+        side = [dot(a, r) for r in rays]
+        pos = [i for i, s in enumerate(side) if s > 0]
+        zero = [i for i, s in enumerate(side) if s == 0]
+        negs = [i for i, s in enumerate(side) if s < 0]
+        new_rays = [rays[i] for i in pos + zero]
+        new_tight = [tight[i] for i in pos] + [tight[i] | {k} for i in zero]
+        for p in pos:
+            for n in negs:
+                common = tight[p] & tight[n]
+                if any(common <= z for i, z in enumerate(tight) if i != p and i != n):
+                    continue
+                new_rays.append(
+                    primitive(vec_sub(vec_scale(side[p], rays[n]), vec_scale(side[n], rays[p])))
+                )
+                # rays satisfy every processed normal, so the combination
+                # is tight exactly where both rays are, and on k
+                new_tight.append(common | {k})
+        return DoubleDescription(self.lines, tuple(new_rays), tuple(new_tight), k + 1)
+
+
 def cone_from_inequalities(normals, rank: int):
     """V-representation (lines, rays) of {x : <n, x> >= 0 for every normal}.
 
     Double description with explicit lineality handling and the adjacency
-    test. Output vectors are primitive integers; lines are sign-normalized so
-    the first nonzero entry is positive. The rays returned are irredundant:
-    one primitive generator per extreme ray modulo the lines.
+    test, one DoubleDescription.extend per normal. Output vectors are
+    primitive integers; lines are sign-normalized so the first nonzero entry
+    is positive. The rays returned are irredundant: one primitive generator
+    per extreme ray modulo the lines.
     """
-    lines = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    rays: list[tuple[int, ...]] = []
-    # tight[i]: indices of the processed normals on which rays[i] is tight
-    tight: list[frozenset[int]] = []
-    k = 0
-    for raw in normals:
-        a = primitive(raw)
-        if is_zero(a):
-            continue
-        i0 = next((i for i, l in enumerate(lines) if dot(a, l) != 0), None)
-        if i0 is not None:
-            l0 = lines.pop(i0)
-            if dot(a, l0) < 0:
-                l0 = vec_neg(l0)
-            d0 = dot(a, l0)
-            lines = [
-                primitive(vec_sub(vec_scale(d0, l), vec_scale(dot(a, l), l0)))
-                for l in lines
-            ]
-            rays = [
-                primitive(vec_sub(vec_scale(d0, r), vec_scale(dot(a, r), l0)))
-                for r in rays
-            ]
-            # lines are tight on every processed normal, so the shifted rays
-            # keep their tight sets and gain k; l0 is tight on all but k
-            rays.append(l0)
-            tight = [t | {k} for t in tight]
-            tight.append(frozenset(range(k)))
-        else:
-            side = [dot(a, r) for r in rays]
-            pos = [i for i, s in enumerate(side) if s > 0]
-            zero = [i for i, s in enumerate(side) if s == 0]
-            negs = [i for i, s in enumerate(side) if s < 0]
-            combos = []
-            combo_tight = []
-            for p in pos:
-                for n in negs:
-                    common = tight[p] & tight[n]
-                    if any(common <= z for i, z in enumerate(tight) if i != p and i != n):
-                        continue
-                    combos.append(
-                        primitive(vec_sub(vec_scale(side[p], rays[n]), vec_scale(side[n], rays[p])))
-                    )
-                    # rays satisfy every processed normal, so the combination
-                    # is tight exactly where both rays are, and on k
-                    combo_tight.append(common | {k})
-            rays = [rays[i] for i in pos + zero] + combos
-            tight = [tight[i] for i in pos] + [tight[i] | {k} for i in zero] + combo_tight
-        k += 1
-    lines = [
-        l if next(x for x in l if x != 0) > 0 else vec_neg(l)
-        for l in (primitive(l) for l in lines)
-        if not is_zero(l)
-    ]
-    return lines, rays
+    state = reduce(DoubleDescription.extend, normals, DoubleDescription.whole_space(rank))
+    lines = [l if next(x for x in l if x != 0) > 0 else vec_neg(l) for l in state.lines]
+    return lines, list(state.rays)

@@ -317,8 +317,10 @@ def _relation_blocks(table: _RingTable, gens) -> tuple[RelationBlock, ...]:
     degrees = [g.degree for g in gens]
     factors = _generator_factors(table, gens)
     blocks: list[RelationBlock] = []
+    # the monomials of every degree so far; degree 0 has the empty product
+    monomials = {0: [tuple(0 for _ in degrees)]}
     for total in range(1, len(table.dims)):
-        monos = _monomials(degrees, total)
+        monos = monomials[total] = _monomials(degrees, total)
         if not monos:
             continue
         vectors = [_eval_monomial(table, factors, a, total) for a in monos]
@@ -329,7 +331,7 @@ def _relation_blocks(table: _RingTable, gens) -> tuple[RelationBlock, ...]:
             # shifts of lower relations are relations: once they span the
             # kernel, no kernel vector is new
             span = EchelonBasis()
-            for vec in _shifted_relations(blocks, degrees, monos, total):
+            for vec in _shifted_relations(blocks, monomials, total):
                 if span.rank == len(kernel):
                     break
                 span.add(vec)
@@ -348,14 +350,16 @@ def _relation_blocks(table: _RingTable, gens) -> tuple[RelationBlock, ...]:
     return tuple(blocks)
 
 
-def _shifted_relations(blocks, degrees, monos, total: int):
+def _shifted_relations(blocks, monomials, total: int):
     """The relations of lower degrees times every monomial that lifts them to
-    degree total, as vectors over monos."""
+    degree total, as vectors over the monomials of degree total; monomials
+    maps each degree up to total to its list of monomials."""
+    monos = monomials[total]
     index = {nu: k for k, nu in enumerate(monos)}
     for block in blocks:
         if not block.relations:
             continue
-        for mu in _monomials(degrees, total - block.degree):
+        for mu in monomials[total - block.degree]:
             for rel in block.relations:
                 vec = [Fraction(0)] * len(monos)
                 for k, c in enumerate(rel):

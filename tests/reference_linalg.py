@@ -4,10 +4,13 @@ one elimination kernel of polydiv.linalg, kept as an independent oracle.
 rref is a reduced row echelon form of the whole matrix at once, and
 kernel_basis reads the kernel off it, one vector per free column. The tests
 compare matrix_rank, relations, the cone kernels and the section-ring
-presentation against them.
+presentation against them. determinant is the Gaussian elimination over
+Fractions that the fraction-free determinant of polydiv.linalg replaced.
 """
 
 from fractions import Fraction
+
+from polydiv.errors import RankMismatchError
 
 
 def rref(rows):
@@ -52,3 +55,26 @@ def kernel_basis(rows, ncols):
             v[p] = -reduced[i][f]
         basis.append(tuple(v))
     return basis
+
+
+def determinant(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination with exact pivots."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise RankMismatchError("determinant needs a square matrix")
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det

@@ -14,7 +14,12 @@ rewrites, kept here as independent oracles:
   independent generators, and the dual cone as the double-description
   generators pruned once more by that make_cone;
 - make_polyhedron and ray_meets as Fourier-Motzkin systems in the
-  coefficients of a convex combination.
+  coefficients of a convex combination;
+- primitive through Fractions for every vector;
+- the chamber-fan split as two fresh double descriptions and a rank test
+  per side, before regions carried their double description;
+- support minima and chamber minimizers as Fraction pairings with every
+  vertex, ties broken by sorting the tied vertices.
 
 The code in src/ must give the very same integers, lists (in order) and
 values, with one exception: a cone that is not pointed has no extreme rays,
@@ -27,6 +32,7 @@ families are seeded, so failures reproduce.
 import json
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
 from random import Random
@@ -44,8 +50,10 @@ from polydiv.geometry import (
     make_cone,
     make_polyhedron,
     ray_meets,
+    support_eval,
 )
 from polydiv.linalg import (
+    DoubleDescription,
     cone_from_inequalities,
     determinant,
     dot,
@@ -662,3 +670,200 @@ def test_ngon_dual_cone_is_fast(n, budget):
     # the dual of the cone over an n-gon is the cone over an n-gon
     assert dual.pointed and len(dual.rays) == n
     assert all(dot(f, r) >= 0 for f in dual.rays for r in cone.rays)
+
+
+def reference_primitive(v):
+    """primitive as it was written before int vectors stayed in int."""
+    fr = [Fraction(x) for x in v]
+    if all(x == 0 for x in fr):
+        return tuple(0 for _ in fr)
+    scale = 1
+    for x in fr:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in fr]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+def test_primitive_of_int_vectors_matches_the_fraction_path():
+    rng = Random(20111)
+    for rank in range(0, 6):
+        for _ in range(60):
+            bound = rng.choice((1, 3, 12, 10**12))
+            v = tuple(rng.randint(-bound, bound) * rng.choice((1, 1, 6)) for _ in range(rank))
+            got = primitive(v)
+            assert got == reference_primitive(v), v
+            assert all(type(x) is int for x in got)
+            q = tuple(Fraction(x, rng.randint(1, 9)) for x in v)
+            assert primitive(q) == reference_primitive(q), q
+
+
+def fresh_double_description(normals, rank):
+    return reduce(DoubleDescription.extend, normals, DoubleDescription.whole_space(rank))
+
+
+def test_extended_double_description_matches_a_fresh_one():
+    rng = Random(20112)
+    seen = {"lines": 0, "rays": 0, "shared parent": 0}
+    for rank in range(1, 5):
+        for shape in ("plain", "zero", "duplicate", "lineality"):
+            for _ in range(30 if rank < 4 else 10):
+                normals = random_normals(rng, rank, shape)
+                parent = fresh_double_description(normals, rank)
+                walls = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(2)]
+                for w in walls:
+                    child = parent.extend(w)
+                    assert child == fresh_double_description(normals + [w], rank)
+                    # the same lines and rays, in the same order
+                    lines = [l if next(x for x in l if x) > 0 else vec_neg(l) for l in child.lines]
+                    assert (lines, list(child.rays)) == cone_from_inequalities(normals + [w], rank)
+                    seen["lines"] += bool(child.lines)
+                    seen["rays"] += bool(child.rays)
+                # extending a state leaves it as it was
+                assert parent == fresh_double_description(normals, rank)
+                seen["shared parent"] += parent.extend(walls[0]) != parent.extend(walls[1])
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def reference_full_dim(normals, rank):
+    """Does {x : <n, x> >= 0 for every normal} span the whole space?"""
+    lines, rays = cone_from_inequalities(normals, rank)
+    return rref_rank(lines + rays) == rank
+
+
+def reference_split(normals, wall, rank, force=False):
+    """The chamber-fan split as it was: two fresh double descriptions and a
+    rank test per side."""
+    pos = normals + (wall,)
+    neg = normals + (vec_neg(wall),)
+    if reference_full_dim(pos, rank) and reference_full_dim(neg, rank):
+        return [pos, neg]
+    if force:
+        raise ShapeError("degenerate region while removing lineality")
+    return [normals]
+
+
+def test_sign_test_split_matches_the_full_dimension_split():
+    """On full-dimensional regions and nonzero walls, the only ones a chamber
+    fan cuts, the sign test keeps the same pieces, and each piece is the
+    double description of its normals, computed afresh."""
+    rng = Random(20113)
+    seen = {"split": 0, "kept": 0, "forced": 0, "refused": 0}
+    for rank in (1, 2, 3):
+        for _ in range(40):
+            normals = tuple(
+                tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(0, rank))
+            )
+            if not reference_full_dim(normals, rank):
+                continue
+            regions = [(normals, fresh_double_description(normals, rank))]
+            for _ in range(rng.randint(1, 4)):
+                wall = (0,) * rank
+                while is_zero(wall):
+                    wall = tuple(rng.randint(-3, 3) for _ in range(rank))
+                pieces = []
+                for normals, dd in regions:
+                    want = reference_split(normals, wall, rank)
+                    got = geometry._split(dd, wall)
+                    assert got == [fresh_double_description(n, rank) for n in want]
+                    seen["split" if len(got) == 2 else "kept"] += 1
+                    pieces += zip(want, got)
+                regions = pieces
+            for normals, dd in regions:
+                for axis in ((1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (1,)):
+                    try:
+                        want = reference_split(normals, axis, rank, force=True)
+                    except ShapeError:
+                        with pytest.raises(ShapeError):
+                            geometry._split(dd, axis, force=True)
+                        seen["refused"] += 1
+                        continue
+                    got = geometry._split(dd, axis, force=True)
+                    assert got == [fresh_double_description(n, rank) for n in want]
+                    seen["forced"] += 1
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def reference_support_eval(poly, m):
+    """support_eval as it was: Fraction pairings with every vertex."""
+    mm = tuple(Fraction(x) for x in m)
+    for r in poly.tail.rays:
+        if dot(mm, r) < 0:
+            return geometry.MINUS_INFINITY
+    return min(dot(mm, v) for v in poly.vertices)
+
+
+def reference_finish_chamber(simplex_rays, polys):
+    """_finish_chamber as it was: Fraction minima, ties broken by sorting."""
+    cone = make_cone(simplex_rays, len(simplex_rays[0]))
+    sample = tuple(sum(r[c] for r in simplex_rays) for c in range(cone.rank))
+    minimizers = []
+    for p in polys:
+        best = min(dot(sample, v) for v in p.vertices)
+        chosen = sorted(v for v in p.vertices if dot(sample, v) == best)[0]
+        for u in simplex_rays:
+            if dot(u, chosen) != min(dot(u, v) for v in p.vertices):
+                raise ShapeError("chamber is not a linearity region; internal error")
+        minimizers.append(chosen)
+    return geometry.Chamber(cone=cone, minimizers=tuple(minimizers))
+
+
+def tied_polyhedron(rng, rank, tail):
+    """Vertices on a coarse grid of halves and thirds, so that many weights
+    tie between two or more of them."""
+    verts = [
+        tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(rank))
+        for _ in range(rng.randint(1, rank + 4))
+    ]
+    return make_polyhedron(verts, tail)
+
+
+def test_integer_support_minima_match_the_fraction_path():
+    rng = Random(20114)
+    seen = {"tie": 0, "unbounded": 0, "rational weight": 0, "tied chamber": 0, "fan": 0}
+    for rank in (1, 2, 3):
+        for tail_rays in ([], [tuple(int(i == j) for j in range(rank)) for i in range(rank)]):
+            tail = make_cone(tail_rays, rank)
+            for _ in range(15):
+                polys = [tied_polyhedron(rng, rank, tail) for _ in range(rng.randint(1, 2))]
+                for p in polys:
+                    for _ in range(12):
+                        m = tuple(rng.randint(-3, 3) for _ in range(rank))
+                        if rng.random() < 0.25:
+                            m = tuple(Fraction(x, rng.randint(1, 4)) for x in m)
+                            seen["rational weight"] += 1
+                        got = support_eval(p, m)
+                        assert got == reference_support_eval(p, m), (p, m)
+                        if got is geometry.MINUS_INFINITY:
+                            seen["unbounded"] += 1
+                            continue
+                        assert type(got) is Fraction
+                        seen["tie"] += sum(dot(m, v) == got for v in p.vertices) > 1
+                # low-dimensional "chambers" tie at their sample point
+                for _ in range(10):
+                    rays = [tuple(rng.randint(-1, 1) for _ in range(rank))
+                            for _ in range(rng.randint(1, rank))]
+                    rays = [r for r in rays if not is_zero(r)]
+                    if not rays:
+                        continue
+                    try:
+                        want = reference_finish_chamber(rays, polys)
+                    except ShapeError:
+                        with pytest.raises(ShapeError):
+                            geometry._finish_chamber(rays, polys)
+                        continue
+                    assert geometry._finish_chamber(rays, polys) == want
+                    sample = tuple(sum(r[c] for r in rays) for c in range(rank))
+                    seen["tied chamber"] += any(
+                        sum(dot(sample, v) == dot(sample, w) for v in p.vertices) > 1
+                        for p, w in zip(polys, want.minimizers)
+                    )
+                weight = dual_cone(tail)
+                for ch in geometry.chamber_fan(polys, weight).chambers:
+                    assert geometry._finish_chamber(ch.rays, polys) == reference_finish_chamber(
+                        ch.rays, polys
+                    )
+                    seen["fan"] += 1
+    assert all(n >= 20 for n in seen.values()), seen

@@ -14,6 +14,7 @@ from polydiv.linalg import (
     primitive,
     relations,
 )
+from reference_linalg import determinant as reference_determinant
 from reference_linalg import kernel_basis, rref, rref_rank
 
 
@@ -48,6 +49,42 @@ def test_determinant_hand_values():
 def test_determinant_rejects_non_square():
     with pytest.raises(Exception):
         determinant([[1, 2, 3], [4, 5, 6]])
+
+
+def test_determinant_matches_the_gaussian_elimination():
+    rng = Random(20111)
+    seen = {"int": 0, "rational": 0, "singular": 0, "swap": 0}
+    for n in range(6):
+        for kind in ("int", "rational"):
+            for _ in range(25):
+                if kind == "int":
+                    rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+                else:
+                    rows = [
+                        [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                if n > 1 and rng.random() < 0.3:
+                    # a combination of two rows, or a zero column
+                    i, j, k = (rng.randrange(n) for _ in range(3))
+                    if rng.random() < 0.5:
+                        rows[i] = [2 * a - b for a, b in zip(rows[j], rows[k])]
+                    else:
+                        for row in rows:
+                            row[i] = 0
+                if n > 1 and rng.random() < 0.3:
+                    rows[0] = [0] * (n - 1) + [rows[0][-1]]
+                got = determinant(rows)
+                want = reference_determinant(rows)
+                assert got == want and type(got) is Fraction, rows
+                seen[kind] += 1
+                seen["singular"] += want == 0
+                seen["swap"] += n > 1 and rows[0][0] == 0 and want != 0
+    assert seen["singular"] >= 20 and seen["swap"] >= 10, seen
+    with pytest.raises(RankMismatchError):
+        determinant([[1, 2], [3]])
+    with pytest.raises(RankMismatchError):
+        reference_determinant([[1, 2], [3]])
 
 
 def test_adjugate_times_matrix_is_determinant():
