@@ -5,7 +5,8 @@ Pointed cones store the sorted primitive generators of their extreme rays;
 other cones their extreme rays modulo lines plus each line both ways, as
 dual_cone does. Polyhedra store exactly their extreme points plus a pointed
 tail cone, and keep their vertices cleared to integers over one common
-denominator, on which support minima at integral weights are taken in int.
+denominator, on which support minima are taken in int, the weight scaled
+by the lcm of its denominators.
 Support minima are exact Fractions, with an explicit MinusInfinity object
 when the functional is unbounded below on the polyhedron. A chamber-fan
 region is its double description, and each cut extends it by one step.
@@ -185,20 +186,18 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
 def support_eval(poly: TailedPolyhedron, m):
     """min{<m, p> : p in the polyhedron}, or MINUS_INFINITY off the tail dual.
 
-    An integral weight is paired with the cleared vertices in int.
+    The weight, scaled by the lcm of its denominators, is paired with the
+    cleared vertices in int.
     """
     mm = ratvec(m)
     if len(mm) != poly.rank:
         raise RankMismatchError(f"weight {tuple(m)} does not have rank {poly.rank}")
-    integral = all(x.denominator == 1 for x in mm)
-    if integral:
-        mm = tuple(x.numerator for x in mm)
+    scale = lcm(*(x.denominator for x in mm))
+    mm = tuple(x.numerator * (scale // x.denominator) for x in mm)
     if any(dot(mm, r) < 0 for r in poly.tail.rays):
         return MINUS_INFINITY
-    if not integral:
-        return min(dot(mm, v) for v in poly.vertices)
     nums, den = poly.cleared
-    return Fraction(min(dot(mm, n) for n in nums), den)
+    return Fraction(min(dot(mm, n) for n in nums), den * scale)
 
 
 def minkowski_sum(p: TailedPolyhedron, q: TailedPolyhedron) -> TailedPolyhedron:
@@ -305,7 +304,7 @@ def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
         dd = queue.pop()
         if dd.lines:
             axis = next(a for a in axes if any(dot(a, l) != 0 for l in dd.lines))
-            queue.extend(_split(dd, axis, force=True))
+            queue += [dd.extend(axis), dd.extend(vec_neg(axis))]
             continue
         for simplex in _triangulate(dd.rays, rank):
             chambers.append(_finish_chamber(simplex, polys))
@@ -313,7 +312,7 @@ def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
     return ChamberFan(rank, weight_cone, tuple(chambers))
 
 
-def _split(dd, wall, force: bool = False):
+def _split(dd, wall):
     """Cut a full-dimensional region along a hyperplane, keeping fat pieces.
 
     The side <wall, x> >= 0 of a full-dimensional cone is full-dimensional
@@ -322,9 +321,6 @@ def _split(dd, wall, force: bool = False):
     side = [dot(wall, r) for r in dd.rays]
     if any(dot(wall, l) != 0 for l in dd.lines) or (side and min(side) < 0 < max(side)):
         return [dd.extend(wall), dd.extend(vec_neg(wall))]
-    if force:
-        # requested split along a lineality axis; both sides must be fat
-        raise ShapeError("degenerate region while removing lineality")
     return [dd]
 
 

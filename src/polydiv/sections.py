@@ -317,10 +317,10 @@ def _relation_blocks(table: _RingTable, gens) -> tuple[RelationBlock, ...]:
     degrees = [g.degree for g in gens]
     factors = _generator_factors(table, gens)
     blocks: list[RelationBlock] = []
-    # the monomials of every degree so far; degree 0 has the empty product
-    monomials = {0: [tuple(0 for _ in degrees)]}
+    # the monomials of every degree so far, shared with the blocks
+    monomials = {}
     for total in range(1, len(table.dims)):
-        monos = monomials[total] = _monomials(degrees, total)
+        monos = monomials[total] = tuple(_monomials(degrees, total))
         if not monos:
             continue
         vectors = [_eval_monomial(table, factors, a, total) for a in monos]
@@ -341,7 +341,7 @@ def _relation_blocks(table: _RingTable, gens) -> tuple[RelationBlock, ...]:
         blocks.append(
             RelationBlock(
                 degree=total,
-                monomials=tuple(monos),
+                monomials=monos,
                 target_dim=target,
                 kernel_dim=len(kernel),
                 relations=tuple(new),
