@@ -4,8 +4,9 @@ Everything downstream (cone arithmetic, chamber fans, section-ring kernels)
 reduces to a handful of primitives implemented here: an echelon basis,
 determinants and integer adjugates, and ray enumeration for homogeneous
 inequality systems by double description. The echelon basis, extended one
-row at a time, is the one elimination kernel: ranks, kernels (relations)
-and the section-ring presentation are read off it; determinant keeps its own
+row at a time, is the one elimination kernel: ranks, and the kernels and
+pivot columns of relations, from which the section-ring presentation reads
+its relations and its generators, are read off it; determinant keeps its own
 fraction-free (Bareiss) elimination in int. Every cone question in the
 package (duals, membership, redundancy, pointedness, full dimension) is
 answered by double description; there is no Fourier-Motzkin elimination.
@@ -119,8 +120,9 @@ def matrix_rank(rows) -> int:
     return basis.rank
 
 
-def relations(vectors, width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the linear relations among vectors of length width.
+def relations(vectors, width: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Basis of the linear relations among vectors of length width, and the
+    pivot columns of their span, ascending.
 
     Each vector enters an echelon basis with a unit vector appended at the
     slot it takes if it is independent of the vectors before it (width slots
@@ -129,7 +131,8 @@ def relations(vectors, width: int) -> list[tuple[Fraction, ...]]:
     earlier independent vectors: the relation is 1 at its own index and those
     coordinates at theirs. That is the kernel vector a reduced row echelon
     form of the matrix with these columns gives at that free column, so the
-    basis is the same, in the same order.
+    basis is the same, in the same order. Every row of the basis leads in its
+    first width entries, so its pivots are those of the span of the vectors.
     """
     basis = EchelonBasis()
     independent: list[int] = []
@@ -148,7 +151,7 @@ def relations(vectors, width: int) -> list[tuple[Fraction, ...]]:
         for s, i in enumerate(independent):
             rel[i] = row[width + s]
         out.append(tuple(rel))
-    return out
+    return out, sorted(basis.rows)
 
 
 def determinant(rows) -> Fraction:

@@ -10,10 +10,12 @@ t^0 .. t^{d_m}, and multiplying two pieces multiplies the P parts and
 inserts the correction prod_z (t - z)^{e_z} with the nonnegative exponents
 e_z = n_z(m + m') - n_z(m) - n_z(m').
 
-On top of that multiplication the module computes minimal generator degrees
-(per degree, the complement of the span of products of lower pieces),
-relation spaces (kernels of the monomial evaluation maps, modulo shifts of
-relations found in lower degrees), and truncated dimension series.
+On top of that multiplication the module gives truncated dimension series
+and presents the ring in one pass over the degrees: the degree-m monomials
+in the lower generators span the decomposable part of piece m, so one
+elimination of their values gives the new generators (the canonical basis
+vectors at the non-pivot columns) and the relations (the kernel, modulo
+shifts of relations found in lower degrees).
 
 A presentation builds the facts about its ring once, in one table: the
 dimensions, the rounded coefficients n_z(m) at the finite marked points and
@@ -32,7 +34,7 @@ fresh rref of all the rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .curves import P1Point, ProjectiveLine
@@ -179,68 +181,27 @@ class RingGenerator:
     coeffs: Vector
 
 
-def _minimal_generators(table: _RingTable) -> tuple[RingGenerator, ...]:
-    dims, floors = table.dims, table.floors
-    gens: list[RingGenerator] = []
-    for m in range(1, len(dims)):
-        if dims[m] == 0:
-            continue
-        # the products of lower pieces i + j = m span corr_ij * t^shift for
-        # every shift below dims[i] + dims[j] - 1; stop once they fill piece m
-        span = EchelonBasis()
-        for i in range(1, m // 2 + 1):
-            j = m - i
-            if dims[i] == 0 or dims[j] == 0:
-                continue
-            if span.rank == dims[m]:
-                break
-            corr = table.correction(
-                tuple(a - b - c for a, b, c in zip(floors[m], floors[i], floors[j]))
-            )
-            # corr is monic, so the highest shift reaches furthest
-            if dims[i] + dims[j] + len(corr) - 3 >= dims[m]:
-                raise InternalError(f"product of degrees {i} and {j} leaves piece {m}")
-            for shift in range(dims[i] + dims[j] - 1):
-                if span.rank == dims[m]:
-                    break
-                row = [Fraction(0)] * dims[m]
-                row[shift : shift + len(corr)] = corr
-                span.add(row)
-        for j in range(dims[m]):
-            if j in span.rows:
-                continue
-            coeffs = tuple(Fraction(int(i == j)) for i in range(dims[m]))
-            gens.append(RingGenerator(name=f"g{len(gens) + 1}", degree=m, coeffs=coeffs))
-    return tuple(gens)
-
-
 def minimal_generators(d: PolyhedralDivisor, max_degree: int) -> tuple[RingGenerator, ...]:
     """Minimal algebra generators in degrees 1 .. max_degree.
 
     Per degree, the new generators are the canonical basis vectors at the
-    non-pivot columns of the span of products of lower pieces; that span is
-    exactly the decomposable part of the piece.
+    non-pivot columns of the span of the monomials in the lower generators;
+    that span is exactly the decomposable part of the piece.
     """
-    return _minimal_generators(_RingTable(d, max_degree))
+    return _presentation(_RingTable(d, max_degree))[0]
 
 
-def _monomials(degrees, total: int):
-    """Exponent vectors with the given weighted degree, largest first."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, remaining: int, acc: list[int]) -> None:
-        if idx == len(degrees):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for a in range(remaining // degrees[idx], -1, -1):
-            acc.append(a)
-            rec(idx + 1, remaining - a * degrees[idx], acc)
-            acc.pop()
-
-    rec(0, total, [])
-    out.sort(reverse=True)
-    return out
+def _degree_monomials(monomials, degrees, total: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of weighted degree total, largest first: every a + e_i
+    with a a monomial of degree total - deg g_i; monomials maps each lower
+    degree to its monomials, padded here with zeros for later generators."""
+    out = set()
+    for i, deg in enumerate(degrees):
+        for a in monomials.get(total - deg, ()):
+            b = list(_pad(a, len(degrees)))
+            b[i] += 1
+            out.add(tuple(b))
+    return sorted(out, reverse=True)
 
 
 def _generator_factors(table: _RingTable, gens):
@@ -248,7 +209,9 @@ def _generator_factors(table: _RingTable, gens):
     (1, 0, its coefficients, floors), with floors the n_z of its degree."""
     factors = []
     for g in gens:
-        if not 0 < g.degree < len(table.dims):
+        if g.degree < 1:
+            raise ShapeError(f"generator {g.name} has degree {g.degree}, not a positive one")
+        if g.degree >= len(table.dims):
             # never part of a monomial up to the truncation degree
             factors.append(None)
             continue
@@ -313,58 +276,78 @@ class RelationBlock:
     relations: tuple[Vector, ...]
 
 
-def _relation_blocks(table: _RingTable, gens) -> tuple[RelationBlock, ...]:
-    degrees = [g.degree for g in gens]
+def _presentation(table: _RingTable, gens=None):
+    """(generators, relation blocks) up to the degree of the table, in one
+    pass over the degrees. Without gens, those of degree m are the unit
+    vectors at the non-pivot columns of the span of the degree-m monomials in
+    the lower generators, named g1, g2, ... in ascending column; with gens,
+    the list stays as given."""
+    find = gens is None
+    gens = [] if find else list(gens)
     factors = _generator_factors(table, gens)
     blocks: list[RelationBlock] = []
-    # the monomials of every degree so far, shared with the blocks
-    monomials = {}
+    # the monomials of every degree so far, shared with the blocks; a tuple
+    # has one entry per generator known at its degree
+    monomials = {0: ((),)}
     for total in range(1, len(table.dims)):
-        monos = monomials[total] = tuple(_monomials(degrees, total))
+        n, target = len(gens), table.dims[total]
+        monos = _degree_monomials(monomials, [g.degree for g in gens], total)
+        vectors = [_eval_monomial(table, factors, a, total) for a in monos]
+        kernel, pivots = relations(vectors, target)
+        if find:
+            # each new x_k sorts after the monomials in lower generators and
+            # its unit vector is independent of them: the kernel gains zeros
+            fresh = [j for j in range(target) if j not in pivots]
+            kernel = [kv + (Fraction(0),) * len(fresh) for kv in kernel]
+            for j in fresh:
+                coeffs = tuple(Fraction(int(i == j)) for i in range(target))
+                monos.append((0,) * len(gens) + (1,))
+                gens.append(RingGenerator(f"g{len(gens) + 1}", total, coeffs))
+            factors += _generator_factors(table, gens[n:])
+        monos = monomials[total] = tuple(monos)
         if not monos:
             continue
-        vectors = [_eval_monomial(table, factors, a, total) for a in monos]
-        target = table.dims[total]
-        kernel = relations(vectors, target)
         new: list[Vector] = []
         if kernel:
             # shifts of lower relations are relations: once they span the
             # kernel, no kernel vector is new
             span = EchelonBasis()
-            for vec in _shifted_relations(blocks, monomials, total):
+            for vec in _shifted_relations(blocks, monomials, total, n):
                 if span.rank == len(kernel):
                     break
                 span.add(vec)
             for kv in kernel:
                 if span.rank < len(kernel) and span.add(kv):
                     new.append(kv)
-        blocks.append(
-            RelationBlock(
-                degree=total,
-                monomials=monos,
-                target_dim=target,
-                kernel_dim=len(kernel),
-                relations=tuple(new),
-            )
-        )
-    return tuple(blocks)
+        blocks.append(RelationBlock(total, monos, target, len(kernel), tuple(new)))
+    n = len(gens)
+    return tuple(gens), tuple(
+        replace(b, monomials=tuple(_pad(a, n) for a in b.monomials)) for b in blocks
+    )
 
 
-def _shifted_relations(blocks, monomials, total: int):
+def _pad(a: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The exponent vector a with zeros for the generators after its own."""
+    return a + (0,) * (n - len(a))
+
+
+def _shifted_relations(blocks, monomials, total: int, n: int):
     """The relations of lower degrees times every monomial that lifts them to
     degree total, as vectors over the monomials of degree total; monomials
-    maps each degree up to total to its list of monomials."""
+    maps each degree up to total to its list of monomials, and n generators
+    have a lower degree."""
     monos = monomials[total]
     index = {nu: k for k, nu in enumerate(monos)}
     for block in blocks:
         if not block.relations:
             continue
         for mu in monomials[total - block.degree]:
+            mu = _pad(mu, n)
             for rel in block.relations:
                 vec = [Fraction(0)] * len(monos)
                 for k, c in enumerate(rel):
                     if c != 0:
-                        shift = tuple(a + b for a, b in zip(block.monomials[k], mu))
+                        shift = tuple(a + b for a, b in zip(_pad(block.monomials[k], n), mu))
                         vec[index[shift]] += c
                 yield vec
 
@@ -373,10 +356,7 @@ def relation_blocks(
     d: PolyhedralDivisor, max_degree: int, gens=None
 ) -> tuple[RelationBlock, ...]:
     """Relation spaces per degree, for all degrees carrying a monomial."""
-    table = _RingTable(d, max_degree)
-    if gens is None:
-        gens = _minimal_generators(table)
-    return _relation_blocks(table, gens)
+    return _presentation(_RingTable(d, max_degree), gens)[1]
 
 
 @dataclass(frozen=True)
@@ -391,10 +371,5 @@ class RingPresentation:
 
 def ring_presentation(d: PolyhedralDivisor, max_degree: int) -> RingPresentation:
     table = _RingTable(d, max_degree)
-    gens = _minimal_generators(table)
-    return RingPresentation(
-        max_degree=max_degree,
-        dimensions=table.dims,
-        generators=gens,
-        blocks=_relation_blocks(table, gens),
-    )
+    gens, blocks = _presentation(table)
+    return RingPresentation(max_degree, table.dims, gens, blocks)

@@ -7,8 +7,9 @@ before the kept slopes, the single pruning in dual_cone and the
 column-reduced toric multiplicity replaced their predecessors; the ring
 cases to degree 60 and on ring_rational_points.json were written before the
 per-ring table, the closed-form monomials and the incremental echelon basis
-of the section-ring presentation. Any change to
-them is a change of behaviour.
+of the section-ring presentation, and the case on ring_many_generators.json
+before the one-pass presentation replaced the separate generator pass. Any
+change to them is a change of behaviour.
 Regenerate them only for a deliberate output change, by running this file
 as a script with the intended ``polydiv`` on the path.
 """
@@ -49,8 +50,9 @@ COMMANDS = (
 # documents outside tests/data, each run under the commands that reach the
 # paths it covers: the whole-lattice weight cone of a trivial tail, a
 # non-simplicial toric cone, a simplicial one of multiplicity 2, a section
-# ring presented up to degrees 30 and 60, and a section ring whose finite
-# marked points are not integers
+# ring presented up to degrees 30 and 60, a section ring whose finite
+# marked points are not integers, and a section ring with four generators
+# in degree 1 and three relations in each of degrees 2 and 3
 DOCUMENT_COMMANDS = (
     ("trivial_tail_6x3.json", ("toric",)),
     ("trivial_tail_6x3.json", ("classify",)),
@@ -59,6 +61,7 @@ DOCUMENT_COMMANDS = (
     ("ring_p1.json", ("ring", "--max-degree", "30")),
     ("ring_p1.json", ("ring", "--max-degree", "60")),
     ("ring_rational_points.json", ("ring", "--max-degree", "30")),
+    ("ring_many_generators.json", ("ring", "--max-degree", "5")),
 )
 
 

@@ -120,14 +120,21 @@ def test_kernel_basis_dimension_and_membership():
 
 def test_kernel_of_empty_matrix_is_everything():
     assert len(kernel_basis([], 2)) == 2
-    assert relations([(), ()], 0) == [(1, 0), (0, 1)]
-    assert relations([], 3) == []
+    assert relations([(), ()], 0) == ([(1, 0), (0, 1)], [])
+    assert relations([], 3) == ([], [])
 
 
 def test_relations_hand_example():
     # the columns of [[1, 2, 3], [2, 4, 7]]: the second is twice the first
-    assert relations([(1, 2), (2, 4), (3, 7)], 2) == [(-2, 1, 0)]
-    assert relations([(1, 0), (0, 1), (1, 1), (2, 3)], 2) == [(-1, -1, 1, 0), (-2, -3, 0, 1)]
+    assert relations([(1, 2), (2, 4), (3, 7)], 2) == ([(-2, 1, 0)], [0, 1])
+    assert relations([(1, 0), (0, 1), (1, 1), (2, 3)], 2) == (
+        [(-1, -1, 1, 0), (-2, -3, 0, 1)],
+        [0, 1],
+    )
+    # the span of (0, 2, 1) and (0, 4, 2) leads at column 1 only; the first
+    # vector is independent whatever its leading column
+    assert relations([(0, 2, 1), (0, 4, 2)], 3) == ([(-2, 1)], [1])
+    assert relations([(0, 0, 5), (1, 1, 0), (2, 2, 5)], 3) == ([(-1, -2, 1)], [0, 2])
     with pytest.raises(RankMismatchError):
         relations([(1, 2), (3,)], 2)
 
@@ -178,8 +185,9 @@ def test_rank_and_relations_match_the_dense_reference():
             # matrix with these rows as columns
             transposed = [[row[i] for row in rows] for i in range(width)]
             expected = kernel_basis(transposed, len(rows))
-            got = relations(rows, width)
+            got, pivots = relations(rows, width)
             assert got == expected, rows
+            assert pivots == (rref(rows)[1] if rows else []), rows
             assert all(type(x) is Fraction for rel in got for x in rel)
             seen["deficient" if rank < min(len(rows), width) else "full"] += 1
             seen["empty"] += not rows

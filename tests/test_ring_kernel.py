@@ -1,9 +1,11 @@
 """The section-ring presentation against the code it replaced.
 
 The references below are the computations as they were written before the
-per-ring table, the closed-form monomials and the incrementally extended
-echelon basis:
+per-ring table, the closed-form monomials, the incrementally extended
+echelon basis and the one pass over the degrees:
 
+* the monomials of a degree are enumerated by a recursion over the
+  exponent of each generator in turn;
 * a monomial is evaluated one generator factor at a time through
   multiply_sections;
 * the generators of a degree are the non-pivot columns of one rref of every
@@ -77,6 +79,25 @@ def reference_minimal_generators(d, max_degree):
     return tuple(gens)
 
 
+def reference_monomials(degrees, total):
+    """Exponent vectors with the given weighted degree, largest first."""
+    out = []
+
+    def rec(idx, remaining, acc):
+        if idx == len(degrees):
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        for a in range(remaining // degrees[idx], -1, -1):
+            acc.append(a)
+            rec(idx + 1, remaining - a * degrees[idx], acc)
+            acc.pop()
+
+    rec(0, total, [])
+    out.sort(reverse=True)
+    return out
+
+
 def reference_monomial(d, gens, exponents):
     """A monomial as a chain of products, one generator factor at a time."""
     m, vec = 0, (Fraction(1),)
@@ -93,7 +114,7 @@ def reference_relation_blocks(d, max_degree, gens):
     degrees = [g.degree for g in gens]
     blocks = []
     for total in range(1, max_degree + 1):
-        monos = sections._monomials(degrees, total)
+        monos = reference_monomials(degrees, total)
         if not monos:
             continue
         vectors = [reference_monomial(d, gens, a) for a in monos]
@@ -102,7 +123,7 @@ def reference_relation_blocks(d, max_degree, gens):
         index = {nu: k for k, nu in enumerate(monos)}
         span = []
         for block in blocks:
-            for mu in sections._monomials(degrees, total - block.degree):
+            for mu in reference_monomials(degrees, total - block.degree):
                 for rel in block.relations:
                     vec = [Fraction(0)] * len(monos)
                     for k, c in enumerate(rel):
@@ -150,7 +171,7 @@ def cases(seed, count, cap=MONOMIAL_CAP):
         gens = reference_minimal_generators(d, n)
         degrees = [g.degree for g in gens]
         total = 1
-        while total <= n and len(sections._monomials(degrees, total)) <= cap:
+        while total <= n and len(reference_monomials(degrees, total)) <= cap:
             total += 1
         n = max(4, total - 1)
         out.append((d, n, tuple(g for g in gens if g.degree <= n)))
@@ -199,10 +220,38 @@ def test_monomials_match_the_chain_of_products():
         factors = sections._generator_factors(table, gens)
         degrees = [g.degree for g in gens]
         for total in range(1, n + 1):
-            for a in sections._monomials(degrees, total):
+            for a in reference_monomials(degrees, total):
                 got = sections._eval_monomial(table, factors, a, total)
                 assert got == reference_monomial(d, gens, a), (d, a)
     assert full >= 5
+
+
+def test_monomials_by_degree_match_the_recursion():
+    # generators with repeated degrees, and some past N, which no monomial
+    # up to N uses; every piece of this ring is nonzero
+    d = rank1({p1_point(0): Fraction(-1, 3), P1_INFINITY: Fraction(1)})
+    rng = Random(20098)
+    seen = {"repeated": 0, "past N": 0}
+    for _ in range(30):
+        n = rng.randint(4, 12)
+        degrees = [rng.randint(1, n + 3) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            degrees.append(rng.choice(degrees))
+        rng.shuffle(degrees)
+        gens = [
+            RingGenerator(f"g{i + 1}", m, unit(0, graded_dimension(d, m)))
+            for i, m in enumerate(degrees)
+        ]
+        got = {b.degree: b.monomials for b in relation_blocks(d, n, gens)}
+        expected = {}
+        for total in range(1, n + 1):
+            monos = reference_monomials(degrees, total)
+            if monos:
+                expected[total] = tuple(monos)
+        assert got == expected, (degrees, n)
+        seen["repeated"] += len(set(degrees)) < len(degrees)
+        seen["past N"] += max(degrees) > n
+    assert all(k >= 5 for k in seen.values()), seen
 
 
 def test_presentation_never_multiplies_sections_and_reduces_once_per_degree(monkeypatch):
@@ -244,11 +293,11 @@ def test_a_product_that_leaves_its_piece_is_an_internal_error():
     m = 12
     assert table.dims[m] > 1
     table.dims = table.dims[:m] + (table.dims[m] - 1,)
-    with pytest.raises(InternalError, match="leaves piece 12"):
-        sections._minimal_generators(table)
+    with pytest.raises(InternalError, match="leaves the degree-12 piece"):
+        sections._presentation(table)
 
     table = sections._RingTable(d, 12)
-    gens = sections._minimal_generators(table)
+    gens = minimal_generators(d, 12)
     factors = sections._generator_factors(table, gens)
     top = max(range(len(gens)), key=lambda i: gens[i].coeffs.index(1))
     exponents = tuple(int(i == top) * 2 for i in range(len(gens)))

@@ -13,10 +13,12 @@ from polydiv.curves import (
     p1_point,
 )
 import polydiv.pdiv as pdiv
+import polydiv.sections as sections
 from polydiv.errors import CurveDomainError, ShapeError
 from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.pdiv import polyhedral_divisor
 from polydiv.sections import (
+    RingGenerator,
     graded_dimension,
     hilbert_series,
     minimal_generators,
@@ -283,6 +285,20 @@ def test_negative_truncation_degree_is_rejected():
     ):
         with pytest.raises(ShapeError):
             call()
+
+
+@pytest.mark.parametrize("degree", [0, -2])
+def test_generators_of_degree_below_one_are_rejected(monkeypatch, degree):
+    # the divisor of tests/golden/documents/ring_p1.json
+    d = rank1(P1, {p1_point(0): Fraction(-3, 7), p1_point(1): Fraction(-5, 11), P1_INFINITY: Fraction(1)})
+    gens = list(minimal_generators(d, 12))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("relations called")
+
+    monkeypatch.setattr(sections, "relations", forbidden)
+    with pytest.raises(ShapeError, match="degree"):
+        relation_blocks(d, 12, gens + [RingGenerator("bad", degree, (Fraction(1),))])
 
 
 def test_ring_presentation_evaluates_each_coefficient_once(monkeypatch):
