@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from operator import mul
 
 from .curves import (
@@ -25,7 +25,6 @@ from .curves import (
     QDivisor,
     canonical_divisor,
     degree,
-    denominator_lcm,
     divisor,
     floor_divisor,
     h1_dim_of_degree,
@@ -38,7 +37,7 @@ from .errors import (
     UnsupportedRankError,
 )
 from .geometry import ratvec
-from .linalg import adjugate, determinant
+from .linalg import cone_from_inequalities, dot
 from .pdiv import (
     PolyhedralDivisor,
     PropernessReport,
@@ -87,10 +86,13 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
     The search runs in integers, chamber by chamber. On a chamber each
     coefficient is minimized by one vertex v_z = n_z / q_z
     (``Chamber.minimizers``), so the rounded-down degree at m is
-    sum(<m, n_z> // q_z). A point m of the chamber's bounding box lies in the
-    capped chamber when mu = sign(det R) adj(R) m, for the ray matrix R,
-    satisfies 0 <= mu_i and mu_i <= cap_i |det R|. Chambers and box points
-    are scanned in a fixed order; the witness is the first violating weight.
+    sum(<m, n_z> // q_z), and the cap of a degree-zero ray u, the period of
+    the rounded-down evaluations along it, is lcm over z of the denominators
+    of <u, n_z> / q_z. A point m of the chamber's bounding box lies in the
+    capped chamber when 0 <= <f_i, m> <= cap_i <f_i, u_i> for each ray u_i
+    and the facet normal f_i of the chamber that is positive on it. Chambers
+    and box points are scanned in a fixed order; the witness is the first
+    violating weight.
     """
     if not d.base.projective:
         raise CurveDomainError("floor-degree bounds need a projective base curve")
@@ -116,33 +118,35 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
 
 def _search_chamber(d, chamber, ray_degree, bound: Fraction, c: int) -> tuple[int, ...] | None:
     rays = chamber.rays
+    k = d.rank
+    floors = []
+    for v in chamber.minimizers:
+        q = lcm(*(x.denominator for x in v))
+        floors.append((tuple(int(x * q) for x in v), q))
     caps = []
     for u in rays:
         g = ray_degree[u]
         if g > 0:
             caps.append(bound / g)
         else:
-            # period of the rounded-down evaluations along this ray
-            caps.append(Fraction(denominator_lcm(evaluate(d, u))))
-    k = d.rank
+            # period of the rounded-down evaluations along this ray: the
+            # minimizers are minimal at u, so <u, v_z> = <n_z, u> / q_z
+            caps.append(Fraction(lcm(*(q // gcd(dot(n, u), q) for n, q in floors))))
     lo = []
     hi = []
     for i in range(k):
         lo.append(floor(sum(min(Fraction(0), cap * u[i]) for cap, u in zip(caps, rays))))
         hi.append(ceil(sum(max(Fraction(0), cap * u[i]) for cap, u in zip(caps, rays))))
-    # m = R lam with the rays as the columns of R, so lam = adj(R) m / det(R)
-    rows = [[u[i] for u in rays] for i in range(k)]
-    det = int(determinant(rows))
-    sign = 1 if det > 0 else -1
-    coords = [tuple(sign * a for a in row) for row in adjugate(rows)]
-    limits = [(cap.numerator * abs(det), cap.denominator) for cap in caps]
-    floors = []
-    for v in chamber.minimizers:
-        q = lcm(*(x.denominator for x in v))
-        floors.append((tuple(int(x * q) for x in v), q))
+    # m = sum lam_i u_i, and the facet normal f_i is positive on u_i and zero
+    # on the other rays, so lam_i = <f_i, m> / <f_i, u_i>
+    facets = cone_from_inequalities(rays, k)[1]
+    normals = [next(f for f in facets if dot(f, u) > 0) for u in rays]
+    limits = [
+        (cap.numerator * dot(f, u), cap.denominator) for cap, f, u in zip(caps, normals, rays)
+    ]
     for m in cartesian_product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        for row, (top, den) in zip(coords, limits):
-            mu = sum(map(mul, row, m))
+        for f, (top, den) in zip(normals, limits):
+            mu = sum(map(mul, f, m))
             if mu < 0 or mu * den > top:
                 break
         else:

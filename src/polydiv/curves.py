@@ -428,28 +428,15 @@ def is_torsion_class(d: QDivisor) -> tuple[Verdict, int | None]:
 
 
 def h0_dim(d: QDivisor) -> int | None:
-    """dim H^0 of the associated invertible sheaf; None when undecidable."""
+    """dim H^0 of the associated invertible sheaf, by Riemann-Roch from h1;
+    None when undecidable."""
     if not d.curve.projective:
         raise CurveDomainError("global sections are infinite-dimensional on affine models")
     if not is_integral(d):
         raise NonIntegralError("cohomology dimensions need an integral divisor")
-    deg = degree(d)
-    if isinstance(d.curve, ProjectiveLine) or (
-        isinstance(d.curve, AbstractProjectiveCurve) and d.curve.genus == 0
-    ):
-        return max(0, int(deg) + 1)
-    if isinstance(d.curve, EllipticCurveQ):
-        if deg > 0:
-            return int(deg)
-        if deg < 0:
-            return 0
-        return 1 if is_principal(d) == Verdict.YES else 0
-    g = d.curve.genus
-    if deg < 0:
-        return 0
-    if deg > 2 * g - 2:
-        return int(deg) + 1 - g
-    return None
+    deg = int(degree(d))
+    h1 = h1_dim_of_degree(d.curve, deg, lambda: is_principal(d))
+    return None if h1 is None else deg + 1 - d.curve.genus + h1
 
 
 def h1_dim(d: QDivisor) -> int | None:

@@ -288,7 +288,7 @@ def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
 
     if rank > 3:
         if not walls and weight_cone.pointed and len(weight_cone.rays) == rank:
-            chambers = [_finish_chamber(tuple(sorted(weight_cone.rays)), polys)]
+            chambers = [_finish_chamber(weight_cone, polys)]
             return ChamberFan(rank, weight_cone, tuple(chambers))
         raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
 
@@ -307,7 +307,7 @@ def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
             queue += [dd.extend(axis), dd.extend(vec_neg(axis))]
             continue
         for simplex in _triangulate(dd.rays, rank):
-            chambers.append(_finish_chamber(simplex, polys))
+            chambers.append(_finish_chamber(Cone(simplex, rank, pointed=True), polys))
     chambers.sort(key=lambda ch: ch.rays)
     return ChamberFan(rank, weight_cone, tuple(chambers))
 
@@ -327,8 +327,10 @@ def _split(dd, wall):
 def _triangulate(rays, rank: int):
     """Split a pointed full-dimensional cone into simplicial pieces.
 
-    At rank 3 each facet holds exactly two extreme rays, so the simplices
-    spanned by the first ray and each facet away from it fill the cone.
+    Each piece is the sorted tuple of its rays: extreme rays of the region,
+    primitive and linearly independent. At rank 3 each facet holds exactly
+    two extreme rays, so the simplices spanned by the first ray and each
+    facet away from it fill the cone.
     """
     k = len(rays)
     if k == rank:
@@ -343,9 +345,9 @@ def _triangulate(rays, rank: int):
     return [tuple(sorted([g0] + pair)) for pair in on]
 
 
-def _finish_chamber(simplex_rays, polys) -> Chamber:
-    cone = make_cone(simplex_rays, len(simplex_rays[0]))
-    sample = tuple(sum(r[c] for r in simplex_rays) for c in range(cone.rank))
+def _finish_chamber(cone: Cone, polys) -> Chamber:
+    """The chamber on a simplicial cone: one minimizing vertex per polyhedron."""
+    sample = tuple(sum(r[c] for r in cone.rays) for c in range(cone.rank))
     minimizers = []
     for p in polys:
         # a positive common denominator keeps minima and lexicographic order
@@ -353,7 +355,7 @@ def _finish_chamber(simplex_rays, polys) -> Chamber:
         values = [dot(sample, n) for n in nums]
         best = min(values)
         chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
-        for u in simplex_rays:
+        for u in cone.rays:
             if dot(u, nums[chosen]) != min(dot(u, n) for n in nums):
                 raise ShapeError("chamber is not a linearity region; internal error")
         minimizers.append(p.vertices[chosen])

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (cone arithmetic, chamber fans, section-ring kernels)
-reduces to a handful of primitives implemented here: an echelon basis,
-determinants and integer adjugates, and ray enumeration for homogeneous
-inequality systems by double description. The echelon basis, extended one
-row at a time, is the one elimination kernel: ranks, and the kernels and
-pivot columns of relations, from which the section-ring presentation reads
-its relations and its generators, are read off it; determinant keeps its own
-fraction-free (Bareiss) elimination in int. Every cone question in the
-package (duals, membership, redundancy, pointedness, full dimension) is
-answered by double description; there is no Fourier-Motzkin elimination.
+reduces to two kernels implemented here: an echelon basis, and ray
+enumeration for homogeneous inequality systems by double description. The
+echelon basis, extended one row at a time, is the one elimination kernel:
+ranks, and the kernels and pivot columns of relations, from which the
+section-ring presentation reads its relations and its generators, are read
+off it. Every cone question in the package (duals, membership, redundancy,
+pointedness, full dimension, the facet normals of a chamber) is answered by
+double description; there is no Fourier-Motzkin elimination and no
+determinant.
 
 Double description is one step on an immutable state (DoubleDescription:
 lines, rays, tight sets and the count of processed normals), and
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .errors import RankMismatchError, ShapeError
+from .errors import RankMismatchError
 
 
 def dot(u, v):
@@ -152,62 +152,6 @@ def relations(vectors, width: int) -> tuple[list[tuple[Fraction, ...]], list[int
             rel[i] = row[width + s]
         out.append(tuple(rel))
     return out, sorted(basis.rows)
-
-
-def determinant(rows) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Each row is cleared of its denominators once; the elimination then stays
-    in int, where every Bareiss division is exact, and the result is scaled
-    back by the product of the row denominators.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise RankMismatchError("determinant needs a square matrix")
-    m = []
-    scale = 1
-    for row in rows:
-        q = 1
-        if not all(isinstance(x, int) for x in row):
-            row = [Fraction(x) for x in row]
-            q = lcm(*(x.denominator for x in row))
-        m.append([int(x * q) for x in row])
-        scale *= q
-    sign, prev = 1, 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        p = m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[c])]
-        prev = p
-    return Fraction(sign * prev, scale)
-
-
-def adjugate(rows) -> list[list[int]]:
-    """Transposed cofactor matrix of an integer matrix: adj(A) A = det(A) I.
-
-    Entries are exact integers, so A x = b is solved over the rationals as
-    x = adj(A) b / det(A) without leaving integer arithmetic.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise RankMismatchError("adjugate needs a square matrix")
-    if any(Fraction(x).denominator != 1 for row in rows for x in row):
-        raise ShapeError("adjugate needs an integer matrix")
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [list(row[:j]) + list(row[j + 1 :]) for r, row in enumerate(rows) if r != i]
-            adj[j][i] = (-1) ** (i + j) * int(determinant(minor))
-    return adj
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ one elimination kernel of polydiv.linalg, kept as an independent oracle.
 rref is a reduced row echelon form of the whole matrix at once, and
 kernel_basis reads the kernel off it, one vector per free column. The tests
 compare matrix_rank, relations, the cone kernels and the section-ring
-presentation against them. determinant is the Gaussian elimination over
-Fractions that the fraction-free determinant of polydiv.linalg replaced.
+presentation against them. determinant is a Gaussian elimination over
+Fractions, and adjugate the cofactor matrix built on it, with which the
+floor-degree search once read chamber coordinates: the tests check the facet
+normals that replaced it against them.
 """
 
 from fractions import Fraction
@@ -78,3 +80,18 @@ def determinant(rows) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return det
+
+
+def adjugate(rows) -> list[list[int]]:
+    """Transposed cofactor matrix of an integer matrix: adj(A) A = det(A) I."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise RankMismatchError("adjugate needs a square matrix")
+    if n == 1:
+        return [[1]]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [list(row[:j]) + list(row[j + 1 :]) for r, row in enumerate(rows) if r != i]
+            adj[j][i] = (-1) ** (i + j) * int(determinant(minor))
+    return adj

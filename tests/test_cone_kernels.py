@@ -55,7 +55,6 @@ from polydiv.geometry import (
 from polydiv.linalg import (
     DoubleDescription,
     cone_from_inequalities,
-    determinant,
     dot,
     is_zero,
     primitive,
@@ -65,7 +64,7 @@ from polydiv.linalg import (
 )
 from polydiv.problem_io import parse_problem
 from polydiv.toric import _span_multiplicity, toric_cone
-from reference_linalg import rref, rref_rank
+from reference_linalg import determinant, rref, rref_rank
 
 # A safety valve for Fourier-Motzkin blowup in the reference.
 _FM_CONSTRAINT_CAP = 200_000
@@ -848,9 +847,9 @@ def test_integer_support_minima_match_the_fraction_path():
                         want = reference_finish_chamber(rays, polys)
                     except ShapeError:
                         with pytest.raises(ShapeError):
-                            geometry._finish_chamber(rays, polys)
+                            geometry._finish_chamber(make_cone(rays, rank), polys)
                         continue
-                    assert geometry._finish_chamber(rays, polys) == want
+                    assert geometry._finish_chamber(make_cone(rays, rank), polys) == want
                     sample = tuple(sum(r[c] for r in rays) for c in range(rank))
                     seen["tied chamber"] += any(
                         sum(dot(sample, v) == dot(sample, w) for v in p.vertices) > 1
@@ -858,7 +857,7 @@ def test_integer_support_minima_match_the_fraction_path():
                     )
                 weight = dual_cone(tail)
                 for ch in geometry.chamber_fan(polys, weight).chambers:
-                    assert geometry._finish_chamber(ch.rays, polys) == reference_finish_chamber(
+                    assert geometry._finish_chamber(ch.cone, polys) == reference_finish_chamber(
                         ch.rays, polys
                     )
                     seen["fan"] += 1

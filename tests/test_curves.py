@@ -249,3 +249,45 @@ def test_riemann_roch_on_elliptic_random():
         d = divisor(e, coeffs)
         deg = int(degree(d))
         assert h0_dim(d) - h1_dim(d) == deg  # genus one: deg + 1 - g
+
+
+def reference_h0_dim(d):
+    """h0_dim as it was, one case per curve model before it was read off
+    h1_dim_of_degree by Riemann-Roch."""
+    deg = degree(d)
+    if isinstance(d.curve, ProjectiveLine) or (
+        isinstance(d.curve, AbstractProjectiveCurve) and d.curve.genus == 0
+    ):
+        return max(0, int(deg) + 1)
+    if isinstance(d.curve, EllipticCurveQ):
+        if deg > 0:
+            return int(deg)
+        if deg < 0:
+            return 0
+        return 1 if is_principal(d) == Verdict.YES else 0
+    g = d.curve.genus
+    if deg < 0:
+        return 0
+    if deg > 2 * g - 2:
+        return int(deg) + 1 - g
+    return None
+
+
+def test_h0_dim_matches_the_case_analysis():
+    rng = random.Random(20261013)
+    models = [
+        (P1, [p1_point(0), p1_point(1), P1_INFINITY]),
+        (EC_TWO_TORSION, [EC_ORIGIN, EllipticPoint(0, 0), EllipticPoint(1, 0)]),
+        (EllipticCurveQ(0, 1), [EC_ORIGIN, EllipticPoint(-1, 0), EllipticPoint(2, 3)]),
+    ] + [(AbstractProjectiveCurve(g), [LabelPoint(c) for c in "pqr"]) for g in range(5)]
+    seen = {"principal": 0, "non-principal": 0, "unknown": 0}
+    for curve, pool in models:
+        for _ in range(150):
+            coeffs = {pt: rng.randint(-4, 4) for pt in rng.sample(pool, rng.randint(1, 3))}
+            d = divisor(curve, coeffs)
+            want = reference_h0_dim(d)
+            assert h0_dim(d) == want, d
+            seen["unknown"] += want is None
+            if isinstance(curve, EllipticCurveQ) and degree(d) == 0:
+                seen["principal" if want == 1 else "non-principal"] += 1
+    assert all(n >= 5 for n in seen.values()), seen

@@ -4,7 +4,9 @@ The reference below is the search as it was written before the integer
 kernel: for every point of each chamber's bounding box it solves for the
 chamber coordinates in Fractions and evaluates the rounded-down divisor.
 Both scan the same boxes in the same order, so they must return the very
-same witness, not merely agree on whether one exists. The families are
+same witness, not merely agree on whether one exists. The chamber
+coordinates the kernel reads off facet normals are also checked against the
+sign(det R) adj(R) rows it once took from the ray matrix R. The families are
 seeded, so failures reproduce.
 """
 
@@ -23,11 +25,13 @@ from polydiv.curves import (
     floor_divisor,
     p1_point,
 )
-from polydiv.geometry import chamber_fan, make_cone, make_polyhedron
+from polydiv.geometry import chamber_fan, dual_cone, make_cone, make_polyhedron
+from polydiv.linalg import cone_from_inequalities, dot
 from polydiv.pdiv import evaluate, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
 
-from test_cone_kernels import solve
+from reference_linalg import adjugate, determinant
+from test_cone_kernels import solve, tied_polyhedron
 
 P1 = ProjectiveLine()
 
@@ -45,6 +49,10 @@ ORTHANT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # a cone over a square: its dual, the weight cone, has four rays in rank three
 SQUARE3 = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
 TAILS = {2: (ORTHANT2, ((1, 0), (1, 2)), ((2, 1), (1, 3))), 3: (ORTHANT3, SQUARE3)}
+# the weight cone of this tail is spanned by -e_1, (-3, 1, -1) and (1, 1, 1):
+# -e_1 scans after its translates, and its facet normal f has <f, -e_1> = 1,
+# half of |det R|, so the limits along -e_1 tell <f, -e_1> from |det R|
+NEGATIVE_AXIS3 = ((0, 1, 1), (0, 1, -1), (-1, -1, 2))
 
 BOUNDS = (-1, -2, 0)
 BOX_POINT_CAP = 2_500
@@ -105,14 +113,15 @@ def _box_points(d):
     return total, min(ray_degree.values())
 
 
-def random_divisor(rng, rank, degree_zero_ray):
+def random_divisor(rng, rank, degree_zero_ray, zero_ray_tail=None):
     """A random divisor over P1. The first coefficient leans along the sum of
     the tail rays, which pairs positively with the whole weight cone, so many
     samples are proper; degree_zero_ray makes the first coordinate of two
-    coefficients cancel, so the weight e_1 has degree zero."""
+    coefficients cancel, so the weights e_1 and -e_1 have degree zero, over
+    the orthant tail or zero_ray_tail."""
     tail_rays = rng.choice(TAILS[rank])
     if degree_zero_ray:
-        tail_rays = ORTHANT2 if rank == 2 else ORTHANT3
+        tail_rays = zero_ray_tail or (ORTHANT2 if rank == 2 else ORTHANT3)
     tail = make_cone(tail_rays, rank)
     lean = [sum(r[i] for r in tail_rays) for i in range(rank)]
     pts = rng.sample(POINT_POOL, rng.randint(2, 4))
@@ -132,13 +141,13 @@ def random_divisor(rng, rank, degree_zero_ray):
     return polyhedral_divisor(P1, rank, tail_rays, coeffs)
 
 
-def kernel_family(rng, rank, count, degree_zero_ray):
+def kernel_family(rng, rank, count, degree_zero_ray, zero_ray_tail=None):
     out = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         assert attempts < 20_000, "rejection sampling is stuck"
-        d = random_divisor(rng, rank, degree_zero_ray)
+        d = random_divisor(rng, rank, degree_zero_ray, zero_ray_tail)
         if len(d.coefficients) < 2 or is_proper(d).verdict != Verdict.YES:
             continue
         points, lowest = _box_points(d)
@@ -178,6 +187,7 @@ def test_floor_kernel_matches_point_search():
     instances += kernel_family(rng, 3, 10, degree_zero_ray=False)
     instances += kernel_family(rng, 3, 6, degree_zero_ray=True)
     instances += deep_family(rng, 2, 3) + deep_family(rng, 3, 3)
+    instances += kernel_family(rng, 3, 6, degree_zero_ray=True, zero_ray_tail=NEGATIVE_AXIS3)
     seen = {"rank-3": 0, "non-simplicial-weight-cone": 0, "degree-zero-ray": 0}
     witnesses = {c: 0 for c in BOUNDS}
     for d in instances:
@@ -197,3 +207,31 @@ def test_floor_kernel_matches_point_search():
         f"floor kernel vs point search: PASS ({len(instances)} divisors, {seen}, "
         f"witnesses per bound {witnesses}, {elapsed:.2f} s)"
     )
+
+
+def test_facet_normals_are_scaled_adjugate_rows():
+    """Row i of sign(det R) adj(R), for the rays u_i as the columns of R, is
+    (|det R| / <f_i, u_i>) f_i for the facet normal f_i positive on u_i."""
+    rng = Random(20261017)
+    seen = {1: 0, 2: 0, 3: 0, "det>1": 0, "scaled": 0}
+    for rank in (1, 2, 3):
+        for tail_rays in ([], [tuple(int(i == j) for j in range(rank)) for i in range(rank)]):
+            tail = make_cone(tail_rays, rank)
+            # a rank-3 fan over tied vertices has hundreds of chambers
+            for _ in range(8 if rank < 3 else 1):
+                polys = [tied_polyhedron(rng, rank, tail) for _ in range(rng.randint(1, 2))]
+                for chamber in chamber_fan(polys, dual_cone(tail)).chambers:
+                    rays = chamber.rays
+                    rows = [[u[i] for u in rays] for i in range(rank)]
+                    det = int(determinant(rows))
+                    sign = 1 if det > 0 else -1
+                    facets = cone_from_inequalities(rays, rank)[1]
+                    assert len(facets) == rank
+                    for u, adj_row in zip(rays, adjugate(rows)):
+                        (f,) = [g for g in facets if dot(g, u) > 0]
+                        scale = Fraction(abs(det), dot(f, u))
+                        assert [sign * a for a in adj_row] == [scale * x for x in f], (rays, u)
+                        seen["scaled"] += scale != 1
+                    seen[rank] += 1
+                    seen["det>1"] += abs(det) > 1
+    assert all(n >= 10 for n in seen.values()), seen

@@ -298,6 +298,23 @@ def test_chamber_fan_rejects_weight_cone_outside_tail_dual():
         chamber_fan([p], make_cone([(1,), (-1,)], 1))
 
 
+def test_chamber_fan_rejects_lower_dimensional_weight_cones():
+    polygon = make_polyhedron([(0, 0), (1, 2), (2, 1)], make_cone([], 2))
+    cases = [
+        (make_cone([(1, 0)], 2), []),
+        (make_cone([(1, 1), (-1, -1)], 2), []),
+        (make_cone([], 2), []),
+        (make_cone([(1, 0, 0), (0, 1, 0)], 3), []),
+        # a half-plane: its lineality both ways and one ray, all coplanar
+        (make_cone([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], 3), []),
+        (make_cone([(1, 0)], 2), [polygon]),
+    ]
+    assert len(cases[4][0].rays) == 3
+    for weight, polys in cases:
+        with pytest.raises(ShapeError, match="weight cone must be full-dimensional"):
+            chamber_fan(polys, weight)
+
+
 def test_rank_mismatch_errors():
     with pytest.raises(RankMismatchError):
         make_cone([(1, 0)], 1)

@@ -3,18 +3,15 @@ from random import Random
 
 import pytest
 
-from polydiv.errors import RankMismatchError, ShapeError
+from polydiv.errors import RankMismatchError
 from polydiv.linalg import (
     EchelonBasis,
-    adjugate,
     cone_from_inequalities,
-    determinant,
     dot,
     matrix_rank,
     primitive,
     relations,
 )
-from reference_linalg import determinant as reference_determinant
 from reference_linalg import kernel_basis, rref, rref_rank
 
 
@@ -35,79 +32,6 @@ def test_matrix_rank():
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[1, 0], [0, 1]]) == 2
     assert matrix_rank([]) == 0
-
-
-def test_determinant_hand_values():
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
-    assert determinant([[1, 2], [2, 4]]) == 0
-    # row swap flips the sign
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
-
-
-def test_determinant_rejects_non_square():
-    with pytest.raises(Exception):
-        determinant([[1, 2, 3], [4, 5, 6]])
-
-
-def test_determinant_matches_the_gaussian_elimination():
-    rng = Random(20111)
-    seen = {"int": 0, "rational": 0, "singular": 0, "swap": 0}
-    for n in range(6):
-        for kind in ("int", "rational"):
-            for _ in range(25):
-                if kind == "int":
-                    rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-                else:
-                    rows = [
-                        [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
-                        for _ in range(n)
-                    ]
-                if n > 1 and rng.random() < 0.3:
-                    # a combination of two rows, or a zero column
-                    i, j, k = (rng.randrange(n) for _ in range(3))
-                    if rng.random() < 0.5:
-                        rows[i] = [2 * a - b for a, b in zip(rows[j], rows[k])]
-                    else:
-                        for row in rows:
-                            row[i] = 0
-                if n > 1 and rng.random() < 0.3:
-                    rows[0] = [0] * (n - 1) + [rows[0][-1]]
-                got = determinant(rows)
-                want = reference_determinant(rows)
-                assert got == want and type(got) is Fraction, rows
-                seen[kind] += 1
-                seen["singular"] += want == 0
-                seen["swap"] += n > 1 and rows[0][0] == 0 and want != 0
-    assert seen["singular"] >= 20 and seen["swap"] >= 10, seen
-    with pytest.raises(RankMismatchError):
-        determinant([[1, 2], [3]])
-    with pytest.raises(RankMismatchError):
-        reference_determinant([[1, 2], [3]])
-
-
-def test_adjugate_times_matrix_is_determinant():
-    rng = Random(3)
-    assert adjugate([[-4]]) == [[1]]
-    assert adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
-    for n in (2, 3):
-        for _ in range(20):
-            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            det = determinant(rows)
-            adj = adjugate(rows)
-            for i in range(n):
-                for j in range(n):
-                    entry = sum(adj[i][k] * rows[k][j] for k in range(n))
-                    assert entry == (det if i == j else 0)
-                    assert isinstance(adj[i][j], int)
-
-
-def test_adjugate_needs_a_square_integer_matrix():
-    with pytest.raises(RankMismatchError):
-        adjugate([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(ShapeError):
-        adjugate([[Fraction(1, 2), 0], [0, 1]])
 
 
 def test_kernel_basis_dimension_and_membership():
