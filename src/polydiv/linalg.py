@@ -19,8 +19,9 @@ on opposite sides of a new hyperplane only when the two rays are adjacent:
 no third ray is tight on every processed inequality on which both are tight
 (the combinatorial adjacency test of Fukuda and Prodon, "Double description
 method revisited", 1996). The rays it returns are then extreme and pairwise
-distinct without any further pruning. All arithmetic is fractions.Fraction
-or int, and integer vectors stay in int; no floats anywhere.
+distinct without any further pruning. Both kernels work in int: a Fraction
+vector is cleared of its denominators once, on entry, and every step after
+that divides by gcds. Only relations hand out Fractions; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -59,57 +60,74 @@ def is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
 
+def _integral(v) -> list[int]:
+    """v times the lcm of its denominators: an all-int vector as it is."""
+    if set(map(type, v)) <= {int}:
+        return list(v)
+    scale = lcm(*(x.denominator for x in v))
+    return [x.numerator * (scale // x.denominator) for x in v]
+
+
 def primitive(v) -> tuple[int, ...]:
     """Shortest integer vector on the same ray (zero stays zero).
 
     An all-int vector is divided by the gcd of its entries and never leaves
     int; only rational entries are cleared of their denominators first.
     """
-    if not all(isinstance(x, int) for x in v):
-        fr = [Fraction(x) for x in v]
-        scale = lcm(*(x.denominator for x in fr))
-        v = [int(x * scale) for x in fr]
+    v = _integral(v)
     g = gcd(*v)
-    if g == 0:
-        return tuple(0 for _ in v)
-    return tuple(x // g for x in v)
+    return tuple(x // g for x in v) if g else tuple(v)
 
 
 class EchelonBasis:
-    """Row echelon basis of a span that grows one row at a time.
+    """Row echelon basis of a span that grows one row at a time, in int.
 
     rows maps each pivot column to its row, in the order the rows came: a
-    row is 1 at its pivot and 0 at the pivots of the rows before it, so a new
-    row reduced by them in that order is 0 at every pivot. The pivots of an
-    echelon basis are those of the reduced echelon form, which the span
-    alone determines, so they do not depend on the order of the rows.
-    Entries become Fractions on entry.
+    primitive int list, positive at its pivot and 0 at the pivots of the rows
+    before it, so a new row reduced by them in that order is 0 at every
+    pivot. The pivots are those of the reduced echelon form, which the span
+    alone determines, whatever the order of the rows. Each reduced row is a
+    positive multiple of the one elimination over the rationals gives.
     """
 
     def __init__(self):
-        self.rows: dict[int, list[Fraction]] = {}
+        self.rows: dict[int, list[int]] = {}
+        # the nonzero entries of each row, (column, value), its lead first
+        self._terms: dict[int, list[tuple[int, int]]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row) -> list[Fraction]:
-        """row minus its combination of the basis rows: 0 at every pivot."""
-        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        for c, basis_row in self.rows.items():
+    def reduce(self, row) -> list[int]:
+        """A positive multiple of row minus its combination of the basis rows,
+        0 at every pivot: row = p * row - row[c] * basis_row per basis row
+        with lead p at column c, divided by the gcd when p > 1."""
+        row = _integral(row)
+        for c, terms in self._terms.items():
             f = row[c]
-            if f != 0:
-                row = [x - f * y if y else x for x, y in zip(row, basis_row)]
+            if f:
+                p = terms[0][1]
+                if p != 1:
+                    row = [p * x for x in row]
+                for j, y in terms:
+                    row[j] -= f * y
+                if p != 1 and (g := gcd(*row)) > 1:
+                    row = [x // g for x in row]
         return row
 
     def add(self, row) -> bool:
-        """Extend the basis by row; False when row is already in the span."""
+        """Extend the basis by row, made primitive with a positive lead;
+        False when row is already in the span."""
         row = self.reduce(row)
-        lead = next((c for c, x in enumerate(row) if x != 0), None)
-        if lead is None:
+        support = [j for j, x in enumerate(row) if x]
+        if not support:
             return False
-        inv = 1 / row[lead]
-        self.rows[lead] = [x * inv for x in row]
+        lead = support[0]
+        g = gcd(*row) if row[lead] > 0 else -gcd(*row)
+        row = [x // g for x in row]
+        self.rows[lead] = row
+        self._terms[lead] = [(j, row[j]) for j in support]
         return True
 
 
@@ -124,15 +142,15 @@ def relations(vectors, width: int) -> tuple[list[tuple[Fraction, ...]], list[int
     """Basis of the linear relations among vectors of length width, and the
     pivot columns of their span, ascending.
 
-    Each vector enters an echelon basis with a unit vector appended at the
-    slot it takes if it is independent of the vectors before it (width slots
-    suffice; the unit vector is 0 once all are taken). When its first width
-    entries reduce to 0, the slots hold minus its unique coordinates over the
-    earlier independent vectors: the relation is 1 at its own index and those
-    coordinates at theirs. That is the kernel vector a reduced row echelon
-    form of the matrix with these columns gives at that free column, so the
-    basis is the same, in the same order. Every row of the basis leads in its
-    first width entries, so its pivots are those of the span of the vectors.
+    Each vector enters an int echelon basis with a unit vector appended at
+    the slot it takes if it is independent of the vectors before it (at most
+    width are: width + 1 slots). When its first width entries reduce to 0,
+    the row is u > 0 at its own slot and u times minus its coordinates over
+    the earlier independent vectors at theirs: the relation is 1 at its own
+    index and the slots over u at theirs, the kernel vector a reduced row
+    echelon form of the matrix with these columns gives at that free column.
+    Every row of the basis leads in its first width entries, so its pivots
+    are those of the span of the vectors.
     """
     basis = EchelonBasis()
     independent: list[int] = []
@@ -141,15 +159,17 @@ def relations(vectors, width: int) -> tuple[list[tuple[Fraction, ...]], list[int
         if len(v) != width:
             raise RankMismatchError(f"vector {k} has length {len(v)}, expected {width}")
         slot = len(independent)
-        row = basis.reduce([*v, *(int(i == slot) for i in range(width))])
+        row = basis.reduce([*v, *[0] * slot, 1, *[0] * (width - slot)])
         if any(row[:width]):
             basis.add(row)
             independent.append(k)
             continue
         rel = [Fraction(0)] * len(vectors)
         rel[k] = Fraction(1)
+        u = row[width + slot]
         for s, i in enumerate(independent):
-            rel[i] = row[width + s]
+            if row[width + s]:
+                rel[i] = Fraction(row[width + s], u)
         out.append(tuple(rel))
     return out, sorted(basis.rows)
 

@@ -29,7 +29,8 @@ a shift of one correction polynomial when every g_i is a power of t.
 Generators, kernels and new relations are read off echelon bases
 (linalg.EchelonBasis) extended one row at a time; their pivots are those of
 the reduced echelon form, which is unique, so the choices are those of a
-fresh rref of all the rows.
+fresh rref of all the rows. Values are int at integer marked points and
+Fractions at others, cleared once per row; what leaves is Fraction.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, InternalError, ShapeError
-from .linalg import EchelonBasis, relations
+from .linalg import EchelonBasis, primitive, relations
 from .pdiv import PolyhedralDivisor, RaySlope, ray_slopes
 
 Vector = tuple[Fraction, ...]
@@ -84,8 +85,14 @@ def hilbert_series(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
     return _RingTable(d, m_max).dims
 
 
+def _exact(x):
+    """x as an int when it is an integer, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -102,13 +109,13 @@ def _finite(slopes):
 
 def _correction_poly(finite, exponents):
     """Coefficients of prod (t - z)^{e_z}; every exponent must be nonnegative."""
-    poly = [Fraction(1)]
+    poly = [1]
     for s, e in zip(finite, exponents):
         if e < 0:
             raise InternalError(f"negative correction exponent {e} at {s.point}")
-        z = s.point.affine_value
+        z = _exact(s.point.affine_value)
         for _ in range(e):
-            poly = _poly_mul(poly, [-z, Fraction(1)])
+            poly = _poly_mul(poly, [-z, 1])
     return poly
 
 
@@ -127,9 +134,9 @@ class _RingTable:
         degrees = range(max_degree + 1)
         self.floors = tuple(tuple(_floor_coeff(s, m) for s in self.finite) for m in degrees)
         self.dims = tuple(_dimension(slopes, m) for m in degrees)
-        self._corrections: dict[tuple[int, ...], list[Fraction]] = {}
+        self._corrections: dict[tuple[int, ...], list] = {}
 
-    def correction(self, exponents: tuple[int, ...]) -> list[Fraction]:
+    def correction(self, exponents: tuple[int, ...]) -> list:
         poly = self._corrections.get(exponents)
         if poly is None:
             poly = self._corrections[exponents] = _correction_poly(self.finite, exponents)
@@ -168,7 +175,7 @@ def multiply_sections(
     prod = _poly_mul(_poly_mul(v1, v2), corr)
     if any(c != 0 for c in prod[target:]):
         raise InternalError(f"product of degrees {m1} and {m2} leaves the degree-{m1 + m2} piece")
-    prod = prod[:target]
+    prod = [Fraction(c) for c in prod[:target]]
     return tuple(prod) + (Fraction(0),) * (target - len(prod))
 
 
@@ -188,7 +195,7 @@ def minimal_generators(d: PolyhedralDivisor, max_degree: int) -> tuple[RingGener
     non-pivot columns of the span of the monomials in the lower generators;
     that span is exactly the decomposable part of the piece.
     """
-    return _presentation(_RingTable(d, max_degree))[0]
+    return _presentation(_RingTable(d, max_degree), blocks_wanted=False)[0]
 
 
 def _degree_monomials(monomials, degrees, total: int) -> list[tuple[int, ...]]:
@@ -215,7 +222,7 @@ def _generator_factors(table: _RingTable, gens):
             # never part of a monomial up to the truncation degree
             factors.append(None)
             continue
-        coeffs = [Fraction(x) for x in g.coeffs]
+        coeffs = [_exact(x) for x in g.coeffs]
         dim = table.dims[g.degree]
         if len(coeffs) != dim:
             raise ShapeError(
@@ -228,14 +235,14 @@ def _generator_factors(table: _RingTable, gens):
             k = nonzero[0]
             factors.append((coeffs[k], k, None, table.floors[g.degree]))
         else:
-            factors.append((Fraction(1), 0, coeffs, table.floors[g.degree]))
+            factors.append((1, 0, coeffs, table.floors[g.degree]))
     return factors
 
 
 def _eval_monomial(table: _RingTable, factors, exponents, total: int) -> Vector:
     """The monomial x^a of degree total, in closed form:
     prod g_i^{a_i} * prod_z (t - z)^{n_z(total) - sum_i a_i n_z(deg g_i)}."""
-    scale, shift, poly = Fraction(1), 0, [Fraction(1)]
+    scale, shift, poly = 1, 0, [1]
     exps = list(table.floors[total])
     for factor, a in zip(factors, exponents):
         if a == 0:
@@ -253,7 +260,7 @@ def _eval_monomial(table: _RingTable, factors, exponents, total: int) -> Vector:
     target = table.dims[total]
     if shift + len(prod) > target and any(c != 0 for c in prod[max(0, target - shift) :]):
         raise InternalError(f"the monomial {tuple(exponents)} leaves the degree-{total} piece")
-    vec = [Fraction(0)] * target
+    vec = [0] * target
     for k, c in enumerate(prod[: max(0, target - shift)]):
         vec[shift + k] = scale * c
     return tuple(vec)
@@ -276,12 +283,13 @@ class RelationBlock:
     relations: tuple[Vector, ...]
 
 
-def _presentation(table: _RingTable, gens=None):
+def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
     """(generators, relation blocks) up to the degree of the table, in one
     pass over the degrees. Without gens, those of degree m are the unit
     vectors at the non-pivot columns of the span of the degree-m monomials in
     the lower generators, named g1, g2, ... in ascending column; with gens,
-    the list stays as given."""
+    the list stays as given. Without blocks_wanted the blocks are (): the
+    generators need only the pivots of each degree."""
     find = gens is None
     gens = [] if find else list(gens)
     factors = _generator_factors(table, gens)
@@ -305,7 +313,7 @@ def _presentation(table: _RingTable, gens=None):
                 gens.append(RingGenerator(f"g{len(gens) + 1}", total, coeffs))
             factors += _generator_factors(table, gens[n:])
         monos = monomials[total] = tuple(monos)
-        if not monos:
+        if not monos or not blocks_wanted:
             continue
         new: list[Vector] = []
         if kernel:
@@ -335,20 +343,22 @@ def _shifted_relations(blocks, monomials, total: int, n: int):
     """The relations of lower degrees times every monomial that lifts them to
     degree total, as vectors over the monomials of degree total; monomials
     maps each degree up to total to its list of monomials, and n generators
-    have a lower degree."""
+    have a lower degree. Relations enter in primitive int form."""
     monos = monomials[total]
     index = {nu: k for k, nu in enumerate(monos)}
     for block in blocks:
         if not block.relations:
             continue
+        terms = [
+            [(_pad(block.monomials[k], n), c) for k, c in enumerate(primitive(rel)) if c]
+            for rel in block.relations
+        ]
         for mu in monomials[total - block.degree]:
             mu = _pad(mu, n)
-            for rel in block.relations:
-                vec = [Fraction(0)] * len(monos)
-                for k, c in enumerate(rel):
-                    if c != 0:
-                        shift = tuple(a + b for a, b in zip(_pad(block.monomials[k], n), mu))
-                        vec[index[shift]] += c
+            for rel in terms:
+                vec = [0] * len(monos)
+                for nu, c in rel:
+                    vec[index[tuple(a + b for a, b in zip(nu, mu))]] += c
                 yield vec
 
 

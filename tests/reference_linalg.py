@@ -7,7 +7,10 @@ compare matrix_rank, relations, the cone kernels and the section-ring
 presentation against them. determinant is a Gaussian elimination over
 Fractions, and adjugate the cofactor matrix built on it, with which the
 floor-degree search once read chamber coordinates: the tests check the facet
-normals that replaced it against them.
+normals that replaced it against them. EchelonBasis is the echelon basis as
+it was before it moved to integers, with every entry a Fraction and every
+row 1 at its pivot; the tests check the integer kernel's ranks, rows and
+relations against it.
 """
 
 from fractions import Fraction
@@ -95,3 +98,41 @@ def adjugate(rows) -> list[list[int]]:
             minor = [list(row[:j]) + list(row[j + 1 :]) for r, row in enumerate(rows) if r != i]
             adj[j][i] = (-1) ** (i + j) * int(determinant(minor))
     return adj
+
+
+class EchelonBasis:
+    """Row echelon basis of a span that grows one row at a time.
+
+    rows maps each pivot column to its row, in the order the rows came: a
+    row is 1 at its pivot and 0 at the pivots of the rows before it, so a new
+    row reduced by them in that order is 0 at every pivot. The pivots of an
+    echelon basis are those of the reduced echelon form, which the span
+    alone determines, so they do not depend on the order of the rows.
+    Entries become Fractions on entry.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, list[Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row) -> list[Fraction]:
+        """row minus its combination of the basis rows: 0 at every pivot."""
+        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+        for c, basis_row in self.rows.items():
+            f = row[c]
+            if f != 0:
+                row = [x - f * y if y else x for x, y in zip(row, basis_row)]
+        return row
+
+    def add(self, row) -> bool:
+        """Extend the basis by row; False when row is already in the span."""
+        row = self.reduce(row)
+        lead = next((c for c, x in enumerate(row) if x != 0), None)
+        if lead is None:
+            return False
+        inv = 1 / row[lead]
+        self.rows[lead] = [x * inv for x in row]
+        return True

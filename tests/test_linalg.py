@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from polydiv.linalg import (
     primitive,
     relations,
 )
+import reference_linalg
 from reference_linalg import kernel_basis, rref, rref_rank
 
 
@@ -59,18 +61,36 @@ def test_relations_hand_example():
     # vector is independent whatever its leading column
     assert relations([(0, 2, 1), (0, 4, 2)], 3) == ([(-2, 1)], [1])
     assert relations([(0, 0, 5), (1, 1, 0), (2, 2, 5)], 3) == ([(-1, -2, 1)], [0, 2])
+    # dependent vectors after independent ones have taken every one of the
+    # width slots; the integer rows are 6, then 1 and 7, at their own slots
+    assert relations([(2, 0), (0, 3), (1, 1)], 2) == (
+        [(Fraction(-1, 2), Fraction(-1, 3), 1)],
+        [0, 1],
+    )
+    assert relations([(Fraction(1, 3),), (5,), (Fraction(-2, 7),)], 1) == (
+        [(-15, 1, 0), (Fraction(6, 7), 0, 1)],
+        [0],
+    )
     with pytest.raises(RankMismatchError):
         relations([(1, 2), (3,)], 2)
 
 
 def test_echelon_basis_keeps_integer_rows_exact():
     basis = EchelonBasis()
-    assert basis.add([0, 3, 1])
-    assert not basis.add((0, 6, 2))
-    assert basis.add([1, 1, 1])
-    assert basis.rank == 2
-    assert basis.rows[1] == [0, 1, Fraction(1, 3)]
-    assert all(type(x) is Fraction for row in basis.rows.values() for x in row)
+    assert basis.add([0, 6, 2])
+    assert not basis.add((0, 9, 3))
+    assert basis.add([-2, 4, 0])
+    # (-2, 4, 0) is stored as (3, 0, 2), 0 at the earlier pivot 1; each
+    # reduced row is divided by the gcd of its entries: one step by (0, 3, 1)
+    # gives (0, 0, 9), and two steps give (3, 0, -4), then (0, 0, -18)
+    assert basis.reduce([0, 6, 5]) == [0, 0, 1]
+    assert basis.reduce([2, -1, -3]) == [0, 0, -1]
+    assert basis.add((Fraction(1, 2), 0, Fraction(-5, 4)))
+    assert basis.rank == 3
+    assert basis.rows == {1: [0, 3, 1], 0: [3, 0, 2], 2: [0, 0, 1]}
+    for c, row in basis.rows.items():
+        assert type(row) is list and all(type(x) is int for x in row)
+        assert row[c] > 0 and gcd(*row) == 1
 
 
 def random_matrix(rng, nrows, width):
@@ -117,6 +137,32 @@ def test_rank_and_relations_match_the_dense_reference():
             seen["empty"] += not rows
             seen["width 0"] += width == 0
             seen["relations"] += bool(got)
+    assert all(k >= 10 for k in seen.values()), seen
+
+
+def test_echelon_basis_matches_the_fraction_reference():
+    rng = Random(20099)
+    seen = {"int": 0, "fraction": 0, "dependent": 0, "full slots": 0}
+    for width in range(1, 9):
+        for _ in range(40):
+            rows = random_matrix(rng, rng.randint(1, 12), width)
+            basis, reference = EchelonBasis(), reference_linalg.EchelonBasis()
+            for row in rows:
+                # at rank width every slot of relations is taken
+                seen["full slots"] += reference.rank == width
+                assert basis.add(row) == reference.add(row), rows
+            assert basis.rank == reference.rank
+            assert sorted(basis.rows) == sorted(reference.rows)
+            for c, row in basis.rows.items():
+                # primitive, positive at its pivot, and on the reference row's ray
+                assert all(type(x) is int for x in row) and row[c] > 0 and gcd(*row) == 1
+                assert row == [row[c] * x for x in reference.rows[c]], rows
+            got, pivots = relations(rows, width)
+            transposed = [[row[i] for row in rows] for i in range(width)]
+            assert got == kernel_basis(transposed, len(rows)), rows
+            assert pivots == sorted(reference.rows)
+            seen["int" if all(type(x) is int for row in rows for x in row) else "fraction"] += 1
+            seen["dependent"] += bool(got)
     assert all(k >= 10 for k in seen.values()), seen
 
 

@@ -35,6 +35,7 @@ from polydiv.sections import (
     graded_dimension,
     hilbert_series,
     minimal_generators,
+    monomial_basis,
     multiply_sections,
     relation_blocks,
     ring_presentation,
@@ -275,6 +276,36 @@ def test_presentation_never_multiplies_sections_and_reduces_once_per_degree(monk
     monkeypatch.setattr(sections, "relations", counting)
     assert ring_presentation(d, 30) == expected
     assert 0 < len(calls) <= 30
+
+
+def test_public_ring_values_stay_fractions():
+    # the kernel works in int, but an int 1 would print as 1 where a report
+    # prints "1": every vector the module hands out is made of Fractions
+    def fractions(vec):
+        return all(type(x) is Fraction for x in vec)
+
+    seen = {"integer points": 0, "non-integer point": 0, "relations": 0, "unsummed zero": 0}
+    for d, n, gens in cases(20101, 40):
+        presentation = ring_presentation(d, n)
+        assert all(fractions(g.coeffs) for g in presentation.generators)
+        for blocks in (presentation.blocks, relation_blocks(d, n, gens)):
+            assert all(fractions(rel) for b in blocks for rel in b.relations)
+        assert all(fractions(v) for m in range(n + 1) for v in monomial_basis(d, m))
+        for g in gens:
+            # t^0 + t^2 * 3: its square's t^1 and t^3 coefficients are never summed
+            vec = [0] * len(g.coeffs)
+            vec[0] = 1
+            if len(vec) > 2:
+                vec[2] = 3
+                seen["unsummed zero"] += 1
+            if 2 * g.degree <= n:
+                assert fractions(multiply_sections(d, g.degree, vec, g.degree, tuple(vec)))
+            assert fractions(multiply_sections(d, g.degree, g.coeffs, 0, (1,)))
+        finite = [s.point for s in d.slopes if not s.point.is_infinity]
+        integer = all(pt.affine_value.denominator == 1 for pt in finite)
+        seen["integer points" if integer else "non-integer point"] += 1
+        seen["relations"] += any(b.relations for b in presentation.blocks)
+    assert all(k >= 5 for k in seen.values()), seen
 
 
 @pytest.mark.parametrize("exponent", [-1, -3])
