@@ -101,8 +101,8 @@ class EchelonBasis:
 
     def reduce(self, row) -> list[int]:
         """A positive multiple of row minus its combination of the basis rows,
-        0 at every pivot: row = p * row - row[c] * basis_row per basis row
-        with lead p at column c, divided by the gcd when p > 1."""
+        0 at every pivot: row = p * row - row[c] * basis_row for each basis
+        row with lead p at column c, divided by the gcd when p > 1."""
         row = _integral(row)
         for c, terms in self._terms.items():
             f = row[c]
@@ -117,8 +117,7 @@ class EchelonBasis:
         return row
 
     def add(self, row) -> bool:
-        """Extend the basis by row, made primitive with a positive lead;
-        False when row is already in the span."""
+        """Extend the basis by row; False when row is already in the span."""
         row = self.reduce(row)
         support = [j for j, x in enumerate(row) if x]
         if not support:
