@@ -82,8 +82,9 @@ def primitive(v) -> tuple[int, ...]:
 class EchelonBasis:
     """Row echelon basis of a span that grows one row at a time, in int.
 
-    rows maps each pivot column to its row, in the order the rows came: a
-    primitive int list, positive at its pivot and 0 at the pivots of the rows
+    rows maps each pivot column to its row, in the order the rows came, as
+    the (column, value) pairs of its nonzero entries, the pivot first: a
+    primitive int row, positive at its pivot and 0 at the pivots of the rows
     before it, so a new row reduced by them in that order is 0 at every
     pivot. The pivots are those of the reduced echelon form, which the span
     alone determines, whatever the order of the rows. Each reduced row is a
@@ -91,9 +92,7 @@ class EchelonBasis:
     """
 
     def __init__(self):
-        self.rows: dict[int, list[int]] = {}
-        # the nonzero entries of each row, (column, value), its lead first
-        self._terms: dict[int, list[tuple[int, int]]] = {}
+        self.rows: dict[int, list[tuple[int, int]]] = {}
 
     @property
     def rank(self) -> int:
@@ -104,7 +103,7 @@ class EchelonBasis:
         0 at every pivot: row = p * row - row[c] * basis_row for each basis
         row with lead p at column c, divided by the gcd when p > 1."""
         row = _integral(row)
-        for c, terms in self._terms.items():
+        for c, terms in self.rows.items():
             f = row[c]
             if f:
                 p = terms[0][1]
@@ -119,14 +118,11 @@ class EchelonBasis:
     def add(self, row) -> bool:
         """Extend the basis by row; False when row is already in the span."""
         row = self.reduce(row)
-        support = [j for j, x in enumerate(row) if x]
-        if not support:
+        terms = [(j, x) for j, x in enumerate(row) if x]
+        if not terms:
             return False
-        lead = support[0]
-        g = gcd(*row) if row[lead] > 0 else -gcd(*row)
-        row = [x // g for x in row]
-        self.rows[lead] = row
-        self._terms[lead] = [(j, row[j]) for j in support]
+        g = gcd(*row) if terms[0][1] > 0 else -gcd(*row)
+        self.rows[terms[0][0]] = [(j, x // g) for j, x in terms]
         return True
 
 

@@ -288,8 +288,8 @@ def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
     pass over the degrees. Without gens, those of degree m are the unit
     vectors at the non-pivot columns of the span of the degree-m monomials in
     the lower generators, named g1, g2, ... in ascending column; with gens,
-    the list stays as given. Without blocks_wanted the blocks are (), and
-    each degree is reduced only for the pivots the generators need."""
+    the list stays as given. Without blocks_wanted the blocks are () and
+    the span of shifted relations is skipped: generators need only pivots."""
     find = gens is None
     gens = [] if find else list(gens)
     factors = _generator_factors(table, gens)
@@ -301,13 +301,7 @@ def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
         n, target = len(gens), table.dims[total]
         monos = _degree_monomials(monomials, [g.degree for g in gens], total)
         vectors = [_eval_monomial(table, factors, a, total) for a in monos]
-        if blocks_wanted:
-            kernel, pivots = relations(vectors, target)
-        else:
-            span = EchelonBasis()
-            for v in vectors:
-                span.add(v)
-            kernel, pivots = [], span.rows
+        kernel, pivots = relations(vectors, target)
         if find:
             # each new x_k sorts after the monomials in lower generators and
             # its unit vector is independent of them: the kernel gains zeros

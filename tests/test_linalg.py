@@ -87,10 +87,19 @@ def test_echelon_basis_keeps_integer_rows_exact():
     assert basis.reduce([2, -1, -3]) == [0, 0, -1]
     assert basis.add((Fraction(1, 2), 0, Fraction(-5, 4)))
     assert basis.rank == 3
-    assert basis.rows == {1: [0, 3, 1], 0: [3, 0, 2], 2: [0, 0, 1]}
-    for c, row in basis.rows.items():
-        assert type(row) is list and all(type(x) is int for x in row)
-        assert row[c] > 0 and gcd(*row) == 1
+    # each row as the (column, value) pairs of its nonzero entries
+    assert basis.rows == {1: [(1, 3), (2, 1)], 0: [(0, 3), (2, 2)], 2: [(2, 1)]}
+    for c, terms in basis.rows.items():
+        assert_primitive_terms(c, terms)
+
+
+def assert_primitive_terms(c, terms):
+    """terms is a primitive int row with a positive lead at column c, as its
+    nonzero entries in ascending column."""
+    columns, values = [j for j, _ in terms], [x for _, x in terms]
+    assert columns[0] == c and columns == sorted(set(columns))
+    assert all(type(x) is int and x for x in values)
+    assert values[0] > 0 and gcd(*values) == 1
 
 
 def random_matrix(rng, nrows, width):
@@ -153,9 +162,12 @@ def test_echelon_basis_matches_the_fraction_reference():
                 assert basis.add(row) == reference.add(row), rows
             assert basis.rank == reference.rank
             assert sorted(basis.rows) == sorted(reference.rows)
-            for c, row in basis.rows.items():
+            for c, terms in basis.rows.items():
                 # primitive, positive at its pivot, and on the reference row's ray
-                assert all(type(x) is int for x in row) and row[c] > 0 and gcd(*row) == 1
+                assert_primitive_terms(c, terms)
+                row = [0] * width
+                for j, x in terms:
+                    row[j] = x
                 assert row == [row[c] * x for x in reference.rows[c]], rows
             got, pivots = relations(rows, width)
             transposed = [[row[i] for row in rows] for i in range(width)]
