@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
-from math import ceil, floor, gcd, lcm
+from math import ceil, gcd, lcm
 from operator import mul
 
 from .curves import (
@@ -77,81 +77,92 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
     """Does deg of the rounded-down evaluation stay >= c on the weight monoid?
 
     Returns None when the bound holds everywhere, otherwise a violating
-    lattice weight. Rounding down loses strictly less than one unit per
-    marked point, so a violation forces the exact degree below l + c; on
-    each linearity chamber that region is bounded along rays of positive
-    degree and periodic along rays of degree zero, leaving a finite search
-    over integer weights.
+    lattice weight: the lexicographically first one of the first chamber,
+    in fan order, that holds one.
 
     The search runs in integers, chamber by chamber. On a chamber each
     coefficient is minimized by one vertex v_z = n_z / q_z
     (``Chamber.minimizers``), so the rounded-down degree at m is
-    sum(<m, n_z> // q_z), and the cap of a degree-zero ray u, the period of
-    the rounded-down evaluations along it, is lcm over z of the denominators
-    of <u, n_z> / q_z. A point m of the chamber's bounding box lies in the
-    capped chamber when 0 <= <f_i, m> <= cap_i <f_i, u_i> for each ray u_i
-    and the facet normal f_i of the chamber that is positive on it. Chambers
-    and box points are scanned in a fixed order; the witness is the first
-    violating weight.
+    sum(<m, n_z> // q_z) and the degree is <D, m> for D = sum(n_z / q_z).
+    Since a // q >= (a - q + 1) / q, a violator has <D, m> <= slack =
+    c - 1 + sum((q_z - 1) / q_z); degrees are >= 0 on the chamber, so a
+    negative slack rules it out at once. Otherwise every violator lies in
+    the region cut out by the facet normals f_i of the chamber
+    (0 <= <f_i, m>), the degree row <D, m> <= slack, and the period cap
+    <f_i, m> <= cap_i <f_i, u_i> along each degree-zero ray u_i, where cap_i
+    is the lcm over z of the denominators of <u_i, n_z> / q_z. The region
+    is bounded; the search walks the first rank - 1 coordinates over its
+    bounding box in lexicographic order and solves the rows for the range
+    of the last coordinate, scanning it upward.
     """
     if not d.base.projective:
         raise CurveDomainError("floor-degree bounds need a projective base curve")
-    count = len(d.coefficients)
-    if count == 0:
+    if not d.coefficients:
         return None if c <= 0 else tuple(0 for _ in range(d.rank))
-    ray_degree = d.ray_degrees
-    for u, g in ray_degree.items():
+    for u, g in d.ray_degrees.items():
         if g < 0:
             raise NotProperError(
                 f"degree {g} at weight {u}: the divisor is not semiample there",
                 witness=ratvec(u),
             )
-    bound = Fraction(count + c)
-    if bound <= 0:
-        return None
     for chamber in d.fan.chambers:
-        witness = _search_chamber(d, chamber, ray_degree, bound, c)
+        witness = _search_chamber(chamber, c)
         if witness is not None:
             return witness
     return None
 
 
-def _search_chamber(d, chamber, ray_degree, bound: Fraction, c: int) -> tuple[int, ...] | None:
+def _search_chamber(chamber, c: int) -> tuple[int, ...] | None:
     rays = chamber.rays
-    k = d.rank
+    k = len(rays)
     floors = []
     for v in chamber.minimizers:
         q = lcm(*(x.denominator for x in v))
         floors.append((tuple(int(x * q) for x in v), q))
-    caps = []
-    for u in rays:
-        g = ray_degree[u]
-        if g > 0:
-            caps.append(bound / g)
-        else:
-            # period of the rounded-down evaluations along this ray: the
-            # minimizers are minimal at u, so <u, v_z> = <n_z, u> / q_z
-            caps.append(Fraction(lcm(*(q // gcd(dot(n, u), q) for n, q in floors))))
-    lo = []
-    hi = []
-    for i in range(k):
-        lo.append(floor(sum(min(Fraction(0), cap * u[i]) for cap, u in zip(caps, rays))))
-        hi.append(ceil(sum(max(Fraction(0), cap * u[i]) for cap, u in zip(caps, rays))))
+    # the degree row and the slack, cleared over the lcm of the q_z
+    big = lcm(*(q for _, q in floors))
+    slack = big * (c - 1) + sum(big - big // q for _, q in floors)
+    if slack < 0:
+        return None
+    degree_row = tuple(sum(n[i] * (big // q) for n, q in floors) for i in range(k))
     # m = sum lam_i u_i, and the facet normal f_i is positive on u_i and zero
     # on the other rays, so lam_i = <f_i, m> / <f_i, u_i>
     facets = cone_from_inequalities(rays, k)[1]
-    normals = [next(f for f in facets if dot(f, u) > 0) for u in rays]
-    limits = [
-        (cap.numerator * dot(f, u), cap.denominator) for cap, f, u in zip(caps, normals, rays)
-    ]
-    for m in cartesian_product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        for f, (top, den) in zip(normals, limits):
-            mu = sum(map(mul, f, m))
-            if mu < 0 or mu * den > top:
-                break
-        else:
-            if sum(sum(map(mul, n, m)) // q for n, q in floors) < c:
-                return m
+    rows = [(degree_row, slack)]
+    # the bounding box: a box along the degree-zero rays, plus the simplex
+    # of lam with sum lam_i g_i <= slack along the others
+    box = [(0, 0)] * k
+    tips = [(0, 0)] * k
+    for u in rays:
+        f = next(f for f in facets if dot(f, u) > 0)
+        rows.append((tuple(-x for x in f), 0))
+        g = dot(degree_row, u)
+        if g > 0:
+            tips = [
+                (min(a, slack * x // g), max(b, -(-slack * x // g))) for (a, b), x in zip(tips, u)
+            ]
+            continue
+        # period of the rounded-down evaluations along this ray: the
+        # minimizers are minimal at u, so <u, v_z> = <n_z, u> / q_z
+        cap = lcm(*(q // gcd(dot(n, u), q) for n, q in floors))
+        rows.append((f, cap * dot(f, u)))
+        box = [(a + min(0, cap * x), b + max(0, cap * x)) for (a, b), x in zip(box, u)]
+    box = [(a + s, b + t) for (a, b), (s, t) in zip(box, tips)]
+    for head in cartesian_product(*(range(a, b + 1) for a, b in box[:-1])):
+        # the rows <a, m> <= b as an interval for the last coordinate
+        low, high = box[-1]
+        for a, b in rows:
+            rest = b - sum(map(mul, a, head))
+            if a[-1] > 0:
+                high = min(high, rest // a[-1])
+            elif a[-1] < 0:
+                low = max(low, -(rest // -a[-1]))
+            elif rest < 0:
+                high = low - 1
+        parts = [(sum(map(mul, n, head)), n[-1], q) for n, q in floors]
+        for t in range(low, high + 1):
+            if sum((b + x * t) // q for b, x, q in parts) < c:
+                return (*head, t)
     return None
 
 

@@ -25,7 +25,6 @@ from .curves import (
     CurveModel,
     CurvePoint,
     QDivisor,
-    degree,
     denominator_lcm,
     divisor,
     is_torsion_class,
@@ -56,7 +55,7 @@ from .geometry import (
     ray_meets,
     support_eval,
 )
-from .linalg import dot, vec_add
+from .linalg import dot
 from .verdicts import Verdict
 
 
@@ -127,7 +126,7 @@ class PolyhedralDivisor:
     @cached_property
     def ray_degrees(self) -> Mapping[tuple[int, ...], Fraction]:
         """degree(evaluate(d, u)) at every ray u of the chamber fan, in fan order."""
-        return MappingProxyType({u: degree(evaluate(self, u)) for u in self.fan.all_rays()})
+        return MappingProxyType({u: _degree_at(self, u) for u in self.fan.all_rays()})
 
     @cached_property
     def properness(self) -> PropernessReport:
@@ -328,11 +327,10 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
         )
 
     if not d.coefficients:
-        witness = _interior_sample(d.weight_cone.rays, d.rank)
         return PropernessReport(
             Verdict.NO,
             "no nontrivial coefficients: every evaluation has degree zero",
-            witness=witness,
+            witness=ratvec(_interior_sample(d.weight_cone.rays, d.rank)),
         )
 
     try:
@@ -352,11 +350,11 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
             degree_zero_rays.append(u)
 
     sample = _interior_sample(ray_degrees, d.rank)
-    if degree(evaluate(d, sample)) <= 0:
+    if _degree_at(d, sample) <= 0:
         return PropernessReport(
             Verdict.NO,
             "the degree vanishes at an interior weight, hence everywhere",
-            witness=sample,
+            witness=ratvec(sample),
         )
 
     for u in degree_zero_rays:
@@ -383,11 +381,20 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
     )
 
 
-def _interior_sample(rays, rank: int) -> tuple[Fraction, ...]:
-    acc = tuple(Fraction(0) for _ in range(rank))
-    for r in rays:
-        acc = vec_add(acc, ratvec(r))
-    return acc
+def _interior_sample(rays, rank: int) -> tuple[int, ...]:
+    return tuple(sum(r[i] for r in rays) for i in range(rank))
+
+
+def _degree_at(d: PolyhedralDivisor, m: tuple[int, ...]) -> Fraction:
+    """degree(evaluate(d, m)) at an integer weight m of the weight cone: the
+    support minima taken in int on the cleared vertices."""
+    if not d.base.projective:
+        raise CurveDomainError("degree is undefined on an affine base")
+    total = Fraction(0)
+    for _, poly in d.coefficients:
+        nums, den = poly.cleared
+        total += Fraction(min(dot(m, n) for n in nums), den)
+    return total
 
 
 def require_proper(d: PolyhedralDivisor) -> None:
