@@ -3,8 +3,11 @@
 The reference below is the search as it was written before the integer
 kernel: for every point of each chamber's bounding box it solves for the
 chamber coordinates in Fractions and evaluates the rounded-down divisor.
-Both scan the same boxes in the same order, so they must return the very
-same witness, not merely agree on whether one exists. The chamber
+The kernel scans only the part of each chamber where the degree is small
+enough for a violation, but every violator lies there and both scan in
+lexicographic order, chamber by chamber, so they must return the very same
+witness: the lexicographically first violator of the first chamber that
+holds one, not merely agree on whether one exists. The chamber
 coordinates the kernel reads off facet normals are also checked against the
 sign(det R) adj(R) rows it once took from the ray matrix R. The families are
 seeded, so failures reproduce.
@@ -12,11 +15,12 @@ seeded, so failures reproduce.
 
 from fractions import Fraction
 from itertools import product as cartesian_product
-from math import ceil, floor
+from math import ceil, floor, lcm
+from pathlib import Path
 from random import Random
 from time import monotonic
 
-from polydiv.classify import decide_floor_bound
+from polydiv.classify import decide_floor_bound, rational_singularities
 from polydiv.curves import (
     P1_INFINITY,
     ProjectiveLine,
@@ -28,6 +32,7 @@ from polydiv.curves import (
 from polydiv.geometry import chamber_fan, dual_cone, make_cone, make_polyhedron
 from polydiv.linalg import cone_from_inequalities, dot
 from polydiv.pdiv import evaluate, is_proper, polyhedral_divisor
+from polydiv.problem_io import parse_problem
 from polydiv.verdicts import Verdict
 
 from reference_linalg import adjugate, determinant
@@ -48,7 +53,11 @@ ORTHANT2 = ((1, 0), (0, 1))
 ORTHANT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # a cone over a square: its dual, the weight cone, has four rays in rank three
 SQUARE3 = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
-TAILS = {2: (ORTHANT2, ((1, 0), (1, 2)), ((2, 1), (1, 3))), 3: (ORTHANT3, SQUARE3)}
+TAILS = {
+    1: (((1,),), ((-1,),)),
+    2: (ORTHANT2, ((1, 0), (1, 2)), ((2, 1), (1, 3))),
+    3: (ORTHANT3, SQUARE3),
+}
 # the weight cone of this tail is spanned by -e_1, (-3, 1, -1) and (1, 1, 1):
 # -e_1 scans after its translates, and its facet normal f has <f, -e_1> = 1,
 # half of |det R|, so the limits along -e_1 tell <f, -e_1> from |det R|
@@ -207,6 +216,99 @@ def test_floor_kernel_matches_point_search():
         f"floor kernel vs point search: PASS ({len(instances)} divisors, {seen}, "
         f"witnesses per bound {witnesses}, {elapsed:.2f} s)"
     )
+
+
+# tails whose weight cone has the ray e_1 or -e_1, each with a direction w
+# that is zero on it and positive on the other rays of the weight cone;
+# translates by the period along -e_1 come first in lexicographic order, so
+# there the witness depends on the period cap
+ZERO_RAY_TAILS = {
+    2: ((ORTHANT2, (0, 1)), (((0, 1), (1, 2)), (0, 1)), (((0, 1), (-1, 2)), (0, 1))),
+    3: ((ORTHANT3, (0, 1, 1)), (NEGATIVE_AXIS3, (0, 2, 1))),
+}
+
+
+def slack_divisor(rng, rank, degree_zero_ray):
+    """Two to three coefficients of denominators 5 to 11 and one that nearly
+    cancels them: their sum is eps w for a small eps and a direction w that
+    is positive on the weight cone (the sum of the tail rays), or with
+    degree_zero_ray zero on one of its rays, which then has a period cap.
+    Rounding down loses close to one unit per point, so the slack
+    c - 1 + sum((q_z - 1) / q_z) is positive for c >= -1 and the search
+    cannot stop at the slack test."""
+    if degree_zero_ray:
+        tail_rays, w = rng.choice(ZERO_RAY_TAILS[rank])
+    else:
+        tail_rays = rng.choice(TAILS[rank])
+        w = [sum(r[i] for r in tail_rays) for i in range(rank)]
+    tail = make_cone(tail_rays, rank)
+    eps = Fraction(1, rng.randint(4, 12))
+    pts = rng.sample(POINT_POOL, rng.randint(3, 4))
+    total = [Fraction(0)] * rank
+    coeffs = {}
+    for pt in pts[:-1]:
+        q = rng.randint(5, 11)
+        v = tuple(Fraction(-rng.randint(1, q - 1), q) for _ in range(rank))
+        total = [a + b for a, b in zip(total, v)]
+        coeffs[pt] = make_polyhedron([v], tail)
+    last = tuple(eps * x - t for x, t in zip(w, total))
+    coeffs[pts[-1]] = make_polyhedron([last], tail)
+    return polyhedral_divisor(P1, rank, tail_rays, coeffs)
+
+
+def chamber_slack(chamber, c):
+    """c - 1 + sum((q_z - 1) / q_z) over the minimizers n_z / q_z."""
+    qs = [lcm(*(x.denominator for x in v)) for v in chamber.minimizers]
+    return c - 1 + sum(Fraction(q - 1, q) for q in qs)
+
+
+def test_floor_kernel_matches_point_search_with_positive_slack():
+    start = monotonic()
+    rng = Random(20261019)
+    kinds = [(1, False)] * 12 + [(2, False)] * 12 + [(2, True)] * 8
+    kinds += [(3, False)] * 6 + [(3, True)] * 4
+    seen = {"rank-1": 0, "degree-zero-ray": 0, "slack<0": 0, "slack>=0": 0}
+    witnesses = {c: 0 for c in BOUNDS}
+    total = 0
+    for rank, degree_zero_ray in kinds:
+        while True:
+            d = slack_divisor(rng, rank, degree_zero_ray)
+            if is_proper(d).verdict != Verdict.YES:
+                continue
+            points, lowest = _box_points(d)
+            if points <= BOX_POINT_CAP and (lowest == 0) == degree_zero_ray:
+                break
+        total += 1
+        seen["rank-1"] += rank == 1
+        seen["degree-zero-ray"] += degree_zero_ray
+        for c in BOUNDS:
+            for chamber in d.fan.chambers:
+                seen["slack<0" if chamber_slack(chamber, c) < 0 else "slack>=0"] += 1
+            expected = reference_floor_bound(d, c)
+            assert decide_floor_bound(d, c) == expected, (d, c)
+            witnesses[c] += expected is not None
+    elapsed = monotonic() - start
+    assert all(n >= 4 for n in seen.values()), seen
+    assert all(0 < witnesses[c] < total for c in (-2, -1)), witnesses
+    assert elapsed < 120.0
+    print(
+        f"positive-slack family vs point search: PASS ({total} divisors, {seen}, "
+        f"witnesses per bound {witnesses}, {elapsed:.2f} s)"
+    )
+
+
+SCALING = Path(__file__).parent / "golden" / "scaling"
+
+
+def test_scaling_documents_answer_yes():
+    """Three points over an orthant tail with degrees along the axes near
+    1/1000 (rank 2) and 1/125 (rank 3): the slack is positive, and the box
+    of the point search holds about 3.2 and 8.4 million points."""
+    start = monotonic()
+    for name in ("orthant_r2_eps1000.json", "orthant_r3_eps125.json"):
+        d = parse_problem((SCALING / name).read_text(encoding="utf-8"))
+        assert rational_singularities(d).verdict == Verdict.YES, name
+    assert monotonic() - start < 10.0
 
 
 def test_facet_normals_are_scaled_adjugate_rows():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -27,6 +28,7 @@ from polydiv.errors import (
 from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.pdiv import (
     AffineSpace,
+    _degree_at,
     contraction_iso_codim1,
     degree_polyhedron,
     evaluate,
@@ -264,6 +266,57 @@ def test_slopes_are_kept_and_a_rank_two_failure_is_not():
         with pytest.raises(ShapeError):
             ray_slopes(quadrant)
     assert "slopes" not in vars(quadrant)
+
+
+EC_SMOOTH = EllipticCurveQ(0, 1)  # y^2 = x^3 + 1
+DEGREE_BASES = (
+    ("P1", P1, (P1_INFINITY, p1_point(0), p1_point(1), p1_point(-1), p1_point(1, 2))),
+    (
+        "elliptic",
+        EC_SMOOTH,
+        (EC_ORIGIN, EllipticPoint(-1, 0), EllipticPoint(0, 1), EllipticPoint(2, 3)),
+    ),
+)
+DEGREE_TAILS = {
+    1: (((1,),), ((-1,),)),
+    2: (((1, 0), (0, 1)), ((1, 0), (1, 2)), ((2, 1), (-1, 3))),
+    3: (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))),
+}
+
+
+def test_ray_degrees_match_the_evaluated_divisor():
+    """ray_degrees and the interior-sample degree of the properness check
+    take support minima in int; both must equal degree(evaluate(d, u))."""
+    rng = Random(20261019)
+    seen = {"P1": 0, "elliptic": 0, "rays": 0, "negative": 0, "rank-3": 0}
+    for name, base, pool in DEGREE_BASES:
+        for _ in range(30):
+            rank = rng.randint(1, 3)
+            tail_rays = rng.choice(DEGREE_TAILS[rank])
+            tail = make_cone(tail_rays, rank)
+            coeffs = {}
+            for pt in rng.sample(pool, rng.randint(1, 3)):
+                verts = [
+                    tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rank))
+                    for _ in range(rng.randint(1, 3 if rank < 3 else 2))
+                ]
+                coeffs[pt] = make_polyhedron(verts, tail)
+            d = polyhedral_divisor(base, rank, tail_rays, coeffs)
+            for u, g in d.ray_degrees.items():
+                assert g == degree(evaluate(d, u)), (d, u)
+                seen["rays"] += 1
+                seen["negative"] += g < 0
+            sample = tuple(map(sum, zip(*d.ray_degrees)))
+            assert _degree_at(d, sample) == degree(evaluate(d, sample)), d
+            seen[name] += 1
+            seen["rank-3"] += rank == 3
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_ray_degrees_need_a_projective_base():
+    d = rank1_divisor(AffineLine(), {RationalPoint(Fraction(0)): Fraction(1, 2)})
+    with pytest.raises(CurveDomainError):
+        d.ray_degrees
 
 
 def test_contraction_rank1_always_collapses():
