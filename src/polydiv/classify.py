@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedRankError,
 )
 from .geometry import ratvec
-from .linalg import cone_from_inequalities, dot
+from .linalg import dot
 from .pdiv import (
     PolyhedralDivisor,
     PropernessReport,
@@ -127,14 +127,12 @@ def _search_chamber(chamber, c: int) -> tuple[int, ...] | None:
     degree_row = tuple(sum(n[i] * (big // q) for n, q in floors) for i in range(k))
     # m = sum lam_i u_i, and the facet normal f_i is positive on u_i and zero
     # on the other rays, so lam_i = <f_i, m> / <f_i, u_i>
-    facets = cone_from_inequalities(rays, k)[1]
     rows = [(degree_row, slack)]
     # the bounding box: a box along the degree-zero rays, plus the simplex
     # of lam with sum lam_i g_i <= slack along the others
     box = [(0, 0)] * k
     tips = [(0, 0)] * k
-    for u in rays:
-        f = next(f for f in facets if dot(f, u) > 0)
+    for u, f in zip(rays, chamber.facets):
         rows.append((tuple(-x for x in f), 0))
         g = dot(degree_row, u)
         if g > 0:

@@ -3,13 +3,15 @@
 Values are immutable and canonical, read off one double description each.
 Pointed cones store the sorted primitive generators of their extreme rays;
 other cones their extreme rays modulo lines plus each line both ways, as
-dual_cone does. Polyhedra store exactly their extreme points plus a pointed
-tail cone, and keep their vertices cleared to integers over one common
-denominator, on which support minima are taken in int, the weight scaled
-by the lcm of its denominators.
+their dual does. A cone computes its dual once and keeps it (``dual``), and
+membership is read off the dual's rays. Polyhedra store exactly their
+extreme points plus a pointed tail cone, and keep their vertices cleared to
+integers over one common denominator, on which support minima are taken in
+int, the weight scaled by the lcm of its denominators.
 Support minima are exact Fractions, with an explicit MinusInfinity object
 when the functional is unbounded below on the polyhedron. A chamber-fan
-region is its double description, and each cut extends it by one step.
+region is its double description, and each cut extends it by one step; a
+chamber carries the facet normal opposite each of its rays.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
+from operator import ge
 
 from .errors import RankMismatchError, ShapeError, UnsupportedRankError
 from .linalg import (
@@ -70,6 +73,13 @@ class Cone:
     def is_trivial(self) -> bool:
         return not self.rays
 
+    @cached_property
+    def dual(self) -> Cone:
+        """{m : <m, v> >= 0 for all v in the cone}: the rays of one double
+        description as they come, and each line both ways. Kept on the
+        value, outside equality and hashing."""
+        return _cone(*cone_from_inequalities(self.rays, self.rank), self.rank)
+
 
 def make_cone(rays, rank: int) -> Cone:
     """Canonical cone from generators: primitive, deduplicated, irredundant.
@@ -94,7 +104,7 @@ def make_cone(rays, rank: int) -> Cone:
     lines, facets = cone_from_inequalities(prim, rank)
     tight = [{j for j, f in enumerate(facets) if dot(f, g) == 0} for g in prim]
     if any(len(t) == len(facets) for t in tight):
-        return dual_cone(_cone(lines, facets, rank))
+        return _cone(lines, facets, rank).dual
     kept = [g for g, t in zip(prim, tight) if not any(u >= t for u in tight if u is not t)]
     return Cone(rays=tuple(sorted(kept)), rank=rank, pointed=True)
 
@@ -105,37 +115,19 @@ def _cone(lines, rays, rank: int) -> Cone:
     return Cone(rays=tuple(sorted(gens)), rank=rank, pointed=not lines)
 
 
-def _in_ray_span(v, gens, rank: int) -> bool:
-    """Is v a nonnegative rational combination of gens?
-
-    The cone of gens is the dual of {x : <g, x> >= 0 for every g}, so v lies
-    in it iff v is orthogonal to the lines and nonnegative on the rays of that
-    dual's double description.
-    """
-    lines, rays = cone_from_inequalities(gens, rank)
-    return all(dot(l, v) == 0 for l in lines) and all(dot(r, v) >= 0 for r in rays)
-
-
 def cone_contains(cone: Cone, v) -> bool:
+    """Is v in the cone? The cone is the dual of its dual, so v lies in it
+    iff it pairs nonnegatively with every ray of the dual, each line both
+    ways; this covers non-pointed and trivial cones alike."""
     vv = ratvec(v)
     if len(vv) != cone.rank:
         raise RankMismatchError(f"vector {tuple(v)} does not have rank {cone.rank}")
-    if all(x == 0 for x in vv):
-        return True
-    if not cone.rays:
-        return False
-    return _in_ray_span(vv, cone.rays, cone.rank)
+    return all(dot(f, vv) >= 0 for f in cone.dual.rays)
 
 
 def dual_cone(cone: Cone) -> Cone:
-    """Generators of {m : <m, v> >= 0 for all v in the cone}.
-
-    Exact at any rank via double description, whose rays are already
-    primitive and irredundant modulo its lines, so they are taken as they
-    come. A non-pointed dual is returned with both orientations of each
-    lineality generator; it is pointed exactly when there are no lines.
-    """
-    return _cone(*cone_from_inequalities(cone.rays, cone.rank), cone.rank)
+    """Generators of {m : <m, v> >= 0 for all v in the cone}: ``cone.dual``."""
+    return cone.dual
 
 
 @dataclass(frozen=True)
@@ -159,11 +151,16 @@ class TailedPolyhedron:
 
 
 def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
-    """conv(vertices) + tail, stored as its extreme points.
+    """conv(vertices) + tail, stored as its extreme points; the tail must be
+    pointed.
 
-    They are the rays r with r[-1] != 0 of the cone over the (v, 1) and the
-    (r, 0), read back as r[:-1] / r[-1]; the tail must be pointed.
-    """
+    A vertex v with v - w in the tail for another vertex w, tested against
+    the rays of the tail's dual, is dropped first: v is the midpoint of w
+    and w + 2(v - w), so it is not extreme. A vertex is extreme iff it is
+    not in the convex hull of the others plus the tail, so one or two
+    survivors are all extreme. Otherwise the extreme points are the rays r
+    with r[-1] != 0 of the cone over the (v, 1) and the (r, 0), read back as
+    r[:-1] / r[-1]."""
     if not tail.pointed:
         raise ShapeError("a tailed polyhedron needs a pointed tail cone")
     verts = []
@@ -176,6 +173,13 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
     if not verts:
         raise ShapeError("a tailed polyhedron needs at least one vertex")
     if len(verts) > 1:
+        values = [tuple(dot(f, v) for f in tail.dual.rays) for v in verts]
+        verts = [
+            v
+            for v, a in zip(verts, values)
+            if not any(b is not a and all(map(ge, a, b)) for b in values)
+        ]
+    if len(verts) > 2:
         gens = [v + (1,) for v in verts] + [r + (0,) for r in tail.rays]
         cone = make_cone(gens, tail.rank + 1)
         verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in cone.rays if r[-1]]
@@ -200,31 +204,16 @@ def support_eval(poly: TailedPolyhedron, m):
     return Fraction(min(dot(mm, n) for n in nums), den * scale)
 
 
-def minkowski_sum(p: TailedPolyhedron, q: TailedPolyhedron) -> TailedPolyhedron:
-    if p.tail != q.tail:
-        raise ShapeError("Minkowski sum requires equal tail cones")
-    sums = [tuple(a + b for a, b in zip(v, w)) for v in p.vertices for w in q.vertices]
-    return make_polyhedron(sums, p.tail)
-
-
-def ray_meets(poly: TailedPolyhedron, ray) -> bool:
-    """Does {t * ray : t >= 0} intersect the polyhedron?"""
-    rr = ratvec(ray)
-    if len(rr) != poly.rank:
-        raise RankMismatchError(f"ray {tuple(ray)} does not have rank {poly.rank}")
-    # t * ray = p in the polyhedron iff (0, ..., 0, 1) is a nonnegative
-    # combination of the (v, 1), the (r, 0) and (-ray, 0)
-    gens = [v + (1,) for v in poly.vertices] + [r + (0,) for r in poly.tail.rays]
-    gens.append(vec_neg(rr) + (0,))
-    apex = (0,) * poly.rank + (1,)
-    return _in_ray_span(apex, gens, poly.rank + 1)
-
-
 @dataclass(frozen=True)
 class Chamber:
-    """Simplicial cone on which every input support function is linear."""
+    """Simplicial cone on which every input support function is linear.
+
+    facets[i] is the primitive normal of the facet opposite rays[i]: zero on
+    the other rays and positive on rays[i].
+    """
 
     cone: Cone
+    facets: tuple[tuple[int, ...], ...]
     minimizers: tuple[tuple[Fraction, ...], ...]
 
     @property
@@ -247,32 +236,25 @@ class ChamberFan:
         return tuple(sorted(seen))
 
 
-def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
-    """Common linearity decomposition of the weight cone.
+def chamber_fan(polys, tail: Cone) -> ChamberFan:
+    """Common linearity decomposition of the weight cone, the dual of the tail.
 
-    Splits the weight cone along every hyperplane where two vertices of one
-    input polyhedron tie, then triangulates each piece, so each chamber carries
-    a single minimizing vertex per polyhedron. Guaranteed through rank 3; at
-    higher rank only the trivial wall-free simplicial case is attempted.
+    The weight cone is the region cut out by the tail rays. It is split
+    along every hyperplane where two vertices of one input polyhedron tie,
+    and each piece is triangulated, so each chamber carries a single
+    minimizing vertex per polyhedron. Guaranteed through rank 3; at higher
+    rank only the wall-free simplicial case is attempted, whose one chamber
+    is the weight cone, with the tail rays as its facet normals.
     """
-    rank = weight_cone.rank
+    rank = tail.rank
+    if not tail.pointed:
+        raise ShapeError("weight cone must be full-dimensional")
     polys = list(polys)
     for p in polys:
         if p.rank != rank:
-            raise RankMismatchError("polyhedron rank differs from the weight cone rank")
-        if p.tail != polys[0].tail:
-            raise ShapeError("chamber fan requires equal tails on all polyhedra")
-    if polys:
-        tail = polys[0].tail
-        for u in weight_cone.rays:
-            for r in tail.rays:
-                if dot(u, r) < 0:
-                    raise ShapeError(
-                        "weight cone leaves the dual of the tail cone; support "
-                        "minima would be unbounded"
-                    )
-    if matrix_rank([list(r) for r in weight_cone.rays]) != rank:
-        raise ShapeError("weight cone must be full-dimensional")
+            raise RankMismatchError("polyhedron rank differs from the tail cone rank")
+        if p.tail != tail:
+            raise ShapeError("chamber fan requires the given tail on all polyhedra")
 
     walls = []
     for p in polys:
@@ -286,14 +268,17 @@ def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
                 if n not in walls:
                     walls.append(n)
 
+    weight_cone = tail.dual
     if rank > 3:
         if not walls and weight_cone.pointed and len(weight_cone.rays) == rank:
-            chambers = [_finish_chamber(weight_cone, polys)]
-            return ChamberFan(rank, weight_cone, tuple(chambers))
+            # the tail rays are the facet normals of the simplicial weight
+            # cone, each positive on exactly one of its rays
+            facets = tuple(next(f for f in tail.rays if dot(f, u) > 0) for u in weight_cone.rays)
+            chamber = Chamber(weight_cone, facets, _minimizers(weight_cone.rays, polys))
+            return ChamberFan(rank, weight_cone, (chamber,))
         raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
 
-    normals = dual_cone(weight_cone).rays
-    regions = [reduce(DoubleDescription.extend, normals, DoubleDescription.whole_space(rank))]
+    regions = [reduce(DoubleDescription.extend, tail.rays, DoubleDescription.whole_space(rank))]
     for n in walls:
         regions = [piece for region in regions for piece in _split(region, n)]
 
@@ -307,7 +292,8 @@ def chamber_fan(polys, weight_cone: Cone) -> ChamberFan:
             queue += [dd.extend(axis), dd.extend(vec_neg(axis))]
             continue
         for simplex in _triangulate(dd.rays, rank):
-            chambers.append(_finish_chamber(Cone(simplex, rank, pointed=True), polys))
+            cone = Cone(simplex, rank, pointed=True)
+            chambers.append(Chamber(cone, _facets(simplex), _minimizers(simplex, polys)))
     chambers.sort(key=lambda ch: ch.rays)
     return ChamberFan(rank, weight_cone, tuple(chambers))
 
@@ -345,9 +331,29 @@ def _triangulate(rays, rank: int):
     return [tuple(sorted([g0] + pair)) for pair in on]
 
 
-def _finish_chamber(cone: Cone, polys) -> Chamber:
-    """The chamber on a simplicial cone: one minimizing vertex per polyhedron."""
-    sample = tuple(sum(r[c] for r in cone.rays) for c in range(cone.rank))
+def _facets(rays) -> tuple[tuple[int, ...], ...]:
+    """The facet normal opposite each ray of a simplicial cone of rank 1 to 3:
+    a sign, the perpendicular of the other ray, or the cross product of the
+    other two, made primitive and oriented positive on its ray."""
+    out = []
+    for i, u in enumerate(rays):
+        others = rays[:i] + rays[i + 1 :]
+        if not others:
+            n = (1,)
+        elif len(others) == 1:
+            (a, b), = others
+            n = (-b, a)
+        else:
+            (a0, a1, a2), (b0, b1, b2) = others
+            n = primitive((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+        out.append(n if dot(n, u) > 0 else vec_neg(n))
+    return tuple(out)
+
+
+def _minimizers(rays, polys) -> tuple[tuple[Fraction, ...], ...]:
+    """One minimizing vertex per polyhedron on the simplicial cone of rays."""
+    rank = len(rays[0])
+    sample = tuple(sum(r[c] for r in rays) for c in range(rank))
     minimizers = []
     for p in polys:
         # a positive common denominator keeps minima and lexicographic order
@@ -355,8 +361,8 @@ def _finish_chamber(cone: Cone, polys) -> Chamber:
         values = [dot(sample, n) for n in nums]
         best = min(values)
         chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
-        for u in cone.rays:
+        for u in rays:
             if dot(u, nums[chosen]) != min(dot(u, n) for n in nums):
                 raise ShapeError("chamber is not a linearity region; internal error")
         minimizers.append(p.vertices[chosen])
-    return Chamber(cone=cone, minimizers=tuple(minimizers))
+    return tuple(minimizers)

@@ -47,12 +47,8 @@ from .geometry import (
     Cone,
     TailedPolyhedron,
     chamber_fan,
-    dual_cone,
     make_cone,
-    minkowski_sum,
-    make_polyhedron,
     ratvec,
-    ray_meets,
     support_eval,
 )
 from .linalg import dot
@@ -121,7 +117,7 @@ class PolyhedralDivisor:
     @cached_property
     def fan(self) -> ChamberFan:
         """Common linearity decomposition of the weight cone for all coefficients."""
-        return chamber_fan([poly for _, poly in self.coefficients], self.weight_cone)
+        return chamber_fan([poly for _, poly in self.coefficients], self.tail)
 
     @cached_property
     def ray_degrees(self) -> Mapping[tuple[int, ...], Fraction]:
@@ -200,7 +196,7 @@ def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) ->
         rank=rank,
         tail=tail,
         coefficients=tuple(kept),
-        weight_cone=dual_cone(tail),
+        weight_cone=tail.dual,
     )
 
 
@@ -278,16 +274,6 @@ def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
     has coefficients (m * p) // q. Derived once per divisor (``d.slopes``).
     """
     return d.slopes
-
-
-def degree_polyhedron(d: PolyhedralDivisor) -> TailedPolyhedron:
-    """Minkowski sum of all coefficients; encodes the degree of every evaluation."""
-    if not d.base.projective:
-        raise CurveDomainError("the degree polyhedron needs a projective base curve")
-    acc = make_polyhedron([tuple(0 for _ in range(d.rank))], d.tail)
-    for _, poly in d.coefficients:
-        acc = minkowski_sum(acc, poly)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +396,28 @@ def contraction_iso_codim1(d: PolyhedralDivisor) -> Verdict:
     """Is the natural contraction an isomorphism in codimension one?
 
     Over an affine base the contraction never collapses a divisor. Over a
-    projective curve a ray of the tail cone gets contracted exactly when it
-    meets the degree polyhedron, so the answer is yes precisely when every
-    tail ray misses it.
+    projective curve a ray rho of the tail cone gets contracted exactly when
+    it meets the degree polyhedron, the Minkowski sum of the coefficients,
+    so the answer is no iff some tail ray meets it. That is read off the
+    degrees along the rays of the chamber fan: rho meets it iff the degree
+    is <= 0 at every fan ray u with <u, rho> = 0.
+
+    Proof: the degree polyhedron is {p : <u, p> >= deg D(u) for all u in
+    the weight cone}, so t * rho lies in it iff t <u, rho> - deg D(u) >= 0
+    on the weight cone. That function is linear on each chamber, so it is
+    >= 0 iff it is at every fan ray. And <u, rho> >= 0 on the weight cone,
+    so some t >= 0 works iff deg D(u) <= 0 wherever <u, rho> = 0.
+
+    Where the chamber fan is unavailable (rank >= 4 with walls) the answer
+    is Verdict.UNKNOWN.
     """
-    if not d.base.projective:
+    if not d.base.projective or not d.tail.rays:
         return Verdict.YES
-    deg_poly = degree_polyhedron(d)
-    for ray in d.tail.rays:
-        if ray_meets(deg_poly, ray):
+    try:
+        degrees = d.ray_degrees
+    except UnsupportedRankError:
+        return Verdict.UNKNOWN
+    for rho in d.tail.rays:
+        if all(deg <= 0 for u, deg in degrees.items() if dot(u, rho) == 0):
             return Verdict.NO
     return Verdict.YES

@@ -19,7 +19,13 @@ rewrites, kept here as independent oracles:
 - the chamber-fan split as two fresh double descriptions and a rank test
   per side, before regions carried their double description;
 - support minima and chamber minimizers as Fraction pairings with every
-  vertex, ties broken by sorting the tied vertices.
+  vertex, ties broken by sorting the tied vertices;
+- from reference_geometry: membership by a fresh double description of the
+  generators (in_ray_span), make_polyhedron by one homogenized double
+  description for any number of vertices, and ray_meets;
+- the facet normals of a chamber, as a set, as the facets of a double
+  description of its rays, and a count of the double descriptions a whole
+  classify runs.
 
 The code in src/ must give the very same integers, lists (in order) and
 values, with one exception: a cone that is not pointed has no extreme rays,
@@ -29,12 +35,14 @@ membership) and the same value for any order of the generators. The
 families are seeded, so failures reproduce.
 """
 
+import io
 import json
 
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 from random import Random
 from time import perf_counter
 
@@ -42,6 +50,7 @@ import pytest
 
 import polydiv.geometry as geometry
 import polydiv.linalg as linalg
+from polydiv import cli
 from polydiv.errors import InternalError, PolydivError, ShapeError
 from polydiv.geometry import (
     Cone,
@@ -49,7 +58,6 @@ from polydiv.geometry import (
     dual_cone,
     make_cone,
     make_polyhedron,
-    ray_meets,
     support_eval,
 )
 from polydiv.linalg import (
@@ -64,6 +72,8 @@ from polydiv.linalg import (
 )
 from polydiv.problem_io import parse_problem
 from polydiv.toric import _span_multiplicity, toric_cone
+from reference_geometry import in_ray_span, ray_meets
+from reference_geometry import make_polyhedron as homogenized_make_polyhedron
 from reference_linalg import determinant, rref, rref_rank
 
 # A safety valve for Fourier-Motzkin blowup in the reference.
@@ -790,10 +800,11 @@ def reference_support_eval(poly, m):
     return min(dot(mm, v) for v in poly.vertices)
 
 
-def reference_finish_chamber(simplex_rays, polys):
-    """_finish_chamber as it was: Fraction minima, ties broken by sorting."""
-    cone = make_cone(simplex_rays, len(simplex_rays[0]))
-    sample = tuple(sum(r[c] for r in simplex_rays) for c in range(cone.rank))
+def reference_minimizers(simplex_rays, polys):
+    """The chamber minimizers as they were: Fraction minima, ties broken by
+    sorting."""
+    rank = len(simplex_rays[0])
+    sample = tuple(sum(r[c] for r in simplex_rays) for c in range(rank))
     minimizers = []
     for p in polys:
         best = min(dot(sample, v) for v in p.vertices)
@@ -802,7 +813,7 @@ def reference_finish_chamber(simplex_rays, polys):
             if dot(u, chosen) != min(dot(u, v) for v in p.vertices):
                 raise ShapeError("chamber is not a linearity region; internal error")
         minimizers.append(chosen)
-    return geometry.Chamber(cone=cone, minimizers=tuple(minimizers))
+    return tuple(minimizers)
 
 
 def tied_polyhedron(rng, rank, tail):
@@ -843,22 +854,178 @@ def test_integer_support_minima_match_the_fraction_path():
                     rays = [r for r in rays if not is_zero(r)]
                     if not rays:
                         continue
+                    rays = make_cone(rays, rank).rays
                     try:
-                        want = reference_finish_chamber(rays, polys)
+                        want = reference_minimizers(rays, polys)
                     except ShapeError:
                         with pytest.raises(ShapeError):
-                            geometry._finish_chamber(make_cone(rays, rank), polys)
+                            geometry._minimizers(rays, polys)
                         continue
-                    assert geometry._finish_chamber(make_cone(rays, rank), polys) == want
+                    assert geometry._minimizers(rays, polys) == want
                     sample = tuple(sum(r[c] for r in rays) for c in range(rank))
                     seen["tied chamber"] += any(
                         sum(dot(sample, v) == dot(sample, w) for v in p.vertices) > 1
-                        for p, w in zip(polys, want.minimizers)
+                        for p, w in zip(polys, want)
                     )
-                weight = dual_cone(tail)
-                for ch in geometry.chamber_fan(polys, weight).chambers:
-                    assert geometry._finish_chamber(ch.cone, polys) == reference_finish_chamber(
-                        ch.rays, polys
-                    )
+                for ch in geometry.chamber_fan(polys, tail).chambers:
+                    assert ch.minimizers == reference_minimizers(ch.rays, polys)
                     seen["fan"] += 1
     assert all(n >= 20 for n in seen.values()), seen
+
+
+def random_tail(rng, rank, shape):
+    """A pointed tail: trivial, the orthant, short of full dimension, or
+    pointed with up to rank + 2 rays."""
+    if shape == "trivial":
+        return make_cone([], rank)
+    if shape == "orthant":
+        return make_cone([tuple(int(i == j) for j in range(rank)) for i in range(rank)], rank)
+    if shape == "flat":
+        return make_cone(random_full_row_rank(rng, rng.randint(1, rank - 1), rank), rank)
+    return random_cone(rng, rank, "pointed")
+
+
+def test_chamber_facets_match_the_double_description(monkeypatch):
+    """Each chamber carries the facet normal opposite each ray: the facets
+    of its double description, one per ray, positive on its own ray and
+    zero on the others. Rank-3 pieces of non-simplicial regions included."""
+    pieces = set()
+    real = geometry._triangulate
+
+    def recording(rays, rank):
+        out = real(rays, rank)
+        if len(rays) > rank:
+            pieces.update(out)
+        return out
+
+    monkeypatch.setattr(geometry, "_triangulate", recording)
+    rng = Random(20261101)
+    seen = {1: 0, 2: 0, 3: 0, "triangulated": 0, "flat tail": 0}
+    for rank in (1, 2, 3):
+        shapes = ("trivial", "orthant", "pointed") + (("flat",) if rank > 1 else ())
+        for shape in shapes:
+            for _ in range(6 if rank < 3 else 3):
+                tail = random_tail(rng, rank, shape)
+                polys = [tied_polyhedron(rng, rank, tail) for _ in range(rng.randint(1, 2))]
+                for ch in geometry.chamber_fan(polys, tail).chambers:
+                    assert len(ch.facets) == len(ch.rays) == rank
+                    want = cone_from_inequalities(ch.rays, rank)
+                    assert want[0] == [] and set(ch.facets) == set(want[1]), ch
+                    for u, f in zip(ch.rays, ch.facets):
+                        assert all(type(x) is int for x in f)
+                        assert [dot(f, w) > 0 for w in ch.rays] == [w == u for w in ch.rays]
+                        assert all(dot(f, w) == 0 for w in ch.rays if w != u)
+                    seen[rank] += 1
+                    seen["triangulated"] += ch.rays in pieces
+                    seen["flat tail"] += shape == "flat"
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_cone_contains_matches_the_ray_span_reference():
+    rng = Random(20261102)
+    shapes = ("zero", "pointed", "lineality", "whole", "any")
+    seen = {"in": 0, "out": 0, "not pointed": 0, "trivial": 0, "fraction": 0}
+    for rank in range(1, 5):
+        for shape in shapes:
+            for _ in range(8 if rank < 4 else 4):
+                cone = random_cone(rng, rank, shape)
+                vectors = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(4)]
+                vectors += [(0,) * rank, *cone.rays[:2], tuple(map(sum, zip(*cone.rays)))]
+                vectors += [vec_neg(r) for r in cone.rays[:1]]
+                vectors.append(
+                    tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rank))
+                )
+                for v in vectors:
+                    if len(v) != rank:
+                        continue
+                    got = geometry.cone_contains(cone, v)
+                    assert got == in_ray_span(v, cone.rays, rank), (cone, v)
+                    seen["in" if got else "out"] += 1
+                    seen["not pointed"] += not cone.pointed
+                    seen["trivial"] += not cone.rays
+                    seen["fraction"] += any(type(x) is Fraction for x in v)
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def test_make_polyhedron_matches_the_homogenized_reference():
+    """One to six vertices, with repeats and chains v, v + t, v + t + t' of
+    tail-dominated vertices, over trivial, orthant, flat and pointed tails."""
+    rng = Random(20261103)
+    seen = {"one left": 0, "two left": 0, "three or more": 0, "chain": 0, "repeat": 0}
+    for rank in (1, 2, 3, 4):
+        shapes = ("trivial", "orthant", "pointed") + (("flat",) if rank > 1 else ())
+        for shape in shapes:
+            for _ in range(12 if rank < 4 else 4):
+                tail = random_tail(rng, rank, shape)
+                count = rng.randint(1, 6)
+                verts = []
+                while len(verts) < count:
+                    v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rank))
+                    verts.append(v)
+                    if tail.rays and len(verts) < count and rng.random() < 0.5:
+                        # a chain of vertices, each dominated by the one before
+                        for _ in range(rng.randint(1, 2)):
+                            t = rng.choice(tail.rays)
+                            v = tuple(a + Fraction(rng.randint(1, 3), 2) * b for a, b in zip(v, t))
+                            verts.append(v)
+                        seen["chain"] += 1
+                    if verts and rng.random() < 0.2:
+                        verts.append(rng.choice(verts))
+                        seen["repeat"] += 1
+                rng.shuffle(verts)
+                got = make_polyhedron(verts, tail)
+                assert got == homogenized_make_polyhedron(verts, tail), (verts, tail)
+                left = len(got.vertices)
+                seen["one left" if left == 1 else "two left" if left == 2 else "three or more"] += 1
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+CM_NO_RANK3 = {
+    "lattice_rank": 3,
+    "tail_cone": {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "base": {"kind": "P1"},
+    "coefficients": [
+        {"point": "0", "vertices": [["-1/2", "-1/2", "-1/2"], ["-1", "-1/3", "-1/3"]]},
+        *({"point": p, "vertices": [["-1/2", "-1/2", "-1/2"]]} for p in "1234"),
+        {"point": "inf", "vertices": [["4", "5/2", "3"]]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["orthant_r2_eps1000.json", "orthant_r3_eps125.json", "cm_no_rank3"]
+)
+def test_classify_runs_one_double_description_per_tail_and_wide_region(monkeypatch, capsys, name):
+    """A whole classify, parse included, runs the double description of the
+    tail's dual once and one per non-simplicial rank-3 region of the chamber
+    fan, which the triangulation cuts along its facets; nothing else."""
+    if name == "cm_no_rank3":
+        text = json.dumps(CM_NO_RANK3)
+    else:
+        text = (Path(__file__).parent / "golden" / "scaling" / name).read_text(encoding="utf-8")
+    calls = []
+    real = linalg.cone_from_inequalities
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    wide = []
+    triangulate = geometry._triangulate
+
+    def counting_regions(rays, rank):
+        wide.extend([rays] if len(rays) > rank else [])
+        return triangulate(rays, rank)
+
+    monkeypatch.setattr(linalg, "cone_from_inequalities", counting)
+    monkeypatch.setattr(geometry, "cone_from_inequalities", counting)
+    monkeypatch.setattr(geometry, "_triangulate", counting_regions)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = cli.main(["classify", "-"])
+    report = json.loads(capsys.readouterr().out)
+    assert code in (0, 4), report
+    assert len(calls) == 1 + len(wide), (len(calls), len(wide))
+    print(f"{name}: {len(calls)} double descriptions, {len(wide)} non-simplicial regions")
+    if name == "cm_no_rank3":
+        assert report["rational"]["verdict"] == "no" and report["cohen_macaulay"]["verdict"] == "no"
+        assert wide

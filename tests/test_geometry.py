@@ -12,12 +12,11 @@ from polydiv.geometry import (
     dual_cone,
     make_cone,
     make_polyhedron,
-    minkowski_sum,
-    ray_meets,
     support_eval,
 )
 from polydiv.linalg import dot
 
+from reference_geometry import minkowski_sum, ray_meets
 from test_cone_kernels import solve
 
 
@@ -189,33 +188,35 @@ def test_minkowski_support_is_additive():
 
 
 def test_chamber_fan_rank_one_single_chamber():
-    weight = make_cone([(1,)], 1)
-    p = make_polyhedron([(Fraction(1, 2),), (2,)], make_cone([], 1))
-    fan = chamber_fan([p], weight)
+    tail = make_cone([(1,)], 1)
+    p = make_polyhedron([(Fraction(1, 2),), (2,)], tail)
+    fan = chamber_fan([p], tail)
+    assert fan.weight_cone == tail.dual == make_cone([(1,)], 1)
     assert len(fan.chambers) == 1
     assert fan.chambers[0].rays == ((1,),)
+    assert fan.chambers[0].facets == ((1,),)
     assert fan.chambers[0].minimizers == (((Fraction(1, 2)),),)
 
 
 def test_chamber_fan_rank_one_full_line_two_chambers():
-    weight = make_cone([(1,), (-1,)], 1)
+    # the trivial tail: the weight cone is the whole line
     p = make_polyhedron([(0,), (1,)], make_cone([], 1))
-    fan = chamber_fan([p], weight)
+    fan = chamber_fan([p], make_cone([], 1))
     assert len(fan.chambers) == 2
     rays = sorted(ch.rays[0] for ch in fan.chambers)
     assert rays == [(-1,), (1,)]
     by_ray = {ch.rays[0]: ch.minimizers[0] for ch in fan.chambers}
     assert by_ray[(1,)] == (Fraction(0),)
     assert by_ray[(-1,)] == (Fraction(1),)
+    assert {ch.rays[0]: ch.facets[0] for ch in fan.chambers} == {(1,): (1,), (-1,): (-1,)}
 
 
 def test_chamber_fan_splits_along_tie_wall():
     # tail is the vertical ray; its dual is the upper half plane, which the
     # wall m1 = 0 splits into two quadrant chambers
     tail = make_cone([(0, 1)], 2)
-    weight = dual_cone(tail)
     p = make_polyhedron([(0, 0), (1, 0)], tail)
-    fan = chamber_fan([p], weight)
+    fan = chamber_fan([p], tail)
     assert len(fan.chambers) == 2
     for ch in fan.chambers:
         assert len(ch.rays) == 2
@@ -224,15 +225,19 @@ def test_chamber_fan_splits_along_tie_wall():
         else:
             assert (-1, 0) in ch.rays
             assert ch.minimizers[0] == (Fraction(1), Fraction(0))
+        for u, f in zip(ch.rays, ch.facets):
+            assert dot(f, u) > 0
+            assert all(dot(f, w) == 0 for w in ch.rays if w != u)
 
 
 def test_chamber_fan_single_vertex_polys_keep_weight_cone():
+    # the orthant is its own dual
     weight = orthant()
-    tail = make_cone([], 2)
-    polys = [make_polyhedron([(1, 2)], tail), make_polyhedron([(-3, 0)], tail)]
+    polys = [make_polyhedron([(1, 2)], weight), make_polyhedron([(-3, 0)], weight)]
     fan = chamber_fan(polys, weight)
     assert len(fan.chambers) == 1
     assert fan.chambers[0].cone == weight
+    assert fan.chambers[0].rays == fan.chambers[0].facets == ((0, 1), (1, 0))
 
 
 def _interior_coords(chamber, m):
@@ -257,8 +262,8 @@ def test_chamber_fan_covers_and_is_linear():
                     tail,
                 )
             )
-        fan = chamber_fan(polys, weight)
-        assert fan.chambers
+        fan = chamber_fan(polys, tail)
+        assert fan.chambers and fan.weight_cone == weight
         # linearity with the registered minimizer on each chamber
         for ch in fan.chambers:
             sample = tuple(sum(r[c] for r in ch.rays) for c in range(rank))
@@ -288,14 +293,16 @@ def test_chamber_fan_requires_equal_tails():
     pa = make_polyhedron([(0,)], tail_a)
     pb = make_polyhedron([(0,)], tail_b)
     with pytest.raises(ShapeError):
-        chamber_fan([pa, pb], make_cone([(1,)], 1))
+        chamber_fan([pa, pb], tail_a)
 
 
 def test_chamber_fan_rejects_weight_cone_outside_tail_dual():
+    # the weight cone is the dual of the given tail: the trivial tail would
+    # make it the whole line, which leaves the dual of the polyhedron's tail
     tail = make_cone([(1,)], 1)
     p = make_polyhedron([(0,)], tail)
     with pytest.raises(ShapeError):
-        chamber_fan([p], make_cone([(1,), (-1,)], 1))
+        chamber_fan([p], make_cone([], 1))
 
 
 def test_chamber_fan_rejects_lower_dimensional_weight_cones():
@@ -311,8 +318,11 @@ def test_chamber_fan_rejects_lower_dimensional_weight_cones():
     ]
     assert len(cases[4][0].rays) == 3
     for weight, polys in cases:
+        # the tail whose dual is this weight cone is not pointed
+        tail = dual_cone(weight)
+        assert not tail.pointed and tail.dual == weight
         with pytest.raises(ShapeError, match="weight cone must be full-dimensional"):
-            chamber_fan(polys, weight)
+            chamber_fan(polys, tail)
 
 
 def test_rank_mismatch_errors():

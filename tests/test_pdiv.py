@@ -25,12 +25,12 @@ from polydiv.errors import (
     UnsupportedRankError,
     WeightError,
 )
-from polydiv.geometry import make_cone, make_polyhedron
+from polydiv.geometry import make_cone, make_polyhedron, support_eval
+from polydiv.linalg import dot
 from polydiv.pdiv import (
     AffineSpace,
     _degree_at,
     contraction_iso_codim1,
-    degree_polyhedron,
     evaluate,
     is_proper,
     polyhedral_divisor,
@@ -38,6 +38,10 @@ from polydiv.pdiv import (
     require_proper,
 )
 from polydiv.verdicts import Verdict
+
+from reference_geometry import contraction_iso_codim1 as reference_contraction
+from reference_geometry import degree_polyhedron
+from test_cone_kernels import solve
 
 P1 = ProjectiveLine()
 RAY = ((1,),)
@@ -346,3 +350,86 @@ def test_contraction_detects_meeting_ray():
     )
     # the y-axis ray enters the shifted polyhedron at (0, 1/2)
     assert contraction_iso_codim1(shifted) == Verdict.NO
+
+
+CONTRACTION_TAILS = {
+    2: (((1, 0), (0, 1)), ((1, 0), (1, 2)), ((2, 1), (-1, 3)), ((1, 1),)),
+    3: (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)),
+        ((1, 2, 0), (2, -1, 1), (0, 1, 3)),
+        ((1, 0, 0), (0, 1, 0)),
+    ),
+}
+
+
+def test_contraction_matches_the_degree_polyhedron_reference():
+    """The ray-degree rule against ray_meets on the Minkowski sum of the
+    coefficients, over orthant, non-orthant and lower-dimensional tails,
+    proper or not, with and without coefficients."""
+    rng = Random(20261104)
+    pool = (p1_point(0), p1_point(1), p1_point(-1))
+    seen = {"yes": 0, "no": 0, "rank-3 no": 0, "non-orthant": 0, "empty": 0}
+    seen.update({"proper yes": 0, "proper no": 0, "not proper": 0})
+    for rank in (2, 3):
+        for _ in range(100 if rank == 2 else 80):
+            tail_rays = rng.choice(CONTRACTION_TAILS[rank])
+            tail = make_cone(tail_rays, rank)
+            coeffs = {}
+            for pt in rng.sample(pool, rng.choice((0, 1, 2, 2, 3))):
+                verts = [
+                    tuple(Fraction(rng.randint(-4, 2), rng.randint(1, 3)) for _ in range(rank))
+                    for _ in range(rng.randint(1, 3 if rank == 2 else 2))
+                ]
+                coeffs[pt] = make_polyhedron(verts, tail)
+            if rng.random() < 0.7:
+                # a large vertex at infinity makes many of these proper; half
+                # of the time it is moved so that the degree vanishes at the
+                # weight-cone rays on the face orthogonal to one tail ray
+                vertex = tuple(Fraction(rng.randint(0, 12), rng.randint(1, 2)) for _ in range(rank))
+                rho = rng.choice(tail.rays)
+                face = [u for u in tail.dual.rays if dot(u, rho) == 0]
+                if tail.dual.pointed and rng.random() < 0.5:
+                    rhs = [
+                        -sum(support_eval(q, u) for q in coeffs.values()) - dot(u, vertex)
+                        for u in face
+                    ]
+                    vertex = tuple(a + b for a, b in zip(vertex, solve(face, rhs)))
+                coeffs[P1_INFINITY] = make_polyhedron([vertex], tail)
+            d = polyhedral_divisor(P1, rank, tail, coeffs)
+            got = contraction_iso_codim1(d)
+            assert got == reference_contraction(d), d
+            answer = "yes" if got == Verdict.YES else "no"
+            proper = is_proper(d).verdict == Verdict.YES
+            seen[answer] += 1
+            seen[f"proper {answer}" if proper else "not proper"] += 1
+            seen["rank-3 no"] += rank == 3 and got == Verdict.NO
+            seen["non-orthant"] += set(tail.rays) != {
+                tuple(int(i == j) for j in range(rank)) for i in range(rank)
+            }
+            seen["empty"] += not d.coefficients
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_contraction_is_unknown_without_a_chamber_fan():
+    """At rank 4 with walls there is no chamber fan: the contraction is
+    undecided, as is properness, so require_proper stops every command that
+    asks first. Without walls the answer is exact."""
+    tail = make_cone([tuple(int(i == j) for j in range(4)) for i in range(4)], 4)
+    edge = make_polyhedron([(0, 0, 0, 0), (1, -1, 0, 0)], tail)
+    corner = make_polyhedron([(1, 1, 1, 1)], tail)
+    d = polyhedral_divisor(P1, 4, tail, {p1_point(0): edge, P1_INFINITY: corner})
+    with pytest.raises(UnsupportedRankError):
+        d.fan
+    assert contraction_iso_codim1(d) == Verdict.UNKNOWN
+    assert is_proper(d).verdict == Verdict.UNKNOWN
+    with pytest.raises(NotProperError):
+        require_proper(d)
+    cases = (((1, 1, 1, 1), Verdict.YES), ((1, 1, 0, 1), Verdict.YES), ((1, 0, 0, 0), Verdict.NO))
+    for vertex, want in cases:
+        d = polyhedral_divisor(P1, 4, tail, {P1_INFINITY: make_polyhedron([vertex], tail)})
+        assert contraction_iso_codim1(d) == reference_contraction(d) == want
+    # no tail ray to contract: yes, with no chamber fan at all
+    segment = make_polyhedron([(0, 1, 0, 0), (1, 0, 0, 0)], make_cone([], 4))
+    trivial = polyhedral_divisor(P1, 4, (), {p1_point(0): segment})
+    assert contraction_iso_codim1(trivial) == Verdict.YES
