@@ -172,13 +172,14 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
             verts.append(vv)
     if not verts:
         raise ShapeError("a tailed polyhedron needs at least one vertex")
-    if len(verts) > 1:
-        values = [tuple(dot(f, v) for f in tail.dual.rays) for v in verts]
-        verts = [
-            v
-            for v, a in zip(verts, values)
-            if not any(b is not a and all(map(ge, a, b)) for b in values)
-        ]
+    if len(verts) > 1 and tail.rays:
+        # over the trivial tail no vertex dominates another; the pairings
+        # are taken in int, on the vertices over one common denominator
+        den = lcm(*(x.denominator for v in verts for x in v))
+        nums = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
+        values = [tuple(dot(f, n) for f in tail.dual.rays) for n in nums]
+        keep = [not any(b is not a and all(map(ge, a, b)) for b in values) for a in values]
+        verts = [v for v, k in zip(verts, keep) if k]
     if len(verts) > 2:
         gens = [v + (1,) for v in verts] + [r + (0,) for r in tail.rays]
         cone = make_cone(gens, tail.rank + 1)
