@@ -26,7 +26,6 @@ from .curves import (
     canonical_divisor,
     degree,
     divisor,
-    floor_divisor,
     h1_dim_of_degree,
     is_principal,
 )
@@ -43,11 +42,9 @@ from .pdiv import (
     PropernessReport,
     RaySlope,
     contraction_iso_codim1,
-    evaluate,
     is_proper,
     ray_slopes,
     require_proper,
-    unit_weight,
 )
 from .verdicts import Verdict
 
@@ -57,9 +54,17 @@ def _floor_degrees(slopes: tuple[RaySlope, ...], m_max: int) -> tuple[int, ...]:
     return tuple(sum((m * s.p) // s.q for s in slopes) for m in range(m_max + 1))
 
 
-def _floor_at(d: PolyhedralDivisor, unit: tuple[int, ...], m: int) -> QDivisor:
-    """The rounded-down evaluation at weight m along the unit weight, as a divisor."""
-    return floor_divisor(evaluate(d, tuple(m * u for u in unit)))
+def _floor_at(d: PolyhedralDivisor, m: int) -> QDivisor:
+    """The rounded-down evaluation at weight m along the unit weight, as a
+    divisor: its coefficients are (m * p) // q, read off the slopes."""
+    return divisor(d.base, {s.point: (m * s.p) // s.q for s in ray_slopes(d)})
+
+
+def _vanishing_degree(slopes: tuple[RaySlope, ...], genus: int) -> int:
+    """max(ceil((count + 2g - 2) / deg1), 0): from this weight on, the
+    rounded-down degree exceeds m * deg1 - count >= 2g - 2."""
+    deg1 = sum((s.value for s in slopes), Fraction(0))
+    return max(ceil(Fraction(len(slopes) + 2 * genus - 2) / deg1), 0)
 
 
 def floor_degree_profile(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
@@ -350,14 +355,13 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     if d.rank != 1:
         return EllipticReport(Verdict.UNKNOWN, "higher-rank-criteria-unavailable")
     genus = d.base.genus
+    if genus >= 2:
+        return EllipticReport(Verdict.NO, "genus-at-least-two-base", witness_m=0)
     slopes = ray_slopes(d)
-    count = len(slopes)
-    deg1 = sum((s.value for s in slopes), Fraction(0))
-    unit = unit_weight(d)
+    top = max(_vanishing_degree(slopes, genus), 1)
+    profile = _floor_degrees(slopes, top)
 
     if genus == 0:
-        top = max(ceil(Fraction(count - 2) / deg1), 1)
-        profile = _floor_degrees(slopes, top)
         hits = [m for m in range(1, top + 1) if profile[m] == -2]
         below = [m for m in range(1, top + 1) if profile[m] < -2]
         if below:
@@ -368,32 +372,23 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
             return EllipticReport(Verdict.NO, "no-floor-degree-minus-two")
         return EllipticReport(Verdict.NO, "repeated-floor-degree-minus-two", witness_m=hits[1])
 
-    if genus == 1:
-        top = max(ceil(Fraction(count) / deg1), 1)
-        profile = _floor_degrees(slopes, top)
-        undecided = None
-        for m in range(1, top + 1):
-            if profile[m] < 0:
-                return EllipticReport(
-                    Verdict.NO, "negative-floor-degree-on-genus-one-base", witness_m=m
-                )
-            if profile[m] == 0:
-                principal = is_principal(_floor_at(d, unit, m))
-                if principal == Verdict.YES:
-                    return EllipticReport(
-                        Verdict.NO, "principal-floor-on-genus-one-base", witness_m=m
-                    )
-                if principal == Verdict.UNKNOWN:
-                    undecided = m
-        if undecided is not None:
+    undecided = None
+    for m in range(1, top + 1):
+        if profile[m] < 0:
             return EllipticReport(
-                Verdict.UNKNOWN, "principality-undecided-on-abstract-base", witness_m=undecided
+                Verdict.NO, "negative-floor-degree-on-genus-one-base", witness_m=m
             )
+        if profile[m] == 0:
+            principal = is_principal(_floor_at(d, m))
+            if principal == Verdict.YES:
+                return EllipticReport(Verdict.NO, "principal-floor-on-genus-one-base", witness_m=m)
+            if principal == Verdict.UNKNOWN:
+                undecided = m
+    if undecided is not None:
         return EllipticReport(
-            Verdict.YES, "genus-one-base-floors-never-principal", witness_m=0
+            Verdict.UNKNOWN, "principality-undecided-on-abstract-base", witness_m=undecided
         )
-
-    return EllipticReport(Verdict.NO, "genus-at-least-two-base", witness_m=0)
+    return EllipticReport(Verdict.YES, "genus-one-base-floors-never-principal", witness_m=0)
 
 
 def minimal_elliptic_verdict(elliptic: EllipticReport, gor: GorensteinReport) -> Verdict:
@@ -446,16 +441,14 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     require_proper(d)
     if not d.base.projective:
         raise CurveDomainError("cohomology reports need a projective base curve")
-    unit = unit_weight(d)
     slopes = ray_slopes(d)
-    count = len(slopes)
     deg1 = sum((s.value for s in slopes), Fraction(0))
     genus = d.base.genus
-    bound = max(ceil(Fraction(count + max(2 * genus - 2, 0)) / deg1), 1)
-    vanish = max(ceil(Fraction(count + 2 * genus - 2) / deg1), 0)
+    bound = max(ceil(Fraction(len(slopes) + max(2 * genus - 2, 0)) / deg1), 1)
+    vanish = _vanishing_degree(slopes, genus)
 
     def entry(m: int, deg: int) -> int | None:
-        return h1_dim_of_degree(d.base, deg, lambda: is_principal(_floor_at(d, unit, m)))
+        return h1_dim_of_degree(d.base, deg, lambda: is_principal(_floor_at(d, m)))
 
     values = [entry(m, deg) for m, deg in enumerate(_floor_degrees(slopes, vanish))]
     total = None if None in values else sum(values)

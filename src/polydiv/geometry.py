@@ -10,8 +10,9 @@ integers over one common denominator, on which support minima are taken in
 int, the weight scaled by the lcm of its denominators.
 Support minima are exact Fractions, with an explicit MinusInfinity object
 when the functional is unbounded below on the polyhedron. A chamber-fan
-region is its double description, and each cut extends it by one step; a
-chamber carries the facet normal opposite each of its rays.
+region is its double description, each cut extends it by one step, and its
+tight sets give the facets it is triangulated along; a chamber carries the
+facet normal opposite each of its rays.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .linalg import (
     vec_neg,
     vec_sub,
 )
-
-Rat = Fraction
 
 
 class MinusInfinity:
@@ -292,7 +291,7 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
             axis = next(a for a in axes if any(dot(a, l) != 0 for l in dd.lines))
             queue += [dd.extend(axis), dd.extend(vec_neg(axis))]
             continue
-        for simplex in _triangulate(dd.rays, rank):
+        for simplex in _triangulate(dd, rank):
             cone = Cone(simplex, rank, pointed=True)
             chambers.append(Chamber(cone, _facets(simplex), _minimizers(simplex, polys)))
     chambers.sort(key=lambda ch: ch.rays)
@@ -311,14 +310,16 @@ def _split(dd, wall):
     return [dd]
 
 
-def _triangulate(rays, rank: int):
-    """Split a pointed full-dimensional cone into simplicial pieces.
+def _triangulate(dd, rank: int):
+    """Split a pointed full-dimensional region into simplicial pieces.
 
     Each piece is the sorted tuple of its rays: extreme rays of the region,
     primitive and linearly independent. At rank 3 each facet holds exactly
     two extreme rays, so the simplices spanned by the first ray and each
-    facet away from it fill the cone.
+    facet away from it fill the cone. Two rays span a facet iff no other ray
+    is tight wherever both are: the adjacency test, on the region's tight sets.
     """
+    rays, tight = dd.rays, dd.tight
     k = len(rays)
     if k == rank:
         return [tuple(sorted(rays))]
@@ -326,10 +327,12 @@ def _triangulate(rays, rank: int):
         raise UnsupportedRankError(
             f"pointed rank-{rank} region with {k} extreme rays cannot be triangulated"
         )
-    g0 = rays[0]
-    facets = cone_from_inequalities(rays, rank)[1]
-    on = ([r for r in rays if dot(n, r) == 0] for n in facets if dot(n, g0) > 0)
-    return [tuple(sorted([g0] + pair)) for pair in on]
+    return [
+        tuple(sorted((rays[0], rays[i], rays[j])))
+        for i in range(1, k)
+        for j in range(i + 1, k)
+        if not any(tight[i] & tight[j] <= t for h, t in enumerate(tight) if h not in (i, j))
+    ]
 
 
 def _facets(rays) -> tuple[tuple[int, ...], ...]:

@@ -21,13 +21,12 @@ no third ray is tight on every processed inequality on which both are tight
 method revisited", 1996). The rays it returns are then extreme and pairwise
 distinct without any further pruning. Both kernels work in int: a Fraction
 vector is cleared of its denominators once, on entry, and every step after
-that divides by gcds. Only relations hand out Fractions; no floats anywhere.
+that divides by gcds. Everything they hand out is int; no floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
@@ -129,19 +128,20 @@ def matrix_rank(rows) -> int:
     return basis.rank
 
 
-def relations(vectors, width: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Basis of the linear relations among vectors of length width, and the
-    pivot columns of their span, ascending.
+def relations(vectors, width: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Basis of the linear relations among vectors of length width, as
+    primitive int rows, and the pivot columns of their span, ascending.
 
     Each vector enters an int echelon basis with a unit vector appended at
     the slot it takes if it is independent of the vectors before it (at most
     width are: width + 1 slots). When its first width entries reduce to 0,
     the row is u > 0 at its own slot and u times minus its coordinates over
-    the earlier independent vectors at theirs: the relation is 1 at its own
-    index and the slots over u at theirs, the kernel vector a reduced row
-    echelon form of the matrix with these columns gives at that free column.
-    Every row of the basis leads in its first width entries, so its pivots
-    are those of the span of the vectors.
+    the earlier independent vectors at theirs: the relation is u at its own
+    index and the slots at theirs, divided by the gcd of the slots. It is
+    positive at its own index and 0 after it, and divided by that entry it is
+    the kernel vector a reduced row echelon form of the matrix with these
+    columns gives at that free column. Every row of the basis leads in its
+    first width entries, so its pivots are those of the span of the vectors.
     """
     basis = EchelonBasis()
     independent: list[int] = []
@@ -155,12 +155,12 @@ def relations(vectors, width: int) -> tuple[list[tuple[Fraction, ...]], list[int
             basis.add(row)
             independent.append(k)
             continue
-        rel = [Fraction(0)] * len(vectors)
-        rel[k] = Fraction(1)
-        u = row[width + slot]
-        for s, i in enumerate(independent):
-            if row[width + s]:
-                rel[i] = Fraction(row[width + s], u)
+        slots = row[width:]
+        g = gcd(*slots)
+        rel = [0] * len(vectors)
+        rel[k] = slots[slot] // g
+        for i, x in zip(independent, slots):
+            rel[i] = x // g
         out.append(tuple(rel))
     return out, sorted(basis.rows)
 

@@ -30,7 +30,8 @@ Generators, kernels and new relations are read off echelon bases
 (linalg.EchelonBasis) extended one row at a time; their pivots are those of
 the reduced echelon form, which is unique, so the choices are those of a
 fresh rref of all the rows. Values are int at integer marked points and
-Fractions at others, cleared once per row; what leaves is Fraction.
+Fractions at others, cleared once per row; kernel vectors stay primitive
+int rows, and a new relation becomes Fraction once, as it leaves.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
             # each new x_k sorts after the monomials in lower generators and
             # its unit vector is independent of them: the kernel gains zeros
             fresh = [j for j in range(target) if j not in pivots]
-            kernel = [kv + (Fraction(0),) * len(fresh) for kv in kernel]
+            kernel = [kv + (0,) * len(fresh) for kv in kernel]
             for j in fresh:
                 coeffs = tuple(Fraction(int(i == j)) for i in range(target))
                 monos.append((0,) * len(gens) + (1,))
@@ -326,7 +327,9 @@ def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
                 span.add(vec)
             for kv in kernel:
                 if span.rank < len(kernel) and span.add(kv):
-                    new.append(kv)
+                    # scaled to 1 at its own monomial, the last one it holds
+                    own = next(x for x in reversed(kv) if x)
+                    new.append(tuple(Fraction(x, own) for x in kv))
         blocks.append(RelationBlock(total, monos, target, len(kernel), tuple(new)))
     n = len(gens)
     return tuple(gens), tuple(

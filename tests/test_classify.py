@@ -615,6 +615,34 @@ def test_floor_degree_kernel_matches_divisor_reference():
     assert len(criteria) == 9, criteria  # every outcome of the elliptic criterion
 
 
+def test_floor_at_matches_the_rounded_evaluation():
+    """_floor_at reads (m * p) // q off the slopes; the reference rounds down
+    the support minima of the evaluation at m times the unit weight."""
+    rng = Random(20261019)
+    seen = dict.fromkeys(("negative slope", "floors to 0", "m = 0", "tail (-1,)"), 0)
+    # the projective line, y^2 = x^3 - x, and abstract curves of genus 0 and 1
+    for base, pool in (*KERNEL_BASES[:2], *KERNEL_BASES[3:5]):
+        for ray in ((1,), (-1,)):
+            tail = make_cone((ray,), 1)
+            for _ in range(8):
+                pts = rng.sample(pool, rng.randint(1, len(pool)))
+                slopes = [Fraction(rng.randint(-q, q), q) for q in (rng.randint(1, 9) for _ in pts)]
+                slopes[0] += max(0, -sum(slopes)) + Fraction(1, rng.randint(1, 8))
+                # the vertex s * ray pairs to s with the unit weight ray
+                coeffs = {pt: make_polyhedron([(s * ray[0],)], tail) for pt, s in zip(pts, slopes)}
+                d = polyhedral_divisor(base, 1, (ray,), coeffs)
+                unit = pdiv_module.unit_weight(d)
+                assert unit == ray
+                for m in range(13):
+                    want = floor_divisor(evaluate(d, tuple(m * u for u in unit)))
+                    assert classify_module._floor_at(d, m) == want, (d, m)
+                    seen["floors to 0"] += any(0 < m * s < 1 for s in slopes)
+                seen["negative slope"] += min(slopes) < 0
+                seen["m = 0"] += 1
+                seen["tail (-1,)"] += ray == (-1,)
+    assert all(n >= 10 for n in seen.values()), seen
+
+
 # ---------------------------------------------------------------------------
 # the scans as they were before they stopped at the vanishing degree: every
 # weight up to the period lcm(q) of the slopes
@@ -631,9 +659,8 @@ def period_scan_h1(d, m_max=None):
     top = bound if m_max is None else m_max
 
     def entry(m, deg):
-        return h1_dim_of_degree(
-            d.base, deg, lambda: is_principal(classify_module._floor_at(d, unit, m))
-        )
+        weight = tuple(m * u for u in unit)
+        return h1_dim_of_degree(d.base, deg, lambda: is_principal(floor_divisor(evaluate(d, weight))))
 
     degrees = classify_module._floor_degrees(slopes, max(bound, top))
     values = [entry(m, deg) for m, deg in enumerate(degrees)]
