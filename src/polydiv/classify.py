@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedRankError,
 )
 from .geometry import ratvec
-from .linalg import dot
+from .linalg import clear, dot
 from .pdiv import (
     PolyhedralDivisor,
     PropernessReport,
@@ -51,13 +51,13 @@ from .verdicts import Verdict
 
 def _floor_degrees(slopes: tuple[RaySlope, ...], m_max: int) -> tuple[int, ...]:
     """deg of the rounded-down evaluation at m = 0 .. m_max, from the slopes alone."""
-    return tuple(sum((m * s.p) // s.q for s in slopes) for m in range(m_max + 1))
+    return tuple(sum(s.floor(m) for s in slopes) for m in range(m_max + 1))
 
 
 def _floor_at(d: PolyhedralDivisor, m: int) -> QDivisor:
     """The rounded-down evaluation at weight m along the unit weight, as a
     divisor: its coefficients are (m * p) // q, read off the slopes."""
-    return divisor(d.base, {s.point: (m * s.p) // s.q for s in ray_slopes(d)})
+    return divisor(d.base, {s.point: s.floor(m) for s in ray_slopes(d)})
 
 
 def _vanishing_degree(slopes: tuple[RaySlope, ...], genus: int) -> int:
@@ -120,10 +120,7 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
 def _search_chamber(chamber, c: int) -> tuple[int, ...] | None:
     rays = chamber.rays
     k = len(rays)
-    floors = []
-    for v in chamber.minimizers:
-        q = lcm(*(x.denominator for x in v))
-        floors.append((tuple(int(x * q) for x in v), q))
+    floors = [clear(v) for v in chamber.minimizers]
     # the degree row and the slack, cleared over the lcm of the q_z
     big = lcm(*(q for _, q in floors))
     slack = big * (c - 1) + sum(big - big // q for _, q in floors)

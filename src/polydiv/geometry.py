@@ -3,13 +3,13 @@
 Values are immutable and canonical, read off one double description each.
 Pointed cones store the sorted primitive generators of their extreme rays;
 other cones their extreme rays modulo lines plus each line both ways, as
-their dual does. A cone computes its dual once and keeps it (``dual``), and
-membership is read off the dual's rays. Polyhedra store exactly their
-extreme points plus a pointed tail cone, and keep their vertices cleared to
-integers over one common denominator, on which support minima are taken in
-int, the weight scaled by the lcm of its denominators.
-Support minima are exact Fractions, with an explicit MinusInfinity object
-when the functional is unbounded below on the polyhedron. A chamber-fan
+their dual does. A cone keeps its dual (``dual``): the facets of the double
+description make_cone ran, when the cone is full-dimensional, else one fresh.
+Membership is read off the dual's rays. Polyhedra store exactly their extreme
+points plus a pointed tail cone, and keep their vertices cleared (linalg.clear)
+over one common denominator; support minima, chamber-fan walls and minimizers
+are taken in int on them. Support minima are exact Fractions, with an explicit
+MinusInfinity object when the functional is unbounded below. A chamber-fan
 region is its double description, each cut extends it by one step, and its
 tight sets give the facets it is triangulated along; a chamber carries the
 facet normal opposite each of its rays.
@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
 from operator import ge
 
 from .errors import RankMismatchError, ShapeError, UnsupportedRankError
 from .linalg import (
     DoubleDescription,
+    clear,
     cone_from_inequalities,
     dot,
     is_zero,
@@ -87,7 +87,8 @@ def make_cone(rays, rank: int) -> Cone:
     It is not pointed iff some generator is tight on every facet (the
     lineality space is a face, spanned by the generators it contains), and
     is then stored as its double dual, as dual_cone gives it. A pointed cone
-    keeps a generator unless another's set of tight facets contains its own.
+    keeps a generator unless another's set of tight facets contains its own,
+    and, when full-dimensional (no lines), the facets as its dual.
     """
     prim = []
     for r in rays:
@@ -105,7 +106,10 @@ def make_cone(rays, rank: int) -> Cone:
     if any(len(t) == len(facets) for t in tight):
         return _cone(lines, facets, rank).dual
     kept = [g for g, t in zip(prim, tight) if not any(u >= t for u in tight if u is not t)]
-    return Cone(rays=tuple(sorted(kept)), rank=rank, pointed=True)
+    cone = Cone(rays=tuple(sorted(kept)), rank=rank, pointed=True)
+    if not lines:
+        object.__setattr__(cone, "dual", _cone((), facets, rank))
+    return cone
 
 
 def _cone(lines, rays, rank: int) -> Cone:
@@ -145,8 +149,14 @@ class TailedPolyhedron:
         """(numerators, denominator): the vertices, in order, as integer
         vectors over one common positive denominator. Kept on the value,
         outside equality and hashing."""
-        den = lcm(*(x.denominator for v in self.vertices for x in v))
-        return tuple(tuple(int(x * den) for x in v) for v in self.vertices), den
+        return _cleared(self.vertices, self.rank)
+
+
+def _cleared(vertices, rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The vertices, in order, as integer vectors over one common positive
+    denominator, and that denominator: one clear of all their entries."""
+    flat, den = clear([x for v in vertices for x in v])
+    return tuple(tuple(flat[k * rank : (k + 1) * rank]) for k in range(len(vertices))), den
 
 
 def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
@@ -174,8 +184,7 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
     if len(verts) > 1 and tail.rays:
         # over the trivial tail no vertex dominates another; the pairings
         # are taken in int, on the vertices over one common denominator
-        den = lcm(*(x.denominator for v in verts for x in v))
-        nums = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
+        nums = _cleared(verts, tail.rank)[0]
         values = [tuple(dot(f, n) for f in tail.dual.rays) for n in nums]
         keep = [not any(b is not a and all(map(ge, a, b)) for b in values) for a in values]
         verts = [v for v, k in zip(verts, keep) if k]
@@ -196,8 +205,7 @@ def support_eval(poly: TailedPolyhedron, m):
     mm = ratvec(m)
     if len(mm) != poly.rank:
         raise RankMismatchError(f"weight {tuple(m)} does not have rank {poly.rank}")
-    scale = lcm(*(x.denominator for x in mm))
-    mm = tuple(x.numerator * (scale // x.denominator) for x in mm)
+    mm, scale = clear(mm)
     if any(dot(mm, r) < 0 for r in poly.tail.rays):
         return MINUS_INFINITY
     nums, den = poly.cleared
@@ -228,12 +236,7 @@ class ChamberFan:
     chambers: tuple[Chamber, ...]
 
     def all_rays(self) -> tuple[tuple[int, ...], ...]:
-        seen = []
-        for ch in self.chambers:
-            for r in ch.rays:
-                if r not in seen:
-                    seen.append(r)
-        return tuple(sorted(seen))
+        return tuple(sorted({r for ch in self.chambers for r in ch.rays}))
 
 
 def chamber_fan(polys, tail: Cone) -> ChamberFan:
@@ -258,8 +261,9 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
 
     walls = []
     for p in polys:
-        for i, v in enumerate(p.vertices):
-            for w in p.vertices[i + 1 :]:
+        nums = p.cleared[0]
+        for i, v in enumerate(nums):
+            for w in nums[i + 1 :]:
                 n = primitive(vec_sub(v, w))
                 if is_zero(n):
                     continue

@@ -20,8 +20,9 @@ no third ray is tight on every processed inequality on which both are tight
 (the combinatorial adjacency test of Fukuda and Prodon, "Double description
 method revisited", 1996). The rays it returns are then extreme and pairwise
 distinct without any further pruning. Both kernels work in int: a Fraction
-vector is cleared of its denominators once, on entry, and every step after
-that divides by gcds. Everything they hand out is int; no floats anywhere.
+vector is cleared of its denominators once, on entry (clear, the one clearing
+in the package), and every step after that divides by gcds. Everything they
+hand out is int; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ def is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
 
-def _integral(v) -> list[int]:
-    """v times the lcm of its denominators: an all-int vector as it is."""
+def clear(v) -> tuple[list[int], int]:
+    """(v times the lcm of its denominators, that lcm): an all-int vector
+    comes back as it is, over 1. The one place a rational vector is cleared."""
     if set(map(type, v)) <= {int}:
-        return list(v)
+        return list(v), 1
     scale = lcm(*(x.denominator for x in v))
-    return [x.numerator * (scale // x.denominator) for x in v]
+    return [x.numerator * (scale // x.denominator) for x in v], scale
 
 
 def primitive(v) -> tuple[int, ...]:
@@ -69,7 +71,7 @@ def primitive(v) -> tuple[int, ...]:
     An all-int vector is divided by the gcd of its entries and never leaves
     int; only rational entries are cleared of their denominators first.
     """
-    v = _integral(v)
+    v = clear(v)[0]
     g = gcd(*v)
     return tuple(x // g for x in v) if g else tuple(v)
 
@@ -97,7 +99,7 @@ class EchelonBasis:
         """A positive multiple of row minus its combination of the basis rows,
         0 at every pivot: row = p * row - row[c] * basis_row for each basis
         row with lead p at column c, divided by the gcd when p > 1."""
-        row = _integral(row)
+        row = clear(row)[0]
         for c, terms in self.rows.items():
             f = row[c]
             if f:

@@ -265,6 +265,10 @@ class RaySlope:
     def value(self) -> Fraction:
         return Fraction(self.p, self.q)
 
+    def floor(self, m: int) -> int:
+        """The coefficient of the rounded-down evaluation at the weight m."""
+        return (m * self.p) // self.q
+
 
 def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
     """Coefficients of the evaluation at the unit weight (rank one).

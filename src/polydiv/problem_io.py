@@ -366,15 +366,11 @@ def parse_problem(text: str) -> PolyhedralDivisor:
 # emission
 
 
-def _rat_str(q: Fraction) -> str:
-    return str(Fraction(q))
-
-
 def _base_json(base):
     if isinstance(base, ProjectiveLine):
         return {"kind": "P1"}
     if isinstance(base, EllipticCurveQ):
-        return {"kind": "elliptic", "a": _rat_str(base.a), "b": _rat_str(base.b)}
+        return {"kind": "elliptic", "a": str(base.a), "b": str(base.b)}
     if isinstance(base, AbstractProjectiveCurve):
         return {"kind": "abstract", "genus": base.genus, "proper": True}
     if isinstance(base, AbstractAffineCurve):
@@ -394,12 +390,12 @@ def _point_json(key):
     if isinstance(key, EllipticOrigin):
         return "O"
     if isinstance(key, EllipticPoint):
-        return {"x": _rat_str(key.x), "y": _rat_str(key.y)}
+        return {"x": str(key.x), "y": str(key.y)}
     if isinstance(key, LabelPoint):
         return key.label
     if not isinstance(key, RationalPoint):
         raise InternalError(f"no document form for the point {key!r}")
-    return _rat_str(key.value)
+    return str(key.value)
 
 
 def emit_problem(d: PolyhedralDivisor) -> str:
@@ -411,7 +407,7 @@ def emit_problem(d: PolyhedralDivisor) -> str:
         "coefficients": [
             {
                 "point": _point_json(key),
-                "vertices": [[_rat_str(x) for x in v] for v in poly.vertices],
+                "vertices": [[str(x) for x in v] for v in poly.vertices],
             }
             for key, poly in d.coefficients
         ],
@@ -437,9 +433,9 @@ def report_payload(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
-        return _rat_str(obj)
+        return str(obj)
     if isinstance(obj, QDivisor):
-        return [[str(pt), _rat_str(c)] for pt, c in obj.terms]
+        return [[str(pt), str(c)] for pt, c in obj.terms]
     if isinstance(obj, (P1Point, EllipticPoint, EllipticOrigin, LabelPoint, RationalPoint)):
         return str(obj)
     if is_dataclass(obj) and not isinstance(obj, type):

@@ -36,12 +36,12 @@ int rows, and a new relation becomes Fraction once, as it leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, InternalError, ShapeError
-from .linalg import EchelonBasis, primitive, relations
+from .linalg import EchelonBasis, relations
 from .pdiv import PolyhedralDivisor, RaySlope, ray_slopes
 
 Vector = tuple[Fraction, ...]
@@ -58,12 +58,8 @@ def _check_degree(m: int) -> None:
         raise ShapeError("section rings are graded by nonnegative weights")
 
 
-def _floor_coeff(s: RaySlope, m: int) -> int:
-    return (m * s.p) // s.q
-
-
 def _dimension(slopes, m: int) -> int:
-    return max(0, sum(_floor_coeff(s, m) for s in slopes) + 1)
+    return max(0, sum(s.floor(m) for s in slopes) + 1)
 
 
 def graded_dimension(d: PolyhedralDivisor, m: int) -> int:
@@ -133,7 +129,7 @@ class _RingTable:
         _check_degree(max_degree)
         self.finite = _finite(slopes)
         degrees = range(max_degree + 1)
-        self.floors = tuple(tuple(_floor_coeff(s, m) for s in self.finite) for m in degrees)
+        self.floors = tuple(tuple(s.floor(m) for s in self.finite) for m in degrees)
         self.dims = tuple(_dimension(slopes, m) for m in degrees)
         self._corrections: dict[tuple[int, ...], list] = {}
 
@@ -166,13 +162,8 @@ def multiply_sections(
         if dim == 0:
             raise ShapeError(f"the ring has no sections in degree {m}")
     finite, target = _finite(slopes), _dimension(slopes, m1 + m2)
-    corr = _correction_poly(
-        finite,
-        tuple(
-            _floor_coeff(s, m1 + m2) - _floor_coeff(s, m1) - _floor_coeff(s, m2)
-            for s in finite
-        ),
-    )
+    exponents = tuple(s.floor(m1 + m2) - s.floor(m1) - s.floor(m2) for s in finite)
+    corr = _correction_poly(finite, exponents)
     prod = _poly_mul(_poly_mul(v1, v2), corr)
     if any(c != 0 for c in prod[target:]):
         raise InternalError(f"product of degrees {m1} and {m2} leaves the degree-{m1 + m2} piece")
@@ -290,13 +281,14 @@ def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
     vectors at the non-pivot columns of the span of the degree-m monomials in
     the lower generators, named g1, g2, ... in ascending column; with gens,
     the list stays as given. Without blocks_wanted the blocks are () and
-    the span of shifted relations is skipped: generators need only pivots."""
+    the span of shifted relations is skipped: generators need only pivots.
+    New relations stay int rows until the blocks are built, at the end."""
     find = gens is None
     gens = [] if find else list(gens)
     factors = _generator_factors(table, gens)
-    blocks: list[RelationBlock] = []
-    # the monomials of every degree so far, shared with the blocks; a tuple
-    # has one entry per generator known at its degree
+    found = []  # per degree with monomials: (degree, target, kernel dim, new int relations)
+    # the monomials of every degree so far; a tuple has one entry per
+    # generator known at its degree
     monomials = {0: ((),)}
     for total in range(1, len(table.dims)):
         n, target = len(gens), table.dims[total]
@@ -313,28 +305,34 @@ def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
                 monos.append((0,) * len(gens) + (1,))
                 gens.append(RingGenerator(f"g{len(gens) + 1}", total, coeffs))
             factors += _generator_factors(table, gens[n:])
-        monos = monomials[total] = tuple(monos)
+        monomials[total] = tuple(monos)
         if not monos or not blocks_wanted:
             continue
-        new: list[Vector] = []
+        new: list[tuple[int, ...]] = []
         if kernel:
             # shifts of lower relations are relations: once they span the
             # kernel, no kernel vector is new
             span = EchelonBasis()
-            for vec in _shifted_relations(blocks, monomials, total, n):
+            for vec in _shifted_relations(found, monomials, total, n):
                 if span.rank == len(kernel):
                     break
                 span.add(vec)
             for kv in kernel:
                 if span.rank < len(kernel) and span.add(kv):
-                    # scaled to 1 at its own monomial, the last one it holds
-                    own = next(x for x in reversed(kv) if x)
-                    new.append(tuple(Fraction(x, own) for x in kv))
-        blocks.append(RelationBlock(total, monos, target, len(kernel), tuple(new)))
+                    new.append(kv)
+        found.append((total, target, len(kernel), new))
     n = len(gens)
     return tuple(gens), tuple(
-        replace(b, monomials=tuple(_pad(a, n) for a in b.monomials)) for b in blocks
+        RelationBlock(m, tuple(_pad(a, n) for a in monomials[m]), t, k, tuple(map(_scaled, new)))
+        for m, t, k, new in found
     )
+
+
+def _scaled(rel: tuple[int, ...]) -> Vector:
+    """An int relation divided by its entry at its own monomial, the last
+    one it holds."""
+    own = next(x for x in reversed(rel) if x)
+    return tuple(Fraction(x, own) for x in rel)
 
 
 def _pad(a: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -342,24 +340,21 @@ def _pad(a: tuple[int, ...], n: int) -> tuple[int, ...]:
     return a + (0,) * (n - len(a))
 
 
-def _shifted_relations(blocks, monomials, total: int, n: int):
+def _shifted_relations(found, monomials, total: int, n: int):
     """The relations of lower degrees times every monomial that lifts them to
-    degree total, as vectors over the monomials of degree total; monomials
-    maps each degree up to total to its list of monomials, and n generators
-    have a lower degree. Relations enter in primitive int form."""
-    monos = monomials[total]
-    index = {nu: k for k, nu in enumerate(monos)}
-    for block in blocks:
-        if not block.relations:
+    degree total, as int vectors over the monomials of degree total; found
+    holds the new int relations per lower degree, monomials the monomials of
+    each degree up to total, and n generators have a lower degree."""
+    index = {nu: k for k, nu in enumerate(monomials[total])}
+    for degree, _, _, rels in found:
+        if not rels:
             continue
-        terms = [
-            [(_pad(block.monomials[k], n), c) for k, c in enumerate(primitive(rel)) if c]
-            for rel in block.relations
-        ]
-        for mu in monomials[total - block.degree]:
+        low = monomials[degree]
+        terms = [[(_pad(low[k], n), c) for k, c in enumerate(rel) if c] for rel in rels]
+        for mu in monomials[total - degree]:
             mu = _pad(mu, n)
             for rel in terms:
-                vec = [0] * len(monos)
+                vec = [0] * len(index)
                 for nu, c in rel:
                     vec[index[tuple(a + b for a, b in zip(nu, mu))]] += c
                 yield vec

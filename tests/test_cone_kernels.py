@@ -25,7 +25,9 @@ rewrites, kept here as independent oracles:
   description for any number of vertices, and ray_meets;
 - the facet normals of a chamber, as a set, as the facets of a double
   description of its rays, and a count of the double descriptions a whole
-  classify runs.
+  classify runs;
+- the dual of a cone as a fresh double description of its rays, whatever
+  make_cone kept, and ChamberFan.all_rays as the list dedupe it replaced.
 
 The code in src/ must give the very same integers, lists (in order) and
 values, with one exception: a cone that is not pointed has no extreme rays,
@@ -1030,3 +1032,136 @@ def test_classify_runs_one_double_description_per_tail_and_wide_region(monkeypat
     if name == "cm_no_rank3":
         assert report["rational"]["verdict"] == "no" and report["cohen_macaulay"]["verdict"] == "no"
         assert wide
+
+
+def seeded_dual_generators(rng, rank, shape):
+    """Generators of a full-dimensional pointed cone, of a simplicial one, of
+    a pointed cone in a random sublattice of lower rank, of a cone with a
+    line, or any small vectors; then a redundant sum, a duplicate, a scaled copy and a zero
+    vector mixed in, in shuffled order."""
+
+    def positive(k):
+        # small vectors on the positive side of a random functional on Z^k
+        f = tuple(rng.choice((1, 2)) * rng.choice((-1, 1)) for _ in range(k))
+        count, gens = rng.randint(k, k + 4), []
+        while len(gens) < count:
+            v = tuple(rng.randint(-3, 3) for _ in range(k))
+            s = dot(f, v)
+            if s != 0:
+                gens.append(v if s > 0 else vec_neg(v))
+        return gens
+
+    if shape == "full":
+        gens = positive(rank)
+    elif shape == "simplicial":
+        gens = random_full_row_rank(rng, rank, rank)
+    elif shape == "flat":
+        basis = random_full_row_rank(rng, rng.randint(1, rank - 1), rank)
+        gens = [
+            tuple(sum(c * b[j] for c, b in zip(v, basis)) for j in range(rank))
+            for v in positive(len(basis))
+        ]
+    elif shape == "lineality":
+        line = tuple(rng.randint(-3, 3) for _ in range(rank))
+        gens = [line, vec_neg(line)] + positive(rank)[: rng.randint(0, rank)]
+    else:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(1, rank + 3))]
+    if len(gens) > 1 and rng.random() < 0.5:
+        gens.append(tuple(map(sum, zip(*rng.sample(gens, 2)))))
+    if rng.random() < 0.5:
+        gens.append(rng.choice(gens))
+    if rng.random() < 0.5:
+        gens.append(vec_scale(rng.randint(2, 3), rng.choice(gens)))
+    if rng.random() < 0.3:
+        gens.append((0,) * rank)
+    rng.shuffle(gens)
+    return gens
+
+
+def test_make_cone_keeps_the_dual_a_fresh_double_description_gives():
+    """A full-dimensional pointed cone keeps the facets of the double
+    description of its generators as its dual: the same value a fresh double
+    description of its rays gives, whatever the order of the generators.
+    Lower-dimensional and non-pointed cones keep nothing and compute it."""
+    rng = Random(20261118)
+    shapes = ("full", "simplicial", "flat", "lineality", "any")
+    seen = {"kept": 0, "non-simplicial kept": 0, "flat": 0, "not pointed": 0, "shortcut": 0}
+    for rank in (2, 3, 4):
+        for shape in shapes:
+            for _ in range(12):
+                gens = seeded_dual_generators(rng, rank, shape)
+                cone = make_cone(gens, rank)
+                kept = "dual" in vars(cone)
+                fresh = geometry._cone(*cone_from_inequalities(cone.rays, rank), rank)
+                assert cone.dual == fresh, (gens, cone)
+                shuffled = list(gens)
+                rng.shuffle(shuffled)
+                again = make_cone(shuffled, rank)
+                assert again == cone and again.dual == fresh, (gens, shuffled)
+                full = bool(cone.rays) and rref_rank(cone.rays) == rank
+                if kept:
+                    assert cone.pointed and full, (gens, cone)
+                seen["kept"] += kept
+                seen["non-simplicial kept"] += kept and len(cone.rays) > rank
+                seen["flat"] += cone.pointed and not full and bool(cone.rays)
+                seen["not pointed"] += not cone.pointed
+                seen["shortcut"] += cone.pointed and full and not kept
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_parsing_the_sixteen_gon_tail_runs_one_double_description(monkeypatch):
+    """make_cone keeps the facets of the 16-gon tail as its dual, so parsing
+    (which reads the dual) runs the one double description of make_cone."""
+    doc = {
+        "lattice_rank": 3,
+        "tail_cone": {"rays": [[i, i * i, 1] for i in range(16)]},
+        "base": {"kind": "affine_space", "dim": 1},
+        "coefficients": [{"point": {"hyperplane": 1}, "vertices": [[0, 0, 1]]}],
+    }
+    calls = []
+    real = linalg.cone_from_inequalities
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cone_from_inequalities", counting)
+    monkeypatch.setattr(geometry, "cone_from_inequalities", counting)
+    d = parse_problem(json.dumps(doc))
+    assert len(d.tail.rays) == 16 and len(d.tail.dual.rays) == 16
+    assert len(calls) == 1
+
+
+def reference_all_rays(fan):
+    """The rays of all chambers by the list dedupe all_rays replaced, sorted."""
+    seen = []
+    for ch in fan.chambers:
+        for r in ch.rays:
+            if r not in seen:
+                seen.append(r)
+    return tuple(sorted(seen))
+
+
+def test_all_rays_matches_the_list_dedupe():
+    rng = Random(20261101)
+    fans = 0
+    for rank in (1, 2, 3):
+        shapes = ("trivial", "orthant", "pointed") + (("flat",) if rank > 1 else ())
+        for shape in shapes:
+            for _ in range(6 if rank < 3 else 3):
+                tail = random_tail(rng, rank, shape)
+                polys = [tied_polyhedron(rng, rank, tail) for _ in range(rng.randint(1, 2))]
+                fan = geometry.chamber_fan(polys, tail)
+                assert fan.all_rays() == reference_all_rays(fan)
+                fans += 1
+    # the 45-wall rank-3 family: 492 chambers at n = 10
+    n = 10
+    tail = make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    curve = [
+        (Fraction(-i, 3), Fraction(i * i - 9, 5), Fraction((7 * i) % 5 - 4, 2)) for i in range(n)
+    ]
+    polys = [make_polyhedron(curve, tail), make_polyhedron([(n * n,) * 3], tail)]
+    fan = geometry.chamber_fan(polys, tail)
+    assert len(fan.chambers) == 492
+    assert fan.all_rays() == reference_all_rays(fan)
+    assert fans >= 30

@@ -7,6 +7,7 @@ import pytest
 from polydiv.errors import RankMismatchError
 from polydiv.linalg import (
     EchelonBasis,
+    clear,
     cone_from_inequalities,
     dot,
     matrix_rank,
@@ -22,6 +23,22 @@ def test_primitive_scales_to_shortest_integer_vector():
     assert primitive((4, 6)) == (2, 3)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((Fraction(-2, 3),)) == (-1,)
+
+
+def test_clear_hand_examples():
+    # an all-int vector comes back as it is, as a list, over 1
+    assert clear((4, -6, 0)) == ([4, -6, 0], 1)
+    # Fractions over the lcm of their denominators
+    assert clear((Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6))) == ([6, -9, 10], 12)
+    assert clear((Fraction(4, 2), Fraction(6, 3))) == ([2, 2], 1)
+    # ints and Fractions mixed
+    assert clear((3, Fraction(1, 3), -1)) == ([9, 1, -3], 3)
+    # the zero vector, as ints and as Fractions, and the empty vector
+    assert clear((0, 0)) == ([0, 0], 1)
+    assert clear((Fraction(0), Fraction(0))) == ([0, 0], 1)
+    assert clear(()) == ([], 1)
+    got, den = clear((Fraction(2, 3), 1))
+    assert den == 3 and all(type(x) is int for x in got)
 
 
 def test_rref_hand_example():
