@@ -24,17 +24,11 @@ from .curves import (
     CurvePoint,
     QDivisor,
     canonical_divisor,
-    degree,
     divisor,
     h1_dim_of_degree,
     is_principal,
 )
-from .errors import (
-    CurveDomainError,
-    InternalError,
-    NotProperError,
-    UnsupportedRankError,
-)
+from .errors import CurveDomainError, InternalError, NotProperError
 from .geometry import ratvec
 from .linalg import clear, dot
 from .pdiv import (
@@ -195,10 +189,7 @@ def rational_singularities(d: PolyhedralDivisor) -> RationalReport:
             "positive-genus-base",
             witness=tuple(0 for _ in range(d.rank)),
         )
-    try:
-        witness = decide_floor_bound(d, -1)
-    except UnsupportedRankError:
-        return RationalReport(Verdict.UNKNOWN, "weight-cone-subdivision-unavailable")
+    witness = decide_floor_bound(d, -1)
     if witness is None:
         return RationalReport(Verdict.YES, "floor-degrees-at-least-minus-one")
     return RationalReport(Verdict.NO, "floor-degrees-at-least-minus-one", witness=witness)
@@ -224,20 +215,25 @@ def cohen_macaulay(d: PolyhedralDivisor, isolated: bool = False) -> CohenMacaula
     isolated; otherwise the question is left open.
     """
     require_proper(d)
+    return _cohen_macaulay(d, isolated)
+
+
+def _cohen_macaulay(
+    d: PolyhedralDivisor, isolated: bool, rational: RationalReport | None = None
+) -> CohenMacaulayReport:
+    """The decision for a proper divisor; rationality is decided here, unless
+    given, and only for rank >= 2 over a projective curve."""
     if not d.base.projective:
         return CohenMacaulayReport(Verdict.YES, "affine-base")
     if d.rank == 1:
         return CohenMacaulayReport(Verdict.YES, "normal-surface")
-    return _cohen_macaulay_given(d, rational_singularities(d), isolated)
-
-
-def _cohen_macaulay_given(
-    d: PolyhedralDivisor, rational: RationalReport, isolated: bool
-) -> CohenMacaulayReport:
-    """The higher-rank projective case, once rationality has been decided."""
+    if rational is None:
+        rational = rational_singularities(d)
     if rational.verdict == Verdict.YES:
         return CohenMacaulayReport(Verdict.YES, "rational-singularities")
     if rational.verdict == Verdict.UNKNOWN:
+        # rational_singularities decides every proper divisor today; an
+        # undecided answer must still not read as a no here
         return CohenMacaulayReport(Verdict.UNKNOWN, "rationality-undecided")
     if contraction_iso_codim1(d) == Verdict.YES:
         return CohenMacaulayReport(Verdict.NO, "matches-rationality-small-contraction")
@@ -291,20 +287,15 @@ def gorenstein(d: PolyhedralDivisor) -> GorensteinReport:
             canonical_index=index,
             vertical_multiplicities=multiplicities,
         )
-    vertical = divisor(d.base, dict(multiplicities))
     k_base = canonical_divisor(d.base)
     if isinstance(k_base, QDivisor):
-        difference = vertical - k_base
+        difference = divisor(d.base, dict(multiplicities)) - k_base
         verdict = is_principal(difference)
     else:
-        # abstract base: only the degree of the canonical class is known
+        # abstract base: only the degree of the canonical class is known, and
+        # the multiplicities sum to index * deg1 + sum(1 / q_z) - count = 2g - 2
         difference = None
-        if degree(vertical) != k_base.degree:
-            verdict = Verdict.NO
-        elif genus == 0:
-            verdict = Verdict.YES
-        else:
-            verdict = Verdict.UNKNOWN
+        verdict = Verdict.YES if genus == 0 else Verdict.UNKNOWN
     criterion = {
         Verdict.YES: "canonical-difference-principal",
         Verdict.NO: "canonical-difference-not-principal",
@@ -508,10 +499,7 @@ def classify_report(d: PolyhedralDivisor, isolated: bool = False) -> ClassifyRep
         )
 
     rational = rational_singularities(d)
-    if d.base.projective and d.rank > 1:
-        cm = _cohen_macaulay_given(d, rational, isolated)
-    else:
-        cm = cohen_macaulay(d, isolated=isolated)
+    cm = _cohen_macaulay(d, isolated, rational)
     gor = gorenstein(d)
     ell = elliptic_singularity(d)
     minimal = minimal_elliptic_verdict(ell, gor)

@@ -140,6 +140,15 @@ class _RingTable:
         return poly
 
 
+def _check_section(m: int, dim: int, coords) -> None:
+    """Raise ShapeError unless coords are a section of the degree-m piece of
+    dimension dim."""
+    if len(coords) != dim:
+        raise ShapeError(f"a degree-{m} section has {dim} coordinates, got {len(coords)}")
+    if dim == 0:
+        raise ShapeError(f"the ring has no sections in degree {m}")
+
+
 def multiply_sections(
     d: PolyhedralDivisor, m1: int, vec1, m2: int, vec2
 ) -> Vector:
@@ -154,13 +163,7 @@ def multiply_sections(
     v1 = tuple(Fraction(x) for x in vec1)
     v2 = tuple(Fraction(x) for x in vec2)
     for m, v in ((m1, v1), (m2, v2)):
-        dim = _dimension(slopes, m)
-        if len(v) != dim:
-            raise ShapeError(
-                f"a degree-{m} section has {dim} coordinates, got {len(v)}"
-            )
-        if dim == 0:
-            raise ShapeError(f"the ring has no sections in degree {m}")
+        _check_section(m, _dimension(slopes, m), v)
     finite, target = _finite(slopes), _dimension(slopes, m1 + m2)
     exponents = tuple(s.floor(m1 + m2) - s.floor(m1) - s.floor(m2) for s in finite)
     corr = _correction_poly(finite, exponents)
@@ -187,17 +190,17 @@ def minimal_generators(d: PolyhedralDivisor, max_degree: int) -> tuple[RingGener
     non-pivot columns of the span of the monomials in the lower generators;
     that span is exactly the decomposable part of the piece.
     """
-    return _presentation(_RingTable(d, max_degree), blocks_wanted=False)[0]
+    return _presentation(_RingTable(d, max_degree))[0]
 
 
 def _degree_monomials(monomials, degrees, total: int) -> list[tuple[int, ...]]:
     """Exponent vectors of weighted degree total, largest first: every a + e_i
     with a a monomial of degree total - deg g_i; monomials maps each lower
-    degree to its monomials, padded here with zeros for later generators."""
+    degree to its monomials."""
     out = set()
     for i, deg in enumerate(degrees):
         for a in monomials.get(total - deg, ()):
-            b = list(_pad(a, len(degrees)))
+            b = list(a)
             b[i] += 1
             out.add(tuple(b))
     return sorted(out, reverse=True)
@@ -215,13 +218,7 @@ def _generator_factors(table: _RingTable, gens):
             factors.append(None)
             continue
         coeffs = [_exact(x) for x in g.coeffs]
-        dim = table.dims[g.degree]
-        if len(coeffs) != dim:
-            raise ShapeError(
-                f"a degree-{g.degree} section has {dim} coordinates, got {len(coeffs)}"
-            )
-        if dim == 0:
-            raise ShapeError(f"the ring has no sections in degree {g.degree}")
+        _check_section(g.degree, table.dims[g.degree], coeffs)
         nonzero = [k for k, c in enumerate(coeffs) if c != 0]
         if len(nonzero) == 1:
             k = nonzero[0]
@@ -275,45 +272,47 @@ class RelationBlock:
     relations: tuple[Vector, ...]
 
 
-def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
+def _presentation(table: _RingTable, gens=None):
     """(generators, relation blocks) up to the degree of the table, in one
     pass over the degrees. Without gens, those of degree m are the unit
     vectors at the non-pivot columns of the span of the degree-m monomials in
     the lower generators, named g1, g2, ... in ascending column; with gens,
-    the list stays as given. Without blocks_wanted the blocks are () and
-    the span of shifted relations is skipped: generators need only pivots.
-    New relations stay int rows until the blocks are built, at the end."""
+    the list stays as given. New relations stay int rows until the blocks
+    are built, at the end."""
     find = gens is None
     gens = [] if find else list(gens)
     factors = _generator_factors(table, gens)
     found = []  # per degree with monomials: (degree, target, kernel dim, new int relations)
-    # the monomials of every degree so far; a tuple has one entry per
-    # generator known at its degree
-    monomials = {0: ((),)}
+    # the monomials of every degree so far, one exponent per generator found
+    monomials = {0: ((0,) * len(gens),)}
     for total in range(1, len(table.dims)):
         n, target = len(gens), table.dims[total]
         monos = _degree_monomials(monomials, [g.degree for g in gens], total)
         vectors = [_eval_monomial(table, factors, a, total) for a in monos]
         kernel, pivots = relations(vectors, target)
-        if find:
+        monomials[total] = tuple(monos)
+        fresh = [j for j in range(target) if j not in pivots] if find else []
+        if fresh:
             # each new x_k sorts after the monomials in lower generators and
-            # its unit vector is independent of them: the kernel gains zeros
-            fresh = [j for j in range(target) if j not in pivots]
-            kernel = [kv + (0,) * len(fresh) for kv in kernel]
+            # its unit vector is independent of them: the kernel gains zeros,
+            # and every stored monomial an exponent per new generator
+            k = len(fresh)
+            kernel = [kv + (0,) * k for kv in kernel]
+            for m, stored in monomials.items():
+                monomials[m] = tuple(a + (0,) * k for a in stored)
+            monomials[total] += tuple(tuple(int(i == n + j) for i in range(n + k)) for j in range(k))
             for j in fresh:
                 coeffs = tuple(Fraction(int(i == j)) for i in range(target))
-                monos.append((0,) * len(gens) + (1,))
                 gens.append(RingGenerator(f"g{len(gens) + 1}", total, coeffs))
             factors += _generator_factors(table, gens[n:])
-        monomials[total] = tuple(monos)
-        if not monos or not blocks_wanted:
+        if not monomials[total]:
             continue
         new: list[tuple[int, ...]] = []
         if kernel:
             # shifts of lower relations are relations: once they span the
             # kernel, no kernel vector is new
             span = EchelonBasis()
-            for vec in _shifted_relations(found, monomials, total, n):
+            for vec in _shifted_relations(found, monomials, total):
                 if span.rank == len(kernel):
                     break
                 span.add(vec)
@@ -321,10 +320,8 @@ def _presentation(table: _RingTable, gens=None, blocks_wanted: bool = True):
                 if span.rank < len(kernel) and span.add(kv):
                     new.append(kv)
         found.append((total, target, len(kernel), new))
-    n = len(gens)
     return tuple(gens), tuple(
-        RelationBlock(m, tuple(_pad(a, n) for a in monomials[m]), t, k, tuple(map(_scaled, new)))
-        for m, t, k, new in found
+        RelationBlock(m, monomials[m], t, k, tuple(map(_scaled, new))) for m, t, k, new in found
     )
 
 
@@ -335,24 +332,18 @@ def _scaled(rel: tuple[int, ...]) -> Vector:
     return tuple(Fraction(x, own) for x in rel)
 
 
-def _pad(a: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The exponent vector a with zeros for the generators after its own."""
-    return a + (0,) * (n - len(a))
-
-
-def _shifted_relations(found, monomials, total: int, n: int):
+def _shifted_relations(found, monomials, total: int):
     """The relations of lower degrees times every monomial that lifts them to
     degree total, as int vectors over the monomials of degree total; found
     holds the new int relations per lower degree, monomials the monomials of
-    each degree up to total, and n generators have a lower degree."""
+    each degree up to total."""
     index = {nu: k for k, nu in enumerate(monomials[total])}
     for degree, _, _, rels in found:
         if not rels:
             continue
         low = monomials[degree]
-        terms = [[(_pad(low[k], n), c) for k, c in enumerate(rel) if c] for rel in rels]
+        terms = [[(low[k], c) for k, c in enumerate(rel) if c] for rel in rels]
         for mu in monomials[total - degree]:
-            mu = _pad(mu, n)
             for rel in terms:
                 vec = [0] * len(index)
                 for nu, c in rel:

@@ -121,22 +121,12 @@ def cone_diagnostics(tc: ToricCone) -> ConeDiagnostics:
     """
     rays = tc.rays
     span = matrix_rank(rays)
-    simplicial = len(rays) == span
-    if not simplicial:
-        return ConeDiagnostics(
-            ambient_rank=tc.ambient_rank,
-            ray_count=len(rays),
-            span_rank=span,
-            simplicial=False,
-            multiplicity=None,
-            smooth=False,
-        )
-    mult = _span_multiplicity(rays, tc.ambient_rank)
+    mult = _span_multiplicity(rays, tc.ambient_rank) if len(rays) == span else None
     return ConeDiagnostics(
         ambient_rank=tc.ambient_rank,
         ray_count=len(rays),
         span_rank=span,
-        simplicial=True,
+        simplicial=mult is not None,
         multiplicity=mult,
         smooth=mult == 1,
     )

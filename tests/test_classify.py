@@ -45,6 +45,7 @@ from polydiv.verdicts import Verdict
 
 P1 = ProjectiveLine()
 RAY = ((1,),)
+ORTHANT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def halfline(vertex):
@@ -210,6 +211,88 @@ def test_cohen_macaulay_rank_two_needs_isolated_assertion():
     assert forced.criterion == "matches-rationality-isolated-singularity"
 
 
+CM_BASES = {
+    "P1": (P1, (P1_INFINITY, p1_point(0), p1_point(1), p1_point(-1), p1_point(2))),
+    "genus 0": (AbstractProjectiveCurve(0), tuple(map(LabelPoint, "pqrs"))),
+    "genus 1": (AbstractProjectiveCurve(1), tuple(map(LabelPoint, "pqrs"))),
+    "elliptic": (
+        EllipticCurveQ(-1, 0),
+        (EC_ORIGIN, EllipticPoint(0, 0), EllipticPoint(1, 0), EllipticPoint(-1, 0)),
+    ),
+    "affine": (AffineLine(), tuple(RationalPoint(Fraction(k)) for k in range(4))),
+}
+
+
+def random_orthant_divisor(rng):
+    """A divisor of rank 1 to 3 with an orthant tail over a random base; the
+    first coefficient over a projective base leans into the orthant, so many
+    samples are proper."""
+    base, pool = CM_BASES[rng.choice(sorted(CM_BASES))]
+    rank = rng.randint(1, 3)
+    rays = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    tail = make_cone(rays, rank)
+    coeffs = {}
+    for i, pt in enumerate(rng.sample(pool, rng.randint(1, len(pool)))):
+        lean = rng.randint(1, 3) if i == 0 and base.projective else 0
+        verts = [
+            tuple(lean + Fraction(rng.randint(-3, 2), rng.choice((1, 1, 2, 3))) for _ in rays)
+            for _ in range(rng.randint(1, 2))
+        ]
+        coeffs[pt] = make_polyhedron(verts, tail)
+    return polyhedral_divisor(base, rank, rays, coeffs)
+
+
+def non_rational_p1_divisors():
+    """The two rank-3 documents of the Cohen-Macaulay CI step: the degree
+    vanishes along one axis (a small contraction) or on a face."""
+    tail = make_cone(ORTHANT3, 3)
+    half = make_polyhedron([(Fraction(-1, 2),) * 3], tail)
+    low = make_polyhedron([(Fraction(-1, 2),) * 3, (-1, Fraction(-1, 3), Fraction(-1, 3))], tail)
+    coeffs = {p1_point(0): low, **{p1_point(k): half for k in range(1, 5)}}
+    return [
+        polyhedral_divisor(P1, 3, ORTHANT3, {**coeffs, P1_INFINITY: make_polyhedron([top], tail)})
+        for top in ((4, Fraction(5, 2), 3), (4, Fraction(5, 2), Fraction(5, 2)))
+    ]
+
+
+def test_classify_report_and_cohen_macaulay_give_the_same_answer():
+    rng = Random(20261019)
+    seen = {}
+    for d in [random_orthant_divisor(rng) for _ in range(400)] + non_rational_p1_divisors():
+        proper = is_proper(d).verdict
+        if proper != Verdict.YES:
+            # cohen_macaulay asks for properness first; an undecided one is a
+            # classify report of unknowns
+            with pytest.raises(NotProperError):
+                cohen_macaulay(d)
+            if proper == Verdict.NO:
+                with pytest.raises(NotProperError):
+                    classify_report(d)
+            continue
+        for isolated in (False, True):
+            want = cohen_macaulay(d, isolated)
+            assert classify_report(d, isolated).cohen_macaulay == want, (d, isolated)
+            seen[want.criterion] = seen.get(want.criterion, 0) + 1
+    assert set(seen) == {
+        "affine-base",
+        "normal-surface",
+        "rational-singularities",
+        "matches-rationality-small-contraction",
+        "matches-rationality-isolated-singularity",
+        "needs-isolatedness-assertion",
+    }, seen
+
+
+def test_cohen_macaulay_of_a_normal_surface_decides_no_rationality(monkeypatch):
+    def forbidden(d):
+        raise AssertionError("rationality computed for a rank-one divisor")
+
+    monkeypatch.setattr(classify_module, "rational_singularities", forbidden)
+    for isolated in (False, True):
+        report = cohen_macaulay(golden("one"), isolated)
+        assert report.verdict == Verdict.YES and report.criterion == "normal-surface"
+
+
 def test_gorenstein_golden_one():
     report = gorenstein(golden("one"))
     assert report.verdict == Verdict.YES
@@ -273,6 +356,54 @@ def test_gorenstein_abstract_base_degree_test():
     shifted = rank1(g2, {LabelPoint("p"): Fraction(1, 2), LabelPoint("q"): 1})
     # index (2 + 1/2)/(3/2) = 5/3: fractional
     assert gorenstein(shifted).verdict == Verdict.NO
+
+
+def test_gorenstein_abstract_genus_zero_base_with_integral_data_is_yes():
+    # slopes -1/3, -1/3 and 1: index (-2 + 4/3)/(1/3) = -2 and multiplicities
+    # 0, 0 and -2, whose sum -2 is the degree of the canonical class
+    g0 = AbstractProjectiveCurve(0)
+    points = map(LabelPoint, "pqr")
+    d = rank1(g0, dict(zip(points, (Fraction(-1, 3), Fraction(-1, 3), Fraction(1)))))
+    report = gorenstein(d)
+    assert report.canonical_index == -2
+    assert [v for _, v in report.vertical_multiplicities] == [0, 0, -2]
+    assert report.verdict == Verdict.YES
+    assert report.criterion == "canonical-difference-principal"
+    assert report.canonical_difference is None
+
+
+def test_integral_vertical_multiplicities_sum_to_the_canonical_degree():
+    """The index is (2g - 2 + sum (q_z - 1)/q_z) / deg1 and the multiplicity
+    at z is (p_z * index + 1)/q_z - 1, so the multiplicities sum to 2g - 2
+    whenever they are defined: on an abstract base the degree of the vertical
+    divisor always matches that of the canonical class."""
+    bases = [
+        (P1, (P1_INFINITY, p1_point(0), p1_point(1), p1_point(-1), p1_point(2))),
+        (
+            EllipticCurveQ(-1, 0),
+            (EC_ORIGIN, EllipticPoint(0, 0), EllipticPoint(1, 0), EllipticPoint(-1, 0)),
+        ),
+    ] + [(AbstractProjectiveCurve(g), tuple(map(LabelPoint, "pqrst"))) for g in range(4)]
+    rng = Random(20261020)
+    seen = {}
+    for _ in range(1200):
+        base, pool = rng.choice(bases)
+        points = rng.sample(pool, rng.randint(1, len(pool)))
+        slopes = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in points]
+        if sum(slopes) <= 0:
+            continue
+        report = gorenstein(rank1(base, dict(zip(points, slopes))))
+        multiplicities = [v for _, v in report.vertical_multiplicities]
+        if not multiplicities or any(v.denominator != 1 for v in multiplicities):
+            continue  # the index or a multiplicity is not integral
+        assert sum(multiplicities) == 2 * base.genus - 2, report
+        key = (type(base).__name__, base.genus, report.verdict)
+        seen[key] = seen.get(key, 0) + 1
+    assert seen.get(("ProjectiveLine", 0, Verdict.YES), 0) >= 20, seen
+    assert seen.get(("EllipticCurveQ", 1, Verdict.NO), 0) >= 10, seen
+    assert seen.get(("AbstractProjectiveCurve", 0, Verdict.YES), 0) >= 20, seen
+    for genus in (1, 2, 3):
+        assert seen.get(("AbstractProjectiveCurve", genus, Verdict.UNKNOWN), 0) >= 20, seen
 
 
 def test_elliptic_golden_examples():

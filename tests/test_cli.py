@@ -333,6 +333,38 @@ def test_batch_classifies_every_document(capsys):
     assert payload["elliptic_pair.json"]["cohen_macaulay"]["verdict"] == "unknown"
 
 
+def test_batch_on_a_missing_directory_is_a_read_error(capsys, tmp_path):
+    code, payload = run_json(capsys, "classify", "--batch", str(tmp_path / "missing"))
+    assert code == 2
+    assert payload["error"] == "read"
+
+
+def test_batch_on_a_directory_without_documents_exits_three(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text("not a document\n")
+    code, payload = run_json(capsys, "classify", "--batch", str(tmp_path))
+    assert code == 3
+    assert payload["error"] == "read"
+
+
+def test_batch_reports_an_unreadable_entry_and_classifies_the_rest(capsys, tmp_path):
+    (tmp_path / "a.json").write_text(Path(GOLDEN_ONE).read_text())
+    (tmp_path / "b.json").mkdir()
+    code, payload = run_json(capsys, "classify", "--batch", str(tmp_path))
+    assert code == 2
+    assert set(payload) == {"a.json", "b.json"}
+    assert payload["b.json"]["error"] == "read"
+    assert payload["a.json"]["minimal_elliptic"] == "yes"
+
+
+def test_a_document_that_is_not_an_object_is_invalid_input(capsys, tmp_path):
+    doc = tmp_path / "list.json"
+    doc.write_text("[]\n")
+    code, payload = run_json(capsys, "proper", str(doc))
+    assert code == 3
+    assert payload["error"] == "invalid-input"
+    assert payload["violations"] == ["the document must be a JSON object"]
+
+
 def test_classify_requires_exactly_one_input_source(capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify"])

@@ -8,9 +8,14 @@ from polydiv.classify import gorenstein, rational_singularities
 from polydiv.curves import (
     EC_ORIGIN,
     P1_INFINITY,
+    AbstractAffineCurve,
+    AbstractProjectiveCurve,
+    AffineLine,
     EllipticCurveQ,
     EllipticPoint,
+    LabelPoint,
     ProjectiveLine,
+    RationalPoint,
     p1_point,
 )
 import polydiv.pdiv as pdiv
@@ -438,6 +443,68 @@ def test_abstract_base_parsing():
             )
         )
     assert any("proper abstract curves" in v for v in exc.value.violations)
+
+
+def abstract_doc(base, point="p"):
+    return json.dumps(
+        {
+            "lattice_rank": 1,
+            "tail_cone": {"rays": [[1]]},
+            "base": base,
+            "coefficients": [{"point": point, "vertices": [["1/2"]]}],
+        }
+    )
+
+
+def test_abstract_base_without_properness_is_an_affine_curve():
+    d = parse_problem(abstract_doc({"kind": "abstract", "proper": False}))
+    assert isinstance(d.base, AbstractAffineCurve)
+    assert not d.base.projective
+    assert [key for key, _ in d.coefficients] == [LabelPoint("p")]
+
+
+@pytest.mark.parametrize("proper", [1, "yes", None])
+def test_non_boolean_properness_is_a_violation(proper):
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(abstract_doc({"kind": "abstract", "genus": 1, "proper": proper}))
+    assert exc.value.violations == ["base.proper: expected true or false"]
+
+
+def test_empty_point_label_is_a_violation():
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(abstract_doc({"kind": "abstract", "genus": 1}, point=""))
+    assert any("expected a nonempty point label" in v for v in exc.value.violations)
+
+
+def test_boolean_coordinate_is_a_violation():
+    text = json.dumps(
+        {
+            "lattice_rank": 1,
+            "tail_cone": {"rays": [[1]]},
+            "base": {"kind": "P1"},
+            "coefficients": [{"point": "0", "vertices": [[True]]}],
+        }
+    )
+    with pytest.raises(InvalidInputError) as exc:
+        parse_problem(text)
+    assert any("expected a rational, got a boolean" in v for v in exc.value.violations)
+
+
+@pytest.mark.parametrize(
+    "base, points",
+    [
+        (AbstractProjectiveCurve(2), [LabelPoint("p"), LabelPoint("q")]),
+        (AbstractAffineCurve(), [LabelPoint("p"), LabelPoint("q")]),
+        (AffineLine(), [RationalPoint(Fraction(0)), RationalPoint(Fraction(-3, 2))]),
+    ],
+    ids=["abstract proper", "abstract affine", "affine line"],
+)
+def test_round_trip_on_label_and_rational_points(base, points):
+    slopes = (Fraction(1, 2), Fraction(-1, 3))
+    d = polyhedral_divisor(base, 1, RAY, {pt: halfline(v) for pt, v in zip(points, slopes)})
+    text = emit_problem(d)
+    assert parse_problem(text) == d
+    assert emit_problem(parse_problem(text)) == text
 
 
 def test_off_curve_point_is_a_violation():

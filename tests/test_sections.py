@@ -301,6 +301,23 @@ def test_generators_of_degree_below_one_are_rejected(monkeypatch, degree):
         relation_blocks(d, 12, gens + [RingGenerator("bad", degree, (Fraction(1),))])
 
 
+def test_given_generators_are_checked_like_multiplied_sections():
+    # golden one: piece 1 is zero, piece 4 has dimension 2
+    d = golden("one")
+    assert [graded_dimension(d, m) for m in (1, 4)] == [0, 2]
+    cases = (
+        (4, (Fraction(1),), "a degree-4 section has 2 coordinates, got 1"),
+        (1, (), "the ring has no sections in degree 1"),
+    )
+    for degree, coeffs, message in cases:
+        with pytest.raises(ShapeError) as sections_error:
+            multiply_sections(d, degree, coeffs, 4, (1, 0))
+        assert str(sections_error.value) == message
+        with pytest.raises(ShapeError) as blocks_error:
+            relation_blocks(d, 8, [RingGenerator("g", degree, coeffs)])
+        assert str(blocks_error.value) == message
+
+
 def test_ring_presentation_evaluates_each_coefficient_once(monkeypatch):
     # the slopes are derived once per divisor and kept on it (d.slopes), not
     # again for every graded piece and every product
