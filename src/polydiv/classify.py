@@ -77,7 +77,10 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
 
     Returns None when the bound holds everywhere, otherwise a violating
     lattice weight: the lexicographically first one of the first chamber,
-    in fan order, that holds one.
+    in fan order, that holds one. The exception: without coefficients
+    every degree is 0 and no chamber fan is built, so the answer is None for
+    c <= 0 and the zero weight otherwise, though the search would find a
+    lexicographically smaller one, (-1, 0), on the tail rays (-1, 0), (0, 1).
 
     The search runs in integers, chamber by chamber. On a chamber each
     coefficient is minimized by one vertex v_z = n_z / q_z
@@ -484,8 +487,7 @@ def _check_consistency(rational: RationalReport, ell: EllipticReport, h1: H1Repo
 def classify_report(d: PolyhedralDivisor, isolated: bool = False) -> ClassifyReport:
     """Run every classifier and cross-check the answers against each other."""
     prop = is_proper(d)
-    if prop.verdict == Verdict.NO:
-        raise NotProperError(f"not a proper polyhedral divisor: {prop.reason}", prop.witness)
+    # a divisor that is not proper is refused by rational_singularities below
     if prop.verdict == Verdict.UNKNOWN:
         pending = "properness-undecided"
         return ClassifyReport(

@@ -4,6 +4,11 @@ Every command reads one problem document (a path, or ``-`` for standard
 input), runs the requested computation and prints a report on standard
 output in the selected format.
 
+classify, rational, cm, gorenstein, elliptic and h1 refuse a divisor that is
+not proper (error "not-proper", exit 3) or whose properness is undecided
+(criterion "properness-undecided", exit 4; classify reports every verdict
+pending instead). proper, profile, toric and ring do not ask.
+
 Exit codes: 0 the report is complete; 2 the document (or command line) does
 not parse; 3 the input is invalid for the request, including non-proper
 divisors, or an internal consistency check failed or an unforeseen exception
@@ -45,10 +50,6 @@ EXIT_UNKNOWN = 4
 
 # exit-code priority when several conditions hold: parse > invalid > unknown
 _SEVERITY = {EXIT_OK: 0, EXIT_UNKNOWN: 1, EXIT_INVALID: 2, EXIT_PARSE: 3}
-
-# commands whose underlying question only makes sense for proper divisors
-_NEEDS_PROPER = ("classify", "rational", "cm", "gorenstein", "elliptic", "h1")
-
 
 def _worst(codes) -> int:
     return max(codes, key=_SEVERITY.__getitem__, default=EXIT_OK)
@@ -160,58 +161,62 @@ def _undecided(result) -> bool:
 
 
 def _analyze(command: str, d, args) -> tuple[object, int]:
-    """Run one command on a parsed divisor; exceptions handled by the caller."""
-    if command == "proper":
-        report = is_proper(d)
-        if report.verdict == Verdict.NO:
-            return report, EXIT_INVALID
-        return report, EXIT_OK
-
-    if command in _NEEDS_PROPER:
+    """Run one command on a parsed divisor, mapping analysis errors to payloads."""
+    try:
+        if command == "proper":
+            report = is_proper(d)
+            if report.verdict == Verdict.NO:
+                return report, EXIT_INVALID
+            return report, EXIT_OK
+        if command == "classify":
+            return classify_report(d, isolated=args.isolated), EXIT_OK
+        if command == "rational":
+            return rational_singularities(d), EXIT_OK
+        if command == "cm":
+            return cohen_macaulay(d, isolated=args.isolated), EXIT_OK
+        if command == "gorenstein":
+            return gorenstein(d), EXIT_OK
+        if command == "elliptic":
+            ell = elliptic_singularity(d)
+            gor = gorenstein(d)
+            payload = {
+                "verdict": ell.verdict,
+                "criterion": ell.criterion,
+                "witness_m": ell.witness_m,
+                "minimal": minimal_elliptic_verdict(ell, gor),
+            }
+            return payload, EXIT_OK
+        if command == "h1":
+            return h1_report(d, m_max=args.m_max), EXIT_OK
+        if command == "profile":
+            degrees = floor_degree_profile(d, args.m_max)
+            return {"m_max": args.m_max, "degrees": list(degrees)}, EXIT_OK
+        if command == "toric":
+            cone = toric_cone(d)
+            return {"cone": cone, "diagnostics": cone_diagnostics(cone)}, EXIT_OK
+        if command == "ring":
+            return ring_presentation(d, args.max_degree), EXIT_OK
+    except NotProperError as exc:
+        # the library's one properness gate refused the divisor; the report
+        # it read is cached on the divisor
         prop = is_proper(d)
         if prop.verdict == Verdict.NO:
-            payload = {
-                "error": "not-proper",
-                "reason": prop.reason,
-                "witness": prop.witness,
-            }
+            payload = {"error": "not-proper", "reason": prop.reason, "witness": prop.witness}
             return payload, EXIT_INVALID
-        if prop.verdict == Verdict.UNKNOWN and command != "classify":
+        if prop.verdict == Verdict.UNKNOWN:
             payload = {
                 "verdict": Verdict.UNKNOWN,
                 "criterion": "properness-undecided",
                 "reason": prop.reason,
             }
             return payload, EXIT_UNKNOWN
-
-    if command == "classify":
-        return classify_report(d, isolated=args.isolated), EXIT_OK
-    if command == "rational":
-        return rational_singularities(d), EXIT_OK
-    if command == "cm":
-        return cohen_macaulay(d, isolated=args.isolated), EXIT_OK
-    if command == "gorenstein":
-        return gorenstein(d), EXIT_OK
-    if command == "elliptic":
-        ell = elliptic_singularity(d)
-        gor = gorenstein(d)
-        payload = {
-            "verdict": ell.verdict,
-            "criterion": ell.criterion,
-            "witness_m": ell.witness_m,
-            "minimal": minimal_elliptic_verdict(ell, gor),
-        }
-        return payload, EXIT_OK
-    if command == "h1":
-        return h1_report(d, m_max=args.m_max), EXIT_OK
-    if command == "profile":
-        degrees = floor_degree_profile(d, args.m_max)
-        return {"m_max": args.m_max, "degrees": list(degrees)}, EXIT_OK
-    if command == "toric":
-        cone = toric_cone(d)
-        return {"cone": cone, "diagnostics": cone_diagnostics(cone)}, EXIT_OK
-    if command == "ring":
-        return ring_presentation(d, args.max_degree), EXIT_OK
+        return {"error": "internal", "message": f"a proper divisor was refused: {exc}"}, EXIT_INVALID
+    except InternalError as exc:
+        # a consistency check failed: a bug in polydiv, not a property of the input
+        return {"error": "internal", "message": str(exc)}, EXIT_INVALID
+    except PolydivError as exc:
+        # the divisor is fine but this command does not apply to it
+        return {"error": "domain", "message": str(exc)}, EXIT_INVALID
     raise AssertionError(command)
 
 
@@ -221,48 +226,32 @@ def _process(text: str, command: str, args) -> tuple[object, int]:
     Returns the report object, or an error payload, for emit_report.
     """
     try:
-        return _process_unguarded(text, command, args)
+        try:
+            d = parse_problem(text)
+        except ParseError as exc:
+            payload = {
+                "error": "parse",
+                "message": str(exc),
+                "line": exc.line,
+                "column": exc.column,
+            }
+            return payload, EXIT_PARSE
+        except InvalidInputError as exc:
+            return {"error": "invalid-input", "violations": exc.violations}, EXIT_INVALID
+        except InternalError as exc:
+            return {"error": "internal", "message": str(exc)}, EXIT_INVALID
+        except PolydivError as exc:
+            # a structural precondition of the divisor failed, e.g. a tail cone
+            # that is not pointed
+            return {"error": "invalid-input", "violations": [str(exc)]}, EXIT_INVALID
+        result, code = _analyze(command, d, args)
+        if code == EXIT_OK and _undecided(result):
+            code = EXIT_UNKNOWN
+        return result, code
     except Exception as exc:
         # last resort: a failure no other branch foresaw is a bug in polydiv,
         # answered like a failed consistency check rather than a traceback
         return {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}, EXIT_INVALID
-
-
-def _process_unguarded(text: str, command: str, args) -> tuple[object, int]:
-    try:
-        d = parse_problem(text)
-    except ParseError as exc:
-        payload = {
-            "error": "parse",
-            "message": str(exc),
-            "line": exc.line,
-            "column": exc.column,
-        }
-        return payload, EXIT_PARSE
-    except InvalidInputError as exc:
-        return {"error": "invalid-input", "violations": exc.violations}, EXIT_INVALID
-    except InternalError as exc:
-        return {"error": "internal", "message": str(exc)}, EXIT_INVALID
-    except PolydivError as exc:
-        # a structural precondition of the divisor failed, e.g. a tail cone
-        # that is not pointed
-        return {"error": "invalid-input", "violations": [str(exc)]}, EXIT_INVALID
-
-    try:
-        result, code = _analyze(command, d, args)
-    except NotProperError as exc:
-        payload = {"error": "not-proper", "message": str(exc), "witness": exc.witness}
-        return payload, EXIT_INVALID
-    except InternalError as exc:
-        # a consistency check failed: a bug in polydiv, not a property of the input
-        return {"error": "internal", "message": str(exc)}, EXIT_INVALID
-    except PolydivError as exc:
-        # the divisor is fine but this command does not apply to it
-        return {"error": "domain", "message": str(exc)}, EXIT_INVALID
-
-    if code == EXIT_OK and _undecided(result):
-        code = EXIT_UNKNOWN
-    return result, code
 
 
 def _run_batch(directory: str, args) -> tuple[object, int]:

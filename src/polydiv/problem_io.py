@@ -139,7 +139,13 @@ def _vector(value, rank: int, path: str, violations: list):
     return tuple(out)
 
 
-def _check_keys(obj: dict, allowed, required, path: str, violations: list) -> bool:
+def _check_keys(
+    obj, allowed, required, path: str, violations: list, expected: str = "expected an object"
+) -> bool:
+    """Is obj an object with the required keys and no others? Else record why."""
+    if not isinstance(obj, dict):
+        violations.append(f"{path}: {expected}")
+        return False
     ok = True
     for key in required:
         if key not in obj:
@@ -222,10 +228,8 @@ def _parse_point(value, base, path: str, violations: list):
     if isinstance(base, EllipticCurveQ):
         if value == "O":
             return EC_ORIGIN
-        if not isinstance(value, dict):
-            violations.append(f"{path}: expected \"O\" or an object with x and y")
-            return None
-        if not _check_keys(value, ("x", "y"), ("x", "y"), path, violations):
+        expected = "expected \"O\" or an object with x and y"
+        if not _check_keys(value, ("x", "y"), ("x", "y"), path, violations, expected):
             return None
         x = _rational(value["x"], f"{path}.x", violations)
         y = _rational(value["y"], f"{path}.y", violations)
@@ -242,11 +246,8 @@ def _parse_point(value, base, path: str, violations: list):
         return None if q is None else RationalPoint(q)
     if not isinstance(base, AffineSpace):
         raise InternalError(f"no point syntax for the base {base!r}")
-    if not isinstance(value, dict) or not _check_keys(
-        value, ("hyperplane",), ("hyperplane",), path, violations
-    ):
-        if not isinstance(value, dict):
-            violations.append(f"{path}: expected an object like {{\"hyperplane\": 1}}")
+    expected = "expected an object like {\"hyperplane\": 1}"
+    if not _check_keys(value, ("hyperplane",), ("hyperplane",), path, violations, expected):
         return None
     index = value.get("hyperplane")
     if isinstance(index, bool) or not isinstance(index, int):
@@ -285,12 +286,8 @@ def parse_problem(text: str) -> PolyhedralDivisor:
 
     tail_obj = doc["tail_cone"]
     tail_rays = []
-    if not isinstance(tail_obj, dict) or not _check_keys(
-        tail_obj, ("rays",), ("rays",), "tail_cone", violations
-    ):
-        if not isinstance(tail_obj, dict):
-            violations.append("tail_cone: expected an object with a \"rays\" list")
-    else:
+    expected = "expected an object with a \"rays\" list"
+    if _check_keys(tail_obj, ("rays",), ("rays",), "tail_cone", violations, expected):
         rays_obj = tail_obj["rays"]
         if not isinstance(rays_obj, list):
             violations.append("tail_cone.rays: expected a list of rays")
@@ -315,9 +312,6 @@ def parse_problem(text: str) -> PolyhedralDivisor:
     pairs = []
     for i, entry in enumerate(entries):
         path = f"coefficients[{i}]"
-        if not isinstance(entry, dict):
-            violations.append(f"{path}: expected an object")
-            continue
         if not _check_keys(
             entry, ("point", "vertices", "extra_rays"), ("point", "vertices"), path, violations
         ):

@@ -38,9 +38,9 @@ from polydiv.curves import (
     is_principal,
     p1_point,
 )
-from polydiv.errors import CurveDomainError, NotProperError, ShapeError
+from polydiv.errors import CurveDomainError, NotProperError, ShapeError, UnsupportedRankError
 from polydiv.geometry import make_cone, make_polyhedron
-from polydiv.pdiv import evaluate, is_proper, polyhedral_divisor
+from polydiv.pdiv import AffineSpace, evaluate, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
 
 P1 = ProjectiveLine()
@@ -889,3 +889,52 @@ def test_h1_bound_does_not_depend_on_the_period():
     got_a, got_b = h1_report(a), h1_report(b)
     assert got_a.bound == got_b.bound == vanishing_bound(a) == 58
     assert len(got_a.entries) == len(got_b.entries) == 59
+
+
+# ---------------------------------------------------------------------------
+# decide_floor_bound without coefficients, and off a projective base
+
+# the cone over a square times a ray: its weight cone has five rays, so at
+# rank 4 there is no chamber fan
+SQUARE_TAIL4 = ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "rank,tail",
+    [(2, ((-1, 0), (0, 1))), (1, ((-1,),)), (3, ORTHANT3), (4, SQUARE_TAIL4)],
+    ids=["half-plane", "one-ray", "orthant", "rank-4-no-fan"],
+)
+def test_decide_floor_bound_without_coefficients_answers_the_zero_weight(rank, tail):
+    # every degree is 0, so the bound c fails exactly when c > 0, and the
+    # answer is the zero weight without a chamber fan, not the search's
+    # lexicographically first violator
+    d = polyhedral_divisor(P1, rank, tail, {})
+    assert decide_floor_bound(d, -1) is None
+    assert decide_floor_bound(d, 0) is None
+    assert decide_floor_bound(d, 1) == (0,) * rank
+    assert decide_floor_bound(d, 5) == (0,) * rank
+    if rank == 4:
+        with pytest.raises(UnsupportedRankError):
+            d.fan
+
+
+def test_the_search_on_degree_zero_coefficients_answers_its_first_violator():
+    # the same half-plane and one-ray tails, with coefficients that cancel:
+    # the search runs, and its first violator is not the zero weight
+    for rank, tail in ((2, ((-1, 0), (0, 1))), (1, ((-1,),))):
+        cone = make_cone(tail, rank)
+        e = (Fraction(1),) + (Fraction(0),) * (rank - 1)
+        coeffs = {
+            p1_point(0): make_polyhedron([e], cone),
+            P1_INFINITY: make_polyhedron([tuple(-x for x in e)], cone),
+        }
+        d = polyhedral_divisor(P1, rank, tail, coeffs)
+        assert decide_floor_bound(d, 0) is None
+        assert decide_floor_bound(d, 1) == (-1,) + (0,) * (rank - 1)
+
+
+def test_decide_floor_bound_needs_a_projective_base():
+    poly = make_polyhedron([(Fraction(1),)], make_cone(RAY, 1))
+    d = polyhedral_divisor(AffineSpace(1), 1, RAY, {1: poly})
+    with pytest.raises(CurveDomainError):
+        decide_floor_bound(d, 0)

@@ -9,7 +9,7 @@ import pytest
 import polydiv.classify as classify
 import polydiv.cli as cli
 from polydiv.cli import build_parser, main
-from polydiv.errors import PolydivError
+from polydiv.errors import NotProperError, PolydivError
 from polydiv.problem_io import parse_problem, report_payload
 from polydiv.verdicts import Verdict
 
@@ -548,3 +548,129 @@ def test_typed_unknown_check_agrees_with_the_serialized_scan(tmp_path):
             outcomes.add((argv[0], want))
     assert {("classify", True), ("classify", False), ("h1", True), ("h1", False)} <= outcomes
     assert {("cm", True), ("proper", True), ("rational", True), ("elliptic", False)} <= outcomes
+
+
+# ---------------------------------------------------------------------------
+# the properness gate: the library refuses, the CLI maps the refusal
+
+GATED = ("classify", "rational", "cm", "gorenstein", "elliptic", "h1")
+
+
+def proper_report(capsys, path):
+    code, payload = run_json(capsys, "proper", path)
+    assert code in (3, 4)
+    return payload
+
+
+@pytest.mark.parametrize("command", GATED)
+def test_every_gated_command_refuses_a_divisor_that_is_not_proper(capsys, tmp_path, command):
+    doc = tmp_path / "nonproper.json"
+    doc.write_text(NON_PROPER_DOC)
+    prop = proper_report(capsys, str(doc))
+    code, payload = run_json(capsys, command, str(doc))
+    assert code == 3
+    assert payload == {"error": "not-proper", "reason": prop["reason"], "witness": prop["witness"]}
+    assert payload["reason"] == "the degree vanishes at an interior weight, hence everywhere"
+    assert payload["witness"] == ["1"]
+
+
+@pytest.mark.parametrize("command", GATED)
+def test_every_gated_command_answers_undecided_properness_with_exit_four(capsys, tmp_path, command):
+    doc = tmp_path / "undecided.json"
+    doc.write_text(UNDECIDED_DOC)
+    prop = proper_report(capsys, str(doc))
+    code, payload = run_json(capsys, command, str(doc))
+    assert code == 4
+    if command == "classify":
+        assert payload["properness"] == prop
+        for part in ("rational", "cohen_macaulay", "gorenstein", "elliptic"):
+            assert payload[part]["verdict"] == "unknown"
+            assert payload[part]["criterion"] == "properness-undecided"
+        assert payload["minimal_elliptic"] == "unknown"
+        assert payload["h1"] is None
+    else:
+        assert payload == {
+            "verdict": "unknown",
+            "criterion": "properness-undecided",
+            "reason": prop["reason"],
+        }
+
+
+def test_commands_outside_the_gate_do_not_ask_about_properness(capsys, tmp_path):
+    doc = tmp_path / "nonproper.json"
+    doc.write_text(NON_PROPER_DOC)
+    code, payload = run_json(capsys, "profile", "--m-max", "4", str(doc))
+    assert code == 0
+    assert payload == {"m_max": 4, "degrees": [0, -1, 0, -1, 0]}
+    code, payload = run_json(capsys, "ring", "--max-degree", "4", str(doc))
+    assert code == 0
+    assert payload["dimensions"] == [1, 0, 1, 0, 1]
+    # every divisor on affine space is proper, so toric meets only curve
+    # bases that are not, and answers with its own domain error
+    code, payload = run_json(capsys, "toric", str(doc))
+    assert code == 3
+    assert payload == {"error": "domain", "message": "the toric model needs an affine-space base"}
+
+
+def test_a_proper_divisor_refused_by_a_classifier_is_internal_error(capsys, monkeypatch):
+    def refuse(d):
+        raise NotProperError("not a proper polyhedral divisor: refused")
+
+    monkeypatch.setattr(cli, "rational_singularities", refuse)
+    code, payload = run_json(capsys, "rational", GOLDEN_ONE)
+    assert code == 3
+    assert payload == {
+        "error": "internal",
+        "message": "a proper divisor was refused: not a proper polyhedral divisor: refused",
+    }
+
+
+# ---------------------------------------------------------------------------
+# base validation and text output
+
+
+def test_a_singular_elliptic_base_is_invalid_input(capsys, tmp_path):
+    doc = tmp_path / "cusp.json"
+    doc.write_text(
+        '{"lattice_rank": 1, "tail_cone": {"rays": [[1]]},'
+        ' "base": {"kind": "elliptic", "a": 0, "b": 0}}\n'
+    )
+    code, payload = run_json(capsys, "proper", str(doc))
+    assert code == 3
+    assert payload == {
+        "error": "invalid-input",
+        "violations": ["base: singular Weierstrass equation: 4a^3 + 27b^2 = 0"],
+    }
+
+
+def test_an_abstract_base_with_an_unknown_key_is_invalid_input(capsys, tmp_path):
+    doc = tmp_path / "abstract.json"
+    doc.write_text(
+        '{"lattice_rank": 1, "tail_cone": {"rays": [[1]]},'
+        ' "base": {"kind": "abstract", "genus": 1, "points": 3}}\n'
+    )
+    code, payload = run_json(capsys, "proper", str(doc))
+    assert code == 3
+    assert payload == {"error": "invalid-input", "violations": ["base: unknown key 'points'"]}
+
+
+def test_text_toric_prints_the_diagnostic_booleans(capsys):
+    code, out = run(capsys, "--format", "text", "toric", AFFINE_PLANE)
+    assert code == 0
+    lines = out.splitlines()
+    assert "diagnostics.simplicial: true" in lines
+    assert "diagnostics.smooth: false" in lines
+
+
+def test_gorenstein_on_an_abstract_genus_zero_document_prints_its_labels(capsys, tmp_path):
+    doc = tmp_path / "genus_zero.json"
+    doc.write_text(
+        '{"lattice_rank": 1, "tail_cone": {"rays": [[1]]},'
+        ' "base": {"kind": "abstract", "genus": 0},'
+        ' "coefficients": [{"point": "p", "vertices": [["-1/2"]]},'
+        ' {"point": "q", "vertices": [["-1/2"]]}, {"point": "r", "vertices": [["3/2"]]}]}\n'
+    )
+    code, payload = run_json(capsys, "gorenstein", str(doc))
+    assert code == 0
+    assert payload["verdict"] == "yes"
+    assert payload["vertical_multiplicities"] == [["p", "0"], ["q", "0"], ["r", "-2"]]

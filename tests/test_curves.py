@@ -6,6 +6,7 @@ import pytest
 from polydiv.curves import (
     EC_ORIGIN,
     P1_INFINITY,
+    AbstractAffineCurve,
     AbstractProjectiveCurve,
     AffineLine,
     EllipticCurveQ,
@@ -29,6 +30,7 @@ from polydiv.curves import (
     is_principal,
     is_torsion_class,
     p1_point,
+    point_sort_key,
     validate_point,
 )
 from polydiv.errors import CurveDomainError, NonIntegralError, PointError, ShapeError
@@ -291,3 +293,78 @@ def test_h0_dim_matches_the_case_analysis():
             if isinstance(curve, EllipticCurveQ) and degree(d) == 0:
                 seen["principal" if want == 1 else "non-principal"] += 1
     assert all(n >= 5 for n in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# input guards
+
+
+def test_abstract_curve_genus_must_be_nonnegative():
+    with pytest.raises(ShapeError):
+        AbstractProjectiveCurve(-1)
+
+
+def test_the_point_at_infinity_has_no_affine_value():
+    assert p1_point(Fraction(3, 2)).affine_value == Fraction(3, 2)
+    with pytest.raises(PointError):
+        P1_INFINITY.affine_value
+
+
+def test_point_sort_key_rejects_a_value_that_is_not_a_point():
+    with pytest.raises(PointError):
+        point_sort_key((0, 1))
+
+
+@pytest.mark.parametrize(
+    "curve,pt",
+    [
+        (EC_TWO_TORSION, p1_point(0)),
+        (AbstractProjectiveCurve(2), p1_point(0)),
+        (AbstractAffineCurve(), EC_ORIGIN),
+        (AffineLine(), LabelPoint("p")),
+        ("not a curve", LabelPoint("p")),
+    ],
+    ids=["elliptic", "abstract", "abstract-affine", "affine-line", "model"],
+)
+def test_validate_point_rejects_the_other_mismatches(curve, pt):
+    # a point off the line or off the Weierstrass equation is
+    # test_validate_point_rejects_off_curve
+    with pytest.raises(PointError):
+        validate_point(curve, pt)
+
+
+def test_divisor_support_lists_the_points_in_order():
+    d = divisor(P1, {P1_INFINITY: 1, p1_point(2): -1, p1_point(0): Fraction(1, 2)})
+    assert d.support == (p1_point(0), p1_point(2), P1_INFINITY)
+    assert divisor(P1, {}).support == ()
+
+
+def test_divisors_on_different_curves_do_not_add():
+    a = divisor(P1, {p1_point(0): 1})
+    b = divisor(AbstractProjectiveCurve(0), {LabelPoint("p"): 1})
+    with pytest.raises(ShapeError):
+        a + b
+
+
+def test_a_point_repeated_in_pair_list_input_is_rejected():
+    assert divisor(P1, [(p1_point(0), 1), (p1_point(1), 2)]).coeff(p1_point(1)) == 2
+    with pytest.raises(ShapeError):
+        divisor(P1, [(p1_point(0), 1), (p1_point(0), 2)])
+
+
+def test_the_origin_is_its_own_negative():
+    assert ec_neg(EC_TWO_TORSION, EC_ORIGIN) == EC_ORIGIN
+
+
+AFFINE_DIVISOR = divisor(AffineLine(), {RationalPoint(Fraction(1)): 1})
+FRACTIONAL_DIVISOR = divisor(P1, {p1_point(0): Fraction(1, 2), P1_INFINITY: Fraction(-1, 2)})
+
+
+@pytest.mark.parametrize(
+    "query", [is_principal, is_torsion_class, h0_dim, h1_dim], ids=lambda f: f.__name__
+)
+def test_divisor_class_queries_need_a_projective_model_and_an_integral_divisor(query):
+    with pytest.raises(CurveDomainError):
+        query(AFFINE_DIVISOR)
+    with pytest.raises(NonIntegralError):
+        query(FRACTIONAL_DIVISOR)

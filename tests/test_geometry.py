@@ -331,3 +331,34 @@ def test_rank_mismatch_errors():
     p = make_polyhedron([(0,)], make_cone([], 1))
     with pytest.raises(RankMismatchError):
         support_eval(p, (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# input guards
+
+
+def test_cone_contains_method_agrees_with_cone_contains():
+    c = make_cone([(1, 0), (1, 2)], 2)
+    assert c.contains((1, 1)) and cone_contains(c, (1, 1))
+    assert not c.contains((0, 1)) and not cone_contains(c, (0, 1))
+
+
+def test_cone_contains_rejects_a_vector_of_the_wrong_rank():
+    with pytest.raises(RankMismatchError):
+        cone_contains(orthant(2), (1, 0, 0))
+
+
+def test_make_polyhedron_rejects_a_vertex_of_the_wrong_rank():
+    with pytest.raises(RankMismatchError):
+        make_polyhedron([(Fraction(0), Fraction(0)), (Fraction(1),)], orthant(2))
+
+
+def test_make_polyhedron_needs_a_vertex():
+    with pytest.raises(ShapeError):
+        make_polyhedron([], orthant(2))
+
+
+def test_chamber_fan_rejects_a_polyhedron_of_the_wrong_rank():
+    poly = make_polyhedron([(Fraction(1), Fraction(0), Fraction(0))], orthant(3))
+    with pytest.raises(RankMismatchError):
+        chamber_fan([poly], orthant(2))

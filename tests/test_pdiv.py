@@ -31,6 +31,7 @@ from polydiv.linalg import dot
 from polydiv.pdiv import (
     AffineSpace,
     _degree_at,
+    coerce_weight,
     contraction_iso_codim1,
     evaluate,
     is_proper,
@@ -436,3 +437,42 @@ def test_contraction_is_unknown_without_a_chamber_fan():
     segment = make_polyhedron([(0, 1, 0, 0), (1, 0, 0, 0)], make_cone([], 4))
     trivial = polyhedral_divisor(P1, 4, (), {p1_point(0): segment})
     assert contraction_iso_codim1(trivial) == Verdict.YES
+
+
+# ---------------------------------------------------------------------------
+# input guards
+
+
+def test_affine_space_needs_a_positive_dimension():
+    with pytest.raises(ShapeError):
+        AffineSpace(0)
+
+
+def test_polyhedral_divisor_needs_a_positive_rank():
+    with pytest.raises(ShapeError):
+        polyhedral_divisor(P1, 0, (), {})
+
+
+def test_polyhedral_divisor_rejects_a_tail_of_the_wrong_rank():
+    with pytest.raises(RankMismatchError):
+        polyhedral_divisor(P1, 1, make_cone([(1, 0), (0, 1)], 2), {})
+
+
+def test_polyhedral_divisor_rejects_a_coefficient_that_is_not_a_tailed_polyhedron():
+    with pytest.raises(InvalidInputError) as info:
+        polyhedral_divisor(P1, 1, [(1,)], {p1_point(0): [(Fraction(1),)]})
+    assert info.value.violations == ["coefficient at 0 is not a tailed polyhedron"]
+
+
+def test_polyhedral_divisor_rejects_a_coefficient_of_the_wrong_rank():
+    poly = make_polyhedron([(Fraction(1), Fraction(0))], make_cone([(1, 0), (0, 1)], 2))
+    with pytest.raises(InvalidInputError) as info:
+        polyhedral_divisor(P1, 1, [(1,)], {p1_point(0): poly})
+    assert info.value.violations == ["coefficient at 0 has rank 2, expected 1"]
+
+
+def test_coerce_weight_rejects_a_weight_of_the_wrong_length():
+    d = polyhedral_divisor(P1, 2, [(1, 0), (0, 1)], {})
+    assert coerce_weight(d, (1, 2)) == (Fraction(1), Fraction(2))
+    with pytest.raises(RankMismatchError):
+        coerce_weight(d, (1, 2, 3))
