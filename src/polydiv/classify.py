@@ -234,10 +234,6 @@ def _cohen_macaulay(
         rational = rational_singularities(d)
     if rational.verdict == Verdict.YES:
         return CohenMacaulayReport(Verdict.YES, "rational-singularities")
-    if rational.verdict == Verdict.UNKNOWN:
-        # rational_singularities decides every proper divisor today; an
-        # undecided answer must still not read as a no here
-        return CohenMacaulayReport(Verdict.UNKNOWN, "rationality-undecided")
     if contraction_iso_codim1(d) == Verdict.YES:
         return CohenMacaulayReport(Verdict.NO, "matches-rationality-small-contraction")
     if isolated:

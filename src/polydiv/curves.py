@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 from .errors import CurveDomainError, NonIntegralError, PointError, ShapeError
 from .verdicts import Verdict
@@ -284,10 +284,6 @@ def divisor(curve: CurveModel, coefficients) -> QDivisor:
     return QDivisor(curve=curve, terms=ordered)
 
 
-def floor_divisor(d: QDivisor) -> QDivisor:
-    return divisor(d.curve, {p: Fraction(floor(c)) for p, c in d.terms})
-
-
 def is_integral(d: QDivisor) -> bool:
     return all(c.denominator == 1 for _, c in d.terms)
 
@@ -425,27 +421,6 @@ def is_torsion_class(d: QDivisor) -> tuple[Verdict, int | None]:
     if d.curve.genus == 0:
         return Verdict.YES, 1
     return Verdict.UNKNOWN, None
-
-
-def h0_dim(d: QDivisor) -> int | None:
-    """dim H^0 of the associated invertible sheaf, by Riemann-Roch from h1;
-    None when undecidable."""
-    if not d.curve.projective:
-        raise CurveDomainError("global sections are infinite-dimensional on affine models")
-    if not is_integral(d):
-        raise NonIntegralError("cohomology dimensions need an integral divisor")
-    deg = int(degree(d))
-    h1 = h1_dim_of_degree(d.curve, deg, lambda: is_principal(d))
-    return None if h1 is None else deg + 1 - d.curve.genus + h1
-
-
-def h1_dim(d: QDivisor) -> int | None:
-    """dim H^1; by duality the mirror of h0_dim, None when undecidable."""
-    if not d.curve.projective:
-        raise CurveDomainError("cohomology is only defined on projective models")
-    if not is_integral(d):
-        raise NonIntegralError("cohomology dimensions need an integral divisor")
-    return h1_dim_of_degree(d.curve, int(degree(d)), lambda: is_principal(d))
 
 
 def h1_dim_of_degree(

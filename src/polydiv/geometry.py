@@ -65,9 +65,6 @@ class Cone:
     rank: int
     pointed: bool
 
-    def contains(self, v) -> bool:
-        return cone_contains(self, v)
-
     @property
     def is_trivial(self) -> bool:
         return not self.rays
@@ -86,9 +83,10 @@ def make_cone(rays, rank: int) -> Cone:
     One double description of the generators gives the facets of their cone.
     It is not pointed iff some generator is tight on every facet (the
     lineality space is a face, spanned by the generators it contains), and
-    is then stored as its double dual, as dual_cone gives it. A pointed cone
-    keeps a generator unless another's set of tight facets contains its own,
-    and, when full-dimensional (no lines), the facets as its dual.
+    is then stored as its double dual, the dual of the cone the facets and
+    lines span. A pointed cone keeps a generator unless another's set of
+    tight facets contains its own, and, when full-dimensional (no lines),
+    the facets as its dual.
     """
     prim = []
     for r in rays:
@@ -126,11 +124,6 @@ def cone_contains(cone: Cone, v) -> bool:
     if len(vv) != cone.rank:
         raise RankMismatchError(f"vector {tuple(v)} does not have rank {cone.rank}")
     return all(dot(f, vv) >= 0 for f in cone.dual.rays)
-
-
-def dual_cone(cone: Cone) -> Cone:
-    """Generators of {m : <m, v> >= 0 for all v in the cone}: ``cone.dual``."""
-    return cone.dual
 
 
 @dataclass(frozen=True)

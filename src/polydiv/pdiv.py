@@ -200,21 +200,17 @@ def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) ->
     )
 
 
-def coerce_weight(d: PolyhedralDivisor, m) -> tuple[Fraction, ...]:
-    """Accept a bare scalar for rank-1 divisors, a length-rank vector otherwise."""
+def check_weight(d: PolyhedralDivisor, m) -> tuple[Fraction, ...]:
+    """m as a vector, a bare scalar for rank-1 divisors and a length-rank
+    vector otherwise, required to lie in the weight cone."""
     if isinstance(m, (int, Fraction)):
         if d.rank != 1:
             raise RankMismatchError(f"scalar weight given, but the lattice rank is {d.rank}")
-        return (Fraction(m),)
-    mm = ratvec(m)
-    if len(mm) != d.rank:
-        raise RankMismatchError(f"weight {tuple(m)} does not have rank {d.rank}")
-    return mm
-
-
-def check_weight(d: PolyhedralDivisor, m) -> tuple[Fraction, ...]:
-    """Coerce m and require it to lie in the weight cone."""
-    mm = coerce_weight(d, m)
+        mm = (Fraction(m),)
+    else:
+        mm = ratvec(m)
+        if len(mm) != d.rank:
+            raise RankMismatchError(f"weight {tuple(m)} does not have rank {d.rank}")
     for r in d.tail.rays:
         if dot(mm, r) < 0:
             raise WeightError(

@@ -360,55 +360,6 @@ def parse_problem(text: str) -> PolyhedralDivisor:
 # emission
 
 
-def _base_json(base):
-    if isinstance(base, ProjectiveLine):
-        return {"kind": "P1"}
-    if isinstance(base, EllipticCurveQ):
-        return {"kind": "elliptic", "a": str(base.a), "b": str(base.b)}
-    if isinstance(base, AbstractProjectiveCurve):
-        return {"kind": "abstract", "genus": base.genus, "proper": True}
-    if isinstance(base, AbstractAffineCurve):
-        return {"kind": "abstract", "proper": False}
-    if isinstance(base, AffineLine):
-        return {"kind": "affine_line"}
-    if not isinstance(base, AffineSpace):
-        raise InternalError(f"no document form for the base {base!r}")
-    return {"kind": "affine_space", "dim": base.dim}
-
-
-def _point_json(key):
-    if isinstance(key, int):
-        return {"hyperplane": key}
-    if isinstance(key, P1Point):
-        return str(key)
-    if isinstance(key, EllipticOrigin):
-        return "O"
-    if isinstance(key, EllipticPoint):
-        return {"x": str(key.x), "y": str(key.y)}
-    if isinstance(key, LabelPoint):
-        return key.label
-    if not isinstance(key, RationalPoint):
-        raise InternalError(f"no document form for the point {key!r}")
-    return str(key.value)
-
-
-def emit_problem(d: PolyhedralDivisor) -> str:
-    """Canonical problem document for a divisor; parses back to an equal value."""
-    doc = {
-        "lattice_rank": d.rank,
-        "tail_cone": {"rays": [list(r) for r in d.tail.rays]},
-        "base": _base_json(d.base),
-        "coefficients": [
-            {
-                "point": _point_json(key),
-                "vertices": [[str(x) for x in v] for v in poly.vertices],
-            }
-            for key, poly in d.coefficients
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # exact types that are already plain data; subclasses such as Verdict (a str
 # Enum) take the general path
 _LEAF_TYPES = frozenset((int, str, bool, type(None)))

@@ -17,12 +17,11 @@ after an integer column reduction of that matrix to lower-triangular form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import CurveDomainError, InternalError, RankMismatchError
-from .geometry import MINUS_INFINITY, make_cone, support_eval
-from .linalg import dot, matrix_rank, primitive
-from .pdiv import AffineSpace, PolyhedralDivisor, coerce_weight
+from .errors import CurveDomainError, InternalError
+from .geometry import make_cone
+from .linalg import matrix_rank, primitive
+from .pdiv import AffineSpace, PolyhedralDivisor
 
 
 @dataclass(frozen=True)
@@ -57,47 +56,6 @@ def toric_cone(d: PolyhedralDivisor) -> ToricCone:
                 gens.append(primitive(tuple(v) + unit))
     cone = make_cone(gens, ambient)
     return ToricCone(ambient_rank=ambient, divisor_rank=d.rank, rays=cone.rays)
-
-
-def weight_in_dual(tc: ToricCone, weight) -> bool:
-    """Does the weight pair nonnegatively with every ray of the toric cone?"""
-    w = tuple(Fraction(x) for x in weight)
-    if len(w) != tc.ambient_rank:
-        raise RankMismatchError(
-            f"weight has {len(w)} coordinates, cone ambient rank is {tc.ambient_rank}"
-        )
-    return all(dot(w, ray) >= 0 for ray in tc.rays)
-
-
-def monomial_admissible(d: PolyhedralDivisor, m, r) -> bool:
-    """Divisor-side membership test for the combined weight (m, r).
-
-    True when m lies in the weight cone and each hyperplane exponent r_i
-    clears the i-th support minimum: r_i >= -min<m, coefficient_i>. For
-    integer inputs this matches weight_in_dual on the toric cone.
-    """
-    if not isinstance(d.base, AffineSpace):
-        raise CurveDomainError("the toric model needs an affine-space base")
-    mm = coerce_weight(d, m)
-    rr = tuple(Fraction(x) for x in r)
-    if len(rr) != d.base.dim:
-        raise RankMismatchError(
-            f"{len(rr)} hyperplane exponents for a dimension-{d.base.dim} base"
-        )
-    if any(dot(mm, ray) < 0 for ray in d.tail.rays):
-        return False
-    for i in range(1, d.base.dim + 1):
-        poly = d.coefficient(i)
-        if poly is None:
-            value = Fraction(0)
-        else:
-            value = support_eval(poly, mm)
-            if value is MINUS_INFINITY:
-                # the tail-ray test above placed mm in the weight cone
-                raise InternalError(f"support minimum at hyperplane {i} is unbounded")
-        if rr[i - 1] < -value:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ answer (principality or torsion of a class on an abstract base:
 principality-undecided-on-abstract-base, properness-undecided), or no
 implemented criterion covers the case (higher-rank-criteria-unavailable,
 needs-isolatedness-assertion). A verdict that follows from an undecided
-one is unknown as well (rationality-undecided, properness-undecided).
+one is unknown as well (properness-undecided).
 """
 
 from __future__ import annotations

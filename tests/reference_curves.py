@@ -1,0 +1,41 @@
+"""Rounded-down divisors and cohomology dimensions of one divisor, as they
+were written before the classifiers read everything off degrees and slopes,
+kept as independent oracles.
+
+floor_divisor rounds every coefficient down, h1_dim is dim H^1 of an
+integral divisor from its degree and, on an elliptic curve, its
+principality, and h0_dim follows from it by Riemann-Roch. The tests rebuild
+the h1 report, the floor degrees and the section-ring dimensions from
+h1_dim(floor_divisor(evaluate(d, m))) and h0_dim of the same divisor.
+"""
+
+from fractions import Fraction
+from math import floor
+
+from polydiv.curves import QDivisor, degree, divisor, h1_dim_of_degree, is_integral, is_principal
+from polydiv.errors import CurveDomainError, NonIntegralError
+
+
+def floor_divisor(d: QDivisor) -> QDivisor:
+    return divisor(d.curve, {p: Fraction(floor(c)) for p, c in d.terms})
+
+
+def h0_dim(d: QDivisor) -> int | None:
+    """dim H^0 of the associated invertible sheaf, by Riemann-Roch from h1;
+    None when undecidable."""
+    if not d.curve.projective:
+        raise CurveDomainError("global sections are infinite-dimensional on affine models")
+    if not is_integral(d):
+        raise NonIntegralError("cohomology dimensions need an integral divisor")
+    deg = int(degree(d))
+    h1 = h1_dim_of_degree(d.curve, deg, lambda: is_principal(d))
+    return None if h1 is None else deg + 1 - d.curve.genus + h1
+
+
+def h1_dim(d: QDivisor) -> int | None:
+    """dim H^1; by duality the mirror of h0_dim, None when undecidable."""
+    if not d.curve.projective:
+        raise CurveDomainError("cohomology is only defined on projective models")
+    if not is_integral(d):
+        raise NonIntegralError("cohomology dimensions need an integral divisor")
+    return h1_dim_of_degree(d.curve, int(degree(d)), lambda: is_principal(d))

@@ -32,8 +32,6 @@ from polydiv.curves import (
     RationalPoint,
     degree,
     denominator_lcm,
-    floor_divisor,
-    h1_dim,
     h1_dim_of_degree,
     is_principal,
     p1_point,
@@ -42,6 +40,8 @@ from polydiv.errors import CurveDomainError, NotProperError, ShapeError, Unsuppo
 from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.pdiv import AffineSpace, evaluate, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
+
+from reference_curves import floor_divisor, h1_dim
 
 P1 = ProjectiveLine()
 RAY = ((1,),)

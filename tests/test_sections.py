@@ -13,20 +13,12 @@ from polydiv.curves import (
     p1_point,
 )
 import polydiv.pdiv as pdiv
-import polydiv.sections as sections
 from polydiv.errors import CurveDomainError, ShapeError
 from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.pdiv import polyhedral_divisor
-from polydiv.sections import (
-    RingGenerator,
-    graded_dimension,
-    hilbert_series,
-    minimal_generators,
-    monomial_basis,
-    multiply_sections,
-    relation_blocks,
-    ring_presentation,
-)
+from polydiv.sections import ring_presentation
+
+from reference_sections import graded_dimension, multiply_sections
 
 P1 = ProjectiveLine()
 RAY = ((1,),)
@@ -64,18 +56,25 @@ def golden(name):
 
 
 def test_dimension_series_of_golden_one():
-    assert hilbert_series(golden("one"), 12) == (1, 0, 0, 1, 2, 0, 1, 2, 3, 1, 2, 3, 4)
+    series = (1, 0, 0, 1, 2, 0, 1, 2, 3, 1, 2, 3, 4)
+    assert ring_presentation(golden("one"), 12).dimensions == series
+    assert tuple(graded_dimension(golden("one"), m) for m in range(13)) == series
 
 
 def test_dimension_series_of_golden_two_and_three():
-    assert hilbert_series(golden("two"), 12) == (1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 2)
-    assert hilbert_series(golden("three"), 12) == (1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 2)
+    two = ring_presentation(golden("two"), 12).dimensions
+    assert two == (1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 2)
+    three = ring_presentation(golden("three"), 12).dimensions
+    assert three == (1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 2)
 
 
 def test_monomial_basis_is_the_canonical_identity():
-    basis = monomial_basis(golden("one"), 4)
+    # piece 4 of golden one has no decomposable part: both of its
+    # generators are the canonical basis vectors, and piece 1 is zero
+    pres = ring_presentation(golden("one"), 4)
+    assert pres.dimensions[1] == 0
+    basis = tuple(g.coeffs for g in pres.generators if g.degree == 4)
     assert basis == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert monomial_basis(golden("one"), 1) == ()
 
 
 def test_multiplication_without_correction():
@@ -95,9 +94,11 @@ def test_multiplication_inserts_the_correction_polynomial():
 
 def test_multiplication_validates_inputs():
     d = golden("one")
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="^a degree-3 section has 1 coordinates, got 2$"):
         multiply_sections(d, 3, (1, 0), 4, (1, 0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="^a degree-4 section has 2 coordinates, got 1$"):
+        multiply_sections(d, 4, (1,), 4, (1, 0))
+    with pytest.raises(ShapeError, match="^the ring has no sections in degree 1$"):
         multiply_sections(d, 1, (), 3, (1,))
     with pytest.raises(ShapeError):
         multiply_sections(d, -1, (1,), 3, (1,))
@@ -122,7 +123,7 @@ def test_multiplication_reads_only_the_three_degrees_involved():
 
 
 def test_generators_of_golden_one():
-    gens = minimal_generators(golden("one"), 12)
+    gens = ring_presentation(golden("one"), 12).generators
     assert [(g.degree, g.coeffs) for g in gens] == [
         (3, (Fraction(1),)),
         (4, (Fraction(1), Fraction(0))),
@@ -132,8 +133,7 @@ def test_generators_of_golden_one():
 
 
 def test_first_relation_of_golden_one():
-    d = golden("one")
-    blocks = relation_blocks(d, 12)
+    blocks = ring_presentation(golden("one"), 12).blocks
     by_degree = {b.degree: b for b in blocks}
     for deg, block in by_degree.items():
         if deg < 12:
@@ -149,10 +149,9 @@ def test_first_relation_of_golden_one():
 
 
 def test_generators_and_first_relation_of_golden_two():
-    d = golden("two")
-    gens = minimal_generators(d, 24)
-    assert [g.degree for g in gens] == [3, 8, 12]
-    blocks = relation_blocks(d, 24, gens)
+    pres = ring_presentation(golden("two"), 24)
+    assert [g.degree for g in pres.generators] == [3, 8, 12]
+    blocks = pres.blocks
     nontrivial = [b for b in blocks if b.kernel_dim > 0]
     assert nontrivial[0].degree == 24
     assert nontrivial[0].monomials == ((8, 0, 0), (4, 0, 1), (0, 3, 0), (0, 0, 2))
@@ -165,10 +164,9 @@ def test_generators_and_first_relation_of_golden_two():
 def test_generators_and_relations_of_golden_three():
     # the degree-17 piece is one-dimensional but has no decomposable part:
     # every complementary pair of degrees hits an empty piece
-    d = golden("three")
-    gens = minimal_generators(d, 30)
-    assert [g.degree for g in gens] == [3, 10, 12, 17]
-    blocks = relation_blocks(d, 30, gens)
+    pres = ring_presentation(golden("three"), 30)
+    assert [g.degree for g in pres.generators] == [3, 10, 12, 17]
+    blocks = pres.blocks
     by_degree = {b.degree: b for b in blocks}
     for deg, block in by_degree.items():
         if deg < 20:
@@ -183,8 +181,7 @@ def test_generators_and_relations_of_golden_three():
 
 
 def test_shifted_relations_are_quotiented_out_in_golden_three():
-    d = golden("three")
-    blocks = relation_blocks(d, 34)
+    blocks = ring_presentation(golden("three"), 34).blocks
     by_degree = {b.degree: b for b in blocks}
     # degree 23 carries only the degree-20 relation multiplied by a generator
     assert by_degree[23].kernel_dim == 1
@@ -256,10 +253,10 @@ def test_products_of_powers_agree_in_any_order():
 def test_section_rings_need_a_projective_line_base():
     affine = rank1(AffineLine(), {RationalPoint(Fraction(0)): Fraction(1, 2)})
     with pytest.raises(CurveDomainError):
-        graded_dimension(affine, 1)
+        ring_presentation(affine, 1)
     elliptic = rank1(EllipticCurveQ(-1, 0), {EC_ORIGIN: Fraction(1, 2)})
     with pytest.raises(CurveDomainError):
-        hilbert_series(elliptic, 2)
+        ring_presentation(elliptic, 2)
 
 
 def test_section_rings_need_rank_one():
@@ -267,55 +264,12 @@ def test_section_rings_need_rank_one():
     coeff = make_polyhedron([(Fraction(1, 2), Fraction(0))], tail)
     d = polyhedral_divisor(P1, 2, ((1, 0), (0, 1)), {p1_point(0): coeff})
     with pytest.raises(ShapeError):
-        hilbert_series(d, 3)
+        ring_presentation(d, 3)
 
 
 def test_negative_truncation_degree_is_rejected():
-    d = golden("one")
     with pytest.raises(ShapeError):
-        hilbert_series(d, -1)
-    with pytest.raises(ShapeError):
-        graded_dimension(d, -2)
-    gens = minimal_generators(d, 6)
-    for call in (
-        lambda: minimal_generators(d, -1),
-        lambda: relation_blocks(d, -1),
-        lambda: relation_blocks(d, -1, gens),
-        lambda: ring_presentation(d, -1),
-    ):
-        with pytest.raises(ShapeError):
-            call()
-
-
-@pytest.mark.parametrize("degree", [0, -2])
-def test_generators_of_degree_below_one_are_rejected(monkeypatch, degree):
-    # the divisor of tests/golden/documents/ring_p1.json
-    d = rank1(P1, {p1_point(0): Fraction(-3, 7), p1_point(1): Fraction(-5, 11), P1_INFINITY: Fraction(1)})
-    gens = list(minimal_generators(d, 12))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("relations called")
-
-    monkeypatch.setattr(sections, "relations", forbidden)
-    with pytest.raises(ShapeError, match="degree"):
-        relation_blocks(d, 12, gens + [RingGenerator("bad", degree, (Fraction(1),))])
-
-
-def test_given_generators_are_checked_like_multiplied_sections():
-    # golden one: piece 1 is zero, piece 4 has dimension 2
-    d = golden("one")
-    assert [graded_dimension(d, m) for m in (1, 4)] == [0, 2]
-    cases = (
-        (4, (Fraction(1),), "a degree-4 section has 2 coordinates, got 1"),
-        (1, (), "the ring has no sections in degree 1"),
-    )
-    for degree, coeffs, message in cases:
-        with pytest.raises(ShapeError) as sections_error:
-            multiply_sections(d, degree, coeffs, 4, (1, 0))
-        assert str(sections_error.value) == message
-        with pytest.raises(ShapeError) as blocks_error:
-            relation_blocks(d, 8, [RingGenerator("g", degree, coeffs)])
-        assert str(blocks_error.value) == message
+        ring_presentation(golden("one"), -1)
 
 
 def test_ring_presentation_evaluates_each_coefficient_once(monkeypatch):
