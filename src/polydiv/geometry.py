@@ -3,30 +3,31 @@
 Values are immutable and canonical, read off one double description each.
 Pointed cones store the sorted primitive generators of their extreme rays;
 other cones their extreme rays modulo lines plus each line both ways, as
-their dual does. A cone keeps its dual (``dual``): the facets of the double
-description make_cone ran, when the cone is full-dimensional, else one fresh.
-Membership is read off the dual's rays. Polyhedra store exactly their extreme
-points plus a pointed tail cone, and keep their vertices cleared (linalg.clear)
-over one common denominator; support minima, chamber-fan walls and minimizers
-are taken in int on them. Support minima are exact Fractions, with an explicit
-MinusInfinity object when the functional is unbounded below. A chamber-fan
-region is its double description, each cut extends it by one step, and its
-tight sets give the facets it is triangulated along; a chamber carries the
-facet normal opposite each of its rays.
+their dual does. A cone keeps the double description of its dual
+(``dual_dd``, one step per ray in stored order): the one make_cone ran, when
+it kept every generator, else one fresh. Its dual (``dual``) and the first
+region of its chamber fan are read off it, and membership off the dual's
+rays. Polyhedra store exactly their extreme points plus a pointed tail cone,
+and keep their vertices cleared (linalg.clear) over one common denominator;
+support minima, chamber-fan walls and minimizers are taken in int on them.
+Support minima are exact Fractions, with an explicit MinusInfinity object
+when the functional is unbounded below. A chamber-fan region is its double
+description, each cut extends it by one step, and its tight sets give the
+facets it is triangulated along; a chamber stores its rays and the facet
+normal opposite each of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import ge
 
-from .errors import RankMismatchError, ShapeError, UnsupportedRankError
+from .errors import InternalError, RankMismatchError, ShapeError, UnsupportedRankError
 from .linalg import (
     DoubleDescription,
     clear,
-    cone_from_inequalities,
     dot,
     is_zero,
     matrix_rank,
@@ -70,23 +71,29 @@ class Cone:
         return not self.rays
 
     @cached_property
+    def dual_dd(self) -> DoubleDescription:
+        """The double description of {m : <m, v> >= 0 for all v in the cone},
+        one step per ray in stored order. Kept on the value, outside equality
+        and hashing."""
+        return DoubleDescription.of(self.rays, self.rank)
+
+    @cached_property
     def dual(self) -> Cone:
-        """{m : <m, v> >= 0 for all v in the cone}: the rays of one double
-        description as they come, and each line both ways. Kept on the
-        value, outside equality and hashing."""
-        return _cone(*cone_from_inequalities(self.rays, self.rank), self.rank)
+        """The dual cone: the rays of dual_dd and each of its lines both ways."""
+        return _cone(self.dual_dd.lines, self.dual_dd.rays, self.rank)
 
 
 def make_cone(rays, rank: int) -> Cone:
     """Canonical cone from generators: primitive, deduplicated, irredundant.
 
-    One double description of the generators gives the facets of their cone.
-    It is not pointed iff some generator is tight on every facet (the
-    lineality space is a face, spanned by the generators it contains), and
-    is then stored as its double dual, the dual of the cone the facets and
-    lines span. A pointed cone keeps a generator unless another's set of
-    tight facets contains its own, and, when full-dimensional (no lines),
-    the facets as its dual.
+    One double description of the sorted generators gives the facets of
+    their cone. It is not pointed iff some generator is tight on every facet
+    (the lineality space is a face, spanned by the generators it contains),
+    and is then stored as its double dual, the dual of the cone the facets
+    and lines span. A pointed cone keeps a generator unless another's set of
+    tight facets contains its own; when it keeps them all, the sorted
+    generators are its rays in the order the double description took them,
+    and that double description is its dual_dd.
     """
     prim = []
     for r in rays:
@@ -95,18 +102,19 @@ def make_cone(rays, rank: int) -> Cone:
         p = primitive(r)
         if not is_zero(p) and p not in prim:
             prim.append(p)
+    prim.sort()
     if len(prim) <= rank and matrix_rank(prim) == len(prim):
         # linearly independent generators: none is redundant, and the cone
         # is simplicial, hence pointed
-        return Cone(rays=tuple(sorted(prim)), rank=rank, pointed=True)
-    lines, facets = cone_from_inequalities(prim, rank)
-    tight = [{j for j, f in enumerate(facets) if dot(f, g) == 0} for g in prim]
-    if any(len(t) == len(facets) for t in tight):
-        return _cone(lines, facets, rank).dual
-    kept = [g for g, t in zip(prim, tight) if not any(u >= t for u in tight if u is not t)]
-    cone = Cone(rays=tuple(sorted(kept)), rank=rank, pointed=True)
-    if not lines:
-        object.__setattr__(cone, "dual", _cone((), facets, rank))
+        return Cone(rays=tuple(prim), rank=rank, pointed=True)
+    dd = DoubleDescription.of(prim, rank)
+    tight = [{j for j, f in enumerate(dd.rays) if dot(f, g) == 0} for g in prim]
+    if any(len(t) == len(dd.rays) for t in tight):
+        return _cone(dd.lines, dd.rays, rank).dual
+    kept = tuple(g for g, t in zip(prim, tight) if not any(u >= t for u in tight if u is not t))
+    cone = Cone(rays=kept, rank=rank, pointed=True)
+    if len(kept) == len(prim):
+        object.__setattr__(cone, "dual_dd", dd)
     return cone
 
 
@@ -209,23 +217,18 @@ def support_eval(poly: TailedPolyhedron, m):
 class Chamber:
     """Simplicial cone on which every input support function is linear.
 
-    facets[i] is the primitive normal of the facet opposite rays[i]: zero on
-    the other rays and positive on rays[i].
+    rays are its sorted primitive rays, and facets[i] is the primitive normal
+    of the facet opposite rays[i]: zero on the other rays and positive on
+    rays[i].
     """
 
-    cone: Cone
+    rays: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[int, ...], ...]
     minimizers: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def rays(self):
-        return self.cone.rays
 
 
 @dataclass(frozen=True)
 class ChamberFan:
-    rank: int
-    weight_cone: Cone
     chambers: tuple[Chamber, ...]
 
     def all_rays(self) -> tuple[tuple[int, ...], ...]:
@@ -235,10 +238,10 @@ class ChamberFan:
 def chamber_fan(polys, tail: Cone) -> ChamberFan:
     """Common linearity decomposition of the weight cone, the dual of the tail.
 
-    The weight cone is the region cut out by the tail rays. It is split
-    along every hyperplane where two vertices of one input polyhedron tie,
-    and each piece is triangulated, so each chamber carries a single
-    minimizing vertex per polyhedron. Guaranteed through rank 3; at higher
+    The weight cone is the region cut out by the tail rays, the tail's
+    dual_dd. It is split along every hyperplane where two vertices of one
+    input polyhedron tie, and each piece is triangulated, so each chamber
+    carries a single minimizing vertex per polyhedron. Guaranteed through rank 3; at higher
     rank only the wall-free simplicial case is attempted, whose one chamber
     is the weight cone, with the tail rays as its facet normals.
     """
@@ -265,17 +268,16 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
                 if n not in walls:
                     walls.append(n)
 
-    weight_cone = tail.dual
     if rank > 3:
-        if not walls and weight_cone.pointed and len(weight_cone.rays) == rank:
+        weight = tail.dual
+        if not walls and weight.pointed and len(weight.rays) == rank:
             # the tail rays are the facet normals of the simplicial weight
             # cone, each positive on exactly one of its rays
-            facets = tuple(next(f for f in tail.rays if dot(f, u) > 0) for u in weight_cone.rays)
-            chamber = Chamber(weight_cone, facets, _minimizers(weight_cone.rays, polys))
-            return ChamberFan(rank, weight_cone, (chamber,))
+            facets = tuple(next(f for f in tail.rays if dot(f, u) > 0) for u in weight.rays)
+            return ChamberFan((Chamber(weight.rays, facets, _minimizers(weight.rays, polys)),))
         raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
 
-    regions = [reduce(DoubleDescription.extend, tail.rays, DoubleDescription.whole_space(rank))]
+    regions = [tail.dual_dd]
     for n in walls:
         regions = [piece for region in regions for piece in _split(region, n)]
 
@@ -289,10 +291,9 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
             queue += [dd.extend(axis), dd.extend(vec_neg(axis))]
             continue
         for simplex in _triangulate(dd, rank):
-            cone = Cone(simplex, rank, pointed=True)
-            chambers.append(Chamber(cone, _facets(simplex), _minimizers(simplex, polys)))
+            chambers.append(Chamber(simplex, _facets(simplex), _minimizers(simplex, polys)))
     chambers.sort(key=lambda ch: ch.rays)
-    return ChamberFan(rank, weight_cone, tuple(chambers))
+    return ChamberFan(tuple(chambers))
 
 
 def _split(dd, wall):
@@ -313,8 +314,10 @@ def _triangulate(dd, rank: int):
     Each piece is the sorted tuple of its rays: extreme rays of the region,
     primitive and linearly independent. At rank 3 each facet holds exactly
     two extreme rays, so the simplices spanned by the first ray and each
-    facet away from it fill the cone. Two rays span a facet iff no other ray
-    is tight wherever both are: the adjacency test, on the region's tight sets.
+    facet away from it fill the cone. Two extreme rays span a facet iff some
+    processed normal is tight on both: its plane cuts out a face holding
+    them, and a face holding two extreme rays of a pointed rank-3 cone is a
+    2-face, which has exactly two.
     """
     rays, tight = dd.rays, dd.tight
     k = len(rays)
@@ -328,7 +331,7 @@ def _triangulate(dd, rank: int):
         tuple(sorted((rays[0], rays[i], rays[j])))
         for i in range(1, k)
         for j in range(i + 1, k)
-        if not any(tight[i] & tight[j] <= t for h, t in enumerate(tight) if h not in (i, j))
+        if tight[i] & tight[j]
     ]
 
 
@@ -364,6 +367,6 @@ def _minimizers(rays, polys) -> tuple[tuple[Fraction, ...], ...]:
         chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
         for u in rays:
             if dot(u, nums[chosen]) != min(dot(u, n) for n in nums):
-                raise ShapeError("chamber is not a linearity region; internal error")
+                raise InternalError("chamber is not a linearity region")
         minimizers.append(p.vertices[chosen])
     return tuple(minimizers)

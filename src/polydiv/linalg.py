@@ -13,12 +13,13 @@ determinant.
 
 Double description is one step on an immutable state (DoubleDescription:
 lines, rays, tight sets and the count of processed normals), and
-cone_from_inequalities is its fold over the normals; a caller that cuts one
-cone several ways extends the same state. The step combines a pair of rays
-on opposite sides of a new hyperplane only when the two rays are adjacent:
-no third ray is tight on every processed inequality on which both are tight
-(the combinatorial adjacency test of Fukuda and Prodon, "Double description
-method revisited", 1996). The rays it returns are then extreme and pairwise
+DoubleDescription.of is its one fold over the normals, from the whole space;
+a caller that cuts one cone several ways extends the same state, and a cone
+keeps the fold over its rays as the double description of its dual. The
+step combines a pair of rays on opposite sides of a new hyperplane only when
+the two rays are adjacent: no third ray is tight on every processed
+inequality on which both are tight (the combinatorial adjacency test of
+Fukuda and Prodon, "Double description method revisited", 1996). The rays it returns are then extreme and pairwise
 distinct without any further pruning. Both kernels work in int: a Fraction
 vector is cleared of its denominators once, on entry (clear, the one clearing
 in the package), and every step after that divides by gcds. Everything they
@@ -183,8 +184,11 @@ class DoubleDescription:
     count: int = 0
 
     @classmethod
-    def whole_space(cls, rank: int) -> DoubleDescription:
-        return cls(lines=tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+    def of(cls, normals, rank: int) -> DoubleDescription:
+        """{x : <n, x> >= 0 for every normal}: one extend per normal, in
+        order, from the whole space of the given rank."""
+        whole = cls(lines=tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+        return reduce(cls.extend, normals, whole)
 
     def extend(self, normal) -> DoubleDescription:
         """One double-description step: intersect with <normal, x> >= 0."""
@@ -229,17 +233,3 @@ class DoubleDescription:
                 # is tight exactly where both rays are, and on k
                 new_tight.append(common | {k})
         return DoubleDescription(self.lines, tuple(new_rays), tuple(new_tight), k + 1)
-
-
-def cone_from_inequalities(normals, rank: int):
-    """V-representation (lines, rays) of {x : <n, x> >= 0 for every normal}.
-
-    Double description with explicit lineality handling and the adjacency
-    test, one DoubleDescription.extend per normal. Output vectors are
-    primitive integers; lines are sign-normalized so the first nonzero entry
-    is positive. The rays returned are irredundant: one primitive generator
-    per extreme ray modulo the lines.
-    """
-    state = reduce(DoubleDescription.extend, normals, DoubleDescription.whole_space(rank))
-    lines = [l if next(x for x in l if x != 0) > 0 else vec_neg(l) for l in state.lines]
-    return lines, list(state.rays)

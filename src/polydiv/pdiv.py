@@ -6,6 +6,10 @@ space the same data is keyed by coordinate hyperplanes instead of points.
 Evaluating at a weight m in the dual of the tail cone takes the support
 minimum of each coefficient and produces an ordinary Q-divisor on the base.
 
+A divisor stores its base, its tail cone and its coefficients; its rank and
+its weight cone, the dual of the tail, are read off the tail, and the chamber
+fan starts from the double description that dual is read from.
+
 Properness is the condition that makes the graded ring of sections behave:
 every evaluation must be semiample, and evaluations at interior weights must
 additionally have positive degree. On affine bases this is automatic; on
@@ -89,8 +93,8 @@ class PolyhedralDivisor:
 
     coefficients holds only the nontrivial attachments; a point carrying the
     plain tail cone contributes nothing to any evaluation and is dropped by
-    the factory. weight_cone is the dual of the tail cone, the set of weights
-    where every evaluation is finite.
+    the factory. rank and weight_cone are read off the tail; weight_cone is
+    its dual, the set of weights where every evaluation is finite.
 
     The chamber fan, the degrees along its rays, the properness report and
     the rank-one slopes are derived once per divisor and kept on it (``fan``,
@@ -99,10 +103,16 @@ class PolyhedralDivisor:
     """
 
     base: DivisorBase
-    rank: int
     tail: Cone
     coefficients: tuple[tuple[object, TailedPolyhedron], ...]
-    weight_cone: Cone
+
+    @property
+    def rank(self) -> int:
+        return self.tail.rank
+
+    @property
+    def weight_cone(self) -> Cone:
+        return self.tail.dual
 
     def coefficient(self, key) -> TailedPolyhedron | None:
         for k, poly in self.coefficients:
@@ -191,13 +201,7 @@ def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) ->
     if violations:
         raise InvalidInputError(violations)
     kept.sort(key=lambda item: _key_sort_key(base, item[0]))
-    return PolyhedralDivisor(
-        base=base,
-        rank=rank,
-        tail=tail,
-        coefficients=tuple(kept),
-        weight_cone=tail.dual,
-    )
+    return PolyhedralDivisor(base=base, tail=tail, coefficients=tuple(kept))
 
 
 def check_weight(d: PolyhedralDivisor, m) -> tuple[Fraction, ...]:

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from polydiv.errors import CurveDomainError, RankMismatchError, ShapeError
 from polydiv.geometry import TailedPolyhedron, make_cone, ratvec
-from polydiv.linalg import cone_from_inequalities, dot, vec_neg
+from polydiv.linalg import dot, vec_neg
 from polydiv.verdicts import Verdict
+from reference_linalg import cone_from_inequalities
 
 
 def in_ray_span(v, gens, rank: int) -> bool:

@@ -10,12 +10,16 @@ floor-degree search once read chamber coordinates: the tests check the facet
 normals that replaced it against them. EchelonBasis is the echelon basis as
 it was before it moved to integers, with every entry a Fraction and every
 row 1 at its pivot; the tests check the integer kernel's ranks, rows and
-relations against it.
+relations against it. cone_from_inequalities is the fold the package ran
+before it kept its double descriptions: the lines, sign-normalized, and the
+rays of DoubleDescription.of, which the tests check against a pruned
+double description and read as a fresh dual.
 """
 
 from fractions import Fraction
 
 from polydiv.errors import RankMismatchError
+from polydiv.linalg import DoubleDescription, vec_neg
 
 
 def rref(rows):
@@ -136,3 +140,15 @@ class EchelonBasis:
         inv = 1 / row[lead]
         self.rows[lead] = [x * inv for x in row]
         return True
+
+
+def cone_from_inequalities(normals, rank: int):
+    """V-representation (lines, rays) of {x : <n, x> >= 0 for every normal}.
+
+    Output vectors are primitive integers; lines are sign-normalized so the
+    first nonzero entry is positive. The rays returned are irredundant: one
+    primitive generator per extreme ray modulo the lines.
+    """
+    state = DoubleDescription.of(normals, rank)
+    lines = [l if next(x for x in l if x != 0) > 0 else vec_neg(l) for l in state.lines]
+    return lines, list(state.rays)

@@ -8,6 +8,7 @@ import pytest
 
 import polydiv.classify as classify
 import polydiv.cli as cli
+import polydiv.geometry as geometry
 from polydiv.cli import build_parser, main
 from polydiv.errors import NotProperError, PolydivError
 from polydiv.problem_io import parse_problem, report_payload
@@ -265,6 +266,20 @@ def test_failed_consistency_check_is_internal_error(capsys, monkeypatch):
     assert code == 3
     assert payload["error"] == "internal"
     assert "h1 total 2" in payload["message"]
+
+
+def test_a_chamber_that_is_not_a_linearity_region_is_internal_error(capsys, monkeypatch, tmp_path):
+    # the wall m1 = 0 cuts the upper half plane in two; a triangulation that
+    # ignores it hands _minimizers a simplex on which the support is not linear
+    doc = tmp_path / "wall.json"
+    doc.write_text(
+        '{"lattice_rank": 2, "tail_cone": {"rays": [[0, 1]]}, "base": {"kind": "P1"},'
+        ' "coefficients": [{"point": "0", "vertices": [[0, 0], [1, 0]]}]}\n'
+    )
+    monkeypatch.setattr(geometry, "_triangulate", lambda dd, rank: [((-1, 1), (1, 1))])
+    code, payload = run_json(capsys, "proper", str(doc))
+    assert code == 3
+    assert payload == {"error": "internal", "message": "chamber is not a linearity region"}
 
 
 def test_non_proper_input_exits_three(capsys, tmp_path):

@@ -26,8 +26,11 @@ rewrites, kept here as independent oracles:
 - the facet normals of a chamber, as a set, as the facets of a double
   description of its rays, and a count of the double descriptions a whole
   classify runs;
-- the dual of a cone as a fresh double description of its rays, whatever
-  make_cone kept, and ChamberFan.all_rays as the list dedupe it replaced.
+- the triangulation of a rank-3 region that pairs two rays when no third ray
+  is tight wherever both are, before it read a shared tight normal;
+- the dual of a cone, and its double description, as a fresh fold over its
+  rays, whatever make_cone stored as dual_dd, and ChamberFan.all_rays as the
+  list dedupe it replaced.
 
 The code in src/ must give the very same integers, lists (in order) and
 values, with one exception: a cone that is not pointed has no extreme rays,
@@ -41,7 +44,6 @@ import io
 import json
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -51,9 +53,8 @@ from time import perf_counter
 import pytest
 
 import polydiv.geometry as geometry
-import polydiv.linalg as linalg
 from polydiv import cli
-from polydiv.errors import InternalError, PolydivError, ShapeError
+from polydiv.errors import InternalError, PolydivError, ShapeError, UnsupportedRankError
 from polydiv.geometry import (
     Cone,
     TailedPolyhedron,
@@ -63,7 +64,6 @@ from polydiv.geometry import (
 )
 from polydiv.linalg import (
     DoubleDescription,
-    cone_from_inequalities,
     dot,
     is_zero,
     primitive,
@@ -75,7 +75,7 @@ from polydiv.problem_io import parse_problem
 from polydiv.toric import _span_multiplicity, toric_cone
 from reference_geometry import in_ray_span, ray_meets
 from reference_geometry import make_polyhedron as homogenized_make_polyhedron
-from reference_linalg import determinant, rref, rref_rank
+from reference_linalg import cone_from_inequalities, determinant, rref, rref_rank
 
 # A safety valve for Fourier-Motzkin blowup in the reference.
 _FM_CONSTRAINT_CAP = 200_000
@@ -491,6 +491,19 @@ def test_double_description_of_two_hundred_parabola_rays_is_fast():
     assert dual.pointed and len(dual.rays) == 200
 
 
+def counted_folds(monkeypatch):
+    """The (normals, rank) of every DoubleDescription.of call from now on."""
+    calls = []
+    real = DoubleDescription.of.__func__
+
+    def counting(cls, normals, rank):
+        calls.append((normals, rank))
+        return real(cls, normals, rank)
+
+    monkeypatch.setattr(DoubleDescription, "of", classmethod(counting))
+    return calls
+
+
 def test_trivial_tail_toric_cone_decides_no_feasibility(monkeypatch):
     k, n = 8, 4
     doc = {
@@ -505,17 +518,8 @@ def test_trivial_tail_toric_cone_decides_no_feasibility(monkeypatch):
             for i in range(1, n + 1)
         ],
     }
-    d = parse_problem(json.dumps(doc))
-    calls = []
-    real = linalg.cone_from_inequalities
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "cone_from_inequalities", counting)
-    monkeypatch.setattr(geometry, "cone_from_inequalities", counting)
-    cone = toric_cone(d)
+    calls = counted_folds(monkeypatch)
+    cone = toric_cone(parse_problem(json.dumps(doc)))
     assert cone.ambient_rank == k + n and cone.rays
     assert calls == []
 
@@ -710,10 +714,6 @@ def test_primitive_of_int_vectors_matches_the_fraction_path():
             assert primitive(q) == reference_primitive(q), q
 
 
-def fresh_double_description(normals, rank):
-    return reduce(DoubleDescription.extend, normals, DoubleDescription.whole_space(rank))
-
-
 def test_extended_double_description_matches_a_fresh_one():
     rng = Random(20112)
     seen = {"lines": 0, "rays": 0, "shared parent": 0}
@@ -721,18 +721,18 @@ def test_extended_double_description_matches_a_fresh_one():
         for shape in ("plain", "zero", "duplicate", "lineality"):
             for _ in range(30 if rank < 4 else 10):
                 normals = random_normals(rng, rank, shape)
-                parent = fresh_double_description(normals, rank)
+                parent = DoubleDescription.of(normals, rank)
                 walls = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(2)]
                 for w in walls:
                     child = parent.extend(w)
-                    assert child == fresh_double_description(normals + [w], rank)
+                    assert child == DoubleDescription.of(normals + [w], rank)
                     # the same lines and rays, in the same order
                     lines = [l if next(x for x in l if x) > 0 else vec_neg(l) for l in child.lines]
                     assert (lines, list(child.rays)) == cone_from_inequalities(normals + [w], rank)
                     seen["lines"] += bool(child.lines)
                     seen["rays"] += bool(child.rays)
                 # extending a state leaves it as it was
-                assert parent == fresh_double_description(normals, rank)
+                assert parent == DoubleDescription.of(normals, rank)
                 seen["shared parent"] += parent.extend(walls[0]) != parent.extend(walls[1])
     assert all(n >= 20 for n in seen.values()), seen
 
@@ -767,7 +767,7 @@ def test_sign_test_split_matches_the_full_dimension_split():
             )
             if not reference_full_dim(normals, rank):
                 continue
-            regions = [(normals, fresh_double_description(normals, rank))]
+            regions = [(normals, DoubleDescription.of(normals, rank))]
             for _ in range(rng.randint(1, 4)):
                 wall = (0,) * rank
                 while is_zero(wall):
@@ -776,7 +776,7 @@ def test_sign_test_split_matches_the_full_dimension_split():
                 for normals, dd in regions:
                     want = reference_split(normals, wall, rank)
                     got = geometry._split(dd, wall)
-                    assert got == [fresh_double_description(n, rank) for n in want]
+                    assert got == [DoubleDescription.of(n, rank) for n in want]
                     seen["split" if len(got) == 2 else "kept"] += 1
                     pieces += zip(want, got)
                 regions = pieces
@@ -787,7 +787,7 @@ def test_sign_test_split_matches_the_full_dimension_split():
                     want = reference_split(normals, axis, rank)
                     assert len(want) == 2
                     got = [dd.extend(axis), dd.extend(vec_neg(axis))]
-                    assert got == [fresh_double_description(n, rank) for n in want]
+                    assert got == [DoubleDescription.of(n, rank) for n in want]
                     seen["lineality"] += 1
     assert all(n >= 20 for n in seen.values()), seen
 
@@ -812,7 +812,7 @@ def reference_minimizers(simplex_rays, polys):
         chosen = sorted(v for v in p.vertices if dot(sample, v) == best)[0]
         for u in simplex_rays:
             if dot(u, chosen) != min(dot(u, v) for v in p.vertices):
-                raise ShapeError("chamber is not a linearity region; internal error")
+                raise InternalError("chamber is not a linearity region")
         minimizers.append(chosen)
     return tuple(minimizers)
 
@@ -858,8 +858,8 @@ def test_integer_support_minima_match_the_fraction_path():
                     rays = make_cone(rays, rank).rays
                     try:
                         want = reference_minimizers(rays, polys)
-                    except ShapeError:
-                        with pytest.raises(ShapeError):
+                    except InternalError:
+                        with pytest.raises(InternalError):
                             geometry._minimizers(rays, polys)
                         continue
                     assert geometry._minimizers(rays, polys) == want
@@ -919,6 +919,58 @@ def test_chamber_facets_match_the_double_description(monkeypatch):
                     seen[rank] += 1
                     seen["triangulated"] += ch.rays in pieces
                     seen["flat tail"] += shape == "flat"
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def reference_triangulate(dd, rank):
+    """_triangulate as it was: two rays span a facet iff no third ray is
+    tight on every processed normal on which both are, the adjacency test."""
+    rays, tight = dd.rays, dd.tight
+    k = len(rays)
+    if k == rank:
+        return [tuple(sorted(rays))]
+    return [
+        tuple(sorted((rays[0], rays[i], rays[j])))
+        for i in range(1, k)
+        for j in range(i + 1, k)
+        if not any(tight[i] & tight[j] <= t for h, t in enumerate(tight) if h not in (i, j))
+    ]
+
+
+def test_triangulation_by_a_shared_tight_normal_matches_the_adjacency_test():
+    """Regions as chamber_fan makes them: a tail's dual_dd, cut by random
+    walls, and a region with lines cut by the axes. The tails are random and
+    the cones over n-gons, whose duals are n-gon cones, each uncut and cut. Every pointed one,
+    non-simplicial pieces included, is triangulated into the same simplices
+    in the same order. At rank 3 a piece an axis cuts off a region with
+    lines has three rays, so only tails and walls give wider ones."""
+    rng = Random(20261123)
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    seen = {"wide tail dual": 0, "wide wall piece": 0, "axis piece": 0}
+    tails = [random_tail(rng, 3, shape)
+             for shape in ("trivial", "orthant", "flat", "pointed") for _ in range(30)]
+    tails += [make_cone([(i, i * i, 1) for i in range(n)], 3) for n in range(4, 16)]
+    for tail, cuts in ((tail, cuts) for tail in tails for cuts in (0, rng.randint(1, 4))):
+        regions = [(tail.dual_dd, "tail")]
+        for _ in range(cuts):
+            wall = (0, 0, 0)
+            while is_zero(wall):
+                wall = tuple(rng.randint(-3, 3) for _ in range(3))
+            pieces = []
+            for dd, how in regions:
+                cut = geometry._split(dd, wall)
+                pieces += [(piece, "wall" if len(cut) == 2 else how) for piece in cut]
+            regions = pieces
+        while regions:
+            dd, how = regions.pop()
+            if dd.lines:
+                axis = next(a for a in axes if any(dot(a, l) != 0 for l in dd.lines))
+                regions += [(dd.extend(axis), "axis"), (dd.extend(vec_neg(axis)), "axis")]
+                continue
+            assert geometry._triangulate(dd, 3) == reference_triangulate(dd, 3), dd
+            seen["wide tail dual"] += how == "tail" and len(dd.rays) > 3
+            seen["wide wall piece"] += how == "wall" and len(dd.rays) > 3
+            seen["axis piece"] += how == "axis"
     assert all(n >= 10 for n in seen.values()), seen
 
 
@@ -994,24 +1046,20 @@ CM_NO_RANK3 = {
 
 
 @pytest.mark.parametrize(
-    "name", ["orthant_r2_eps1000.json", "orthant_r3_eps125.json", "cm_no_rank3"]
+    "name", ["orthant_r2_eps1000.json", "orthant_r3_eps125.json", "golden_one.json", "cm_no_rank3"]
 )
 def test_classify_runs_one_double_description_per_tail_and_wide_region(monkeypatch, capsys, name):
-    """A whole classify, parse included, runs the double description of the
-    tail's dual once and nothing else: the triangulation of a non-simplicial
-    rank-3 region of the chamber fan reads its facets off the region's own
-    double description."""
+    """A whole classify, parse included, folds the double description of the
+    tail's dual once: the weight cone and the first region of the chamber
+    fan both read the tail's dual_dd. Each cut of a region extends it by one
+    step, and the triangulation of a non-simplicial rank-3 region reads its
+    facets off the region's own tight sets."""
     if name == "cm_no_rank3":
         text = json.dumps(CM_NO_RANK3)
     else:
-        text = (Path(__file__).parent / "golden" / "scaling" / name).read_text(encoding="utf-8")
-    calls = []
-    real = linalg.cone_from_inequalities
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
+        folder = "data" if name == "golden_one.json" else "golden/scaling"
+        text = (Path(__file__).parent / folder / name).read_text(encoding="utf-8")
+    calls = counted_folds(monkeypatch)
     wide = []
     triangulate = geometry._triangulate
 
@@ -1019,8 +1067,6 @@ def test_classify_runs_one_double_description_per_tail_and_wide_region(monkeypat
         wide.extend([dd.rays] if len(dd.rays) > rank else [])
         return triangulate(dd, rank)
 
-    monkeypatch.setattr(linalg, "cone_from_inequalities", counting)
-    monkeypatch.setattr(geometry, "cone_from_inequalities", counting)
     monkeypatch.setattr(geometry, "_triangulate", counting_regions)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code = cli.main(["classify", "-"])
@@ -1078,55 +1124,95 @@ def seeded_dual_generators(rng, rank, shape):
 
 
 def test_make_cone_keeps_the_dual_a_fresh_double_description_gives():
-    """A full-dimensional pointed cone keeps the facets of the double
-    description of its generators as its dual: the same value a fresh double
-    description of its rays gives, whatever the order of the generators.
-    Lower-dimensional and non-pointed cones keep nothing and compute it."""
+    """A pointed cone that make_cone ran its double description for, and
+    kept every generator of, keeps that double description as its dual_dd;
+    its dual is the value a fresh double description of its rays gives,
+    whatever the order of the generators. Simplicial cones, cones with a
+    redundant generator and non-pointed cones keep nothing and compute it.
+    Each cone is made again from its own rays, shuffled, which are all
+    extreme."""
     rng = Random(20261118)
     shapes = ("full", "simplicial", "flat", "lineality", "any")
-    seen = {"kept": 0, "non-simplicial kept": 0, "flat": 0, "not pointed": 0, "shortcut": 0}
+    seen = {"kept": 0, "dropped": 0, "not pointed": 0, "shortcut": 0}
     for rank in (2, 3, 4):
         for shape in shapes:
             for _ in range(12):
                 gens = seeded_dual_generators(rng, rank, shape)
                 cone = make_cone(gens, rank)
-                kept = "dual" in vars(cone)
                 fresh = geometry._cone(*cone_from_inequalities(cone.rays, rank), rank)
-                assert cone.dual == fresh, (gens, cone)
-                shuffled = list(gens)
-                rng.shuffle(shuffled)
-                again = make_cone(shuffled, rank)
-                assert again == cone and again.dual == fresh, (gens, shuffled)
-                full = bool(cone.rays) and rref_rank(cone.rays) == rank
-                if kept:
-                    assert cone.pointed and full, (gens, cone)
-                seen["kept"] += kept
-                seen["non-simplicial kept"] += kept and len(cone.rays) > rank
-                seen["flat"] += cone.pointed and not full and bool(cone.rays)
-                seen["not pointed"] += not cone.pointed
-                seen["shortcut"] += cone.pointed and full and not kept
+                for gens in (gens, rng.sample(cone.rays, len(cone.rays))):
+                    shuffled = rng.sample(gens, len(gens))
+                    again = make_cone(shuffled, rank)
+                    kept = "dual_dd" in vars(again)
+                    assert again == cone and again.dual == fresh, (gens, shuffled)
+                    distinct = {primitive(g) for g in gens if not is_zero(g)}
+                    shortcut = len(cone.rays) <= rank and rref_rank(cone.rays) == len(cone.rays)
+                    dropped = len(distinct) > len(cone.rays)
+                    assert kept == (cone.pointed and not shortcut and not dropped), (gens, cone)
+                    seen["kept"] += kept
+                    seen["dropped"] += cone.pointed and dropped
+                    seen["not pointed"] += not cone.pointed
+                    seen["shortcut"] += shortcut
+    assert all(n >= 10 for n in seen.values()), seen
+    # a pointed cone short of full dimension keeps its double description too,
+    # whose line is the normal of the cone's span
+    square = make_cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)], 4)
+    assert "dual_dd" in vars(square) and square.dual_dd.lines == ((0, 0, 0, 1),)
+    assert square.dual == geometry._cone(*cone_from_inequalities(square.rays, 4), 4)
+
+
+def test_a_stored_dual_dd_is_the_fold_over_the_rays():
+    """At ranks 1 to 4, over simplicial, full, flat and non-pointed cones and
+    generators with redundant ones mixed in, in shuffled order: a dual_dd
+    that make_cone stored equals a fresh DoubleDescription.of over the cone's
+    rays, field for field, and the chamber fan over the cone make_cone gave
+    (as parsing builds a tail) equals the one over a fresh Cone with the
+    same rays, which folds its own. Each cone is made again from its own
+    rays, shuffled, which are all extreme."""
+    rng = Random(20261122)
+    seen = {1: 0, 2: 0, 3: 0, 4: 0, "stored": 0, "fan": 0}
+    for rank in (1, 2, 3, 4):
+        shapes = ("full", "simplicial", "lineality", "any") + (("flat",) if rank > 1 else ())
+        for shape in shapes:
+            for _ in range(12):
+                gens = seeded_dual_generators(rng, rank, shape)
+                first = make_cone(gens, rank)
+                for cone in (first, make_cone(rng.sample(first.rays, len(first.rays)), rank)):
+                    stored = vars(cone).get("dual_dd")
+                    fresh = DoubleDescription.of(cone.rays, rank)
+                    if stored is not None:
+                        assert (stored.lines, stored.rays, stored.tight, stored.count) == (
+                            fresh.lines, fresh.rays, fresh.tight, fresh.count), (gens, cone)
+                        seen["stored"] += 1
+                    assert cone.dual_dd == fresh
+                    seen[rank] += 1
+                    if not cone.pointed:
+                        continue
+                    twin = Cone(rays=cone.rays, rank=rank, pointed=True)
+                    polys = [tied_polyhedron(rng, rank, cone) for _ in range(rng.randint(1, 2))]
+                    try:
+                        want = geometry.chamber_fan(polys, twin)
+                    except UnsupportedRankError:
+                        with pytest.raises(UnsupportedRankError):
+                            geometry.chamber_fan(polys, cone)
+                        continue
+                    assert geometry.chamber_fan(polys, cone) == want, (gens, cone)
+                    seen["fan"] += 1
     assert all(n >= 10 for n in seen.values()), seen
 
 
 def test_parsing_the_sixteen_gon_tail_runs_one_double_description(monkeypatch):
-    """make_cone keeps the facets of the 16-gon tail as its dual, so parsing
-    (which reads the dual) runs the one double description of make_cone."""
+    """make_cone keeps the double description of the 16-gon tail's generators
+    as its dual_dd, so parsing and reading the dual run that one fold."""
     doc = {
         "lattice_rank": 3,
         "tail_cone": {"rays": [[i, i * i, 1] for i in range(16)]},
         "base": {"kind": "affine_space", "dim": 1},
         "coefficients": [{"point": {"hyperplane": 1}, "vertices": [[0, 0, 1]]}],
     }
-    calls = []
-    real = linalg.cone_from_inequalities
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "cone_from_inequalities", counting)
-    monkeypatch.setattr(geometry, "cone_from_inequalities", counting)
+    calls = counted_folds(monkeypatch)
     d = parse_problem(json.dumps(doc))
+    assert "dual_dd" in vars(d.tail)
     assert len(d.tail.rays) == 16 and len(d.tail.dual.rays) == 16
     assert len(calls) == 1
 

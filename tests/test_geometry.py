@@ -190,7 +190,7 @@ def test_chamber_fan_rank_one_single_chamber():
     tail = make_cone([(1,)], 1)
     p = make_polyhedron([(Fraction(1, 2),), (2,)], tail)
     fan = chamber_fan([p], tail)
-    assert fan.weight_cone == tail.dual == make_cone([(1,)], 1)
+    assert tail.dual == make_cone([(1,)], 1)
     assert len(fan.chambers) == 1
     assert fan.chambers[0].rays == ((1,),)
     assert fan.chambers[0].facets == ((1,),)
@@ -235,7 +235,7 @@ def test_chamber_fan_single_vertex_polys_keep_weight_cone():
     polys = [make_polyhedron([(1, 2)], weight), make_polyhedron([(-3, 0)], weight)]
     fan = chamber_fan(polys, weight)
     assert len(fan.chambers) == 1
-    assert fan.chambers[0].cone == weight
+    assert fan.chambers[0].rays == weight.rays
     assert fan.chambers[0].rays == fan.chambers[0].facets == ((0, 1), (1, 0))
 
 
@@ -262,7 +262,7 @@ def test_chamber_fan_covers_and_is_linear():
                 )
             )
         fan = chamber_fan(polys, tail)
-        assert fan.chambers and fan.weight_cone == weight
+        assert fan.chambers and all(cone_contains(weight, u) for u in fan.all_rays())
         # linearity with the registered minimizer on each chamber
         for ch in fan.chambers:
             sample = tuple(sum(r[c] for r in ch.rays) for c in range(rank))
@@ -274,7 +274,7 @@ def test_chamber_fan_covers_and_is_linear():
             m = tuple(
                 sum(c * r[i] for c, r in zip(coeffs, weight.rays)) for i in range(rank)
             )
-            assert any(cone_contains(ch.cone, m) for ch in fan.chambers)
+            assert any(cone_contains(make_cone(ch.rays, rank), m) for ch in fan.chambers)
         # pairwise disjoint interiors: each chamber's interior sample avoids the rest
         for ch in fan.chambers:
             sample = tuple(sum(r[c] for r in ch.rays) for c in range(rank))

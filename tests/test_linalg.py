@@ -8,14 +8,13 @@ from polydiv.errors import RankMismatchError
 from polydiv.linalg import (
     EchelonBasis,
     clear,
-    cone_from_inequalities,
     dot,
     matrix_rank,
     primitive,
     relations,
 )
 import reference_linalg
-from reference_linalg import kernel_basis, rref, rref_rank
+from reference_linalg import cone_from_inequalities, kernel_basis, rref, rref_rank
 
 
 def test_primitive_scales_to_shortest_integer_vector():
