@@ -195,7 +195,7 @@ def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) ->
         if poly.tail != tail:
             violations.append(f"coefficient at {key} does not have the common tail cone")
             continue
-        if poly.vertices == (tuple(Fraction(0) for _ in range(rank)),):
+        if poly.vertices == ((0,) * rank,):
             continue  # the trivial coefficient: just the tail cone itself
         kept.append((key, poly))
     if violations:

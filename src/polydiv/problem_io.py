@@ -38,6 +38,8 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .curves import (
     EC_ORIGIN,
@@ -86,6 +88,10 @@ class _LongInteger:
 def _json_int(literal: str):
     digits = literal.lstrip("-")
     return _LongInteger(literal) if len(digits) > MAX_DIGITS else int(literal)
+
+
+# one decoder for every document, where json.loads builds one per call
+_DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
 def _rational(value, path: str, violations: list) -> Fraction | None:
@@ -259,7 +265,9 @@ def _parse_point(value, base, path: str, violations: list):
 def parse_problem(text: str) -> PolyhedralDivisor:
     """Parse a problem document into a validated polyhedral divisor."""
     try:
-        doc = json.loads(text, parse_int=_json_int)
+        if text.startswith("\ufeff"):  # as json.loads rejects it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
@@ -365,6 +373,11 @@ def parse_problem(text: str) -> PolyhedralDivisor:
 _LEAF_TYPES = frozenset((int, str, bool, type(None)))
 
 
+@cache
+def _field_names(kind) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(kind))
+
+
 def report_payload(obj):
     """Plain JSON-ready data for a report object, with stable key order."""
     kind = type(obj)
@@ -373,23 +386,53 @@ def report_payload(obj):
     if kind is tuple or kind is list:
         # long h1 listings are tuples of int pairs: skip the call per leaf
         return [x if type(x) in _LEAF_TYPES else report_payload(x) for x in obj]
+    if kind is Fraction:
+        return str(obj)
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
+    # points are dataclasses: these two come before the generic branch
     if isinstance(obj, QDivisor):
         return [[str(pt), str(c)] for pt, c in obj.terms]
     if isinstance(obj, (P1Point, EllipticPoint, EllipticOrigin, LabelPoint, RationalPoint)):
         return str(obj)
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: report_payload(getattr(obj, f.name)) for f in fields(obj)}
+        return {name: report_payload(getattr(obj, name)) for name in _field_names(kind)}
     if isinstance(obj, dict):
         return {str(k): report_payload(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [report_payload(x) for x in obj]
     return str(obj)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, indent: str) -> str:
+    """value, a payload of report_payload, as json.dumps(value, indent=2)
+    writes it when nested at indent: one join per list or dict."""
+    kind = type(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [str(x) if type(x) is int else _json_text(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    # isinstance: json.dumps writes str and int subclasses as their base type
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or kind is bool:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _text_lines(payload, prefix: str):
@@ -417,7 +460,7 @@ def emit_report(obj, format: str = "json") -> str:
     """Serialize a report dataclass (or payload) as JSON or flat text lines."""
     payload = report_payload(obj)
     if format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload, "") + "\n"
     if format == "text":
         return "\n".join(_text_lines(payload, "")) + "\n"
     raise ShapeError(f"unknown output format {format!r}")

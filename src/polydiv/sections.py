@@ -46,6 +46,8 @@ from .pdiv import PolyhedralDivisor, ray_slopes
 
 Vector = tuple[Fraction, ...]
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 def _exact(x):
     """x as an int when it is an integer, else as a Fraction."""
@@ -181,7 +183,7 @@ def _presentation(table: _RingTable):
         vectors = [_eval_monomial(table, factors, a, total) for a in monos]
         kernel, pivots = relations(vectors, target)
         monomials[total] = tuple(monos)
-        fresh = [j for j in range(target) if j not in pivots]
+        fresh = sorted(set(range(target)).difference(pivots))
         if fresh:
             # each new x_k sorts after the monomials in lower generators and
             # its unit vector is independent of them: the kernel gains zeros,
@@ -192,7 +194,7 @@ def _presentation(table: _RingTable):
                 monomials[m] = tuple(a + (0,) * k for a in stored)
             monomials[total] += tuple(tuple(int(i == n + j) for i in range(n + k)) for j in range(k))
             for j in fresh:
-                coeffs = tuple(Fraction(int(i == j)) for i in range(target))
+                coeffs = tuple(_ONE if i == j else _ZERO for i in range(target))
                 gens.append(RingGenerator(f"g{len(gens) + 1}", total, coeffs))
                 factors.append((j, table.floors[total]))
         if not monomials[total]:

@@ -1,10 +1,14 @@
 """Problem documents written back from a divisor, kept as the oracle of the
-parser's round trip.
+parser's round trip, and reports written by json.dumps, kept as the oracle
+of the report writer.
 
 emit_problem writes the canonical document of a divisor: its rank, the rays
 of its tail, its base and, per marked point, the vertices of the
 coefficient as exact strings. The tests check that parse_problem reads every
 base and point form back to an equal divisor.
+
+json_report writes a report as the standard library's encoder does with
+indent=2; the tests check that emit_report gives the same bytes.
 """
 
 import json
@@ -23,6 +27,7 @@ from polydiv.curves import (
 )
 from polydiv.errors import InternalError
 from polydiv.pdiv import AffineSpace
+from polydiv.problem_io import report_payload
 
 
 def _base_json(base):
@@ -72,3 +77,8 @@ def emit_problem(d) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def json_report(obj) -> str:
+    """The JSON report of obj, through json.dumps(indent=2)."""
+    return json.dumps(report_payload(obj), indent=2) + "\n"

@@ -16,8 +16,10 @@ from polydiv.curves import (
     LabelPoint,
     ProjectiveLine,
     RationalPoint,
+    divisor,
     p1_point,
 )
+import polydiv.cli as cli
 import polydiv.pdiv as pdiv
 import polydiv.problem_io as problem_io
 from polydiv.errors import InvalidInputError, ParseError, ShapeError
@@ -37,7 +39,7 @@ from polydiv.problem_io import (
 )
 from polydiv.verdicts import Verdict
 
-from reference_problem_io import emit_problem
+from reference_problem_io import emit_problem, json_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -552,3 +554,102 @@ def test_emit_report_json_is_stable():
     d = parse_problem(read("golden_one.json"))
     parsed = json.loads(emit_report(rational_singularities(d)))
     assert list(parsed) == ["verdict", "criterion", "witness"]
+
+
+def _reports_emitted(monkeypatch, runs):
+    """Every object the CLI hands to emit_report while it makes the runs."""
+    reports = []
+
+    def recording(obj, format="json"):
+        reports.append(obj)
+        return problem_io.emit_report(obj, format=format)
+
+    monkeypatch.setattr(cli, "emit_report", recording)
+    for run in runs:
+        run()
+    return reports
+
+
+def test_emit_report_matches_json_dumps_on_the_golden_reports(monkeypatch):
+    from test_golden_cli import golden_cases, run_cli
+
+    runs = [lambda argv=argv: run_cli(argv) for _, argv in golden_cases()]
+    reports = _reports_emitted(monkeypatch, runs)
+    assert len(reports) == len(runs)
+    for obj in reports:
+        assert emit_report(obj) == json_report(obj)
+
+
+def test_emit_report_matches_json_dumps_on_the_benchmark_corpora(monkeypatch):
+    from corpus_digest import WORKLOADS, generate, run
+
+    for workload in WORKLOADS:
+        docs = generate(workload, 7)
+        runs = [lambda doc=doc: run(doc["argv"], doc["text"]) for doc in docs]
+        reports = _reports_emitted(monkeypatch, runs)
+        assert len(reports) == len(runs)
+        for obj in reports:
+            assert emit_report(obj) == json_report(obj), workload
+
+
+ABSTRACT_LABELS = divisor(
+    AbstractProjectiveCurve(2),
+    {LabelPoint("caf\u00e9 \u2603"): Fraction(1, 2), LabelPoint("\U0001f600\x01"): Fraction(-3)},
+)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ABSTRACT_LABELS,
+        {"label \u00e9": "\u03a9\u2081", "astral": "\U0001f600"},
+        {'quote " key': 'a "quoted" back\\slash', "controls": "\x00\x01\x1f\x7f\b\f\n\r\t"},
+        [],
+        {},
+        [[]],
+        [{}],
+        {"a": [], "b": {}, "c": [[], {}, [[]]]},
+        [[[{}]], {"x": [{}, []]}],
+        [True, False, None, "true", "null"],
+        {"yes": True, "no": False, "none": None},
+        [-1, 0, -(2**70), 2**64, 2**64 + 1, 10**40],
+        ["", " ", "  \n  "],
+        "a bare string",
+        -17,
+        None,
+        True,
+    ],
+)
+def test_emit_report_matches_json_dumps_on_hand_built_payloads(obj):
+    assert emit_report(obj) == json_report(obj)
+
+
+@pytest.mark.parametrize("bad", [1.5, [float("nan")], {1, 2}, {"x": {3}}, [b"bytes"], {1: "key"}])
+def test_the_report_writer_refuses_what_no_payload_holds(bad):
+    # report_payload writes floats as strings and keys as strings, so a
+    # float or an int key reaching the writer is a bug, not a number
+    with pytest.raises(TypeError):
+        problem_io._json_text(bad, "")
+
+
+def test_report_payload_writes_points_as_strings_and_divisors_as_pairs():
+    # points and divisors are dataclasses, but neither becomes an object
+    assert report_payload(p1_point(3, 2)) == "3/2"
+    assert report_payload(P1_INFINITY) == "inf"
+    assert report_payload(ABSTRACT_LABELS) == [["caf\u00e9 \u2603", "1/2"], ["\U0001f600\x01", "-3"]]
+
+
+@pytest.mark.parametrize("text", ["\ufeff{}", "", "{", "[1,", '{"a": 1} x', "nul"])
+def test_the_shared_decoder_fails_where_json_loads_fails(text):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (expected.value.lineno, expected.value.colno)
+    assert str(exc.value).startswith(expected.value.msg)
+
+
+def test_deep_nesting_is_a_parse_error_without_a_position():
+    with pytest.raises(ParseError) as exc:
+        parse_problem("[" * 100_000)
+    assert exc.value.line is None
