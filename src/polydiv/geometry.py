@@ -12,9 +12,13 @@ and keep their vertices cleared (linalg.clear) over one common denominator;
 support minima, chamber-fan walls and minimizers are taken in int on them.
 Support minima are exact Fractions, with an explicit MinusInfinity object
 when the functional is unbounded below. A chamber-fan region is its double
-description, each cut extends it by one step, and its tight sets give the
-facets it is triangulated along; a chamber stores its rays and the facet
-normal opposite each of them.
+description, each cut extends it by one step, and its tight sets (bitmasks
+over the normals it processed) give the facets it is triangulated along; a
+chamber stores its rays and the facet normal opposite each of them. A fan
+keeps one table of minima: each distinct fan ray with its int minimum over
+each polyhedron's cleared vertices, taken once per ray however many
+chambers hold it. The minimizer check of every chamber and the ray degrees
+of a divisor read it.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ def make_cone(rays, rank: int) -> Cone:
     (the lineality space is a face, spanned by the generators it contains),
     and is then stored as its double dual, the dual of the cone the facets
     and lines span. A pointed cone keeps a generator unless another's set of
-    tight facets contains its own; when it keeps them all, the sorted
+    tight facets contains its own (the tight sets are read off the fold's
+    bitmasks, with no pairing); when it keeps them all, the sorted
     generators are its rays in the order the double description took them,
     and that double description is its dual_dd.
     """
@@ -108,10 +113,11 @@ def make_cone(rays, rank: int) -> Cone:
         # is simplicial, hence pointed
         return Cone(rays=tuple(prim), rank=rank, pointed=True)
     dd = DoubleDescription.of(prim, rank)
-    tight = [{j for j, f in enumerate(dd.rays) if dot(f, g) == 0} for g in prim]
-    if any(len(t) == len(dd.rays) for t in tight):
+    # bit i of tight[j]: facet i is tight on generator j
+    tight = [sum(1 << i for i, t in enumerate(dd.tight) if t >> j & 1) for j in range(len(prim))]
+    if any(t == (1 << len(dd.rays)) - 1 for t in tight):
         return _cone(dd.lines, dd.rays, rank).dual
-    kept = tuple(g for g, t in zip(prim, tight) if not any(u >= t for u in tight if u is not t))
+    kept = tuple(g for g, t in zip(prim, tight) if sum(u & t == t for u in tight) == 1)
     cone = Cone(rays=kept, rank=rank, pointed=True)
     if len(kept) == len(prim):
         object.__setattr__(cone, "dual_dd", dd)
@@ -229,10 +235,14 @@ class Chamber:
 
 @dataclass(frozen=True)
 class ChamberFan:
+    """The chambers, sorted by their rays, and each distinct ray, sorted, with
+    its int minimum over the cleared vertices of each polyhedron in turn."""
+
     chambers: tuple[Chamber, ...]
+    minima: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def all_rays(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({r for ch in self.chambers for r in ch.rays}))
+        return tuple(u for u, _ in self.minima)
 
 
 def chamber_fan(polys, tail: Cone) -> ChamberFan:
@@ -243,7 +253,8 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
     input polyhedron tie, and each piece is triangulated, so each chamber
     carries a single minimizing vertex per polyhedron. Guaranteed through rank 3; at higher
     rank only the wall-free simplicial case is attempted, whose one chamber
-    is the weight cone, with the tail rays as its facet normals.
+    is the weight cone, with the tail rays as its facet normals. Once every
+    simplex is known, the minima at each distinct ray are taken once.
     """
     rank = tail.rank
     if not tail.pointed:
@@ -270,30 +281,32 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
 
     if rank > 3:
         weight = tail.dual
-        if not walls and weight.pointed and len(weight.rays) == rank:
-            # the tail rays are the facet normals of the simplicial weight
-            # cone, each positive on exactly one of its rays
-            facets = tuple(next(f for f in tail.rays if dot(f, u) > 0) for u in weight.rays)
-            return ChamberFan((Chamber(weight.rays, facets, _minimizers(weight.rays, polys)),))
-        raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
+        if walls or not weight.pointed or len(weight.rays) != rank:
+            raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
+        # the tail rays are the facet normals of the simplicial weight
+        # cone, each positive on exactly one of its rays
+        facets = tuple(next(f for f in tail.rays if dot(f, u) > 0) for u in weight.rays)
+        cells = [(weight.rays, facets)]
+    else:
+        regions = [tail.dual_dd]
+        for n in walls:
+            regions = [piece for region in regions for piece in _split(region, n)]
 
-    regions = [tail.dual_dd]
-    for n in walls:
-        regions = [piece for region in regions for piece in _split(region, n)]
-
-    axes = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    chambers: list[Chamber] = []
-    queue = list(regions)
-    while queue:
-        dd = queue.pop()
-        if dd.lines:
-            axis = next(a for a in axes if any(dot(a, l) != 0 for l in dd.lines))
-            queue += [dd.extend(axis), dd.extend(vec_neg(axis))]
-            continue
-        for simplex in _triangulate(dd, rank):
-            chambers.append(Chamber(simplex, _facets(simplex), _minimizers(simplex, polys)))
+        axes = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        cells = []
+        queue = list(regions)
+        while queue:
+            dd = queue.pop()
+            if dd.lines:
+                axis = next(a for a in axes if any(dot(a, l) != 0 for l in dd.lines))
+                queue += [dd.extend(axis), dd.extend(vec_neg(axis))]
+                continue
+            cells += [(simplex, _facets(simplex)) for simplex in _triangulate(dd, rank)]
+    rays = sorted({u for simplex, _ in cells for u in simplex})
+    minima = {u: tuple(min(dot(u, n) for n in p.cleared[0]) for p in polys) for u in rays}
+    chambers = [Chamber(s, f, _minimizers(s, polys, minima)) for s, f in cells]
     chambers.sort(key=lambda ch: ch.rays)
-    return ChamberFan(tuple(chambers))
+    return ChamberFan(tuple(chambers), tuple(minima.items()))
 
 
 def _split(dd, wall):
@@ -354,19 +367,21 @@ def _facets(rays) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _minimizers(rays, polys) -> tuple[tuple[Fraction, ...], ...]:
-    """One minimizing vertex per polyhedron on the simplicial cone of rays."""
+def _minimizers(rays, polys, minima) -> tuple[tuple[Fraction, ...], ...]:
+    """One minimizing vertex per polyhedron on the simplicial cone of rays:
+    the k-th must attain minima[u][k], the fan's minimum over the k-th
+    polyhedron, at every ray u."""
     rank = len(rays[0])
     sample = tuple(sum(r[c] for r in rays) for c in range(rank))
     minimizers = []
-    for p in polys:
+    for k, p in enumerate(polys):
         # a positive common denominator keeps minima and lexicographic order
         nums = p.cleared[0]
         values = [dot(sample, n) for n in nums]
         best = min(values)
         chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
         for u in rays:
-            if dot(u, nums[chosen]) != min(dot(u, n) for n in nums):
+            if dot(u, nums[chosen]) != minima[u][k]:
                 raise InternalError("chamber is not a linearity region")
         minimizers.append(p.vertices[chosen])
     return tuple(minimizers)

@@ -15,11 +15,14 @@ Double description is one step on an immutable state (DoubleDescription:
 lines, rays, tight sets and the count of processed normals), and
 DoubleDescription.of is its one fold over the normals, from the whole space;
 a caller that cuts one cone several ways extends the same state, and a cone
-keeps the fold over its rays as the double description of its dual. The
-step combines a pair of rays on opposite sides of a new hyperplane only when
-the two rays are adjacent: no third ray is tight on every processed
-inequality on which both are tight (the combinatorial adjacency test of
-Fukuda and Prodon, "Double description method revisited", 1996). The rays it returns are then extreme and pairwise
+keeps the fold over its rays as the double description of its dual. A tight
+set is an int bitmask, bit k for the k-th processed normal. The step
+combines a pair of rays on opposite sides of a new hyperplane only when the
+two rays are adjacent: no third ray is tight on every processed inequality
+on which both are tight, which it tests only on pairs tight on at least
+rank - #lines - 2 common normals, as a 2-face must be (the combinatorial
+test and its prefilter, Fukuda and Prodon, "Double description method
+revisited", 1996). The rays it returns are then extreme and pairwise
 distinct without any further pruning. Both kernels work in int: a Fraction
 vector is cleared of its denominators once, on entry (clear, the one clearing
 in the package), and every step after that divides by gcds. Everything they
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from .errors import RankMismatchError
 
@@ -38,7 +42,7 @@ from .errors import RankMismatchError
 def dot(u, v):
     if len(u) != len(v):
         raise RankMismatchError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u, v):
@@ -172,15 +176,15 @@ def relations(vectors, width: int) -> tuple[list[tuple[int, ...]], list[int]]:
 class DoubleDescription:
     """The cone {x : <n, x> >= 0 for the normals processed so far}.
 
-    lines and rays are primitive integer vectors; tight[i] holds the indices
-    of the processed normals on which rays[i] is tight, and count is the
+    lines and rays are primitive integer vectors; bit k of tight[i] is set
+    when rays[i] is tight on the k-th processed normal, and count is the
     number of nonzero normals processed. extend returns a new state and
     leaves this one as it was, so two extensions can share one parent.
     """
 
     lines: tuple[tuple[int, ...], ...]
     rays: tuple[tuple[int, ...], ...] = ()
-    tight: tuple[frozenset[int], ...] = ()
+    tight: tuple[int, ...] = ()
     count: int = 0
 
     @classmethod
@@ -211,7 +215,7 @@ class DoubleDescription:
             return DoubleDescription(
                 tuple(shift(l) for i, l in enumerate(self.lines) if i != i0),
                 tuple(shift(r) for r in self.rays) + (l0,),
-                tuple(t | {k} for t in self.tight) + (frozenset(range(k)),),
+                tuple(t | 1 << k for t in self.tight) + ((1 << k) - 1,),
                 k + 1,
             )
         rays, tight = self.rays, self.tight
@@ -220,16 +224,21 @@ class DoubleDescription:
         zero = [i for i, s in enumerate(side) if s == 0]
         negs = [i for i, s in enumerate(side) if s < 0]
         new_rays = [rays[i] for i in pos + zero]
-        new_tight = [tight[i] for i in pos] + [tight[i] | {k} for i in zero]
+        new_tight = [tight[i] for i in pos] + [tight[i] | 1 << k for i in zero]
+        # two adjacent rays span a 2-face, which at least this many of the
+        # processed normals cut out
+        least = len(a) - len(self.lines) - 2
         for p in pos:
             for n in negs:
                 common = tight[p] & tight[n]
-                if any(common <= z for i, z in enumerate(tight) if i != p and i != n):
+                if common.bit_count() < least or any(
+                    common & z == common for i, z in enumerate(tight) if i != p and i != n
+                ):
                     continue
                 new_rays.append(
                     primitive(vec_sub(vec_scale(side[p], rays[n]), vec_scale(side[n], rays[p])))
                 )
                 # rays satisfy every processed normal, so the combination
                 # is tight exactly where both rays are, and on k
-                new_tight.append(common | {k})
+                new_tight.append(common | 1 << k)
         return DoubleDescription(self.lines, tuple(new_rays), tuple(new_tight), k + 1)

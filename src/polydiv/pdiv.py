@@ -23,6 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 
 from .curves import (
@@ -132,7 +133,7 @@ class PolyhedralDivisor:
     @cached_property
     def ray_degrees(self) -> Mapping[tuple[int, ...], Fraction]:
         """degree(evaluate(d, u)) at every ray u of the chamber fan, in fan order."""
-        return MappingProxyType({u: _degree_at(self, u) for u in self.fan.all_rays()})
+        return MappingProxyType({u: _degree(self, mins) for u, mins in self.fan.minima})
 
     @cached_property
     def properness(self) -> PropernessReport:
@@ -378,13 +379,18 @@ def _interior_sample(rays, rank: int) -> tuple[int, ...]:
 def _degree_at(d: PolyhedralDivisor, m: tuple[int, ...]) -> Fraction:
     """degree(evaluate(d, m)) at an integer weight m of the weight cone: the
     support minima taken in int on the cleared vertices."""
+    return _degree(d, [min(dot(m, n) for n in poly.cleared[0]) for _, poly in d.coefficients])
+
+
+def _degree(d: PolyhedralDivisor, minima) -> Fraction:
+    """The degree of the evaluation whose coefficient at the i-th point is
+    minima[i] over the i-th cleared denominator: one int sum over the lcm of
+    those denominators."""
     if not d.base.projective:
         raise CurveDomainError("degree is undefined on an affine base")
-    total = Fraction(0)
-    for _, poly in d.coefficients:
-        nums, den = poly.cleared
-        total += Fraction(min(dot(m, n) for n in nums), den)
-    return total
+    dens = [poly.cleared[1] for _, poly in d.coefficients]
+    scale = lcm(*dens)
+    return Fraction(sum(x * (scale // den) for x, den in zip(minima, dens)), scale)
 
 
 def require_proper(d: PolyhedralDivisor) -> None:

@@ -13,13 +13,26 @@ row 1 at its pivot; the tests check the integer kernel's ranks, rows and
 relations against it. cone_from_inequalities is the fold the package ran
 before it kept its double descriptions: the lines, sign-normalized, and the
 rays of DoubleDescription.of, which the tests check against a pruned
-double description and read as a fresh dual.
+double description and read as a fresh dual. extend is the
+double-description step as it was before tight sets became bitmasks: every
+tight set a frozenset of normal indices, and every positive/negative pair
+tested for adjacency against every other ray, with no count prefilter; the
+tests fold it from whole_space and check the bitmask kernel against it
+after every step.
 """
 
 from fractions import Fraction
 
 from polydiv.errors import RankMismatchError
-from polydiv.linalg import DoubleDescription, vec_neg
+from polydiv.linalg import (
+    DoubleDescription,
+    dot,
+    is_zero,
+    primitive,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+)
 
 
 def rref(rows):
@@ -152,3 +165,51 @@ def cone_from_inequalities(normals, rank: int):
     state = DoubleDescription.of(normals, rank)
     lines = [l if next(x for x in l if x != 0) > 0 else vec_neg(l) for l in state.lines]
     return lines, list(state.rays)
+
+
+def extend(state: DoubleDescription, normal) -> DoubleDescription:
+    """One double-description step, intersect with <normal, x> >= 0, on a
+    state whose tight sets are frozensets of normal indices."""
+    a = primitive(normal)
+    if is_zero(a):
+        return state
+    k = state.count
+    i0 = next((i for i, l in enumerate(state.lines) if dot(a, l) != 0), None)
+    if i0 is not None:
+        l0 = state.lines[i0]
+        if dot(a, l0) < 0:
+            l0 = vec_neg(l0)
+        d0 = dot(a, l0)
+
+        def shift(v):
+            return primitive(vec_sub(vec_scale(d0, v), vec_scale(dot(a, v), l0)))
+
+        return DoubleDescription(
+            tuple(shift(l) for i, l in enumerate(state.lines) if i != i0),
+            tuple(shift(r) for r in state.rays) + (l0,),
+            tuple(t | {k} for t in state.tight) + (frozenset(range(k)),),
+            k + 1,
+        )
+    rays, tight = state.rays, state.tight
+    side = [dot(a, r) for r in rays]
+    pos = [i for i, s in enumerate(side) if s > 0]
+    zero = [i for i, s in enumerate(side) if s == 0]
+    negs = [i for i, s in enumerate(side) if s < 0]
+    new_rays = [rays[i] for i in pos + zero]
+    new_tight = [tight[i] for i in pos] + [tight[i] | {k} for i in zero]
+    for p in pos:
+        for n in negs:
+            common = tight[p] & tight[n]
+            if any(common <= z for i, z in enumerate(tight) if i != p and i != n):
+                continue
+            new_rays.append(
+                primitive(vec_sub(vec_scale(side[p], rays[n]), vec_scale(side[n], rays[p])))
+            )
+            new_tight.append(common | {k})
+    return DoubleDescription(state.lines, tuple(new_rays), tuple(new_tight), k + 1)
+
+
+def whole_space(rank: int) -> DoubleDescription:
+    """The state before any normal: the unit lines of the given rank."""
+    unit = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    return DoubleDescription(lines=unit)

@@ -9,6 +9,9 @@ rewrites, kept here as independent oracles:
   (`feasible`), and one solution of a linear equation system (`solve`);
 - double description that combines every positive/negative pair of rays and
   then prunes each candidate ray with one Fourier-Motzkin feasibility test;
+- from reference_linalg: the double-description step with frozenset tight
+  sets and no count prefilter on its adjacency test, compared with the
+  bitmask step after every normal;
 - make_cone as the Fourier-Motzkin pruning of every generator followed by a
   Fourier-Motzkin pointedness test, with no shortcut for linearly
   independent generators, and the dual cone as the double-description
@@ -30,7 +33,9 @@ rewrites, kept here as independent oracles:
   is tight wherever both are, before it read a shared tight normal;
 - the dual of a cone, and its double description, as a fresh fold over its
   rays, whatever make_cone stored as dual_dd, and ChamberFan.all_rays as the
-  list dedupe it replaced.
+  list dedupe it replaced;
+- the minima a chamber fan keeps at its rays as Fraction pairings with
+  every vertex.
 
 The code in src/ must give the very same integers, lists (in order) and
 values, with one exception: a cone that is not pointed has no extreme rays,
@@ -75,7 +80,8 @@ from polydiv.problem_io import parse_problem
 from polydiv.toric import _span_multiplicity, toric_cone
 from reference_geometry import in_ray_span, ray_meets
 from reference_geometry import make_polyhedron as homogenized_make_polyhedron
-from reference_linalg import cone_from_inequalities, determinant, rref, rref_rank
+from reference_linalg import cone_from_inequalities, determinant, rref, rref_rank, whole_space
+from reference_linalg import extend as reference_extend
 
 # A safety valve for Fourier-Motzkin blowup in the reference.
 _FM_CONSTRAINT_CAP = 200_000
@@ -737,6 +743,62 @@ def test_extended_double_description_matches_a_fresh_one():
     assert all(n >= 20 for n in seen.values()), seen
 
 
+def index_set(mask):
+    return frozenset(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def fold_against_the_reference(normals, rank):
+    """DoubleDescription.of(normals, rank), checked after every step against
+    the frozenset step: the same lines, rays and tight sets, in the same
+    order, and the same count."""
+    got, want = whole_space(rank), whole_space(rank)
+    for a in normals:
+        got, want = got.extend(a), reference_extend(want, a)
+        assert got.lines == want.lines, (normals, a)
+        assert got.rays == want.rays, (normals, a)
+        assert all(type(t) is int for t in got.tight)
+        assert tuple(map(index_set, got.tight)) == want.tight, (normals, a)
+        assert got.count == want.count, (normals, a)
+    assert got == DoubleDescription.of(normals, rank)
+    return got
+
+
+def test_bitmask_double_description_matches_the_frozenset_reference():
+    """Random systems of rank 1 to 5 with up to nine small normals, a zero,
+    a repeated or an opposite one mixed in, and cones with lines."""
+    rng = Random(20261020)
+    seen = {"lines": 0, "zero": 0, "duplicate": 0, "opposite": 0, "more rays than rank": 0}
+    for rank in range(1, 6):
+        for shape in ("plain", "zero", "duplicate", "opposite"):
+            for _ in range(25):
+                count = rng.randint(1, 8 if shape != "plain" else 9)
+                normals = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)]
+                extra = {
+                    "plain": None,
+                    "zero": (0,) * rank,
+                    "duplicate": vec_scale(rng.randint(1, 3), rng.choice(normals)),
+                    "opposite": vec_neg(rng.choice(normals)),
+                }[shape]
+                if extra is not None:
+                    normals.insert(rng.randint(0, count), extra)
+                    seen[shape] += 1
+                dd = fold_against_the_reference(normals, rank)
+                seen["lines"] += bool(dd.lines)
+                seen["more rays than rank"] += len(dd.rays) > rank
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_bitmask_double_description_of_cyclic_sets_matches_the_frozenset_reference(d):
+    """The normals (1, t, ..., t^(d-1)) for t = 1..n: a cone over a cyclic
+    polytope, with the most facets any cone of that rank and count has.
+    Every pair of rays the count prefilter drops is one the subset test
+    would have dropped."""
+    for n in sorted({d, d + 1, 12, 20, 30}):
+        dd = fold_against_the_reference([tuple(t**i for i in range(d)) for t in range(1, n + 1)], d)
+        assert not dd.lines and len(dd.rays) >= min(n, d)
+
+
 def reference_full_dim(normals, rank):
     """Does {x : <n, x> >= 0 for every normal} span the whole space?"""
     lines, rays = cone_from_inequalities(normals, rank)
@@ -827,6 +889,12 @@ def tied_polyhedron(rng, rank, tail):
     return make_polyhedron(verts, tail)
 
 
+def ray_minima(rays, polys):
+    """The table chamber_fan hands _minimizers: each ray with its int minimum
+    over the cleared vertices of each polyhedron."""
+    return {u: tuple(min(dot(u, n) for n in p.cleared[0]) for p in polys) for u in rays}
+
+
 def test_integer_support_minima_match_the_fraction_path():
     rng = Random(20114)
     seen = {"tie": 0, "unbounded": 0, "rational weight": 0, "tied chamber": 0, "fan": 0}
@@ -860,9 +928,9 @@ def test_integer_support_minima_match_the_fraction_path():
                         want = reference_minimizers(rays, polys)
                     except InternalError:
                         with pytest.raises(InternalError):
-                            geometry._minimizers(rays, polys)
+                            geometry._minimizers(rays, polys, ray_minima(rays, polys))
                         continue
-                    assert geometry._minimizers(rays, polys) == want
+                    assert geometry._minimizers(rays, polys, ray_minima(rays, polys)) == want
                     sample = tuple(sum(r[c] for r in rays) for c in range(rank))
                     seen["tied chamber"] += any(
                         sum(dot(sample, v) == dot(sample, w) for v in p.vertices) > 1
@@ -925,7 +993,9 @@ def test_chamber_facets_match_the_double_description(monkeypatch):
 def reference_triangulate(dd, rank):
     """_triangulate as it was: two rays span a facet iff no third ray is
     tight on every processed normal on which both are, the adjacency test."""
-    rays, tight = dd.rays, dd.tight
+    rays = dd.rays
+    # the bitmasks as index sets, so that <= is the subset test
+    tight = [{b for b in range(dd.count) if t >> b & 1} for t in dd.tight]
     k = len(rays)
     if k == rank:
         return [tuple(sorted(rays))]
@@ -1225,6 +1295,36 @@ def reference_all_rays(fan):
             if r not in seen:
                 seen.append(r)
     return tuple(sorted(seen))
+
+
+def test_chamber_fan_minima_match_the_vertex_pairings():
+    """Each fan ray, once and in sorted order, with the minimum of its
+    pairing with every vertex of each polyhedron, over that polyhedron's
+    cleared denominator; the rank-4 simplicial weight cone included."""
+    rng = Random(20261021)
+    seen = {1: 0, 2: 0, 3: 0, 4: 0}
+    cases = []
+    for rank in (1, 2, 3):
+        for shape in ("trivial", "orthant", "pointed") + (("flat",) if rank > 1 else ()):
+            for _ in range(5):
+                tail = random_tail(rng, rank, shape)
+                polys = [tied_polyhedron(rng, rank, tail) for _ in range(rng.randint(1, 3))]
+                cases.append((tail, polys))
+    tail = make_cone([(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)], 4)
+    for _ in range(5):
+        vertex = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4))
+        cases.append((tail, [make_polyhedron([vertex], tail) for _ in range(rng.randint(1, 3))]))
+    for tail, polys in cases:
+        fan = geometry.chamber_fan(polys, tail)
+        rays = sorted({u for ch in fan.chambers for u in ch.rays})
+        assert [u for u, _ in fan.minima] == rays
+        for u, minima in fan.minima:
+            assert len(minima) == len(polys)
+            for p, x in zip(polys, minima):
+                assert type(x) is int
+                assert Fraction(x, p.cleared[1]) == min(dot(u, v) for v in p.vertices), (u, p)
+            seen[tail.rank] += 1
+    assert all(n >= 4 for n in seen.values()), seen
 
 
 def test_all_rays_matches_the_list_dedupe():
