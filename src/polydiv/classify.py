@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .curves import (
@@ -54,11 +54,19 @@ def _floor_at(d: PolyhedralDivisor, m: int) -> QDivisor:
     return divisor(d.base, {s.point: s.floor(m) for s in ray_slopes(d)})
 
 
+def _deg1(slopes: tuple[RaySlope, ...]) -> tuple[int, int]:
+    """deg1 = sum(p / q), the degree at the unit weight, as one int pair: the
+    numerator sum over the lcm of the q's."""
+    den = lcm(*(s.q for s in slopes))
+    return sum(s.p * (den // s.q) for s in slopes), den
+
+
 def _vanishing_degree(slopes: tuple[RaySlope, ...], genus: int) -> int:
     """max(ceil((count + 2g - 2) / deg1), 0): from this weight on, the
-    rounded-down degree exceeds m * deg1 - count >= 2g - 2."""
-    deg1 = sum((s.value for s in slopes), Fraction(0))
-    return max(ceil(Fraction(len(slopes) + 2 * genus - 2) / deg1), 0)
+    rounded-down degree exceeds m * deg1 - count >= 2g - 2. deg1 > 0 on a
+    proper divisor, so the ceiling is one int floor division."""
+    num, den = _deg1(slopes)
+    return max(-(-(len(slopes) + 2 * genus - 2) * den // num), 0)
 
 
 def floor_degree_profile(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
@@ -270,14 +278,15 @@ def gorenstein(d: PolyhedralDivisor) -> GorensteinReport:
         return GorensteinReport(Verdict.NOT_APPLICABLE, "higher-rank-criteria-unavailable")
 
     slopes = ray_slopes(d)
-    deg1 = sum((s.value for s in slopes), Fraction(0))
+    num, den = _deg1(slopes)
     genus = d.base.genus
-    canonical_degree = Fraction(2 * genus - 2)
-    index = (canonical_degree + sum((Fraction(s.q - 1, s.q) for s in slopes), Fraction(0))) / deg1
+    # (2g - 2 + sum((q - 1) / q)) / deg1, with both over the lcm of the q's
+    top = (2 * genus - 2) * den + sum((s.q - 1) * (den // s.q) for s in slopes)
+    index = Fraction(top, num)
     if index.denominator != 1:
         return GorensteinReport(Verdict.NO, "canonical-index-not-integral", canonical_index=index)
     multiplicities = tuple(
-        (s.point, Fraction(s.p * index + 1, s.q) - 1) for s in slopes
+        (s.point, Fraction(s.p * index.numerator + 1 - s.q, s.q)) for s in slopes
     )
     if any(v.denominator != 1 for _, v in multiplicities):
         return GorensteinReport(
@@ -429,9 +438,9 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     if not d.base.projective:
         raise CurveDomainError("cohomology reports need a projective base curve")
     slopes = ray_slopes(d)
-    deg1 = sum((s.value for s in slopes), Fraction(0))
+    num, den = _deg1(slopes)
     genus = d.base.genus
-    bound = max(ceil(Fraction(len(slopes) + max(2 * genus - 2, 0)) / deg1), 1)
+    bound = max(-(-(len(slopes) + max(2 * genus - 2, 0)) * den // num), 1)
     vanish = _vanishing_degree(slopes, genus)
 
     def entry(m: int, deg: int) -> int | None:

@@ -114,8 +114,8 @@ class P1Point:
 
 
 def p1_point(a, b=1) -> P1Point:
-    a = Fraction(a)
-    b = Fraction(b)
+    """The point (a : b); arguments other than ints and Fractions are read as Fractions."""
+    a, b = (x if type(x) in (int, Fraction) else Fraction(x) for x in (a, b))
     num = a.numerator * b.denominator
     den = b.numerator * a.denominator
     if num == 0 and den == 0:
@@ -183,17 +183,20 @@ class RationalPoint:
 CurvePoint = P1Point | EllipticPoint | EllipticOrigin | LabelPoint | RationalPoint
 
 
+_ZERO = Fraction(0)
+
+
 def point_sort_key(pt: CurvePoint):
     if isinstance(pt, P1Point):
         if pt.is_infinity:
-            return (1, Fraction(0), Fraction(0))
-        return (0, pt.affine_value, Fraction(0))
+            return (1, _ZERO, _ZERO)
+        return (0, pt.affine_value, _ZERO)
     if isinstance(pt, EllipticOrigin):
-        return (0, Fraction(0), Fraction(0))
+        return (0, _ZERO, _ZERO)
     if isinstance(pt, EllipticPoint):
         return (1, pt.x, pt.y)
     if isinstance(pt, RationalPoint):
-        return (0, pt.value, Fraction(0))
+        return (0, pt.value, _ZERO)
     if isinstance(pt, LabelPoint):
         return (0, pt.label, "")
     raise PointError(f"not a curve point: {pt!r}")

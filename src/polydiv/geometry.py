@@ -17,8 +17,8 @@ over the normals it processed) give the facets it is triangulated along; a
 chamber stores its rays and the facet normal opposite each of them. A fan
 keeps one table of minima: each distinct fan ray with its int minimum over
 each polyhedron's cleared vertices, taken once per ray however many
-chambers hold it. The minimizer check of every chamber and the ray degrees
-of a divisor read it.
+chambers hold it. The minimizer check of every chamber, and the ray degrees
+and rank-one slopes of a divisor, read it.
 """
 
 from __future__ import annotations
@@ -248,13 +248,14 @@ class ChamberFan:
 def chamber_fan(polys, tail: Cone) -> ChamberFan:
     """Common linearity decomposition of the weight cone, the dual of the tail.
 
-    The weight cone is the region cut out by the tail rays, the tail's
-    dual_dd. It is split along every hyperplane where two vertices of one
-    input polyhedron tie, and each piece is triangulated, so each chamber
-    carries a single minimizing vertex per polyhedron. Guaranteed through rank 3; at higher
-    rank only the wall-free simplicial case is attempted, whose one chamber
-    is the weight cone, with the tail rays as its facet normals. Once every
-    simplex is known, the minima at each distinct ray are taken once.
+    Without walls, that is when every input polyhedron is one vertex, a
+    simplicial weight cone is one chamber at any rank, with the tail rays as
+    its facet normals. Otherwise the weight cone, the region cut out by the
+    tail rays (the tail's dual_dd), is split along every hyperplane where two
+    vertices of one input polyhedron tie, and each piece is triangulated, so
+    each chamber carries a single minimizing vertex per polyhedron; this is
+    guaranteed through rank 3 only. Once every simplex is known, the minima
+    at each distinct ray are taken once.
     """
     rank = tail.rank
     if not tail.pointed:
@@ -279,14 +280,14 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
                 if n not in walls:
                     walls.append(n)
 
-    if rank > 3:
-        weight = tail.dual
-        if walls or not weight.pointed or len(weight.rays) != rank:
-            raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
-        # the tail rays are the facet normals of the simplicial weight
-        # cone, each positive on exactly one of its rays
+    weight = tail.dual
+    if not walls and weight.pointed and len(weight.rays) == rank:
+        # one chamber: the tail rays are the facet normals of the simplicial
+        # weight cone, each positive on exactly one of its rays
         facets = tuple(next(f for f in tail.rays if dot(f, u) > 0) for u in weight.rays)
         cells = [(weight.rays, facets)]
+    elif rank > 3:
+        raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
     else:
         regions = [tail.dual_dd]
         for n in walls:

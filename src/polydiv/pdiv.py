@@ -8,7 +8,9 @@ minimum of each coefficient and produces an ordinary Q-divisor on the base.
 
 A divisor stores its base, its tail cone and its coefficients; its rank and
 its weight cone, the dual of the tail, are read off the tail, and the chamber
-fan starts from the double description that dual is read from.
+fan starts from the double description that dual is read from. At rank one
+the slopes, the evaluation at the unit weight, are read off the fan's row of
+minima, as the degrees along its rays are.
 
 Properness is the condition that makes the graded ring of sections behave:
 every evaluation must be semiample, and evaluations at interior weights must
@@ -23,7 +25,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .curves import (
@@ -100,7 +102,8 @@ class PolyhedralDivisor:
     The chamber fan, the degrees along its rays, the properness report and
     the rank-one slopes are derived once per divisor and kept on it (``fan``,
     ``ray_degrees``, ``properness``, ``slopes``); they are not fields, so they
-    take no part in equality or hashing. A failed derivation is not kept.
+    take no part in equality or hashing. A failed derivation is not kept. The
+    ray degrees and the slopes read the fan's one table of int minima.
     """
 
     base: DivisorBase
@@ -142,12 +145,13 @@ class PolyhedralDivisor:
 
     @cached_property
     def slopes(self) -> tuple[RaySlope, ...]:
-        """The evaluation at the unit weight (rank one); see ray_slopes."""
+        """The evaluation at the unit weight (rank one), the fan's one row of
+        minima over each coefficient's cleared denominator; see ray_slopes."""
         unit = unit_weight(self)
         out = []
-        for pt, poly in self.coefficients:
-            v = support_eval(poly, unit)
-            out.append(RaySlope(pt, v.numerator, v.denominator))
+        for (pt, poly), x in zip(self.coefficients, dict(self.fan.minima)[unit]):
+            g = gcd(x, poly.cleared[1])
+            out.append(RaySlope(pt, x // g, poly.cleared[1] // g))
         return tuple(out)
 
 
@@ -262,10 +266,6 @@ class RaySlope:
     p: int
     q: int
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
     def floor(self, m: int) -> int:
         """The coefficient of the rounded-down evaluation at the weight m."""
         return (m * self.p) // self.q
@@ -276,7 +276,8 @@ def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
 
     Support functions are positively homogeneous, so the evaluation at the
     weight m times the unit has coefficients m * p / q, and its rounding down
-    has coefficients (m * p) // q. Derived once per divisor (``d.slopes``).
+    has coefficients (m * p) // q. Read once per divisor off the chamber
+    fan's minima at the unit weight (``d.slopes``).
     """
     return d.slopes
 
@@ -341,7 +342,9 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
             degree_zero_rays.append(u)
 
     sample = _interior_sample(ray_degrees, d.rank)
-    if _degree_at(d, sample) <= 0:
+    # at rank one, or wherever the sum of the fan rays is itself a fan ray,
+    # its degree is already known
+    if (ray_degrees[sample] if sample in ray_degrees else _degree_at(d, sample)) <= 0:
         return PropernessReport(
             Verdict.NO,
             "the degree vanishes at an interior weight, hence everywhere",

@@ -95,20 +95,12 @@ _DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
 def _rational(value, path: str, violations: list) -> Fraction | None:
-    if isinstance(value, bool):
-        violations.append(f"{path}: expected a rational, got a boolean")
-        return None
-    if isinstance(value, int):
+    # exact type tests: the decoder builds no subclasses, and ints and strings
+    # are the common cases
+    kind = type(value)
+    if kind is int:
         return Fraction(value)
-    if isinstance(value, _LongInteger):
-        violations.append(f"{path}: integer has more than {MAX_DIGITS} digits")
-        return None
-    if isinstance(value, float):
-        violations.append(
-            f"{path}: floating-point numbers are not exact; write a string like \"1/4\""
-        )
-        return None
-    if isinstance(value, str):
+    if kind is str:
         match = _RATIONAL.fullmatch(value)
         if match is None:
             shown = value if len(value) <= 40 else value[:40] + "..."
@@ -125,7 +117,16 @@ def _rational(value, path: str, violations: list) -> Fraction | None:
             return None
         numerator = -int(num) if sign == "-" else int(num)
         return Fraction(numerator, 1 if den is None else int(den))
-    violations.append(f"{path}: expected a rational, got {type(value).__name__}")
+    if kind is bool:
+        violations.append(f"{path}: expected a rational, got a boolean")
+    elif kind is _LongInteger:
+        violations.append(f"{path}: integer has more than {MAX_DIGITS} digits")
+    elif kind is float:
+        violations.append(
+            f"{path}: floating-point numbers are not exact; write a string like \"1/4\""
+        )
+    else:
+        violations.append(f"{path}: expected a rational, got {kind.__name__}")
     return None
 
 

@@ -9,9 +9,14 @@ base and point form back to an equal divisor.
 
 json_report writes a report as the standard library's encoder does with
 indent=2; the tests check that emit_report gives the same bytes.
+
+rational reads one decoded JSON value as a rational with isinstance tests in
+their original order, before the parser tested exact types first; the tests
+check that both give the same value and the same violation text.
 """
 
 import json
+from fractions import Fraction
 
 from polydiv.curves import (
     AbstractAffineCurve,
@@ -27,7 +32,7 @@ from polydiv.curves import (
 )
 from polydiv.errors import InternalError
 from polydiv.pdiv import AffineSpace
-from polydiv.problem_io import report_payload
+from polydiv.problem_io import _RATIONAL, MAX_DIGITS, _LongInteger, report_payload
 
 
 def _base_json(base):
@@ -82,3 +87,38 @@ def emit_problem(d) -> str:
 def json_report(obj) -> str:
     """The JSON report of obj, through json.dumps(indent=2)."""
     return json.dumps(report_payload(obj), indent=2) + "\n"
+
+
+def rational(value, path: str, violations: list):
+    if isinstance(value, bool):
+        violations.append(f"{path}: expected a rational, got a boolean")
+        return None
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, _LongInteger):
+        violations.append(f"{path}: integer has more than {MAX_DIGITS} digits")
+        return None
+    if isinstance(value, float):
+        violations.append(
+            f"{path}: floating-point numbers are not exact; write a string like \"1/4\""
+        )
+        return None
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            shown = value if len(value) <= 40 else value[:40] + "..."
+            violations.append(f"{path}: cannot read {shown!r} as a rational")
+            return None
+        sign, num, den = match.groups()
+        if len(num) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
+            violations.append(
+                f"{path}: numerator or denominator has more than {MAX_DIGITS} digits"
+            )
+            return None
+        if den is not None and int(den) == 0:
+            violations.append(f"{path}: cannot read {value!r} as a rational")
+            return None
+        numerator = -int(num) if sign == "-" else int(num)
+        return Fraction(numerator, 1 if den is None else int(den))
+    violations.append(f"{path}: expected a rational, got {type(value).__name__}")
+    return None

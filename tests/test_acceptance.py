@@ -377,7 +377,7 @@ def test_criterion_06_quasi_periodicity():
     for d in family:
         slopes = ray_slopes(d)
         q = lcm(*[s.q for s in slopes])
-        step = sum((s.value for s in slopes), Fraction(0)) * q
+        step = sum((Fraction(s.p, s.q) for s in slopes), Fraction(0)) * q
         assert step.denominator == 1
         profile = floor_degree_profile(d, 11 * q)
         for m in range(10 * q + 1):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from random import Random
 
 import pytest
@@ -37,10 +37,11 @@ from polydiv.curves import (
     p1_point,
 )
 from polydiv.errors import CurveDomainError, NotProperError, ShapeError, UnsupportedRankError
-from polydiv.geometry import make_cone, make_polyhedron
+from polydiv.geometry import TailedPolyhedron, make_cone, make_polyhedron
 from polydiv.pdiv import AffineSpace, evaluate, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
 
+import reference_classify
 from reference_curves import floor_divisor, h1_dim
 
 P1 = ProjectiveLine()
@@ -783,7 +784,7 @@ def period_scan_h1(d, m_max=None):
     """h1_report with an entry computed at every weight up to max(bound, m_max)."""
     unit = pdiv_module.unit_weight(d)
     slopes = ray_slopes(d)
-    deg1 = sum((s.value for s in slopes), Fraction(0))
+    deg1 = sum((Fraction(s.p, s.q) for s in slopes), Fraction(0))
     genus = d.base.genus
     period = lcm(*[s.q for s in slopes]) if slopes else 1
     bound = max(ceil(Fraction(len(slopes) + max(2 * genus - 2, 0)) / deg1), period, 1)
@@ -805,7 +806,7 @@ def period_scan_elliptic(d):
     slopes = ray_slopes(d)
     if d.base.genus != 0:
         return elliptic_singularity(d)
-    deg1 = sum((s.value for s in slopes), Fraction(0))
+    deg1 = sum((Fraction(s.p, s.q) for s in slopes), Fraction(0))
     period = lcm(*[s.q for s in slopes]) if slopes else 1
     top = max(ceil(Fraction(len(slopes) - 2) / deg1), period, 1)
     profile = classify_module._floor_degrees(slopes, top)
@@ -938,3 +939,75 @@ def test_decide_floor_bound_needs_a_projective_base():
     d = polyhedral_divisor(AffineSpace(1), 1, RAY, {1: poly})
     with pytest.raises(CurveDomainError):
         decide_floor_bound(d, 0)
+
+
+# ---------------------------------------------------------------------------
+# the int row against the Fraction formulas it replaced
+
+
+def test_rank_one_int_row_matches_the_fraction_formulas():
+    """Slopes off the fan's minima, and the vanishing degree, the h1 bound and
+    the Gorenstein index in int, against support_eval at the unit weight and
+    the Fraction formulas (tests/reference_classify.py), on every kernel base
+    and an abstract curve of genus 3, with the tails (1,) and (-1,)."""
+    rng = Random(20261020)
+    bases = (*KERNEL_BASES, (AbstractProjectiveCurve(3), tuple(LabelPoint(x) for x in "pqrs")))
+    seen = dict.fromkeys(
+        ("tail (-1,)", "index not integral", "multiplicity not integral", "integral", "zero"), 0
+    )
+    for base, pool in bases:
+        for ray in ((1,), (-1,)):
+            tail = make_cone((ray,), 1)
+            for _ in range(25):
+                pts = rng.sample(pool, rng.randint(1, len(pool)))
+                qs = [rng.choice((1, 1, 2, 3, rng.randint(1, 40))) for _ in pts]
+                slopes = [Fraction(rng.randint(-3 * q, 3 * q), q) for q in qs]
+                top_up = Fraction(1, rng.choice((1, 2, rng.randint(1, 60))))
+                slopes[0] += max(0, -sum(slopes)) + top_up
+                # the vertex s * ray pairs to s with the unit weight ray
+                coeffs = {pt: make_polyhedron([(s * ray[0],)], tail) for pt, s in zip(pts, slopes)}
+                d = polyhedral_divisor(base, 1, (ray,), coeffs)
+                want = reference_classify.slopes(d)
+                got = ray_slopes(d)
+                assert [(s.point, Fraction(s.p, s.q)) for s in got] == list(want), d
+                assert all(s.q > 0 and gcd(s.p, s.q) == 1 for s in got), got
+                values = [v for _, v in want]
+                genus = d.base.genus
+                vanish = reference_classify.vanishing_degree(values, genus)
+                assert classify_module._vanishing_degree(got, genus) == vanish, d
+                if base != EC_RANK_ONE:  # its degree-zero entries take long multiples
+                    assert h1_report(d, 0).bound == reference_classify.h1_bound(values, genus), d
+                index, multiplicities = reference_classify.gorenstein_index(values, genus)
+                report = gorenstein(d)
+                assert report.canonical_index == index, d
+                assert type(report.canonical_index) is Fraction
+                if multiplicities is None:
+                    assert report.criterion == "canonical-index-not-integral"
+                    assert report.vertical_multiplicities == ()
+                    seen["index not integral"] += 1
+                else:
+                    assert [m for _, m in report.vertical_multiplicities] == list(multiplicities)
+                    assert all(type(m) is Fraction for _, m in report.vertical_multiplicities)
+                    integral = all(m.denominator == 1 for m in multiplicities)
+                    seen["integral" if integral else "multiplicity not integral"] += 1
+                seen["tail (-1,)"] += ray == (-1,)
+                seen["zero"] += vanish == 0
+    assert all(n >= 5 for n in seen.values()), seen
+
+
+def test_slopes_are_in_lowest_terms_off_a_coefficient_with_two_vertices():
+    # the factory keeps one vertex per rank-one coefficient, cleared in lowest
+    # terms; a TailedPolyhedron built by hand may keep a dominated one, and its
+    # cleared denominator is then shared: 1/2 and 3/4 clear to 2/4 and 3/4
+    tail = make_cone(RAY, 1)
+    poly = TailedPolyhedron(vertices=((Fraction(1, 2),), (Fraction(3, 4),)), tail=tail)
+    d = polyhedral_divisor(P1, 1, RAY, {p1_point(0): poly, P1_INFINITY: halfline(Fraction(1, 3))})
+    assert poly.cleared == (((2,), (3,)), 4)
+    assert [(s.p, s.q) for s in ray_slopes(d)] == [(1, 2), (1, 3)]
+    assert [v for _, v in reference_classify.slopes(d)] == [Fraction(1, 2), Fraction(1, 3)]
+    # the index (-2 + 1/2 + 2/3) / (5/6) = -1 reads q = 2, not 4
+    report = gorenstein(d)
+    assert report.verdict == Verdict.YES
+    assert report.canonical_index == -1 == reference_classify.gorenstein_index(
+        [Fraction(1, 2), Fraction(1, 3)], 0
+    )[0]

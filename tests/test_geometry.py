@@ -7,6 +7,8 @@ from polydiv.errors import RankMismatchError, ShapeError
 from polydiv.geometry import (
     MINUS_INFINITY,
     Cone,
+    _facets,
+    _triangulate,
     chamber_fan,
     cone_contains,
     make_cone,
@@ -227,6 +229,32 @@ def test_chamber_fan_splits_along_tie_wall():
         for u, f in zip(ch.rays, ch.facets):
             assert dot(f, u) > 0
             assert all(dot(f, w) == 0 for w in ch.rays if w != u)
+
+
+def test_a_wall_free_simplicial_weight_cone_is_one_chamber_at_every_rank():
+    """Through rank 3 the one chamber is the one the region walk gives: the
+    region is the tail's dual_dd, triangulated as itself, with the facet
+    normals of geometry._facets; above rank 3 the facets are still the
+    primitive normals opposite each ray."""
+    rng = random.Random(20261020)
+    for rank in range(1, 6):
+        for _ in range(12):
+            rows = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rank)]
+            tail = make_cone(rows, rank)
+            if len(tail.rays) != rank or not tail.pointed:
+                continue  # dependent rows: not a simplicial tail
+            vertex = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rank))
+            fan = chamber_fan([make_polyhedron([vertex], tail)], tail)
+            (chamber,) = fan.chambers
+            assert chamber.rays == tail.dual.rays
+            assert chamber.minimizers == (vertex,)
+            if rank <= 3:
+                (simplex,) = _triangulate(tail.dual_dd, rank)
+                assert chamber.rays == simplex
+                assert chamber.facets == _facets(simplex)
+            for u, f in zip(chamber.rays, chamber.facets):
+                assert dot(f, u) > 0 and f in tail.rays
+                assert all(dot(f, w) == 0 for w in chamber.rays if w != u)
 
 
 def test_chamber_fan_single_vertex_polys_keep_weight_cone():

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import polydiv.pdiv as pdiv_module
 from polydiv.classify import cohen_macaulay, rational_singularities
 from polydiv.curves import (
     EC_ORIGIN,
@@ -261,10 +262,26 @@ def test_rank_four_fan_failure_is_reported_and_not_kept():
             d.fan
 
 
+def test_properness_reads_the_degree_of_a_sample_on_a_fan_ray(monkeypatch):
+    # at rank one the interior sample, the sum of the fan rays, is the one
+    # fan ray: its degree is a ray degree, with no pairing of its own
+    samples = []
+    real = pdiv_module._degree_at
+    monkeypatch.setattr(pdiv_module, "_degree_at", lambda d, m: samples.append(m) or real(d, m))
+    d = rank1_divisor(P1, GOLDEN_ONE)
+    assert is_proper(d).verdict == Verdict.YES
+    assert samples == []
+    # the quadrant's sample (1, 1) is no fan ray, and (0, 1) has degree 0
+    quadrant = polyhedral_divisor(P1, 2, ((1, 0), (0, 1)), {p1_point(0): quadrant_poly((1, 0))})
+    assert dict(quadrant.ray_degrees) == {(0, 1): 0, (1, 0): 1}
+    assert is_proper(quadrant).verdict == Verdict.YES
+    assert samples == [(1, 1)]
+
+
 def test_slopes_are_kept_and_a_rank_two_failure_is_not():
     d = rank1_divisor(P1, GOLDEN_ONE)
     assert ray_slopes(d) is ray_slopes(d) is d.slopes
-    assert [s.value for s in d.slopes] == [Fraction(-1, 4), Fraction(-1, 4), Fraction(3, 4)]
+    assert [(s.p, s.q) for s in d.slopes] == [(-1, 4), (-1, 4), (3, 4)]
     quadrant = polyhedral_divisor(
         P1, 2, ((1, 0), (0, 1)), {p1_point(0): quadrant_poly((1, 0))}
     )

@@ -39,7 +39,7 @@ from polydiv.problem_io import (
 )
 from polydiv.verdicts import Verdict
 
-from reference_problem_io import emit_problem, json_report
+from reference_problem_io import emit_problem, json_report, rational
 
 DATA = Path(__file__).parent / "data"
 
@@ -363,6 +363,24 @@ def test_rationals_outside_the_grammar_are_violations(literal):
 def test_rationals_inside_the_grammar_are_read_exactly(literal, value):
     d = parse_problem(_vertex_doc(literal))
     assert d.coefficient(p1_point(0)).vertices == ((value,),)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "0", "-17", "true", "false", "null", "0.25", "-0.0", "1e3", "[1]", '{"x": 1}',
+        '"3"', '"-3/4"', '"+0/5"', '"1/0"', '"-0/0"', '"x"', '""', '"1/2/3"', '"9" ',
+        "7" * (MAX_DIGITS + 1), "-" + "7" * (MAX_DIGITS + 1), "7" * MAX_DIGITS,
+        f'"{"7" * (MAX_DIGITS + 1)}"', f'"1/{"7" * (MAX_DIGITS + 1)}"',
+        f'"{"a" * 39}"', f'"{"a" * 40}"', f'"{"a" * 41}"', '"\\u00e9/2"', '"1/\\n2"',
+    ],
+)
+def test_rationals_read_as_the_isinstance_chain_reads_them(literal):
+    # exact type tests first, then the rest: the same value or the same text
+    value = problem_io._DECODER.decode(literal)
+    got, want = [], []
+    assert problem_io._rational(value, "p", got) == rational(value, "p", want)
+    assert got == want
 
 
 def test_long_integers_are_rejected_outside_rationals_too():
