@@ -36,16 +36,12 @@ from .pdiv import (
     PropernessReport,
     RaySlope,
     contraction_iso_codim1,
+    floor_degrees,
     is_proper,
     ray_slopes,
     require_proper,
 )
 from .verdicts import Verdict
-
-
-def _floor_degrees(slopes: tuple[RaySlope, ...], m_max: int) -> tuple[int, ...]:
-    """deg of the rounded-down evaluation at m = 0 .. m_max, from the slopes alone."""
-    return tuple(sum(s.floor(m) for s in slopes) for m in range(m_max + 1))
 
 
 def _floor_at(d: PolyhedralDivisor, m: int) -> QDivisor:
@@ -61,19 +57,11 @@ def _deg1(slopes: tuple[RaySlope, ...]) -> tuple[int, int]:
     return sum(s.p * (den // s.q) for s in slopes), den
 
 
-def _vanishing_degree(slopes: tuple[RaySlope, ...], genus: int) -> int:
-    """max(ceil((count + 2g - 2) / deg1), 0): from this weight on, the
-    rounded-down degree exceeds m * deg1 - count >= 2g - 2. deg1 > 0 on a
-    proper divisor, so the ceiling is one int floor division."""
-    num, den = _deg1(slopes)
-    return max(-(-(len(slopes) + 2 * genus - 2) * den // num), 0)
-
-
 def floor_degree_profile(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
     """deg of the rounded-down evaluation at m = 0 .. m_max (rank one)."""
     if not d.base.projective:
         raise CurveDomainError("floor degrees need a projective base curve")
-    return _floor_degrees(ray_slopes(d), m_max)
+    return floor_degrees(ray_slopes(d), m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +341,12 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     genus = d.base.genus
     if genus >= 2:
         return EllipticReport(Verdict.NO, "genus-at-least-two-base", witness_m=0)
-    slopes = ray_slopes(d)
-    top = max(_vanishing_degree(slopes, genus), 1)
-    profile = _floor_degrees(slopes, top)
+    profile = d.floor_profile
+    weights = range(1, len(profile))
 
     if genus == 0:
-        hits = [m for m in range(1, top + 1) if profile[m] == -2]
-        below = [m for m in range(1, top + 1) if profile[m] < -2]
+        hits = [m for m in weights if profile[m] == -2]
+        below = [m for m in weights if profile[m] < -2]
         if below:
             return EllipticReport(Verdict.NO, "floor-degree-below-minus-two", witness_m=below[0])
         if len(hits) == 1:
@@ -369,7 +356,7 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
         return EllipticReport(Verdict.NO, "repeated-floor-degree-minus-two", witness_m=hits[1])
 
     undecided = None
-    for m in range(1, top + 1):
+    for m in weights:
         if profile[m] < 0:
             return EllipticReport(
                 Verdict.NO, "negative-floor-degree-on-genus-one-base", witness_m=m
@@ -441,15 +428,14 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     num, den = _deg1(slopes)
     genus = d.base.genus
     bound = max(-(-(len(slopes) + max(2 * genus - 2, 0)) * den // num), 1)
-    vanish = _vanishing_degree(slopes, genus)
 
     def entry(m: int, deg: int) -> int | None:
         return h1_dim_of_degree(d.base, deg, lambda: is_principal(_floor_at(d, m)))
 
-    values = [entry(m, deg) for m, deg in enumerate(_floor_degrees(slopes, vanish))]
+    values = [entry(m, deg) for m, deg in enumerate(d.floor_profile)]
     total = None if None in values else sum(values)
     top = bound if m_max is None else m_max
-    values += [0] * (top - vanish)
+    values += [0] * (top + 1 - len(values))
     return H1Report(bound=bound, entries=tuple(enumerate(values[: top + 1])), total=total)
 
 

@@ -266,7 +266,7 @@ def _run_batch(directory: str, args) -> tuple[object, int]:
     for doc in docs:
         try:
             text = doc.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             results[doc.name] = {"error": "read", "message": str(exc)}
             codes.append(EXIT_PARSE)
             continue
@@ -288,7 +288,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             build_parser().error("classify needs an input document or --batch")
         try:
             text = _read_text(args.input)
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
+            # a missing file, or bytes that are not UTF-8 text
             payload, code = {"error": "read", "message": str(exc)}, EXIT_PARSE
         else:
             payload, code = _process(text, args.command, args)

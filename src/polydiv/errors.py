@@ -31,15 +31,6 @@ class NotProperError(PolydivError):
         self.witness = witness
 
 
-class WeightError(PolydivError):
-    """Evaluation weight lies outside the dual of the tail cone."""
-
-    def __init__(self, message: str, weight=None, separating_ray=None):
-        super().__init__(message)
-        self.weight = weight
-        self.separating_ray = separating_ray
-
-
 class NonIntegralError(PolydivError):
     """A divisor with fractional coefficients reached an integral-only operation."""
 

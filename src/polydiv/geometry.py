@@ -10,15 +10,15 @@ region of its chamber fan are read off it, and membership off the dual's
 rays. Polyhedra store exactly their extreme points plus a pointed tail cone,
 and keep their vertices cleared (linalg.clear) over one common denominator;
 support minima, chamber-fan walls and minimizers are taken in int on them.
-Support minima are exact Fractions, with an explicit MinusInfinity object
-when the functional is unbounded below. A chamber-fan region is its double
+Support minima exist only as the fan's table below, at the fan rays, where
+every polyhedron is bounded below. A chamber-fan region is its double
 description, each cut extends it by one step, and its tight sets (bitmasks
 over the normals it processed) give the facets it is triangulated along; a
 chamber stores its rays and the facet normal opposite each of them. A fan
 keeps one table of minima: each distinct fan ray with its int minimum over
 each polyhedron's cleared vertices, taken once per ray however many
-chambers hold it. The minimizer check of every chamber, and the ray degrees
-and rank-one slopes of a divisor, read it.
+chambers hold it. The minimizer check of every chamber, and the ray
+degrees, degree-zero evaluations and rank-one slopes of a divisor, read it.
 """
 
 from __future__ import annotations
@@ -39,23 +39,6 @@ from .linalg import (
     vec_neg,
     vec_sub,
 )
-
-
-class MinusInfinity:
-    """Support value below every rational; deliberately not comparable."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "MINUS_INFINITY"
-
-
-MINUS_INFINITY = MinusInfinity()
 
 
 def ratvec(values) -> tuple[Fraction, ...]:
@@ -201,22 +184,6 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
         verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in cone.rays if r[-1]]
     verts.sort()
     return TailedPolyhedron(vertices=tuple(verts), tail=tail)
-
-
-def support_eval(poly: TailedPolyhedron, m):
-    """min{<m, p> : p in the polyhedron}, or MINUS_INFINITY off the tail dual.
-
-    The weight, scaled by the lcm of its denominators, is paired with the
-    cleared vertices in int.
-    """
-    mm = ratvec(m)
-    if len(mm) != poly.rank:
-        raise RankMismatchError(f"weight {tuple(m)} does not have rank {poly.rank}")
-    mm, scale = clear(mm)
-    if any(dot(mm, r) < 0 for r in poly.tail.rays):
-        return MINUS_INFINITY
-    nums, den = poly.cleared
-    return Fraction(min(dot(mm, n) for n in nums), den * scale)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,13 @@ minimum of each coefficient and produces an ordinary Q-divisor on the base.
 
 A divisor stores its base, its tail cone and its coefficients; its rank and
 its weight cone, the dual of the tail, are read off the tail, and the chamber
-fan starts from the double description that dual is read from. At rank one
-the slopes, the evaluation at the unit weight, are read off the fan's row of
-minima, as the degrees along its rays are.
+fan starts from the double description that dual is read from. Every
+evaluation this package takes is at a fan ray, and is read off the fan's one
+table of int minima, each over its coefficient's cleared denominator: the
+degrees along the rays, the degree-zero evaluations the properness check
+tests for torsion and, at rank one, the slopes, the evaluation at the unit
+weight. A rank-one divisor also keeps its floor profile, the degrees of the
+rounded-down evaluations up to the weight from which they exceed 2g - 2.
 
 Properness is the condition that makes the graded ring of sections behave:
 every evaluation must be semiample, and evaluations at interior weights must
@@ -31,7 +35,6 @@ from types import MappingProxyType
 from .curves import (
     CurveModel,
     CurvePoint,
-    QDivisor,
     denominator_lcm,
     divisor,
     is_torsion_class,
@@ -40,24 +43,13 @@ from .curves import (
 )
 from .errors import (
     CurveDomainError,
-    InternalError,
     InvalidInputError,
     NotProperError,
     RankMismatchError,
     ShapeError,
     UnsupportedRankError,
-    WeightError,
 )
-from .geometry import (
-    MINUS_INFINITY,
-    ChamberFan,
-    Cone,
-    TailedPolyhedron,
-    chamber_fan,
-    make_cone,
-    ratvec,
-    support_eval,
-)
+from .geometry import ChamberFan, Cone, TailedPolyhedron, chamber_fan, make_cone, ratvec
 from .linalg import dot
 from .verdicts import Verdict
 
@@ -80,10 +72,6 @@ class AffineSpace:
 DivisorBase = CurveModel | AffineSpace
 
 
-def _is_curve_base(base: DivisorBase) -> bool:
-    return not isinstance(base, AffineSpace)
-
-
 def _key_sort_key(base: DivisorBase, key):
     if isinstance(base, AffineSpace):
         return key
@@ -99,11 +87,13 @@ class PolyhedralDivisor:
     the factory. rank and weight_cone are read off the tail; weight_cone is
     its dual, the set of weights where every evaluation is finite.
 
-    The chamber fan, the degrees along its rays, the properness report and
-    the rank-one slopes are derived once per divisor and kept on it (``fan``,
-    ``ray_degrees``, ``properness``, ``slopes``); they are not fields, so they
-    take no part in equality or hashing. A failed derivation is not kept. The
-    ray degrees and the slopes read the fan's one table of int minima.
+    The chamber fan, the degrees along its rays, the properness report, the
+    rank-one slopes and the rank-one floor profile are derived once per
+    divisor and kept on it (``fan``, ``ray_degrees``, ``properness``,
+    ``slopes``, ``floor_profile``); they are not fields, so they take no part
+    in equality or hashing. A failed derivation is not kept. The ray degrees,
+    the slopes and the torsion test of the properness check read the fan's
+    one table of int minima.
     """
 
     base: DivisorBase
@@ -135,7 +125,7 @@ class PolyhedralDivisor:
 
     @cached_property
     def ray_degrees(self) -> Mapping[tuple[int, ...], Fraction]:
-        """degree(evaluate(d, u)) at every ray u of the chamber fan, in fan order."""
+        """The degree of the evaluation at every ray u of the chamber fan, in fan order."""
         return MappingProxyType({u: _degree(self, mins) for u, mins in self.fan.minima})
 
     @cached_property
@@ -153,6 +143,20 @@ class PolyhedralDivisor:
             g = gcd(x, poly.cleared[1])
             out.append(RaySlope(pt, x // g, poly.cleared[1] // g))
         return tuple(out)
+
+    @cached_property
+    def floor_profile(self) -> tuple[int, ...]:
+        """The rounded-down degrees at m = 0 .. V of a proper rank-one divisor
+        over a projective curve, V = max(ceil((count + 2g - 2) / deg1), 0)
+        the vanishing degree: rounding down loses less than one unit per
+        marked point, so from V on the degree exceeds m * deg1 - count >=
+        2g - 2. deg1 is the ray degree at the unit weight."""
+        if not self.base.projective:
+            raise CurveDomainError("floor degrees need a projective base curve")
+        require_proper(self)
+        deg1 = self.ray_degrees[unit_weight(self)]
+        excess = len(self.coefficients) + 2 * self.base.genus - 2
+        return floor_degrees(self.slopes, max(-(-excess * deg1.denominator // deg1.numerator), 0))
 
 
 def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) -> PolyhedralDivisor:
@@ -209,45 +213,6 @@ def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) ->
     return PolyhedralDivisor(base=base, tail=tail, coefficients=tuple(kept))
 
 
-def check_weight(d: PolyhedralDivisor, m) -> tuple[Fraction, ...]:
-    """m as a vector, a bare scalar for rank-1 divisors and a length-rank
-    vector otherwise, required to lie in the weight cone."""
-    if isinstance(m, (int, Fraction)):
-        if d.rank != 1:
-            raise RankMismatchError(f"scalar weight given, but the lattice rank is {d.rank}")
-        mm = (Fraction(m),)
-    else:
-        mm = ratvec(m)
-        if len(mm) != d.rank:
-            raise RankMismatchError(f"weight {tuple(m)} does not have rank {d.rank}")
-    for r in d.tail.rays:
-        if dot(mm, r) < 0:
-            raise WeightError(
-                f"weight {tuple(mm)} pairs negatively with tail ray {r}",
-                weight=mm,
-                separating_ray=r,
-            )
-    return mm
-
-
-def evaluate(d: PolyhedralDivisor, m) -> QDivisor:
-    """The Q-divisor of support minima at weight m (curve bases only)."""
-    if not _is_curve_base(d.base):
-        raise CurveDomainError(
-            "evaluation to a Q-divisor is defined over curve bases; over an "
-            "affine space use the associated toric cone instead"
-        )
-    mm = check_weight(d, m)
-    coeffs: dict[CurvePoint, Fraction] = {}
-    for pt, poly in d.coefficients:
-        value = support_eval(poly, mm)
-        if value is MINUS_INFINITY:
-            # check_weight already placed mm in the dual of the tail cone
-            raise InternalError(f"support minimum at {pt} is unbounded inside the weight cone")
-        coeffs[pt] = value
-    return divisor(d.base, coeffs)
-
-
 def unit_weight(d: PolyhedralDivisor) -> tuple[int, ...]:
     """The generator of the weight monoid of a rank-one divisor."""
     if d.rank != 1:
@@ -280,6 +245,11 @@ def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
     fan's minima at the unit weight (``d.slopes``).
     """
     return d.slopes
+
+
+def floor_degrees(slopes: tuple[RaySlope, ...], m_max: int) -> tuple[int, ...]:
+    """deg of the rounded-down evaluation at m = 0 .. m_max, from the slopes alone."""
+    return tuple(sum(s.floor(m) for s in slopes) for m in range(m_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +321,12 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
             witness=ratvec(sample),
         )
 
+    minima = dict(d.fan.minima)
     for u in degree_zero_rays:
-        ev = evaluate(d, u)
+        ev = divisor(
+            d.base,
+            {pt: Fraction(x, poly.cleared[1]) for (pt, poly), x in zip(d.coefficients, minima[u])},
+        )
         cleared = denominator_lcm(ev) * ev
         verdict, _ = is_torsion_class(cleared)
         if verdict == Verdict.NO:
@@ -380,8 +354,8 @@ def _interior_sample(rays, rank: int) -> tuple[int, ...]:
 
 
 def _degree_at(d: PolyhedralDivisor, m: tuple[int, ...]) -> Fraction:
-    """degree(evaluate(d, m)) at an integer weight m of the weight cone: the
-    support minima taken in int on the cleared vertices."""
+    """The degree of the evaluation at an integer weight m of the weight cone:
+    the support minima taken in int on the cleared vertices."""
     return _degree(d, [min(dot(m, n) for n in poly.cleared[0]) for _, poly in d.coefficients])
 
 

@@ -247,6 +247,11 @@ def _parse_point(value, base, path: str, violations: list):
         if not isinstance(value, str) or not value:
             violations.append(f"{path}: expected a nonempty point label")
             return None
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            violations.append(f"{path}: the point label {value!r} is not encodable as UTF-8")
+            return None
         return LabelPoint(value)
     if isinstance(base, AffineLine):
         q = _rational(value, path, violations)

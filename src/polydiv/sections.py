@@ -42,7 +42,7 @@ from fractions import Fraction
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, InternalError, ShapeError
 from .linalg import EchelonBasis, relations
-from .pdiv import PolyhedralDivisor, ray_slopes
+from .pdiv import PolyhedralDivisor, floor_degrees, ray_slopes
 
 Vector = tuple[Fraction, ...]
 
@@ -95,9 +95,8 @@ class _RingTable:
         self.finite = [
             s for s in slopes if not (isinstance(s.point, P1Point) and s.point.is_infinity)
         ]
-        degrees = range(max_degree + 1)
-        self.floors = tuple(tuple(s.floor(m) for s in self.finite) for m in degrees)
-        self.dims = tuple(max(0, sum(s.floor(m) for s in slopes) + 1) for m in degrees)
+        self.floors = tuple(tuple(s.floor(m) for s in self.finite) for m in range(max_degree + 1))
+        self.dims = tuple(max(0, deg + 1) for deg in floor_degrees(slopes, max_degree))
         self._corrections: dict[tuple[int, ...], list] = {}
 
     def correction(self, exponents: tuple[int, ...]) -> list:

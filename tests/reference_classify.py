@@ -2,7 +2,7 @@
 kept as independent oracles.
 
 The slopes were the support minimum of each coefficient at the unit weight
-(geometry.support_eval), each a Fraction, and deg1, the weight from which
+(reference_pdiv.support_eval), each a Fraction, and deg1, the weight from which
 the floor degrees exceed 2g - 2, the h1 bound and the Gorenstein canonical
 index were Fraction sums and quotients of them. polydiv reads the slopes off
 the chamber fan's row of int minima and computes the rest in int; the tests
@@ -12,8 +12,8 @@ compare the two.
 from fractions import Fraction
 from math import ceil
 
-from polydiv.geometry import support_eval
 from polydiv.pdiv import unit_weight
+from reference_pdiv import support_eval
 
 
 def slopes(d) -> tuple:

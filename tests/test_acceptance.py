@@ -34,12 +34,13 @@ from polydiv.curves import (
     p1_point,
 )
 from polydiv.geometry import chamber_fan, make_cone, make_polyhedron
-from polydiv.pdiv import AffineSpace, evaluate, is_proper, polyhedral_divisor
+from polydiv.pdiv import AffineSpace, is_proper, polyhedral_divisor
 from polydiv.sections import ring_presentation
 from polydiv.toric import toric_cone
 from polydiv.verdicts import Verdict
 
 from reference_curves import h0_dim, h1_dim
+from reference_pdiv import evaluate
 from reference_toric import monomial_admissible, weight_in_dual
 
 P1 = ProjectiveLine()

@@ -36,13 +36,20 @@ from polydiv.curves import (
     is_principal,
     p1_point,
 )
-from polydiv.errors import CurveDomainError, NotProperError, ShapeError, UnsupportedRankError
+from polydiv.errors import (
+    CurveDomainError,
+    NotProperError,
+    PolydivError,
+    ShapeError,
+    UnsupportedRankError,
+)
 from polydiv.geometry import TailedPolyhedron, make_cone, make_polyhedron
-from polydiv.pdiv import AffineSpace, evaluate, is_proper, polyhedral_divisor
+from polydiv.pdiv import AffineSpace, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
 
 import reference_classify
 from reference_curves import floor_divisor, h1_dim
+from reference_pdiv import evaluate
 
 P1 = ProjectiveLine()
 RAY = ((1,),)
@@ -794,7 +801,7 @@ def period_scan_h1(d, m_max=None):
         weight = tuple(m * u for u in unit)
         return h1_dim_of_degree(d.base, deg, lambda: is_principal(floor_divisor(evaluate(d, weight))))
 
-    degrees = classify_module._floor_degrees(slopes, max(bound, top))
+    degrees = pdiv_module.floor_degrees(slopes, max(bound, top))
     values = [entry(m, deg) for m, deg in enumerate(degrees)]
     series = values[: bound + 1]
     total = None if None in series else sum(series)
@@ -809,7 +816,7 @@ def period_scan_elliptic(d):
     deg1 = sum((Fraction(s.p, s.q) for s in slopes), Fraction(0))
     period = lcm(*[s.q for s in slopes]) if slopes else 1
     top = max(ceil(Fraction(len(slopes) - 2) / deg1), period, 1)
-    profile = classify_module._floor_degrees(slopes, top)
+    profile = pdiv_module.floor_degrees(slopes, top)
     hits = [m for m in range(1, top + 1) if profile[m] == -2]
     below = [m for m in range(1, top + 1) if profile[m] < -2]
     if below:
@@ -890,6 +897,101 @@ def test_h1_bound_does_not_depend_on_the_period():
     got_a, got_b = h1_report(a), h1_report(b)
     assert got_a.bound == got_b.bound == vanishing_bound(a) == 58
     assert len(got_a.entries) == len(got_b.entries) == 59
+
+
+# ---------------------------------------------------------------------------
+# one floor profile per divisor
+
+
+@pytest.mark.parametrize(
+    "base, slopes",
+    [
+        (P1, {p1_point(0): Fraction(-1, 2), p1_point(1): Fraction(-1, 3), P1_INFINITY: Fraction(6, 7)}),
+        (
+            EC_TWO_TORSION,
+            {
+                EC_ORIGIN: Fraction(1, 2),
+                EllipticPoint(0, 0): Fraction(-1, 3),
+                EllipticPoint(1, 0): Fraction(1, 5),
+            },
+        ),
+    ],
+    ids=["P1", "y^2 = x^3 - x"],
+)
+def test_classify_report_builds_one_floor_profile(monkeypatch, base, slopes):
+    # elliptic_singularity and h1_report both read d.floor_profile, built once
+    calls = []
+    real = pdiv_module.floor_degrees
+    monkeypatch.setattr(pdiv_module, "floor_degrees", lambda *a: calls.append(a) or real(*a))
+    d = rank1(base, slopes)
+    report = classify_report(d)
+    assert len(calls) == 1
+    assert len(d.floor_profile) == calls[0][1] + 1 > 1
+    assert elliptic_singularity(d) == report.elliptic and h1_report(d) == report.h1
+    assert len(calls) == 1
+
+
+def test_reports_do_not_depend_on_the_order_of_the_questions():
+    # on a fresh divisor each time: elliptic then h1, h1 then elliptic, and
+    # classify_report, which asks both
+    rng = Random(2610)
+    seen = dict.fromkeys(("tail (-1,)", "genus 0", "genus 1", "genus 2", "vanishing degree 0"), 0)
+    for base, pool in PERIOD_BASES:
+        for ray in ((1,), (-1,)):
+            tail = make_cone((ray,), 1)
+            for _ in range(6):
+                pts = rng.sample(pool, rng.randint(1, len(pool)))
+                slopes = [Fraction(rng.randint(-q, q // 2), q) for q in (rng.randint(1, 12) for _ in pts)]
+                slopes[0] += max(0, -sum(slopes)) + Fraction(1, rng.randint(1, 8))
+
+                def fresh():
+                    coeffs = {pt: make_polyhedron([(s * ray[0],)], tail) for pt, s in zip(pts, slopes)}
+                    return polyhedral_divisor(base, 1, (ray,), coeffs)
+
+                a, b = fresh(), fresh()
+                ell_a, h1_a = elliptic_singularity(a), h1_report(a)
+                h1_b, ell_b = h1_report(b), elliptic_singularity(b)
+                report = classify_report(fresh())
+                assert ell_a == ell_b == report.elliptic, a
+                assert h1_a == h1_b == report.h1, a
+                seen["tail (-1,)"] += ray == (-1,)
+                seen[f"genus {base.genus}"] += 1
+                seen["vanishing degree 0"] += len(a.floor_profile) == 1
+    assert all(n >= 5 for n in seen.values()), seen
+
+
+def test_floor_profile_refuses_a_divisor_it_does_not_apply_to():
+    rays4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    tail4 = make_cone(rays4, 4)
+    line = make_cone((), 1)
+    cases = {
+        "affine line": rank1(AffineLine(), {RationalPoint(Fraction(0)): Fraction(1, 2)}),
+        "affine space": polyhedral_divisor(AffineSpace(1), 1, RAY, {1: halfline(Fraction(1, 2))}),
+        "no coefficients": rank1(P1, {}),
+        "degree zero": rank1(P1, {p1_point(0): Fraction(1, 2), P1_INFINITY: Fraction(-1, 2)}),
+        "negative degree": rank1(P1, {p1_point(0): Fraction(-1, 2)}),
+        "trivial tail": polyhedral_divisor(
+            P1, 1, (), {p1_point(0): make_polyhedron([(Fraction(1, 2),)], line)}
+        ),
+        "rank two": polyhedral_divisor(
+            P1, 2, ((1, 0), (0, 1)), {p1_point(0): quadrant_poly((1, 1))}
+        ),
+        "no chamber fan": polyhedral_divisor(
+            P1,
+            4,
+            rays4,
+            {
+                p1_point(0): make_polyhedron([(0, 0, 0, 0), (1, -1, 0, 0)], tail4),
+                P1_INFINITY: make_polyhedron([(1, 1, 1, 1)], tail4),
+            },
+        ),
+    }
+    assert is_proper(cases["rank two"]).verdict == Verdict.YES
+    for name, d in cases.items():
+        for _ in range(2):
+            with pytest.raises(PolydivError):
+                d.floor_profile
+        assert "floor_profile" not in vars(d), name
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +1076,7 @@ def test_rank_one_int_row_matches_the_fraction_formulas():
                 values = [v for _, v in want]
                 genus = d.base.genus
                 vanish = reference_classify.vanishing_degree(values, genus)
-                assert classify_module._vanishing_degree(got, genus) == vanish, d
+                assert len(d.floor_profile) == vanish + 1, d
                 if base != EC_RANK_ONE:  # its degree-zero entries take long multiples
                     assert h1_report(d, 0).bound == reference_classify.h1_bound(values, genus), d
                 index, multiplicities = reference_classify.gorenstein_index(values, genus)

@@ -371,6 +371,48 @@ def test_batch_reports_an_unreadable_entry_and_classifies_the_rest(capsys, tmp_p
     assert payload["a.json"]["minimal_elliptic"] == "yes"
 
 
+NOT_UTF8 = b'{"lattice_rank": 1, \xff\xfe}'
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_a_document_that_is_not_utf8_is_a_read_error(capsys, monkeypatch, tmp_path, source):
+    doc = tmp_path / "bytes.json"
+    doc.write_bytes(NOT_UTF8)
+    if source == "stdin":
+        # standard input decoded strictly, as in a UTF-8 locale
+        monkeypatch.setattr("sys.stdin", open(doc, encoding="utf-8"))
+    code, payload = run_json(capsys, "proper", str(doc) if source == "path" else "-")
+    assert code == 2
+    assert payload["error"] == "read"
+    assert "utf-8" in payload["message"]
+
+
+def test_batch_reports_a_document_that_is_not_utf8_and_classifies_the_rest(capsys, tmp_path):
+    (tmp_path / "a.json").write_text(Path(GOLDEN_ONE).read_text())
+    (tmp_path / "b.json").write_bytes(NOT_UTF8)
+    code, payload = run_json(capsys, "classify", "--batch", str(tmp_path))
+    assert code == 2
+    assert payload["b.json"]["error"] == "read"
+    assert payload["a.json"]["minimal_elliptic"] == "yes"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_point_label_utf8_cannot_encode_is_invalid_input(capsys, tmp_path, fmt):
+    # a lone surrogate parses from a JSON escape, but no output can print it
+    doc = tmp_path / "surrogate.json"
+    doc.write_text(
+        '{"lattice_rank": 1, "tail_cone": {"rays": [[1]]},'
+        ' "base": {"kind": "abstract", "genus": 0},'
+        ' "coefficients": [{"point": "\\ud800", "vertices": [["1/2"]]}]}\n'
+    )
+    code, out = run(capsys, "--format", fmt, "gorenstein", str(doc))
+    assert code == 3
+    assert "invalid-input" in out and "coefficients[0].point" in out
+    if fmt == "json":
+        (violation,) = json.loads(out)["violations"]
+        assert violation.startswith("coefficients[0].point: ")
+
+
 def test_a_document_that_is_not_an_object_is_invalid_input(capsys, tmp_path):
     doc = tmp_path / "list.json"
     doc.write_text("[]\n")

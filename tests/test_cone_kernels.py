@@ -65,7 +65,6 @@ from polydiv.geometry import (
     TailedPolyhedron,
     make_cone,
     make_polyhedron,
-    support_eval,
 )
 from polydiv.linalg import (
     DoubleDescription,
@@ -82,6 +81,7 @@ from reference_geometry import in_ray_span, ray_meets
 from reference_geometry import make_polyhedron as homogenized_make_polyhedron
 from reference_linalg import cone_from_inequalities, determinant, rref, rref_rank, whole_space
 from reference_linalg import extend as reference_extend
+from reference_pdiv import MINUS_INFINITY, support_eval
 
 # A safety valve for Fourier-Motzkin blowup in the reference.
 _FM_CONSTRAINT_CAP = 200_000
@@ -859,7 +859,7 @@ def reference_support_eval(poly, m):
     mm = tuple(Fraction(x) for x in m)
     for r in poly.tail.rays:
         if dot(mm, r) < 0:
-            return geometry.MINUS_INFINITY
+            return MINUS_INFINITY
     return min(dot(mm, v) for v in poly.vertices)
 
 
@@ -897,7 +897,7 @@ def ray_minima(rays, polys):
 
 def test_integer_support_minima_match_the_fraction_path():
     rng = Random(20114)
-    seen = {"tie": 0, "unbounded": 0, "rational weight": 0, "tied chamber": 0, "fan": 0}
+    seen = dict.fromkeys(("tie", "unbounded", "rational weight", "tied chamber", "fan", "fan ray"), 0)
     for rank in (1, 2, 3):
         for tail_rays in ([], [tuple(int(i == j) for j in range(rank)) for i in range(rank)]):
             tail = make_cone(tail_rays, rank)
@@ -911,7 +911,7 @@ def test_integer_support_minima_match_the_fraction_path():
                             seen["rational weight"] += 1
                         got = support_eval(p, m)
                         assert got == reference_support_eval(p, m), (p, m)
-                        if got is geometry.MINUS_INFINITY:
+                        if got is MINUS_INFINITY:
                             seen["unbounded"] += 1
                             continue
                         assert type(got) is Fraction
@@ -936,9 +936,16 @@ def test_integer_support_minima_match_the_fraction_path():
                         sum(dot(sample, v) == dot(sample, w) for v in p.vertices) > 1
                         for p, w in zip(polys, want)
                     )
-                for ch in geometry.chamber_fan(polys, tail).chambers:
+                fan = geometry.chamber_fan(polys, tail)
+                for ch in fan.chambers:
                     assert ch.minimizers == reference_minimizers(ch.rays, polys)
                     seen["fan"] += 1
+                # the fan's int minima are the support minima at every fan ray
+                for u, row in fan.minima:
+                    for p, x in zip(polys, row):
+                        want = support_eval(p, u)
+                        assert Fraction(x, p.cleared[1]) == want == reference_support_eval(p, u)
+                        seen["fan ray"] += 1
     assert all(n >= 20 for n in seen.values()), seen
 
 

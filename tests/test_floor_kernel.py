@@ -30,12 +30,13 @@ from polydiv.curves import (
 )
 from polydiv.geometry import chamber_fan, make_cone, make_polyhedron
 from polydiv.linalg import dot
-from polydiv.pdiv import evaluate, is_proper, polyhedral_divisor
+from polydiv.pdiv import is_proper, polyhedral_divisor
 from polydiv.problem_io import parse_problem
 from polydiv.verdicts import Verdict
 
 from reference_curves import floor_divisor
 from reference_linalg import adjugate, determinant
+from reference_pdiv import evaluate
 from test_cone_kernels import solve, tied_polyhedron
 
 P1 = ProjectiveLine()

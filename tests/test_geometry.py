@@ -5,7 +5,6 @@ import pytest
 
 from polydiv.errors import RankMismatchError, ShapeError
 from polydiv.geometry import (
-    MINUS_INFINITY,
     Cone,
     _facets,
     _triangulate,
@@ -13,11 +12,11 @@ from polydiv.geometry import (
     cone_contains,
     make_cone,
     make_polyhedron,
-    support_eval,
 )
 from polydiv.linalg import dot
 
 from reference_geometry import minkowski_sum, ray_meets
+from reference_pdiv import MINUS_INFINITY, support_eval
 from test_cone_kernels import solve
 
 
@@ -90,6 +89,8 @@ def test_support_eval_hand_values():
     p = make_polyhedron([(Fraction(-1, 4),)], make_cone([(1,)], 1))
     assert support_eval(p, (1,)) == Fraction(-1, 4)
     assert support_eval(p, (-1,)) is MINUS_INFINITY
+    # the fan's table holds the same minimum over the cleared denominator
+    assert chamber_fan([p], p.tail).minima == (((1,), (-1,)),) and p.cleared[1] == 4
 
 
 def test_support_eval_minimum_over_vertices():
@@ -97,6 +98,10 @@ def test_support_eval_minimum_over_vertices():
     assert support_eval(p, (1, 1)) == 0
     assert support_eval(p, (-1, -1)) == -1
     assert support_eval(p, (-1, 0)) == -1
+    minima = chamber_fan([p], p.tail).minima
+    assert len(minima) >= 4
+    for u, (x,) in minima:
+        assert Fraction(x, p.cleared[1]) == support_eval(p, u) == min(dot(u, v) for v in p.vertices)
 
 
 def test_make_polyhedron_removes_non_extreme_points():

@@ -25,16 +25,13 @@ from polydiv.errors import (
     RankMismatchError,
     ShapeError,
     UnsupportedRankError,
-    WeightError,
 )
-from polydiv.geometry import make_cone, make_polyhedron, support_eval
+from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.linalg import dot
 from polydiv.pdiv import (
     AffineSpace,
     _degree_at,
-    check_weight,
     contraction_iso_codim1,
-    evaluate,
     is_proper,
     polyhedral_divisor,
     ray_slopes,
@@ -44,6 +41,7 @@ from polydiv.verdicts import Verdict
 
 from reference_geometry import contraction_iso_codim1 as reference_contraction
 from reference_geometry import degree_polyhedron
+from reference_pdiv import WeightError, check_weight, decide_properness, evaluate, support_eval
 from test_cone_kernels import solve
 
 P1 = ProjectiveLine()
@@ -493,3 +491,58 @@ def test_coerce_weight_rejects_a_weight_of_the_wrong_length():
     assert check_weight(d, (1, 2)) == (Fraction(1), Fraction(2))
     with pytest.raises(RankMismatchError):
         check_weight(d, (1, 2, 3))
+
+
+# y^2 = x^3 - x, where every rational point is torsion, and y^2 = x^3 - 2,
+# where (3, 5) has infinite order and no point but the origin is torsion
+TORSION_BASES = (
+    (EllipticCurveQ(-1, 0), (EllipticPoint(0, 0), EllipticPoint(1, 0), EllipticPoint(-1, 0))),
+    (EllipticCurveQ(0, -2), (EllipticPoint(3, 5), EllipticPoint(3, -5))),
+)
+
+
+def test_properness_matches_the_torsion_test_through_evaluate():
+    """is_proper reads each degree-zero evaluation off the fan's minima; the
+    reference takes every degree and every evaluation through evaluate.
+
+    On the simplicial tails of DEGREE_TAILS, a vertex at the origin sets the
+    degree at each ray u_i of the weight cone: the tail ray f_i positive on
+    u_i is zero on the others, so adding (t_i - deg u_i) f_i / <u_i, f_i>
+    makes that degree t_i, and t_i = 0 puts a degree-zero ray on the
+    boundary. On y^2 = x^3 - 2 the two points
+    (3, 5) and (3, -5) sometimes carry one polyhedron, so that their classes
+    cancel and the evaluation is torsion there too."""
+    rng = Random(20261020)
+    seen = dict.fromkeys(("rank 1", "degree-zero ray", "torsion", "not torsion", "negative"), 0)
+    for base, pool in TORSION_BASES:
+        for _ in range(100):
+            rank = rng.randint(1, 3)
+            tail_rays = rng.choice([t for t in DEGREE_TAILS[rank] if len(t) == rank])
+            tail = make_cone(tail_rays, rank)
+            coeffs = {}
+            for pt in rng.sample(pool, rng.randint(1, len(pool))):
+                verts = [
+                    tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank))
+                    for _ in range(rng.randint(1, 2))
+                ]
+                coeffs[pt] = make_polyhedron(verts, tail)
+            if len(coeffs) == len(pool) == 2 and rng.random() < 0.5:
+                coeffs[pool[1]] = coeffs[pool[0]]
+            partial = polyhedral_divisor(base, rank, tail_rays, coeffs)
+            w = [Fraction(0)] * rank
+            for u in partial.weight_cone.rays:
+                t = rng.choice((0, 0, rng.randint(1, 3), rng.randint(-1, 3)))
+                f = next(f for f in tail.rays if dot(f, u) > 0)
+                scale = Fraction(t - partial.ray_degrees[u], dot(f, u))
+                w = [a + scale * b for a, b in zip(w, f)]
+            coeffs[EC_ORIGIN] = make_polyhedron([w], tail)
+            d = polyhedral_divisor(base, rank, tail_rays, coeffs)
+            report = is_proper(d)
+            assert report == decide_properness(d), d
+            seen["rank 1"] += rank == 1
+            if 0 in d.ray_degrees.values() and report.verdict == Verdict.YES:
+                seen["degree-zero ray"] += 1
+                seen["torsion"] += base == TORSION_BASES[1][0]
+            seen["not torsion"] += "not a torsion class" in report.reason
+            seen["negative"] += "negative degree" in report.reason
+    assert all(n >= 5 for n in seen.values()), seen

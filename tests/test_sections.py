@@ -275,14 +275,12 @@ def test_negative_truncation_degree_is_rejected():
 def test_ring_presentation_evaluates_each_coefficient_once(monkeypatch):
     # the slopes are the chamber fan's one row of minima, built once per
     # divisor and kept on it (d.slopes), not again for every graded piece
-    # and every product; no coefficient is evaluated on its own
-    fans, evaluations = [], []
-    real_fan, real_eval = pdiv.chamber_fan, pdiv.support_eval
+    # and every product; the package has no other way to evaluate
+    fans = []
+    real_fan = pdiv.chamber_fan
     monkeypatch.setattr(pdiv, "chamber_fan", lambda *a: fans.append(a) or real_fan(*a))
-    monkeypatch.setattr(pdiv, "support_eval", lambda *a: evaluations.append(a) or real_eval(*a))
     d = golden("three")
     ring_presentation(d, 30)
     assert len(fans) == 1
-    assert evaluations == []
     assert pdiv.ray_slopes(d) is d.slopes
     assert len(fans) == 1
