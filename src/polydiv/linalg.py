@@ -6,10 +6,10 @@ enumeration for homogeneous inequality systems by double description. The
 echelon basis, extended one row at a time, is the one elimination kernel:
 ranks, and the kernels and pivot columns of relations, from which the
 section-ring presentation reads its relations and its generators, are read
-off it. Every cone question in the package (duals, membership, redundancy,
-pointedness, full dimension, the facet normals of a chamber) is answered by
-double description; there is no Fourier-Motzkin elimination and no
-determinant.
+off it; a sparse row costs its nonzero entries, not the width. Every cone
+question in the package (duals, membership, redundancy, pointedness, full
+dimension, the facet normals of a chamber) is answered by double
+description; there is no Fourier-Motzkin elimination and no determinant.
 
 Double description is one step on an immutable state (DoubleDescription:
 lines, rays, tight sets and the count of processed normals), and
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
@@ -84,13 +85,13 @@ def primitive(v) -> tuple[int, ...]:
 class EchelonBasis:
     """Row echelon basis of a span that grows one row at a time, in int.
 
-    rows maps each pivot column to its row, in the order the rows came, as
-    the (column, value) pairs of its nonzero entries, the pivot first: a
-    primitive int row, positive at its pivot and 0 at the pivots of the rows
-    before it, so a new row reduced by them in that order is 0 at every
-    pivot. The pivots are those of the reduced echelon form, which the span
-    alone determines, whatever the order of the rows. Each reduced row is a
-    positive multiple of the one elimination over the rationals gives.
+    A row is a dict {column: value}, cleared of denominators and zeros on
+    entry. rows maps each pivot column, in the order the rows came, to its
+    row's nonzero (column, value) pairs in ascending column: primitive int,
+    positive at its pivot, its first column, and 0 at the pivots of the rows
+    before it. The pivots are those of the reduced echelon form, which the
+    span alone determines, whatever the order of the rows. Each reduced row
+    is a positive multiple of the one elimination over the rationals gives.
     """
 
     def __init__(self):
@@ -100,30 +101,41 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row) -> list[int]:
-        """A positive multiple of row minus its combination of the basis rows,
-        0 at every pivot: row = p * row - row[c] * basis_row for each basis
-        row with lead p at column c, divided by the gcd when p > 1."""
-        row = clear(row)[0]
-        for c, terms in self.rows.items():
-            f = row[c]
-            if f:
-                p = terms[0][1]
-                if p != 1:
-                    row = [p * x for x in row]
-                for j, y in terms:
-                    row[j] -= f * y
-                if p != 1 and (g := gcd(*row)) > 1:
-                    row = [x // g for x in row]
+    def reduce(self, row: dict) -> dict[int, int]:
+        """A positive multiple of row minus its combination of the basis rows, 0
+        at every pivot: at each pivot c where it is nonzero, in ascending order
+        (a step changes no column before its pivot), row = p * row - row[c] *
+        basis_row, with p the basis row's lead, divided by the gcd when p > 1."""
+        row = {j: x for j, x in zip(row, clear(row.values())[0]) if x}
+        todo = [j for j in row if j in self.rows]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            if not (f := row.get(c)):
+                continue
+            terms = self.rows[c]
+            p = terms[0][1]
+            if p != 1:
+                row = {j: p * x for j, x in row.items()}
+            for j, y in terms:
+                if j not in row and j in self.rows:
+                    heappush(todo, j)
+                if x := row.get(j, 0) - f * y:
+                    row[j] = x
+                else:
+                    del row[j]
+            if p != 1 and (g := gcd(*row.values())) > 1:
+                row = {j: x // g for j, x in row.items()}
         return row
 
-    def add(self, row) -> bool:
-        """Extend the basis by row; False when row is already in the span."""
-        row = self.reduce(row)
-        terms = [(j, x) for j, x in enumerate(row) if x]
-        if not terms:
+    def add(self, row: dict, reduced: bool = False) -> bool:
+        """Extend the basis by row (reduce's output when reduced is set); False
+        when row is already in the span."""
+        row = row if reduced else self.reduce(row)
+        if not row:
             return False
-        g = gcd(*row) if terms[0][1] > 0 else -gcd(*row)
+        terms = sorted(row.items())
+        g = gcd(*row.values()) if terms[0][1] > 0 else -gcd(*row.values())
         self.rows[terms[0][0]] = [(j, x // g) for j, x in terms]
         return True
 
@@ -131,7 +143,7 @@ class EchelonBasis:
 def matrix_rank(rows) -> int:
     basis = EchelonBasis()
     for row in rows:
-        basis.add(row)
+        basis.add(dict(enumerate(row)))
     return basis.rank
 
 
@@ -157,17 +169,17 @@ def relations(vectors, width: int) -> tuple[list[tuple[int, ...]], list[int]]:
         if len(v) != width:
             raise RankMismatchError(f"vector {k} has length {len(v)}, expected {width}")
         slot = len(independent)
-        row = basis.reduce([*v, *[0] * slot, 1, *[0] * (width - slot)])
-        if any(row[:width]):
-            basis.add(row)
+        row = dict(enumerate(v))
+        row[width + slot] = 1
+        row = basis.reduce(row)
+        if min(row) < width:
+            basis.add(row, reduced=True)
             independent.append(k)
             continue
-        slots = row[width:]
-        g = gcd(*slots)
+        g = gcd(*row.values())
         rel = [0] * len(vectors)
-        rel[k] = slots[slot] // g
-        for i, x in zip(independent, slots):
-            rel[i] = x // g
+        for j, x in row.items():
+            rel[independent[j - width] if j - width < slot else k] = x // g
         out.append(tuple(rel))
     return out, sorted(basis.rows)
 

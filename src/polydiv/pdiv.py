@@ -29,7 +29,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, cycle, islice, repeat
 from math import gcd, lcm
+from operator import sub
 from types import MappingProxyType
 
 from .curves import (
@@ -247,9 +249,23 @@ def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
     return d.slopes
 
 
-def floor_degrees(slopes: tuple[RaySlope, ...], m_max: int) -> tuple[int, ...]:
-    """deg of the rounded-down evaluation at m = 0 .. m_max, from the slopes alone."""
-    return tuple(sum(s.floor(m) for s in slopes) for m in range(m_max + 1))
+def floor_columns(slopes: tuple[RaySlope, ...], m_max: int) -> list[list[int]]:
+    """Per slope p/q, (m * p) // q at m = 0 .. m_max: one period's table, summed
+    up from its steps when q <= m_max (the step at m depends on m mod q only)."""
+    m_max = max(m_max, 0)
+    periods = (list(map(s.floor, range(min(s.q, m_max) + 1))) for s in slopes)
+    return [
+        p if len(p) > m_max
+        else list(accumulate(islice(cycle(map(sub, p[1:], p)), m_max), initial=0))
+        for p in periods
+    ]
+
+
+def floor_degrees(slopes: tuple[RaySlope, ...], m_max: int, columns=None) -> tuple[int, ...]:
+    """deg of the rounded-down evaluation at m = 0 .. m_max, the sum of the
+    slopes' floor columns (columns, when the caller has built them)."""
+    columns = floor_columns(slopes, m_max) if columns is None else columns
+    return tuple(map(sum, zip(repeat(0, m_max + 1), *columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -377,11 +377,15 @@ def parse_problem(text: str) -> PolyhedralDivisor:
 # exact types that are already plain data; subclasses such as Verdict (a str
 # Enum) take the general path
 _LEAF_TYPES = frozenset((int, str, bool, type(None)))
+_POINTS = (P1Point, EllipticPoint, EllipticOrigin, LabelPoint, RationalPoint)
 
 
 @cache
-def _field_names(kind) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(kind))
+def _field_keys(kind) -> tuple[tuple[str, str], ...] | None:
+    """(name, JSON key) per field of a report dataclass, None for other types."""
+    if is_dataclass(kind) and not issubclass(kind, (QDivisor, *_POINTS)):
+        return tuple((f.name, _quote(f.name) + ": ") for f in fields(kind))
+    return None
 
 
 def report_payload(obj):
@@ -392,53 +396,64 @@ def report_payload(obj):
     if kind is tuple or kind is list:
         # long h1 listings are tuples of int pairs: skip the call per leaf
         return [x if type(x) in _LEAF_TYPES else report_payload(x) for x in obj]
-    if kind is Fraction:
-        return str(obj)
+    if (keys := _field_keys(kind)) is not None:
+        return {name: report_payload(getattr(obj, name)) for name, _ in keys}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    # points are dataclasses: these two come before the generic branch
     if isinstance(obj, QDivisor):
         return [[str(pt), str(c)] for pt, c in obj.terms]
-    if isinstance(obj, (P1Point, EllipticPoint, EllipticOrigin, LabelPoint, RationalPoint)):
-        return str(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {name: report_payload(getattr(obj, name)) for name in _field_names(kind)}
     if isinstance(obj, dict):
         return {str(k): report_payload(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [report_payload(x) for x in obj]
+    # Fractions and points are written as strings, as is anything else
     return str(obj)
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_text(value, indent: str) -> str:
-    """value, a payload of report_payload, as json.dumps(value, indent=2)
-    writes it when nested at indent: one join per list or dict."""
-    kind = type(value)
-    if kind is list:
-        if not value:
+def _json_text(obj, indent: str) -> str:
+    """A report object (or payload) as json.dumps(report_payload(obj),
+    indent=2) writes it when nested at indent, read straight off the object
+    with one join per container. A float, set, bytes, non-str key or any
+    other type no payload holds raises TypeError."""
+    kind = type(obj)
+    inner = indent + "  "
+    if kind is tuple or kind is list:
+        if not obj:
             return "[]"
-        inner = indent + "  "
-        items = [str(x) if type(x) is int else _json_text(x, inner) for x in value]
+        items = [int.__repr__(x) if type(x) is int else _json_text(x, inner) for x in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    # isinstance: json.dumps writes str and int subclasses as their base type
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or kind is bool:
-        return _JSON_CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is Fraction:
+        return '"' + str(obj) + '"'
+    keys = _field_keys(kind)
+    if keys is not None:
+        items = [key + _json_text(getattr(obj, name), inner) for name, key in keys]
+    elif isinstance(obj, dict):
+        # _quote refuses a key that is not a str
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+    elif isinstance(obj, str):  # a str subclass, the str enum Verdict too
+        return _quote(obj)
+    elif obj is None or kind is bool:
+        return _JSON_CONSTANTS[obj]
+    elif isinstance(obj, Enum):
+        return _json_text(obj.value, indent)
+    elif isinstance(obj, int):
+        return int.__repr__(obj)
+    elif isinstance(obj, QDivisor):
+        return _json_text([[str(pt), str(c)] for pt, c in obj.terms], indent)
+    elif isinstance(obj, _POINTS):
+        return _quote(str(obj))
+    elif isinstance(obj, (list, tuple)):
+        return _json_text(list(obj), indent)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}" if items else "{}"
 
 
 def _text_lines(payload, prefix: str):
@@ -463,10 +478,10 @@ def _text_lines(payload, prefix: str):
 
 
 def emit_report(obj, format: str = "json") -> str:
-    """Serialize a report dataclass (or payload) as JSON or flat text lines."""
-    payload = report_payload(obj)
+    """Serialize a report dataclass (or payload) as JSON or flat text lines.
+    JSON is written straight off the object; text reads its report_payload."""
     if format == "json":
-        return _json_text(payload, "") + "\n"
+        return _json_text(obj, "") + "\n"
     if format == "text":
-        return "\n".join(_text_lines(payload, "")) + "\n"
+        return "\n".join(_text_lines(report_payload(obj), "")) + "\n"
     raise ShapeError(f"unknown output format {format!r}")

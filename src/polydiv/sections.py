@@ -25,8 +25,10 @@ each, in any order, inserts the exponents
 sum of e_z over the steps = n_z(M) - sum_i a_i n_z(m_i), with M = sum_i a_i m_i,
 so the monomial x^a is evaluated in one step as
 t^{sum_i a_i k_i} * prod_z (t - z)^{n_z(M) - sum_i a_i n_z(m_i)},
-a shift of one correction polynomial.
-Generators, kernels and new relations are read off echelon bases
+a shift of one correction polynomial, of order sum_i a_i k_i + e_0 at t = 0
+(e_0 = 0 when 0 is not marked). Pairwise distinct orders are the pivots of
+independent values, so only a degree with tied orders is evaluated and
+eliminated. Generators, kernels and new relations are read off echelon bases
 (linalg.EchelonBasis) extended one row at a time; their pivots are those of
 the reduced echelon form, which is unique, so the choices are those of a
 fresh rref of all the rows. Values are int at integer marked points and
@@ -38,11 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add
 
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, InternalError, ShapeError
 from .linalg import EchelonBasis, relations
-from .pdiv import PolyhedralDivisor, floor_degrees, ray_slopes
+from .pdiv import PolyhedralDivisor, floor_columns, floor_degrees, ray_slopes
 
 Vector = tuple[Fraction, ...]
 
@@ -55,26 +59,14 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return out
-
-
 def _correction_poly(finite, exponents):
-    """Coefficients of prod (t - z)^{e_z}; every exponent must be nonnegative."""
+    """Coefficients of prod (t - z)^{e_z}, the exponents nonnegative (_shape),
+    one factor t - z at a time."""
     poly = [1]
     for s, e in zip(finite, exponents):
-        if e < 0:
-            raise InternalError(f"negative correction exponent {e} at {s.point}")
         z = _exact(s.point.affine_value)
         for _ in range(e):
-            poly = _poly_mul(poly, [-z, 1])
+            poly = [a - z * b for a, b in zip([0, *poly], [*poly, 0])]
     return poly
 
 
@@ -82,8 +74,8 @@ class _RingTable:
     """The facts about one ring up to a degree, built once per presentation.
 
     dims[m] is the dimension of piece m, floors[m] the rounded coefficients
-    n_z(m) at the finite marked points, and correction() keeps each
-    correction polynomial by its exponent tuple.
+    n_z(m) at the finite marked points and zero the index of 0 among them (or
+    None); correction() keeps each correction polynomial by exponents.
     """
 
     def __init__(self, d: PolyhedralDivisor, max_degree: int):
@@ -92,11 +84,12 @@ class _RingTable:
         slopes = ray_slopes(d)
         if max_degree < 0:
             raise ShapeError("section rings are graded by nonnegative weights")
-        self.finite = [
-            s for s in slopes if not (isinstance(s.point, P1Point) and s.point.is_infinity)
-        ]
-        self.floors = tuple(tuple(s.floor(m) for s in self.finite) for m in range(max_degree + 1))
-        self.dims = tuple(max(0, deg + 1) for deg in floor_degrees(slopes, max_degree))
+        finite = [not (isinstance(s.point, P1Point) and s.point.is_infinity) for s in slopes]
+        self.finite = list(compress(slopes, finite))
+        self.zero = next((z for z, s in enumerate(self.finite) if s.point.affine_value == 0), None)
+        columns = floor_columns(slopes, max_degree)
+        self.floors = tuple(zip(*compress(columns, finite))) or ((),) * (max_degree + 1)
+        self.dims = tuple(max(0, deg + 1) for deg in floor_degrees(slopes, max_degree, columns))
         self._corrections: dict[tuple[int, ...], list] = {}
 
     def correction(self, exponents: tuple[int, ...]) -> list:
@@ -128,10 +121,10 @@ def _degree_monomials(monomials, degrees, total: int) -> list[tuple[int, ...]]:
     return sorted(out, reverse=True)
 
 
-def _eval_monomial(table: _RingTable, factors, exponents, total: int) -> tuple:
-    """The monomial x^a of degree total, in closed form:
-    t^{sum_i a_i k_i} * prod_z (t - z)^{n_z(total) - sum_i a_i n_z(deg g_i)},
-    with factors[i] = (k_i, n_z(deg g_i)) for the generator g_i = t^{k_i}."""
+def _shape(table: _RingTable, factors, exponents, total: int) -> tuple[int, tuple[int, ...]]:
+    """(sum_i a_i k_i, e) for the monomial x^a of degree total, checked to stay
+    in its piece, e_z = n_z(total) - sum_i a_i n_z(deg g_i) >= 0 with
+    factors[i] = (k_i, n_z(deg g_i)) for the generator g_i = t^{k_i}."""
     shift = 0
     exps = list(table.floors[total])
     for (k, floors), a in zip(factors, exponents):
@@ -140,12 +133,20 @@ def _eval_monomial(table: _RingTable, factors, exponents, total: int) -> tuple:
         shift += k * a
         for z, n in enumerate(floors):
             exps[z] -= a * n
-    corr = table.correction(tuple(exps))
-    target = table.dims[total]
-    # the correction is monic: its top coefficient lands past the piece or not
-    if shift + len(corr) > target:
+    if exps and min(exps) < 0:
+        raise InternalError(f"negative correction exponent in the monomial {tuple(exponents)}")
+    # the correction is monic of degree sum(e): its top coefficient lands
+    # past the piece or not
+    if shift + sum(exps) >= table.dims[total]:
         raise InternalError(f"the monomial {tuple(exponents)} leaves the degree-{total} piece")
-    return (0,) * shift + tuple(corr) + (0,) * (target - shift - len(corr))
+    return shift, tuple(exps)
+
+
+def _eval_monomial(table: _RingTable, shape, total: int) -> tuple:
+    """The coordinates of the monomial of degree total with the given _shape."""
+    shift, exps = shape
+    corr = table.correction(exps)
+    return (0,) * shift + tuple(corr) + (0,) * (table.dims[total] - shift - len(corr))
 
 
 @dataclass(frozen=True)
@@ -172,18 +173,23 @@ def _presentation(table: _RingTable):
     generators, named g1, g2, ... in ascending column. New relations stay int
     rows until the blocks are built, at the end."""
     gens: list[RingGenerator] = []
+    degrees = []
     factors = []  # per generator t^k of degree m: (k, n_z(m))
     found = []  # per degree with monomials: (degree, target, kernel dim, new int relations)
     # the monomials of every degree so far, one exponent per generator found
     monomials = {0: ((),)}
     for total in range(1, len(table.dims)):
         n, target = len(gens), table.dims[total]
-        monos = _degree_monomials(monomials, [g.degree for g in gens], total)
-        vectors = [_eval_monomial(table, factors, a, total) for a in monos]
-        kernel, pivots = relations(vectors, target)
+        monos = _degree_monomials(monomials, degrees, total)
+        shapes = [_shape(table, factors, a, total) for a in monos]
+        orders = {k if table.zero is None else k + e[table.zero] for k, e in shapes}
+        if len(orders) == len(monos):  # distinct orders at t = 0 are the pivots
+            kernel, pivots = [], orders
+        else:
+            kernel, pivots = relations([_eval_monomial(table, x, total) for x in shapes], target)
         monomials[total] = tuple(monos)
-        fresh = sorted(set(range(target)).difference(pivots))
-        if fresh:
+        if len(pivots) < target:
+            fresh = sorted(set(range(target)).difference(pivots))
             # each new x_k sorts after the monomials in lower generators and
             # its unit vector is independent of them: the kernel gains zeros,
             # and every stored monomial an exponent per new generator
@@ -195,6 +201,7 @@ def _presentation(table: _RingTable):
             for j in fresh:
                 coeffs = tuple(_ONE if i == j else _ZERO for i in range(target))
                 gens.append(RingGenerator(f"g{len(gens) + 1}", total, coeffs))
+                degrees.append(total)
                 factors.append((j, table.floors[total]))
         if not monomials[total]:
             continue
@@ -208,7 +215,7 @@ def _presentation(table: _RingTable):
                     break
                 span.add(vec)
             for kv in kernel:
-                if span.rank < len(kernel) and span.add(kv):
+                if span.rank < len(kernel) and span.add(dict(enumerate(kv))):
                     new.append(kv)
         found.append((total, target, len(kernel), new))
     return tuple(gens), tuple(
@@ -225,7 +232,7 @@ def _scaled(rel: tuple[int, ...]) -> Vector:
 
 def _shifted_relations(found, monomials, total: int):
     """The relations of lower degrees times every monomial that lifts them to
-    degree total, as int vectors over the monomials of degree total; found
+    degree total, as sparse int rows over the monomials of degree total; found
     holds the new int relations per lower degree, monomials the monomials of
     each degree up to total."""
     index = {nu: k for k, nu in enumerate(monomials[total])}
@@ -236,10 +243,7 @@ def _shifted_relations(found, monomials, total: int):
         terms = [[(low[k], c) for k, c in enumerate(rel) if c] for rel in rels]
         for mu in monomials[total - degree]:
             for rel in terms:
-                vec = [0] * len(index)
-                for nu, c in rel:
-                    vec[index[tuple(a + b for a, b in zip(nu, mu))]] += c
-                yield vec
+                yield {index[tuple(map(add, nu, mu))]: c for nu, c in rel}
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ import reference_linalg
 from reference_linalg import cone_from_inequalities, kernel_basis, rref, rref_rank
 
 
+def sparse(row):
+    """A dense row as the {column: value} dict of its nonzero entries."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
 def test_primitive_scales_to_shortest_integer_vector():
     assert primitive((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
     assert primitive((4, 6)) == (2, 3)
@@ -89,16 +94,18 @@ def test_relations_hand_example():
 
 
 def test_echelon_basis_keeps_integer_rows_exact():
+    # rows go in and come out as the {column: value} dicts of their nonzero
+    # entries
     basis = EchelonBasis()
-    assert basis.add([0, 6, 2])
-    assert not basis.add((0, 9, 3))
-    assert basis.add([-2, 4, 0])
+    assert basis.add(sparse([0, 6, 2]))
+    assert not basis.add(sparse((0, 9, 3)))
+    assert basis.add(sparse([-2, 4, 0]))
     # (-2, 4, 0) is stored as (3, 0, 2), 0 at the earlier pivot 1; each
     # reduced row is divided by the gcd of its entries: one step by (0, 3, 1)
     # gives (0, 0, 9), and two steps give (3, 0, -4), then (0, 0, -18)
-    assert basis.reduce([0, 6, 5]) == [0, 0, 1]
-    assert basis.reduce([2, -1, -3]) == [0, 0, -1]
-    assert basis.add((Fraction(1, 2), 0, Fraction(-5, 4)))
+    assert basis.reduce(sparse([0, 6, 5])) == {2: 1}
+    assert basis.reduce(sparse([2, -1, -3])) == {2: -1}
+    assert basis.add(sparse((Fraction(1, 2), 0, Fraction(-5, 4))))
     assert basis.rank == 3
     # each row as the (column, value) pairs of its nonzero entries
     assert basis.rows == {1: [(1, 3), (2, 1)], 0: [(0, 3), (2, 2)], 2: [(2, 1)]}
@@ -150,6 +157,32 @@ def random_matrix(rng, nrows, width):
     return rows
 
 
+def random_sparse_matrix(rng, nrows, width):
+    """Wide rows with one to five nonzero entries, as a shifted relation has
+    over the monomials of its degree: small signed ints or Fractions in a
+    few columns, with some zero rows, multiples and sums of earlier rows."""
+    columns = rng.sample(range(width), rng.randint(3, 12))
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append((0,) * width)
+            continue
+        if len(rows) >= 2 and roll < 0.4:
+            a, b = rng.sample(rows, 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            row = tuple(x + c * y for x, y in zip(a, b))
+            if sum(map(bool, row)) <= 5:
+                rows.append(row)
+                continue
+        row = [0] * width
+        for j in rng.sample(columns, rng.randint(1, min(5, len(columns)))):
+            x = rng.choice((-3, -2, -1, 1, 2, 3, 5))
+            row[j] = x if rng.random() < 0.6 else Fraction(x, rng.randint(2, 5))
+        rows.append(tuple(row))
+    return rows
+
+
 def test_rank_and_relations_match_the_dense_reference():
     rng = Random(20097)
     seen = {"deficient": 0, "full": 0, "empty": 0, "width 0": 0, "relations": 0}
@@ -174,15 +207,17 @@ def test_rank_and_relations_match_the_dense_reference():
 
 def test_echelon_basis_matches_the_fraction_reference():
     rng = Random(20099)
-    seen = {"int": 0, "fraction": 0, "dependent": 0, "full slots": 0}
-    for width in range(1, 9):
+    seen = {"int": 0, "fraction": 0, "dependent": 0, "full slots": 0, "wide": 0}
+    shapes = [(width, random_matrix) for width in range(1, 9)]
+    shapes += [(width, random_sparse_matrix) for width in (200, 241, 320)]
+    for width, matrix in shapes:
         for _ in range(40):
-            rows = random_matrix(rng, rng.randint(1, 12), width)
+            rows = matrix(rng, rng.randint(1, 12), width)
             basis, reference = EchelonBasis(), reference_linalg.EchelonBasis()
             for row in rows:
                 # at rank width every slot of relations is taken
                 seen["full slots"] += reference.rank == width
-                assert basis.add(row) == reference.add(row), rows
+                assert basis.add(sparse(row)) == reference.add(row), rows
             assert basis.rank == reference.rank
             assert sorted(basis.rows) == sorted(reference.rows)
             for c, terms in basis.rows.items():
@@ -198,6 +233,7 @@ def test_echelon_basis_matches_the_fraction_reference():
             assert pivots == sorted(reference.rows)
             seen["int" if all(type(x) is int for row in rows for x in row) else "fraction"] += 1
             seen["dependent"] += bool(got)
+            seen["wide"] += width >= 200 and basis.rank >= 3
     assert all(k >= 10 for k in seen.values()), seen
 
 

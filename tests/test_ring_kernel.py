@@ -16,6 +16,9 @@ echelon basis and the one pass over the degrees:
   shifted lower relations and the relations chosen so far.
 
 The new code must give the very same dimensions, generators and blocks.
+A degree whose monomials have pairwise distinct orders at t = 0 is
+certified without elimination; at every such degree the exact elimination
+of the chain-of-products values must find no kernel and the same pivots.
 The divisors are seeded, so failures reproduce.
 """
 
@@ -195,6 +198,11 @@ def factors(table, gens):
     return [(g.coeffs.index(1), table.floors[g.degree]) for g in gens]
 
 
+def shape(table, gens, exponents, total):
+    """The shift and correction exponents of a monomial in the generators."""
+    return sections._shape(table, factors(table, gens), exponents, total)
+
+
 def test_monomials_match_the_chain_of_products():
     # every monomial in the generators found, up to N, on rings with and
     # without a point at infinity and with non-integer marked points
@@ -204,7 +212,7 @@ def test_monomials_match_the_chain_of_products():
         degrees = [g.degree for g in gens]
         for total in range(1, n + 1):
             for a in reference_monomials(degrees, total):
-                got = sections._eval_monomial(table, factors(table, gens), a, total)
+                got = sections._eval_monomial(table, shape(table, gens, a, total), total)
                 assert got == reference_monomial(d, gens, a), (d, a)
                 seen["monomials"] += 1
         points = [s.point for s in d.slopes]
@@ -237,17 +245,18 @@ def test_monomials_by_degree_match_the_recursion():
 
 def test_presentation_never_multiplies_sections_and_reduces_once_per_degree(monkeypatch):
     # the module has no product of sections: every monomial is a shift of one
-    # correction polynomial, and one elimination per degree gives the rest
-    calls, linear = [], []
-    real, real_mul = sections.relations, sections._poly_mul
+    # correction polynomial, built once per exponent tuple one factor t - z at
+    # a time, and at most one elimination per degree gives the rest
+    calls, built = [], []
+    real, real_poly = sections.relations, sections._correction_poly
 
     def counting(vectors, width):
         calls.append(width)
         return real(vectors, width)
 
-    def counting_mul(a, b):
-        linear.append(len(b))
-        return real_mul(a, b)
+    def counting_poly(finite, exponents):
+        built.append(exponents)
+        return real_poly(finite, exponents)
 
     d = rank1({
         p1_point(0): Fraction(-3, 7),
@@ -256,11 +265,11 @@ def test_presentation_never_multiplies_sections_and_reduces_once_per_degree(monk
     })
     expected = ring_presentation(d, 30)
     monkeypatch.setattr(sections, "relations", counting)
-    monkeypatch.setattr(sections, "_poly_mul", counting_mul)
+    monkeypatch.setattr(sections, "_correction_poly", counting_poly)
     assert ring_presentation(d, 30) == expected
     assert 0 < len(calls) <= 30
-    # every polynomial product builds a correction, one factor t - z at a time
-    assert linear and set(linear) == {2}
+    assert built and len(set(built)) == len(built)
+    assert not any(name.startswith("_poly") for name in vars(sections))
 
 
 def test_public_ring_values_stay_fractions():
@@ -285,8 +294,10 @@ def test_public_ring_values_stay_fractions():
 def test_negative_correction_exponent_is_an_internal_error(exponent):
     d = rank1({p1_point(Fraction(-2, 3)): Fraction(-1, 3), P1_INFINITY: Fraction(1)})
     table = sections._RingTable(d, 4)
+    # one generator t^0 of the given floor: the exponent at -2/3 is n(4) - floor
+    floor = table.floors[4][0] - exponent
     with pytest.raises(InternalError, match="negative correction exponent"):
-        table.correction((exponent,))
+        sections._shape(table, [(0, (floor,))], (1,), 4)
 
 
 def test_a_product_that_leaves_its_piece_is_an_internal_error():
@@ -308,4 +319,78 @@ def test_a_product_that_leaves_its_piece_is_an_internal_error():
     assert total <= 12
     table.dims = tuple(k - (m == total) for m, k in enumerate(table.dims))
     with pytest.raises(InternalError, match="leaves the degree"):
-        sections._eval_monomial(table, factors(table, gens), exponents, total)
+        shape(table, gens, exponents, total)
+
+
+def test_quiet_degrees_are_certified_by_their_orders_at_zero(monkeypatch):
+    # a degree whose monomials have pairwise distinct orders at t = 0 is
+    # neither evaluated nor eliminated: at every such degree, the exact
+    # elimination of the vectors the chain of products gives must find no
+    # kernel and the pivots the certificate left, the columns that are not
+    # generators of that degree
+    last_degree, tied = [], set()
+    real_shape, real_relations = sections._shape, sections.relations
+
+    def spy_shape(table, factors, exponents, total):
+        last_degree.append(total)
+        return real_shape(table, factors, exponents, total)
+
+    def spy_relations(vectors, width):
+        tied.add(last_degree[-1])
+        return real_relations(vectors, width)
+
+    monkeypatch.setattr(sections, "_shape", spy_shape)
+    monkeypatch.setattr(sections, "relations", spy_relations)
+    seen = {"0 marked": 0, "0 not marked": 0, "integer points": 0, "non-integer point": 0}
+    seen.update({"quiet": 0, "quiet with t at 0": 0, "tied": 0})
+    for d, n, gens in cases(20102, 40, cap=24):
+        tied.clear()
+        presentation = ring_presentation(d, n)
+        assert presentation.generators == gens, (d, n)
+        for block in presentation.blocks:
+            own = [g for g in gens if g.degree == block.degree]
+            monos = block.monomials[: len(block.monomials) - len(own)]
+            if not monos:
+                continue
+            if block.degree in tied:
+                seen["tied"] += 1
+                continue
+            vectors = [reference_monomial(d, gens, a) for a in monos]
+            kernel, pivots = real_relations(vectors, block.target_dim)
+            assert kernel == [] and block.kernel_dim == 0 and not block.relations, (d, block)
+            free = [j for j in range(block.target_dim) if j not in pivots]
+            assert [g.coeffs.index(1) for g in own] == free, (d, block)
+            seen["quiet"] += 1
+            seen["quiet with t at 0"] += any(v[0] == 0 for v in vectors) and len(monos) > 1
+        finite = [s.point for s in d.slopes if not s.point.is_infinity]
+        seen["0 marked" if any(pt.affine_value == 0 for pt in finite) else "0 not marked"] += 1
+        integer = all(pt.affine_value.denominator == 1 for pt in finite)
+        seen["integer points" if integer else "non-integer point"] += 1
+    assert all(k >= 5 for k in seen.values()), seen
+
+
+def test_quiet_degrees_keep_the_monomial_checks(monkeypatch):
+    # the certificate reads only shapes, and the shapes keep both checks an
+    # evaluation makes: no negative correction exponent, no monomial past
+    # its piece. Every degree of this ring up to 12 is quiet.
+    def no_elimination(vectors, width):
+        raise AssertionError("a quiet degree was eliminated")
+
+    monkeypatch.setattr(sections, "relations", no_elimination)
+    d = rank1({p1_point(0): Fraction(-1, 3), p1_point(Fraction(1, 2)): Fraction(1, 2)})
+    gens = ring_presentation(d, 12).generators
+    m = 2 * gens[0].degree
+    table = sections._RingTable(d, 12)
+    quiet = sections._shape(table, factors(table, gens), (2,) + (0,) * (len(gens) - 1), m)
+    assert quiet[0] + sum(quiet[1]) < table.dims[m]
+
+    table.dims = tuple(0 if k == m else x for k, x in enumerate(table.dims))
+    with pytest.raises(InternalError, match=f"leaves the degree-{m} piece"):
+        sections._presentation(table)
+
+    table = sections._RingTable(d, 12)
+    table.floors = tuple(
+        tuple(x - 5 for x in row) if k == m else row for k, row in enumerate(table.floors)
+    )
+    with pytest.raises(InternalError, match="negative correction exponent"):
+        sections._presentation(table)
