@@ -250,15 +250,11 @@ def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
 
 
 def floor_columns(slopes: tuple[RaySlope, ...], m_max: int) -> list[list[int]]:
-    """Per slope p/q, (m * p) // q at m = 0 .. m_max: one period's table, summed
-    up from its steps when q <= m_max (the step at m depends on m mod q only)."""
+    """Per slope p/q, (m * p) // q at m = 0 .. m_max, summed up from the steps
+    of one period's table (the step at m depends on m mod q only)."""
     m_max = max(m_max, 0)
     periods = (list(map(s.floor, range(min(s.q, m_max) + 1))) for s in slopes)
-    return [
-        p if len(p) > m_max
-        else list(accumulate(islice(cycle(map(sub, p[1:], p)), m_max), initial=0))
-        for p in periods
-    ]
+    return [list(accumulate(islice(cycle(map(sub, p[1:], p)), m_max), initial=0)) for p in periods]
 
 
 def floor_degrees(slopes: tuple[RaySlope, ...], m_max: int, columns=None) -> tuple[int, ...]:

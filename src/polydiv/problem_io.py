@@ -48,10 +48,9 @@ from .curves import (
     AbstractProjectiveCurve,
     AffineLine,
     EllipticCurveQ,
-    EllipticOrigin,
+    CurvePoint,
     EllipticPoint,
     LabelPoint,
-    P1Point,
     ProjectiveLine,
     QDivisor,
     RationalPoint,
@@ -374,52 +373,29 @@ def parse_problem(text: str) -> PolyhedralDivisor:
 # emission
 
 
-# exact types that are already plain data; subclasses such as Verdict (a str
-# Enum) take the general path
-_LEAF_TYPES = frozenset((int, str, bool, type(None)))
-_POINTS = (P1Point, EllipticPoint, EllipticOrigin, LabelPoint, RationalPoint)
-
-
 @cache
 def _field_keys(kind) -> tuple[tuple[str, str], ...] | None:
     """(name, JSON key) per field of a report dataclass, None for other types."""
-    if is_dataclass(kind) and not issubclass(kind, (QDivisor, *_POINTS)):
+    if is_dataclass(kind) and not issubclass(kind, (QDivisor, CurvePoint)):
         return tuple((f.name, _quote(f.name) + ": ") for f in fields(kind))
     return None
 
 
 def report_payload(obj):
-    """Plain JSON-ready data for a report object, with stable key order."""
-    kind = type(obj)
-    if kind in _LEAF_TYPES:
-        return obj
-    if kind is tuple or kind is list:
-        # long h1 listings are tuples of int pairs: skip the call per leaf
-        return [x if type(x) in _LEAF_TYPES else report_payload(x) for x in obj]
-    if (keys := _field_keys(kind)) is not None:
-        return {name: report_payload(getattr(obj, name)) for name, _ in keys}
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, QDivisor):
-        return [[str(pt), str(c)] for pt, c in obj.terms]
-    if isinstance(obj, dict):
-        return {str(k): report_payload(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [report_payload(x) for x in obj]
-    # Fractions and points are written as strings, as is anything else
-    return str(obj)
+    """Plain JSON-ready data for a report object, with stable key order: what
+    its JSON report reads back as."""
+    return json.loads(_json_text(obj, ""))
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_text(obj, indent: str) -> str:
-    """A report object (or payload) as json.dumps(report_payload(obj),
-    indent=2) writes it when nested at indent, read straight off the object
-    with one join per container. A float, set, bytes, non-str key or any
-    other type no payload holds raises TypeError."""
+    """A report object (or plain data) as JSON with indent=2, nested at
+    indent, read straight off the object with one join per container:
+    dataclasses as objects, divisors as [point, coefficient] pairs, points
+    and Fractions as strings, enums as their values. A float, set, bytes,
+    non-str key or any other type raises TypeError."""
     kind = type(obj)
     inner = indent + "  "
     if kind is tuple or kind is list:
@@ -447,7 +423,7 @@ def _json_text(obj, indent: str) -> str:
         return int.__repr__(obj)
     elif isinstance(obj, QDivisor):
         return _json_text([[str(pt), str(c)] for pt, c in obj.terms], indent)
-    elif isinstance(obj, _POINTS):
+    elif isinstance(obj, CurvePoint):
         return _quote(str(obj))
     elif isinstance(obj, (list, tuple)):
         return _json_text(list(obj), indent)
@@ -478,8 +454,8 @@ def _text_lines(payload, prefix: str):
 
 
 def emit_report(obj, format: str = "json") -> str:
-    """Serialize a report dataclass (or payload) as JSON or flat text lines.
-    JSON is written straight off the object; text reads its report_payload."""
+    """Serialize a report dataclass (or plain data) as JSON or flat text lines;
+    the text lines read its report_payload."""
     if format == "json":
         return _json_text(obj, "") + "\n"
     if format == "text":

@@ -7,8 +7,11 @@ of its tail, its base and, per marked point, the vertices of the
 coefficient as exact strings. The tests check that parse_problem reads every
 base and point form back to an equal divisor.
 
-json_report writes a report as the standard library's encoder does with
-indent=2; the tests check that emit_report gives the same bytes.
+payload turns a report object into plain data (dataclasses to dicts,
+divisors to [point, coefficient] pairs, points and Fractions to strings,
+enums to their values) and json_report writes that as the standard library's
+encoder does with indent=2; the tests check that emit_report gives the same
+bytes and report_payload the same data.
 
 rational reads one decoded JSON value as a rational with isinstance tests in
 their original order, before the parser tested exact types first; the tests
@@ -16,6 +19,8 @@ check that both give the same value and the same violation text.
 """
 
 import json
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
 
 from polydiv.curves import (
@@ -28,11 +33,12 @@ from polydiv.curves import (
     LabelPoint,
     P1Point,
     ProjectiveLine,
+    QDivisor,
     RationalPoint,
 )
 from polydiv.errors import InternalError
 from polydiv.pdiv import AffineSpace
-from polydiv.problem_io import _RATIONAL, MAX_DIGITS, _LongInteger, report_payload
+from polydiv.problem_io import _RATIONAL, MAX_DIGITS, _LongInteger
 
 
 def _base_json(base):
@@ -84,9 +90,31 @@ def emit_problem(d) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def payload(obj):
+    """Plain JSON-ready data for a report object, one isinstance test at a time."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    # points and divisors are dataclasses: these two come before the generic branch
+    if isinstance(obj, QDivisor):
+        return [[str(pt), str(c)] for pt, c in obj.terms]
+    if isinstance(obj, (P1Point, EllipticPoint, EllipticOrigin, LabelPoint, RationalPoint)):
+        return str(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: payload(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: payload(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [payload(x) for x in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def json_report(obj) -> str:
-    """The JSON report of obj, through json.dumps(indent=2)."""
-    return json.dumps(report_payload(obj), indent=2) + "\n"
+    """The JSON report of obj, through json.dumps(payload(obj), indent=2)."""
+    return json.dumps(payload(obj), indent=2) + "\n"
 
 
 def rational(value, path: str, violations: list):

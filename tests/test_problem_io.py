@@ -39,7 +39,7 @@ from polydiv.problem_io import (
 )
 from polydiv.verdicts import Verdict
 
-from reference_problem_io import emit_problem, json_report, rational
+from reference_problem_io import emit_problem, json_report, payload, rational
 
 DATA = Path(__file__).parent / "data"
 
@@ -596,6 +596,7 @@ def test_emit_report_matches_json_dumps_on_the_golden_reports(monkeypatch):
     assert len(reports) == len(runs)
     for obj in reports:
         assert emit_report(obj) == json_report(obj)
+        assert report_payload(obj) == payload(obj)
 
 
 def test_emit_report_matches_json_dumps_on_the_benchmark_corpora(monkeypatch):
@@ -608,6 +609,7 @@ def test_emit_report_matches_json_dumps_on_the_benchmark_corpora(monkeypatch):
         assert len(reports) == len(runs)
         for obj in reports:
             assert emit_report(obj) == json_report(obj), workload
+            assert report_payload(obj) == payload(obj), workload
 
 
 ABSTRACT_LABELS = divisor(
@@ -644,10 +646,12 @@ def test_emit_report_matches_json_dumps_on_hand_built_payloads(obj):
 
 @pytest.mark.parametrize("bad", [1.5, [float("nan")], {1, 2}, {"x": {3}}, [b"bytes"], {1: "key"}])
 def test_the_report_writer_refuses_what_no_payload_holds(bad):
-    # report_payload writes floats as strings and keys as strings, so a
-    # float or an int key reaching the writer is a bug, not a number
+    # reports hold no floats, sets, bytes or non-str keys, so one reaching
+    # the writer is a bug, not a number; the text format reads the same writer
     with pytest.raises(TypeError):
         problem_io._json_text(bad, "")
+    with pytest.raises(TypeError):
+        emit_report(bad, format="text")
 
 
 def test_report_payload_writes_points_as_strings_and_divisors_as_pairs():
