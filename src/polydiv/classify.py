@@ -14,6 +14,7 @@ for higher-rank questions are actual lattice weights (integer tuples).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
@@ -25,7 +26,7 @@ from .curves import (
     QDivisor,
     canonical_divisor,
     divisor,
-    h1_dim_of_degree,
+    h1_dims,
     is_principal,
 )
 from .errors import CurveDomainError, InternalError, NotProperError
@@ -34,12 +35,12 @@ from .linalg import clear, dot
 from .pdiv import (
     PolyhedralDivisor,
     PropernessReport,
-    RaySlope,
     contraction_iso_codim1,
     floor_degrees,
     is_proper,
     ray_slopes,
     require_proper,
+    unit_weight,
 )
 from .verdicts import Verdict
 
@@ -50,11 +51,11 @@ def _floor_at(d: PolyhedralDivisor, m: int) -> QDivisor:
     return divisor(d.base, {s.point: s.floor(m) for s in ray_slopes(d)})
 
 
-def _deg1(slopes: tuple[RaySlope, ...]) -> tuple[int, int]:
-    """deg1 = sum(p / q), the degree at the unit weight, as one int pair: the
-    numerator sum over the lcm of the q's."""
-    den = lcm(*(s.q for s in slopes))
-    return sum(s.p * (den // s.q) for s in slopes), den
+def _h1_listing(d: PolyhedralDivisor) -> Iterator[int | None]:
+    """dim H^1 of the rounded-down evaluation at m = 0, 1, .. along the floor
+    profile, as it is read: principality is tested at degree zero on an
+    elliptic curve only, and only once the listing reaches that weight."""
+    return h1_dims(d.base, d.floor_profile, lambda m: is_principal(_floor_at(d, m)))
 
 
 def floor_degree_profile(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
@@ -266,11 +267,9 @@ def gorenstein(d: PolyhedralDivisor) -> GorensteinReport:
         return GorensteinReport(Verdict.NOT_APPLICABLE, "higher-rank-criteria-unavailable")
 
     slopes = ray_slopes(d)
-    num, den = _deg1(slopes)
     genus = d.base.genus
-    # (2g - 2 + sum((q - 1) / q)) / deg1, with both over the lcm of the q's
-    top = (2 * genus - 2) * den + sum((s.q - 1) * (den // s.q) for s in slopes)
-    index = Fraction(top, num)
+    deg1 = d.ray_degrees[unit_weight(d)]
+    index = (2 * genus - 2 + sum(Fraction(s.q - 1, s.q) for s in slopes)) / deg1
     if index.denominator != 1:
         return GorensteinReport(Verdict.NO, "canonical-index-not-integral", canonical_index=index)
     multiplicities = tuple(
@@ -325,7 +324,8 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     Genus one: every positive weight must have nonnegative rounded-down
     degree and the degree-zero ones must be non-principal, so the unit of
     cohomology sits at weight zero. Genus two or more always fails already
-    at weight zero.
+    at weight zero. Both scans read the h1 listing of h1_report, lazily:
+    the genus-one scan tests no principality past its witness.
 
     Rounding down loses less than one unit per marked point, so the degree
     at m exceeds m * deg1 - count. From m >= (count - 2) / deg1 on it is at
@@ -334,6 +334,14 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     slopes, and no later weight can change the verdict or the witness.
     """
     require_proper(d)
+    return _elliptic_singularity(d)
+
+
+def _elliptic_singularity(d: PolyhedralDivisor, h1: Iterable | None = None) -> EllipticReport:
+    """The decision for a proper divisor; the h1 listing from weight zero on
+    is read here, unless given. In genus zero an entry above 1 is a degree
+    below -2 and an entry of 1 a degree of -2; in genus one a positive entry
+    is a negative degree or a principal floor."""
     if not d.base.projective:
         return EllipticReport(Verdict.NO, "affine-base-rational")
     if d.rank != 1:
@@ -341,14 +349,16 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
     genus = d.base.genus
     if genus >= 2:
         return EllipticReport(Verdict.NO, "genus-at-least-two-base", witness_m=0)
-    profile = d.floor_profile
-    weights = range(1, len(profile))
+    listing = enumerate(_h1_listing(d) if h1 is None else h1)
+    next(listing)  # both scans read the positive weights only
 
     if genus == 0:
-        hits = [m for m in weights if profile[m] == -2]
-        below = [m for m in weights if profile[m] < -2]
-        if below:
-            return EllipticReport(Verdict.NO, "floor-degree-below-minus-two", witness_m=below[0])
+        hits = []
+        for m, h in listing:
+            if h:
+                if h > 1:
+                    return EllipticReport(Verdict.NO, "floor-degree-below-minus-two", witness_m=m)
+                hits.append(m)
         if len(hits) == 1:
             return EllipticReport(Verdict.YES, "unique-floor-degree-minus-two", witness_m=hits[0])
         if not hits:
@@ -356,17 +366,12 @@ def elliptic_singularity(d: PolyhedralDivisor) -> EllipticReport:
         return EllipticReport(Verdict.NO, "repeated-floor-degree-minus-two", witness_m=hits[1])
 
     undecided = None
-    for m in weights:
-        if profile[m] < 0:
-            return EllipticReport(
-                Verdict.NO, "negative-floor-degree-on-genus-one-base", witness_m=m
-            )
-        if profile[m] == 0:
-            principal = is_principal(_floor_at(d, m))
-            if principal == Verdict.YES:
-                return EllipticReport(Verdict.NO, "principal-floor-on-genus-one-base", witness_m=m)
-            if principal == Verdict.UNKNOWN:
-                undecided = m
+    for m, h in listing:
+        if h is None:
+            undecided = m
+        elif h:
+            slug = "negative-floor-degree" if d.floor_profile[m] < 0 else "principal-floor"
+            return EllipticReport(Verdict.NO, f"{slug}-on-genus-one-base", witness_m=m)
     if undecided is not None:
         return EllipticReport(
             Verdict.UNKNOWN, "principality-undecided-on-abstract-base", witness_m=undecided
@@ -409,8 +414,9 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
 
     Entries come from the integer floor-degree kernel: the degree at weight m
     is sum((m * p) // q) over the ray slopes, and on every base model the
-    degree alone fixes dim H^1, except at degree zero on an elliptic curve.
-    Only there is the rounded-down divisor built, to test its principality.
+    degree alone fixes dim H^1, except at degree zero on an elliptic curve
+    (see h1_dims). Only there is the rounded-down divisor built, to test its
+    principality.
 
     Rounding down loses less than one unit per marked point, so the degree
     at m exceeds m * deg1 - count, which is at least 2g - 2 once
@@ -424,15 +430,10 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     require_proper(d)
     if not d.base.projective:
         raise CurveDomainError("cohomology reports need a projective base curve")
-    slopes = ray_slopes(d)
-    num, den = _deg1(slopes)
-    genus = d.base.genus
-    bound = max(-(-(len(slopes) + max(2 * genus - 2, 0)) * den // num), 1)
-
-    def entry(m: int, deg: int) -> int | None:
-        return h1_dim_of_degree(d.base, deg, lambda: is_principal(_floor_at(d, m)))
-
-    values = [entry(m, deg) for m, deg in enumerate(d.floor_profile)]
+    deg1 = d.ray_degrees[unit_weight(d)]
+    excess = len(d.coefficients) + max(2 * d.base.genus - 2, 0)
+    bound = max(-(-excess * deg1.denominator // deg1.numerator), 1)
+    values = list(_h1_listing(d))
     total = None if None in values else sum(values)
     top = bound if m_max is None else m_max
     values += [0] * (top + 1 - len(values))
@@ -494,11 +495,11 @@ def classify_report(d: PolyhedralDivisor, isolated: bool = False) -> ClassifyRep
     rational = rational_singularities(d)
     cm = _cohen_macaulay(d, isolated, rational)
     gor = gorenstein(d)
-    ell = elliptic_singularity(d)
-    minimal = minimal_elliptic_verdict(ell, gor)
     h1 = None
     if d.rank == 1 and d.base.projective:
         h1 = h1_report(d)
+    ell = _elliptic_singularity(d, None if h1 is None else (h for _, h in h1.entries))
+    minimal = minimal_elliptic_verdict(ell, gor)
 
     _check_consistency(rational, ell, h1)
 

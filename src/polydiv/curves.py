@@ -10,7 +10,7 @@ and raise CurveDomainError.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -426,30 +426,29 @@ def is_torsion_class(d: QDivisor) -> tuple[Verdict, int | None]:
     return Verdict.UNKNOWN, None
 
 
-def h1_dim_of_degree(
-    curve: CurveModel, deg: int, principal: Callable[[], Verdict]
-) -> int | None:
-    """dim H^1 of an integral divisor of degree deg on curve, None when undecidable.
+def h1_dims(
+    curve: CurveModel, degrees: Iterable[int], principal: Callable[[int], Verdict]
+) -> Iterator[int | None]:
+    """dim H^1 of the k-th of a sequence of integral divisors, given their
+    degrees, as the listing is read; None where undecidable.
 
-    The degree decides everything except a degree-zero divisor on an elliptic
-    curve, where the answer is its principality: principal is a zero-argument
-    callable returning that Verdict, and it is called in that case only.
+    On a curve of genus g, dim H^1 is g - 1 - deg below degree 0 and 0 above
+    2g - 2. In between an elliptic curve has only degree 0, where the answer
+    is the principality of the divisor: principal(k) returns that Verdict
+    for the k-th divisor and is called there only. Abstract models of genus
+    >= 1 leave that window undecided.
     """
     if not curve.projective:
         raise CurveDomainError("cohomology is only defined on projective models")
-    if isinstance(curve, ProjectiveLine) or (
-        isinstance(curve, AbstractProjectiveCurve) and curve.genus == 0
-    ):
-        return max(0, -deg - 1)
-    if isinstance(curve, EllipticCurveQ):
-        if deg > 0:
-            return 0
-        if deg < 0:
-            return -deg
-        return 1 if principal() == Verdict.YES else 0
     g = curve.genus
-    if deg > 2 * g - 2:
-        return 0
-    if deg < 0:
-        return g - 1 - deg
-    return None
+    top = 2 * g - 2
+    elliptic = isinstance(curve, EllipticCurveQ)
+    for k, deg in enumerate(degrees):
+        if deg < 0:
+            yield g - 1 - deg
+        elif deg > top:
+            yield 0
+        elif elliptic:
+            yield 1 if principal(k) == Verdict.YES else 0
+        else:
+            yield None

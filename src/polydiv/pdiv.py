@@ -281,9 +281,10 @@ def is_proper(d: PolyhedralDivisor) -> PropernessReport:
     Affine bases: always proper. Projective curves: every evaluation within
     the weight cone must be semiample and evaluations at interior weights must
     have positive degree. The degree function is concave and piecewise linear
-    on the chamber fan, so checking chamber rays plus one interior sample is
-    exact; degree-zero boundary rays additionally need a torsion divisor
-    class, which certifies the whole face they span.
+    on the chamber fan, so checking chamber rays is exact: the degree is
+    positive at the interior sample, the sum of the fan rays, unless it is
+    zero at every one of them. Degree-zero boundary rays additionally need a
+    torsion divisor class, which certifies the whole face they span.
     """
     return d.properness
 
@@ -323,14 +324,13 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
         if deg_u == 0:
             degree_zero_rays.append(u)
 
-    sample = _interior_sample(ray_degrees, d.rank)
-    # at rank one, or wherever the sum of the fan rays is itself a fan ray,
-    # its degree is already known
-    if (ray_degrees[sample] if sample in ray_degrees else _degree_at(d, sample)) <= 0:
+    # the degree is concave, linear on each chamber and >= 0 at every fan
+    # ray, so it vanishes at the sum of the fan rays iff at each fan ray
+    if not any(ray_degrees.values()):
         return PropernessReport(
             Verdict.NO,
             "the degree vanishes at an interior weight, hence everywhere",
-            witness=ratvec(sample),
+            witness=ratvec(_interior_sample(ray_degrees, d.rank)),
         )
 
     minima = dict(d.fan.minima)
@@ -363,12 +363,6 @@ def _decide_properness(d: PolyhedralDivisor) -> PropernessReport:
 
 def _interior_sample(rays, rank: int) -> tuple[int, ...]:
     return tuple(sum(r[i] for r in rays) for i in range(rank))
-
-
-def _degree_at(d: PolyhedralDivisor, m: tuple[int, ...]) -> Fraction:
-    """The degree of the evaluation at an integer weight m of the weight cone:
-    the support minima taken in int on the cleared vertices."""
-    return _degree(d, [min(dot(m, n) for n in poly.cleared[0]) for _, poly in d.coefficients])
 
 
 def _degree(d: PolyhedralDivisor, minima) -> Fraction:

@@ -9,18 +9,19 @@ vertex v of the i-th coefficient contributes the primitive ray through
 unit ray (0, e_i).
 
 Ray-level diagnostics (simpliciality, multiplicity of the ray lattice inside
-its saturation, smoothness) are exact: the multiplicity is the gcd of the
-maximal minors of the ray matrix, read off as the product of the pivots
-after an integer column reduction of that matrix to lower-triangular form.
+its saturation, smoothness) are exact: one integer column reduction of the
+ray matrix to lower echelon form gives the rank of the rays' span as the
+number of pivots and the multiplicity, the gcd of the maximal minors, as the
+product of the pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CurveDomainError, InternalError
+from .errors import CurveDomainError
 from .geometry import make_cone
-from .linalg import matrix_rank, primitive
+from .linalg import primitive
 from .pdiv import AffineSpace, PolyhedralDivisor
 
 
@@ -78,8 +79,8 @@ def cone_diagnostics(tc: ToricCone) -> ConeDiagnostics:
     non-simplicial cone is reported with multiplicity None and smooth False.
     """
     rays = tc.rays
-    span = matrix_rank(rays)
-    mult = _span_multiplicity(rays, tc.ambient_rank) if len(rays) == span else None
+    span, index = _span_rank_and_index(rays, tc.ambient_rank)
+    mult = index if len(rays) == span else None
     return ConeDiagnostics(
         ambient_rank=tc.ambient_rank,
         ray_count=len(rays),
@@ -90,34 +91,35 @@ def cone_diagnostics(tc: ToricCone) -> ConeDiagnostics:
     )
 
 
-def _span_multiplicity(rays, ambient: int) -> int:
-    """Index of the rays' lattice in its saturation; 1 for no rays at all.
+def _span_rank_and_index(rays, ambient: int) -> tuple[int, int]:
+    """The rank of the rays' span and, for independent rays, the index of
+    their lattice in its saturation; (0, 1) for no rays at all.
 
-    The index is the gcd of the maximal minors of the k x ambient ray
-    matrix, and unimodular column operations keep that gcd (Cauchy-Binet).
-    Row by row, extended-gcd steps on pairs of columns clear the entries
-    right of the diagonal, so the only nonzero maximal minor left is the
-    leading lower-triangular block: the index is |product of its pivots|.
-    The k <= ambient rays must be linearly independent.
+    The index is the gcd of the maximal minors of the ray matrix, and
+    unimodular column operations keep that gcd (Cauchy-Binet). Row by row,
+    extended-gcd steps on pairs of columns clear the entries right of the
+    next pivot column. A row with no entry left at or past that column lies
+    in the span of the pivot rows above it and takes no pivot. For
+    independent rays the one nonzero maximal minor left is the leading
+    lower-triangular block: the index is |product of its pivots|.
     """
-    k = len(rays)
     cols = [[int(ray[c]) for ray in rays] for c in range(ambient)]
-    mult = 1
-    for i in range(k):
-        for j in range(i + 1, ambient):
+    rank, mult = 0, 1
+    for i in range(len(rays)):
+        for j in range(rank + 1, ambient):
             b = cols[j][i]
             if b == 0:
                 continue
-            a = cols[i][i]
+            a = cols[rank][i]
             g, x, y = _xgcd(a, b)
             # [[x, -b/g], [y, a/g]] has determinant 1 and clears row i of column j
-            ci, cj = cols[i], cols[j]
-            cols[i] = [x * u + y * v for u, v in zip(ci, cj)]
+            ci, cj = cols[rank], cols[j]
+            cols[rank] = [x * u + y * v for u, v in zip(ci, cj)]
             cols[j] = [(a // g) * v - (b // g) * u for u, v in zip(ci, cj)]
-        if cols[i][i] == 0:
-            raise InternalError(f"ray {i} lies in the span of the rays before it")
-        mult *= cols[i][i]
-    return abs(mult)
+        if rank < ambient and cols[rank][i]:
+            mult *= cols[rank][i]
+            rank += 1
+    return rank, abs(mult)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

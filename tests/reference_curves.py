@@ -2,18 +2,31 @@
 were written before the classifiers read everything off degrees and slopes,
 kept as independent oracles.
 
-floor_divisor rounds every coefficient down, h1_dim is dim H^1 of an
-integral divisor from its degree and, on an elliptic curve, its
-principality, and h0_dim follows from it by Riemann-Roch. The tests rebuild
-the h1 report, the floor degrees and the section-ring dimensions from
+floor_divisor rounds every coefficient down, h1_dim_of_degree is dim H^1
+of an integral divisor from its degree and, on an elliptic curve, its
+principality, one case per curve model, h1_dim reads it for one divisor,
+and h0_dim follows from it by Riemann-Roch. The tests rebuild the h1
+report, the floor degrees and the section-ring dimensions from
 h1_dim(floor_divisor(evaluate(d, m))) and h0_dim of the same divisor.
 """
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import floor
 
-from polydiv.curves import QDivisor, degree, divisor, h1_dim_of_degree, is_integral, is_principal
+from polydiv.curves import (
+    AbstractProjectiveCurve,
+    CurveModel,
+    EllipticCurveQ,
+    ProjectiveLine,
+    QDivisor,
+    degree,
+    divisor,
+    is_integral,
+    is_principal,
+)
 from polydiv.errors import CurveDomainError, NonIntegralError
+from polydiv.verdicts import Verdict
 
 
 def floor_divisor(d: QDivisor) -> QDivisor:
@@ -39,3 +52,32 @@ def h1_dim(d: QDivisor) -> int | None:
     if not is_integral(d):
         raise NonIntegralError("cohomology dimensions need an integral divisor")
     return h1_dim_of_degree(d.curve, int(degree(d)), lambda: is_principal(d))
+
+
+def h1_dim_of_degree(
+    curve: CurveModel, deg: int, principal: Callable[[], Verdict]
+) -> int | None:
+    """dim H^1 of an integral divisor of degree deg on curve, None when undecidable.
+
+    The degree decides everything except a degree-zero divisor on an elliptic
+    curve, where the answer is its principality: principal is a zero-argument
+    callable returning that Verdict, and it is called in that case only.
+    """
+    if not curve.projective:
+        raise CurveDomainError("cohomology is only defined on projective models")
+    if isinstance(curve, ProjectiveLine) or (
+        isinstance(curve, AbstractProjectiveCurve) and curve.genus == 0
+    ):
+        return max(0, -deg - 1)
+    if isinstance(curve, EllipticCurveQ):
+        if deg > 0:
+            return 0
+        if deg < 0:
+            return -deg
+        return 1 if principal() == Verdict.YES else 0
+    g = curve.genus
+    if deg > 2 * g - 2:
+        return 0
+    if deg < 0:
+        return g - 1 - deg
+    return None

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import ceil, gcd, lcm
 from random import Random
@@ -32,7 +33,6 @@ from polydiv.curves import (
     RationalPoint,
     degree,
     denominator_lcm,
-    h1_dim_of_degree,
     is_principal,
     p1_point,
 )
@@ -48,7 +48,7 @@ from polydiv.pdiv import AffineSpace, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
 
 import reference_classify
-from reference_curves import floor_divisor, h1_dim
+from reference_curves import floor_divisor, h1_dim, h1_dim_of_degree
 from reference_pdiv import evaluate
 
 P1 = ProjectiveLine()
@@ -929,6 +929,39 @@ def test_classify_report_builds_one_floor_profile(monkeypatch, base, slopes):
     assert len(d.floor_profile) == calls[0][1] + 1 > 1
     assert elliptic_singularity(d) == report.elliptic and h1_report(d) == report.h1
     assert len(calls) == 1
+
+
+def test_principality_is_tested_once_per_degree_zero_weight(monkeypatch):
+    """classify_report tests each degree-zero floor once, for h1 and elliptic
+    together; elliptic alone reads the h1 listing up to its witness only."""
+    calls = []
+    real = classify_module.is_principal
+    monkeypatch.setattr(classify_module, "is_principal", lambda x: calls.append(x) or real(x))
+    rng = Random(20261020)
+    seen = dict.fromkeys(("negative", "principal", "yes", "stopped early"), 0)
+    for base, pool in KERNEL_BASES[1:3]:
+        for d in random_kernel_family(rng, base, pool, 40, 300):
+
+            def fresh():
+                return polyhedral_divisor(base, 1, RAY, dict(d.coefficients))
+
+            calls.clear()
+            gorenstein(fresh())
+            want = Counter(calls)  # the canonical difference, if it is tested
+            calls.clear()
+            report = classify_report(d)
+            zero = [m for m, deg in enumerate(d.floor_profile) if deg == 0]
+            want.update(classify_module._floor_at(d, m) for m in zero)
+            assert Counter(calls) == want, d
+
+            calls.clear()
+            ell = elliptic_singularity(fresh())
+            assert ell == report.elliptic
+            stop = ell.witness_m if ell.verdict == Verdict.NO else len(d.floor_profile)
+            assert calls == [classify_module._floor_at(d, m) for m in zero if m <= stop], d
+            seen["yes" if ell.verdict == Verdict.YES else ell.criterion.split("-")[0]] += 1
+            seen["stopped early"] += zero[-1] > stop
+    assert all(n >= 3 for n in seen.values()), seen
 
 
 def test_reports_do_not_depend_on_the_order_of_the_questions():

@@ -76,7 +76,7 @@ from polydiv.linalg import (
     vec_sub,
 )
 from polydiv.problem_io import parse_problem
-from polydiv.toric import _span_multiplicity, toric_cone
+from polydiv.toric import ToricCone, _span_rank_and_index, cone_diagnostics, toric_cone
 from reference_geometry import in_ray_span, ray_meets
 from reference_geometry import make_polyhedron as homogenized_make_polyhedron
 from reference_linalg import cone_from_inequalities, determinant, rref, rref_rank, whole_space
@@ -345,7 +345,7 @@ def test_span_multiplicity_matches_gcd_of_minors():
         for _ in range(6 if ambient <= 6 else 3):
             rows = random_full_row_rank(rng, k, ambient)
             expected = reference_span_multiplicity(rows, ambient)
-            assert _span_multiplicity(rows, ambient) == expected, (rows, ambient)
+            assert _span_rank_and_index(rows, ambient) == (k, expected), (rows, ambient)
             seen["k=0"] += k == 0
             seen["mult>1"] += expected > 1
             seen["square"] += k == ambient > 0
@@ -364,14 +364,34 @@ def test_span_multiplicity_of_scaled_sublattices():
         rows = [tuple(sum(t[i][r] * base[r][c] for r in range(k)) for c in range(ambient)) for i in range(k)]
         expected = reference_span_multiplicity(rows, ambient)
         assert expected == abs(int(determinant(t))) * reference_span_multiplicity(base, ambient)
-        assert _span_multiplicity(rows, ambient) == expected
+        assert _span_rank_and_index(rows, ambient) == (k, expected)
 
 
 def test_span_multiplicity_rejects_dependent_rays():
-    with pytest.raises(InternalError):
-        _span_multiplicity(((1, 2, 3), (2, 4, 6)), 3)
-    with pytest.raises(InternalError):
-        _span_multiplicity(((1, 0, 2), (0, 1, -1), (1, 1, 1)), 3)
+    # a dependent ray takes no pivot: the span rank is below the ray count,
+    # and cone_diagnostics reports no multiplicity
+    for rows in (((1, 2, 3), (2, 4, 6)), ((1, 0, 2), (0, 1, -1), (1, 1, 1))):
+        rank, _ = _span_rank_and_index(rows, 3)
+        assert rank == len(rows) - 1
+        diag = cone_diagnostics(ToricCone(ambient_rank=3, divisor_rank=1, rays=rows))
+        assert (diag.span_rank, diag.multiplicity, diag.simplicial) == (rank, None, False)
+    rng = Random(20093)
+    seen = {"dependent": 0, "independent": 0, "more rays than ambient": 0}
+    for _ in range(300):
+        ambient = rng.randint(1, 6)
+        k = rng.randint(1, ambient + 2)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(ambient)) for _ in range(rng.randint(1, k))]
+        while len(rows) < k:  # rows that are combinations of the first ones
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(tuple(rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b)))
+        rng.shuffle(rows)
+        rank, index = _span_rank_and_index(rows, ambient)
+        assert rank == rref_rank(rows), (rows, ambient)
+        if rank == k:
+            assert index == reference_span_multiplicity(rows, ambient), (rows, ambient)
+        seen["dependent" if rank < k else "independent"] += 1
+        seen["more rays than ambient"] += k > ambient
+    assert all(n >= 30 for n in seen.values()), seen
 
 
 def random_cone(rng, rank, shape):

@@ -22,7 +22,7 @@ from polydiv.curves import (
     ec_add,
     ec_multiple,
     ec_neg,
-    h1_dim_of_degree,
+    h1_dims,
     is_integral,
     is_principal,
     is_torsion_class,
@@ -33,7 +33,7 @@ from polydiv.curves import (
 from polydiv.errors import CurveDomainError, NonIntegralError, PointError, ShapeError
 from polydiv.verdicts import Verdict
 
-from reference_curves import floor_divisor, h0_dim, h1_dim
+from reference_curves import floor_divisor, h0_dim, h1_dim, h1_dim_of_degree
 
 P1 = ProjectiveLine()
 EC_TWO_TORSION = EllipticCurveQ(-1, 0)  # y^2 = x^3 - x
@@ -202,23 +202,39 @@ def test_h0_h1_elliptic_degree_zero_splits_on_principality():
     assert h0_dim(nontrivial) == 0 and h1_dim(nontrivial) == 0
 
 
-def test_h1_dim_of_degree_asks_principality_only_at_elliptic_degree_zero():
+H1_CURVES = (P1, *map(AbstractProjectiveCurve, range(4)), EC_TWO_TORSION, EC_RANK_ONE)
+H1_DEGREES = (*range(-5, 9), 0)  # degree zero twice, at k = 5 and k = 14
+
+
+def test_h1_dims_match_the_reference_scalar():
+    for curve in H1_CURVES:
+        for answer in (Verdict.YES, Verdict.NO):
+            got = list(h1_dims(curve, H1_DEGREES, lambda k: answer))
+            want = [h1_dim_of_degree(curve, deg, lambda: answer) for deg in H1_DEGREES]
+            assert got == want, (curve, answer)
+    assert list(h1_dims(EC_RANK_ONE, H1_DEGREES, lambda k: Verdict.YES)).count(1) == 3
+    assert list(h1_dims(AbstractProjectiveCurve(1), H1_DEGREES, None)).count(None) == 2
+
+
+def test_h1_dims_asks_principality_only_at_elliptic_degree_zero():
     calls = []
 
-    def principal():
-        calls.append(True)
+    def principal(k):
+        calls.append(k)
         return Verdict.NO
 
-    for curve in (P1, EC_TWO_TORSION, *(AbstractProjectiveCurve(g) for g in range(3))):
-        for deg in range(-3, 4):
-            if not (curve == EC_TWO_TORSION and deg == 0):
-                h1_dim_of_degree(curve, deg, principal)
-    assert not calls
-    assert h1_dim_of_degree(EC_TWO_TORSION, 0, principal) == 0
-    assert calls == [True]
-    assert h1_dim_of_degree(EC_TWO_TORSION, 0, lambda: Verdict.YES) == 1
+    for curve in H1_CURVES:
+        calls.clear()
+        listing = h1_dims(curve, H1_DEGREES, principal)
+        assert not calls
+        for k, deg in enumerate(H1_DEGREES):
+            before = len(calls)
+            next(listing)
+            asked = isinstance(curve, EllipticCurveQ) and deg == 0
+            assert calls[before:] == ([k] if asked else []), (curve, k)
+        assert calls == ([5, 14] if isinstance(curve, EllipticCurveQ) else []), curve
     with pytest.raises(CurveDomainError):
-        h1_dim_of_degree(AffineLine(), 0, principal)
+        next(h1_dims(AffineLine(), [0], principal))
 
 
 def test_h0_h1_abstract_window_is_unknown():

@@ -30,7 +30,6 @@ from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.linalg import dot
 from polydiv.pdiv import (
     AffineSpace,
-    _degree_at,
     contraction_iso_codim1,
     is_proper,
     polyhedral_divisor,
@@ -260,20 +259,29 @@ def test_rank_four_fan_failure_is_reported_and_not_kept():
             d.fan
 
 
-def test_properness_reads_the_degree_of_a_sample_on_a_fan_ray(monkeypatch):
-    # at rank one the interior sample, the sum of the fan rays, is the one
-    # fan ray: its degree is a ray degree, with no pairing of its own
-    samples = []
-    real = pdiv_module._degree_at
-    monkeypatch.setattr(pdiv_module, "_degree_at", lambda d, m: samples.append(m) or real(d, m))
-    d = rank1_divisor(P1, GOLDEN_ONE)
-    assert is_proper(d).verdict == Verdict.YES
-    assert samples == []
-    # the quadrant's sample (1, 1) is no fan ray, and (0, 1) has degree 0
+def test_properness_reads_the_interior_sample_off_the_ray_degrees(monkeypatch):
+    # the degree is concave and >= 0 at every fan ray, so it vanishes at the
+    # interior sample, the sum of the fan rays, iff at each of them: the
+    # sample takes no degree of its own
+    degrees = []
+    real = pdiv_module._degree
+    monkeypatch.setattr(pdiv_module, "_degree", lambda d, mins: degrees.append(mins) or real(d, mins))
     quadrant = polyhedral_divisor(P1, 2, ((1, 0), (0, 1)), {p1_point(0): quadrant_poly((1, 0))})
-    assert dict(quadrant.ray_degrees) == {(0, 1): 0, (1, 0): 1}
+    cancelled = polyhedral_divisor(
+        P1,
+        2,
+        ((1, 0), (0, 1)),
+        {p1_point(0): quadrant_poly((1, 2)), P1_INFINITY: quadrant_poly((-1, -2))},
+    )
     assert is_proper(quadrant).verdict == Verdict.YES
-    assert samples == [(1, 1)]
+    assert dict(quadrant.ray_degrees) == {(0, 1): 0, (1, 0): 1}
+    assert degree(evaluate(quadrant, (1, 1))) == 1
+    report = is_proper(cancelled)
+    assert dict(cancelled.ray_degrees) == {(0, 1): 0, (1, 0): 0}
+    assert degree(evaluate(cancelled, (1, 1))) == 0
+    assert report.verdict == Verdict.NO and report.witness == (1, 1)
+    assert report.reason == "the degree vanishes at an interior weight, hence everywhere"
+    assert len(degrees) == 4  # one per fan ray of each divisor
 
 
 def test_slopes_are_kept_and_a_rank_two_failure_is_not():
@@ -306,8 +314,11 @@ DEGREE_TAILS = {
 
 
 def test_ray_degrees_match_the_evaluated_divisor():
-    """ray_degrees and the interior-sample degree of the properness check
-    take support minima in int; both must equal degree(evaluate(d, u))."""
+    """ray_degrees take support minima in int and must equal
+    degree(evaluate(d, u)). The degree at the interior sample, the sum of
+    the fan rays, is at least the sum of the ray degrees (the degree is
+    concave), and where those are >= 0 it is zero iff they all are, as the
+    properness check reads it."""
     rng = Random(20261019)
     seen = {"P1": 0, "elliptic": 0, "rays": 0, "negative": 0, "rank-3": 0}
     for name, base, pool in DEGREE_BASES:
@@ -328,7 +339,10 @@ def test_ray_degrees_match_the_evaluated_divisor():
                 seen["rays"] += 1
                 seen["negative"] += g < 0
             sample = tuple(map(sum, zip(*d.ray_degrees)))
-            assert _degree_at(d, sample) == degree(evaluate(d, sample)), d
+            at_sample = degree(evaluate(d, sample))
+            assert at_sample >= sum(d.ray_degrees.values()), d
+            if min(d.ray_degrees.values()) >= 0:
+                assert (at_sample == 0) == (not any(d.ray_degrees.values())), d
             seen[name] += 1
             seen["rank-3"] += rank == 3
     assert all(n >= 10 for n in seen.values()), seen
@@ -546,3 +560,65 @@ def test_properness_matches_the_torsion_test_through_evaluate():
             seen["not torsion"] += "not a torsion class" in report.reason
             seen["negative"] += "negative degree" in report.reason
     assert all(n >= 5 for n in seen.values()), seen
+
+
+LINEALITY_TAILS = {2: (((1, 0),),), 3: (((1, 0, 0), (0, 1, 0)), ((1, 0, 0),))}
+ORACLE_BASES = (
+    (P1, (P1_INFINITY, p1_point(0), p1_point(1), p1_point(-1))),
+    (EC_SMOOTH, (EC_ORIGIN, EllipticPoint(-1, 0), EllipticPoint(0, 1), EllipticPoint(2, 3))),
+    (AbstractProjectiveCurve(1), tuple(LabelPoint(x) for x in "pqrs")),
+)
+
+
+def test_properness_matches_the_reference_on_walls_and_lineality():
+    """is_proper reads the all-zero test and every degree off the fan's
+    minima; the reference takes the degree at the interior sample through
+    evaluate. The tails include non-simplicial ones and ones whose weight
+    cone has a lineality space; up to three vertices per coefficient make
+    walls. A cancelled divisor, v at one point and -v at another, has
+    degree zero everywhere; a lifted one, on a simplicial tail, has a last
+    vertex setting each weight-cone ray's degree to some t_i >= 0 (as in
+    the torsion test above), so every fan ray's degree is >= 0."""
+    rng = Random(20261021)
+    seen = dict.fromkeys(("all zero", "past it", "walls", "non-simplicial", "lineality"), 0)
+    for base, pool in ORACLE_BASES:
+        for _ in range(80):
+            rank = rng.randint(1, 3)
+            tail_rays = rng.choice(DEGREE_TAILS[rank] + LINEALITY_TAILS.get(rank, ()))
+            tail = make_cone(tail_rays, rank)
+            mode = rng.choice(("random", "cancelled", "lifted"))
+            if mode == "cancelled":
+                v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank))
+                a, b = rng.sample(pool, 2)
+                coeffs = {a: make_polyhedron([v], tail), b: make_polyhedron([[-x for x in v]], tail)}
+            else:
+                coeffs = {
+                    pt: make_polyhedron(
+                        [
+                            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank))
+                            for _ in range(rng.randint(1, 3))
+                        ],
+                        tail,
+                    )
+                    for pt in rng.sample(pool[1:], rng.randint(1, len(pool) - 1))
+                }
+            if mode == "lifted" and len(tail_rays) == rank:
+                partial = polyhedral_divisor(base, rank, tail_rays, coeffs)
+                w = [Fraction(0)] * rank
+                for u in partial.weight_cone.rays:
+                    f = next(f for f in tail.rays if dot(f, u) > 0)
+                    t = rng.choice((0, rng.randint(0, 3)))
+                    scale = Fraction(t - partial.ray_degrees[u], dot(f, u))
+                    w = [a + scale * b for a, b in zip(w, f)]
+                coeffs[pool[0]] = make_polyhedron([w], tail)
+            d = polyhedral_divisor(base, rank, tail_rays, coeffs)
+            report = is_proper(d)
+            assert report == decide_properness(d), d
+            if "vanishes at an interior weight" in report.reason:
+                seen["all zero"] += 1
+            elif "negative degree" not in report.reason:
+                seen["past it"] += 1
+            seen["walls"] += len(d.fan.chambers) > 1
+            seen["non-simplicial"] += len(tail_rays) > rank
+            seen["lineality"] += len(tail_rays) < rank
+    assert all(n >= 10 for n in seen.values()), seen
