@@ -208,9 +208,6 @@ class ChamberFan:
     chambers: tuple[Chamber, ...]
     minima: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
-    def all_rays(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(u for u, _ in self.minima)
-
 
 def chamber_fan(polys, tail: Cone) -> ChamberFan:
     """Common linearity decomposition of the weight cone, the dual of the tail.

@@ -116,10 +116,6 @@ class PolyhedralDivisor:
                 return poly
         return None
 
-    @property
-    def support(self) -> tuple[object, ...]:
-        return tuple(k for k, _ in self.coefficients)
-
     @cached_property
     def fan(self) -> ChamberFan:
         """Common linearity decomposition of the weight cone for all coefficients."""

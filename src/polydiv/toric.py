@@ -33,10 +33,6 @@ class ToricCone:
     divisor_rank: int
     rays: tuple[tuple[int, ...], ...]
 
-    @property
-    def hyperplane_count(self) -> int:
-        return self.ambient_rank - self.divisor_rank
-
 
 def toric_cone(d: PolyhedralDivisor) -> ToricCone:
     """Extremal rays of the cone describing the divisor's toric model."""

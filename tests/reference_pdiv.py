@@ -126,7 +126,7 @@ def decide_properness(d) -> PropernessReport:
             "no nontrivial coefficients: every evaluation has degree zero",
             witness=ratvec(tuple(map(sum, zip(*rays)))),
         )
-    rays = d.fan.all_rays()
+    rays = [u for u, _ in d.fan.minima]
     zero = []
     for u in rays:
         deg_u = degree(evaluate(d, u))

@@ -226,7 +226,7 @@ def _boxed_enough(d, box):
     if is_proper(d).verdict != Verdict.YES:
         return False
     fan = chamber_fan([poly for _, poly in d.coefficients], d.tail)
-    rays = fan.all_rays()
+    rays = [u for u, _ in fan.minima]
     degs = [degree(evaluate(d, u)) for u in rays]
     if any(g <= 0 for g in degs):
         return False

@@ -10,7 +10,8 @@ the section ring over P1 of the rank-one divisor
 with deg D = 1/(pqr) (Demazure; Pinkham, Math. Ann. 1977). Such a k exists:
 a qr + b pr + c pq is 1 modulo each of p, q and r, hence modulo pqr, so
 deg D = (a qr + b pr + c pq) / (pqr) is 1/(pqr) plus an integer, which the
-shift of c by k r removes. The documents below carry D with the tail (1,).
+shift of c by k r removes. The documents carry D with the tail (1,); they
+are built by hard_documents.brieskorn_pham.
 
 The answers are known without the floor-degree kernel:
 
@@ -31,10 +32,11 @@ The answers are known without the floor-degree kernel:
   iff p_g = 1 as well (Laufer, Amer. J. Math. 1977).
 """
 
-import json
+from fractions import Fraction
 from math import gcd
 from random import Random
 
+from hard_documents import brieskorn_pham
 from polydiv.classify import classify_report
 from polydiv.problem_io import parse_problem
 from polydiv.sections import ring_presentation
@@ -43,21 +45,6 @@ from polydiv.verdicts import Verdict
 
 def pairwise_coprime(p, q, r):
     return gcd(p, q) == gcd(p, r) == gcd(q, r) == 1
-
-
-def document(p, q, r) -> str:
-    a, b, c = pow(q * r, -1, p), pow(p * r, -1, q), pow(p * q, -1, r)
-    c -= (a * q * r + b * p * r + c * p * q - 1) // (p * q)
-    assert a * q * r + b * p * r + c * p * q == 1
-    vertices = (("0", f"{a}/{p}"), ("1", f"{b}/{q}"), ("inf", f"{c}/{r}"))
-    return json.dumps(
-        {
-            "lattice_rank": 1,
-            "tail_cone": {"rays": [[1]]},
-            "base": {"kind": "P1"},
-            "coefficients": [{"point": pt, "vertices": [[v]]} for pt, v in vertices],
-        }
-    )
 
 
 def geometric_genus(p, q, r) -> int:
@@ -102,12 +89,15 @@ def test_the_family_covers_each_answer():
     assert {0, 1, 2} <= genera
     assert geometric_genus(2, 3, 5) == 0 and geometric_genus(2, 3, 7) == 1
     assert geometric_genus(31, 37, 41) == 6894
+    for p, q, r in SMALL:
+        d = parse_problem(brieskorn_pham(p, q, r))
+        assert d.ray_degrees[(1,)] == Fraction(1, p * q * r), (p, q, r)
 
 
 def test_classify_matches_the_closed_forms():
     triples = SMALL + large_triples(Random(20261020), 8)
     for p, q, r in triples:
-        d = parse_problem(document(p, q, r))
+        d = parse_problem(brieskorn_pham(p, q, r))
         genus = geometric_genus(p, q, r)
         report = classify_report(d)
         assert report.properness.verdict == Verdict.YES
@@ -124,7 +114,7 @@ def test_classify_matches_the_closed_forms():
 def test_ring_matches_the_hilbert_series():
     for p, q, r in SMALL:
         top = p * q * r + 5
-        ring = ring_presentation(parse_problem(document(p, q, r)), top)
+        ring = ring_presentation(parse_problem(brieskorn_pham(p, q, r)), top)
         assert list(ring.dimensions) == hilbert_series(p, q, r, top), (p, q, r)
         assert [g.degree for g in ring.generators] == sorted((q * r, p * r, p * q))
         relations = [(b.degree, len(b.relations)) for b in ring.blocks if b.relations]

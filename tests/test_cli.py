@@ -6,6 +6,7 @@ from time import monotonic
 
 import pytest
 
+from hard_documents import period
 import polydiv.classify as classify
 import polydiv.cli as cli
 import polydiv.geometry as geometry
@@ -513,17 +514,7 @@ def test_signals_that_are_not_exceptions_still_propagate(capsys, monkeypatch):
 
 def test_elliptic_on_a_period_of_about_one_hundred_million_answers_fast(capsys, tmp_path):
     doc = tmp_path / "period_1e8.json"
-    slopes = (("0", "-1/97"), ("1", "-1/101"), ("inf", "-1/103"), ("2", "4239528/107972737"))
-    doc.write_text(
-        json.dumps(
-            {
-                "lattice_rank": 1,
-                "tail_cone": {"rays": [[1]]},
-                "base": {"kind": "P1"},
-                "coefficients": [{"point": p, "vertices": [[v]]} for p, v in slopes],
-            }
-        )
-    )
+    doc.write_text(period("4239528/107972737"))
     start = monotonic()
     code, payload = run_json(capsys, "elliptic", str(doc))
     assert monotonic() - start < 1.0

@@ -32,8 +32,7 @@ rewrites, kept here as independent oracles:
 - the triangulation of a rank-3 region that pairs two rays when no third ray
   is tight wherever both are, before it read a shared tight normal;
 - the dual of a cone, and its double description, as a fresh fold over its
-  rays, whatever make_cone stored as dual_dd, and ChamberFan.all_rays as the
-  list dedupe it replaced;
+  rays, whatever make_cone stored as dual_dd;
 - the minima a chamber fan keeps at its rays as Fraction pairings with
   every vertex.
 
@@ -57,6 +56,7 @@ from time import perf_counter
 
 import pytest
 
+from hard_documents import ngon_tail, walls
 import polydiv.geometry as geometry
 from polydiv import cli
 from polydiv.errors import InternalError, PolydivError, ShapeError, UnsupportedRankError
@@ -1301,33 +1301,18 @@ def test_a_stored_dual_dd_is_the_fold_over_the_rays():
 def test_parsing_the_sixteen_gon_tail_runs_one_double_description(monkeypatch):
     """make_cone keeps the double description of the 16-gon tail's generators
     as its dual_dd, so parsing and reading the dual run that one fold."""
-    doc = {
-        "lattice_rank": 3,
-        "tail_cone": {"rays": [[i, i * i, 1] for i in range(16)]},
-        "base": {"kind": "affine_space", "dim": 1},
-        "coefficients": [{"point": {"hyperplane": 1}, "vertices": [[0, 0, 1]]}],
-    }
     calls = counted_folds(monkeypatch)
-    d = parse_problem(json.dumps(doc))
+    d = parse_problem(ngon_tail(16))
     assert "dual_dd" in vars(d.tail)
     assert len(d.tail.rays) == 16 and len(d.tail.dual.rays) == 16
     assert len(calls) == 1
 
 
-def reference_all_rays(fan):
-    """The rays of all chambers by the list dedupe all_rays replaced, sorted."""
-    seen = []
-    for ch in fan.chambers:
-        for r in ch.rays:
-            if r not in seen:
-                seen.append(r)
-    return tuple(sorted(seen))
-
-
 def test_chamber_fan_minima_match_the_vertex_pairings():
     """Each fan ray, once and in sorted order, with the minimum of its
     pairing with every vertex of each polyhedron, over that polyhedron's
-    cleared denominator; the rank-4 simplicial weight cone included."""
+    cleared denominator; the rank-4 simplicial weight cone and the 45-wall
+    family included."""
     rng = Random(20261021)
     seen = {1: 0, 2: 0, 3: 0, 4: 0}
     cases = []
@@ -1341,6 +1326,10 @@ def test_chamber_fan_minima_match_the_vertex_pairings():
     for _ in range(5):
         vertex = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4))
         cases.append((tail, [make_polyhedron([vertex], tail) for _ in range(rng.randint(1, 3))]))
+    # the 45-wall rank-3 family: 492 chambers at n = 10
+    d = parse_problem(walls(10, 100))
+    assert len(d.fan.chambers) == 492
+    cases.append((d.tail, [poly for _, poly in d.coefficients]))
     for tail, polys in cases:
         fan = geometry.chamber_fan(polys, tail)
         rays = sorted({u for ch in fan.chambers for u in ch.rays})
@@ -1352,28 +1341,3 @@ def test_chamber_fan_minima_match_the_vertex_pairings():
                 assert Fraction(x, p.cleared[1]) == min(dot(u, v) for v in p.vertices), (u, p)
             seen[tail.rank] += 1
     assert all(n >= 4 for n in seen.values()), seen
-
-
-def test_all_rays_matches_the_list_dedupe():
-    rng = Random(20261101)
-    fans = 0
-    for rank in (1, 2, 3):
-        shapes = ("trivial", "orthant", "pointed") + (("flat",) if rank > 1 else ())
-        for shape in shapes:
-            for _ in range(6 if rank < 3 else 3):
-                tail = random_tail(rng, rank, shape)
-                polys = [tied_polyhedron(rng, rank, tail) for _ in range(rng.randint(1, 2))]
-                fan = geometry.chamber_fan(polys, tail)
-                assert fan.all_rays() == reference_all_rays(fan)
-                fans += 1
-    # the 45-wall rank-3 family: 492 chambers at n = 10
-    n = 10
-    tail = make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    curve = [
-        (Fraction(-i, 3), Fraction(i * i - 9, 5), Fraction((7 * i) % 5 - 4, 2)) for i in range(n)
-    ]
-    polys = [make_polyhedron(curve, tail), make_polyhedron([(n * n,) * 3], tail)]
-    fan = geometry.chamber_fan(polys, tail)
-    assert len(fan.chambers) == 492
-    assert fan.all_rays() == reference_all_rays(fan)
-    assert fans >= 30

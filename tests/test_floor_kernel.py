@@ -88,7 +88,7 @@ def reference_floor_bound(d, c):
     if count == 0:
         return None if c <= 0 else tuple(0 for _ in range(d.rank))
     fan = chamber_fan([poly for _, poly in d.coefficients], d.tail)
-    ray_degree = {u: degree(evaluate(d, u)) for u in fan.all_rays()}
+    ray_degree = {u: degree(evaluate(d, u)) for u, _ in fan.minima}
     assert all(g >= 0 for g in ray_degree.values())
     bound = Fraction(count + c)
     if bound <= 0:
@@ -111,7 +111,7 @@ def _box_points(d):
     """Box points the reference scans at the widest bound, c = 0, and the
     lowest degree of a fan ray."""
     fan = chamber_fan([poly for _, poly in d.coefficients], d.tail)
-    ray_degree = {u: degree(evaluate(d, u)) for u in fan.all_rays()}
+    ray_degree = {u: degree(evaluate(d, u)) for u, _ in fan.minima}
     bound = Fraction(len(d.coefficients))
     total = 0
     for chamber in fan.chambers:

@@ -24,6 +24,7 @@ from random import Random
 
 import pytest
 
+from hard_documents import period
 from polydiv.cli import main
 
 TESTS = Path(__file__).parent
@@ -203,15 +204,7 @@ DEEP_NESTING = "[" * 100_000 + "]" * 100_000
 
 # slopes -1/97, -1/101, -1/103 and 1/10: period lcm(q) = 10,090,910, while
 # every h1 entry vanishes from weight 29 on
-LARGE_PERIOD = json.dumps({
-    "lattice_rank": 1,
-    "tail_cone": {"rays": [[1]]},
-    "base": {"kind": "P1"},
-    "coefficients": [
-        {"point": p, "vertices": [[v]]}
-        for p, v in (("0", "-1/97"), ("1", "-1/101"), ("inf", "-1/103"), ("2", "1/10"))
-    ],
-})
+LARGE_PERIOD = period("1/10")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

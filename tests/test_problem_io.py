@@ -73,14 +73,14 @@ def test_parse_golden_document():
 def test_parse_affine_space_document():
     d = parse_problem(read("affine_plane.json"))
     assert d.base == AffineSpace(2)
-    assert d.support == (1, 2)
+    assert [k for k, _ in d.coefficients] == [1, 2]
     assert d.coefficient(1).vertices == ((Fraction(-1, 2),),)
 
 
 def test_parse_elliptic_document():
     d = parse_problem(read("elliptic_pair.json"))
     assert d.base == EllipticCurveQ(-1, 0)
-    assert d.support == (EC_ORIGIN, EllipticPoint(0, 0))
+    assert [k for k, _ in d.coefficients] == [EC_ORIGIN, EllipticPoint(0, 0)]
     assert is_proper(d).verdict is Verdict.YES
 
 
@@ -219,7 +219,7 @@ def test_affine_dimension_is_capped():
 def test_number_of_coefficients_is_capped():
     points = [{"point": str(k), "vertices": [["1/2"]]} for k in range(MAX_COEFFICIENTS)]
     doc = {"lattice_rank": 1, "tail_cone": {"rays": [[1]]}, "base": {"kind": "P1"}}
-    assert len(parse_problem(json.dumps({**doc, "coefficients": points})).support) == MAX_COEFFICIENTS
+    assert len(parse_problem(json.dumps({**doc, "coefficients": points})).coefficients) == MAX_COEFFICIENTS
     with pytest.raises(InvalidInputError) as exc:
         parse_problem(_sized_document(coefficients=MAX_COEFFICIENTS + 1))
     assert exc.value.violations == [f"coefficients: at most {MAX_COEFFICIENTS} are supported"]

@@ -31,7 +31,6 @@ def test_toric_cone_of_half_shift():
     tc = toric_cone(d)
     assert tc.ambient_rank == 2
     assert tc.divisor_rank == 1
-    assert tc.hyperplane_count == 1
     assert tc.rays == ((-1, 2), (1, 0))
     diag = cone_diagnostics(tc)
     assert diag.simplicial
