@@ -22,6 +22,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .curves import (
+    AbstractProjectiveCurve,
     CurvePoint,
     QDivisor,
     canonical_divisor,
@@ -282,15 +283,14 @@ def gorenstein(d: PolyhedralDivisor) -> GorensteinReport:
             canonical_index=index,
             vertical_multiplicities=multiplicities,
         )
-    k_base = canonical_divisor(d.base)
-    if isinstance(k_base, QDivisor):
-        difference = divisor(d.base, dict(multiplicities)) - k_base
-        verdict = is_principal(difference)
-    else:
-        # abstract base: only the degree of the canonical class is known, and
-        # the multiplicities sum to index * deg1 + sum(1 / q_z) - count = 2g - 2
+    if isinstance(d.base, AbstractProjectiveCurve):
+        # only the degree of the canonical class is known, and the
+        # multiplicities sum to index * deg1 + sum(1 / q_z) - count = 2g - 2
         difference = None
         verdict = Verdict.YES if genus == 0 else Verdict.UNKNOWN
+    else:
+        difference = divisor(d.base, dict(multiplicities)) - canonical_divisor(d.base)
+        verdict = is_principal(difference)
     criterion = {
         Verdict.YES: "canonical-difference-principal",
         Verdict.NO: "canonical-difference-not-principal",

@@ -244,10 +244,6 @@ class QDivisor:
                 return c
         return Fraction(0)
 
-    @property
-    def support(self) -> tuple[CurvePoint, ...]:
-        return tuple(p for p, _ in self.terms)
-
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if self.curve != other.curve:
             raise ShapeError("divisors live on different curves")
@@ -304,22 +300,14 @@ def degree(d: QDivisor) -> Fraction:
     return sum((c for _, c in d.terms), Fraction(0))
 
 
-@dataclass(frozen=True)
-class FormalClass:
-    """A divisor class known only through its degree."""
-
-    degree: Fraction
-
-
-def canonical_divisor(curve: CurveModel):
-    """Canonical divisor: exact on the line and on elliptic curves, formal otherwise."""
+def canonical_divisor(curve: CurveModel) -> QDivisor:
+    """Canonical divisor of the line or of an elliptic curve; an abstract
+    model has no points to carry one, only its degree 2g - 2."""
     if isinstance(curve, ProjectiveLine):
         return divisor(curve, {P1_INFINITY: Fraction(-2)})
     if isinstance(curve, EllipticCurveQ):
         return divisor(curve, {})
-    if isinstance(curve, AbstractProjectiveCurve):
-        return FormalClass(Fraction(2 * curve.genus - 2))
-    raise CurveDomainError("canonical divisor is only provided on projective models")
+    raise CurveDomainError("canonical divisor is only provided on the line and elliptic curves")
 
 
 # ---------------------------------------------------------------------------
