@@ -398,10 +398,10 @@ def minimal_elliptic_verdict(elliptic: EllipticReport, gor: GorensteinReport) ->
 class H1Report:
     """First cohomology of the rounded-down evaluations, weight by weight.
 
-    bound is an index beyond which every entry provably vanishes,
-    max(ceil((count + max(2g - 2, 0)) / deg1), 1) for count marked points of
-    total slope deg1 on a base of genus g; the default listing ends there.
-    total sums the whole series and is None when some entry is undecidable.
+    bound is max(V, 1), V the vanishing degree at which the divisor's floor
+    profile ends: every entry past V provably vanishes, and the default
+    listing ends at bound. total sums the whole series and is None when some
+    entry is undecidable.
     """
 
     bound: int
@@ -420,21 +420,20 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
 
     Rounding down loses less than one unit per marked point, so the degree
     at m exceeds m * deg1 - count, which is at least 2g - 2 once
-    m >= (count + 2g - 2) / deg1. Past that weight H^1 vanishes on every
-    base model: these are the only nonzero summands of
-    R^1 pi_* O = sum_m H^1(Y, O(floor D(m))). Entries are computed up to it,
-    the total is their sum, and an m_max beyond it lists 0 for the rest.
-    Nothing depends on the period lcm(q) of the slopes, so neither the work
-    nor the listing grows with the denominators.
+    m >= V = max(ceil((count + 2g - 2) / deg1), 0). Past V, H^1 vanishes on
+    every base model: these are the only nonzero summands of
+    R^1 pi_* O = sum_m H^1(Y, O(floor D(m))). Entries are computed over the
+    floor profile, which ends at V, the total is their sum, and the listing
+    ends at bound = max(V, 1); only that floor of 1, or an m_max beyond V,
+    lists 0 past V. Nothing depends on the period lcm(q) of the slopes, so
+    neither the work nor the listing grows with the denominators.
     """
     require_proper(d)
     if not d.base.projective:
         raise CurveDomainError("cohomology reports need a projective base curve")
-    deg1 = d.ray_degrees[unit_weight(d)]
-    excess = len(d.coefficients) + max(2 * d.base.genus - 2, 0)
-    bound = max(-(-excess * deg1.denominator // deg1.numerator), 1)
     values = list(_h1_listing(d))
     total = None if None in values else sum(values)
+    bound = max(len(values) - 1, 1)
     top = bound if m_max is None else m_max
     values += [0] * (top + 1 - len(values))
     return H1Report(bound=bound, entries=tuple(enumerate(values[: top + 1])), total=total)

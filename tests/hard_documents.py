@@ -18,9 +18,10 @@ case misses its exit code, its sha1 or its bound:
 
     PYTHONPATH=src python tests/hard_documents.py
 
-Some generators make only documents the roadmap measures (tiny_degree,
-positive_slack, torsion_family, walls and cyclic_tail at its sizes): they
-take seconds or hang there, so no case runs them at those sizes.
+Some generators also make documents that only the roadmap measures
+(tiny_degree and positive_slack at their smallest degrees, torsion_family,
+walls and cyclic_tail at its sizes): they take seconds or hang there, so no
+case runs them at those sizes.
 """
 
 from __future__ import annotations
@@ -261,20 +262,28 @@ def _cases():
         # period 10 * 97 * 101 * 103: both listings stay under 64 KB; the h1
         # listing is a long list of int pairs, which pins the JSON writer on it
         Case("period1e7 h1", period1e7, ("h1",), 0,
-             "5ca96757b2325c0f125759485451e833989c2b81", 10),
+             "3b58b0e5ba88f161e3913aca4674b5935b7e2906", 10),
         Case("period1e7 classify", period1e7, ("classify",), 0,
-             "439adf30ade6a511b13a684b5b7a4f95941ab31e", 10),
+             "fd26291fee97c9b488111735e19f04f7defdf2da", 10),
+        # deg1 = 7/300000: the listing ends at the vanishing degree 85,715,
+        # about 2.9 MB; its last nonzero entry is at 41,399
+        Case("tiny_degree_7_300000 h1", tiny_degree(Fraction(7, 300000)), ("h1",), 0,
+             "a448d3ca086fd8fb901a9053b9b3b0f4f9bf6133", 10),
+        # deg1 = 10^-5 and total 0: 100,001 entries to the vanishing degree
+        # 100,000, about 3.4 MB
+        Case("positive_slack_1e-5 h1", positive_slack(Fraction(1, 10**5)), ("h1",), 0,
+             "7ab32a80651e3efc7320d44dd42a77e6709b6294", 10),
         # rational no, minimal elliptic yes, h1 total p_g = 1
         Case("bp_2_3_7 classify", bp237, ("classify",), 0,
-             "b2782573912c85a6aa96616fea9689631f727319", 10),
-        # degree 1/47027: 141,082 entries to the bound 141,081 = 3 * 47,027,
-        # total p_g = 6894
+             "ec3eaa3f3ed314eaa97d441057924ce4c23f0d50", 10),
+        # degree 1/47027: 47,028 entries to the bound 47,027, the vanishing
+        # degree (count - 2) / deg1, total p_g = 6894
         Case("bp_31_37_41 h1", bp313741, ("h1",), 0,
-             "9a0a3311a49317d6b0655f41216fc1c4833edccc", 10),
+             "3c144d0500c0621bedb8486a94eaa15a1f026ab5", 10),
         # both read one floor profile; the degree -2 repeats, so not elliptic:
         # criterion repeated-floor-degree-minus-two, witness m = 2, h1 total 6894
         Case("bp_31_37_41 classify", bp313741, ("classify",), 0,
-             "f89c923368987c6ba7af8e53995697cf71865e79", 10),
+             "215f1055c7cd17e1bf81d088a1904d19477d38cf", 10),
         Case("bp_31_37_41 elliptic", bp313741, ("elliptic",), 0,
              "cbb3d5dbeb3359f64ffece3b40ff9452c667c7ee", 10),
         # degree 1/160: elliptic reads the h1 listing lazily and stops at its

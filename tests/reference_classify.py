@@ -2,11 +2,11 @@
 kept as independent oracles.
 
 The slopes were the support minimum of each coefficient at the unit weight
-(reference_pdiv.support_eval), each a Fraction, and deg1, the weight from which
-the floor degrees exceed 2g - 2, the h1 bound and the Gorenstein canonical
-index were Fraction sums and quotients of them. polydiv reads the slopes off
-the chamber fan's row of int minima and computes the rest in int; the tests
-compare the two.
+(reference_pdiv.support_eval), each a Fraction, and deg1, the vanishing degree
+from which the floor degrees exceed 2g - 2 (the h1 bound is its maximum with
+1) and the Gorenstein canonical index were Fraction sums and quotients of
+them. polydiv reads the slopes off the chamber fan's row of int minima and
+computes the rest in int; the tests compare the two.
 """
 
 from fractions import Fraction
@@ -29,11 +29,6 @@ def deg1(values) -> Fraction:
 def vanishing_degree(values, genus: int) -> int:
     """max(ceil((count + 2g - 2) / deg1), 0)."""
     return max(ceil(Fraction(len(values) + 2 * genus - 2) / deg1(values)), 0)
-
-
-def h1_bound(values, genus: int) -> int:
-    """max(ceil((count + max(2g - 2, 0)) / deg1), 1)."""
-    return max(ceil(Fraction(len(values) + max(2 * genus - 2, 0)) / deg1(values)), 1)
 
 
 def gorenstein_index(values, genus: int):

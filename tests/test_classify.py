@@ -525,11 +525,23 @@ def test_h1_report_golden_examples():
 
 def test_h1_report_bound_and_override():
     report = h1_report(golden("one"))
-    assert report.bound == 12
-    assert report.entries[0] == (0, 0) and report.entries[-1][0] == 12
+    assert report.bound == len(golden("one").floor_profile) - 1 == 4
+    assert report.entries[0] == (0, 0) and report.entries[-1][0] == 4
     short = h1_report(golden("one"), m_max=3)
     assert [m for m, _ in short.entries] == [0, 1, 2, 3]
     assert short.total == 1  # total still sums the full series
+    long = h1_report(golden("one"), m_max=7)
+    assert long.bound == 4 and long.entries == report.entries + ((5, 0), (6, 0), (7, 0))
+
+
+def test_h1_bound_is_at_least_one():
+    # two marked points on P1: V = max(ceil((count - 2) / deg1), 0) = 0, so
+    # the floor profile ends at m = 0 and the listing still reaches m = 1
+    d = rank1(P1, {p1_point(0): Fraction(1, 2), p1_point(1): Fraction(1)})
+    assert len(d.floor_profile) == 1
+    report = h1_report(d)
+    assert report.bound == 1
+    assert report.entries == ((0, 0), (1, 0)) and report.total == 0
 
 
 def test_h1_report_requires_projective_rank_one():
@@ -629,21 +641,22 @@ def reference_h1(d, m_max=None):
     return H1Report(bound, tuple(enumerate(values[: top + 1])), total)
 
 
-def vanishing_bound(d):
-    """The index past which every h1 entry vanishes, from the count and deg1 alone."""
-    excess = max(2 * d.base.genus - 2, 0)
-    return max(ceil(Fraction(len(d.coefficients) + excess) / degree(evaluate(d, 1))), 1)
+def vanishing_degree(d):
+    """The weight from which every h1 entry vanishes, by the Fraction formula
+    over the reference slopes."""
+    values = [v for _, v in reference_classify.slopes(d)]
+    return reference_classify.vanishing_degree(values, d.base.genus)
 
 
 def assert_h1_within_reference(got, want, d, m_max):
     """got stops listing at the vanishing degree; want is a period-length listing.
 
-    The totals agree, got.bound is the vanishing bound and at most the
-    reference's, got lists a prefix of the reference (all of it for an
-    explicit m_max), and the reference itself is 0 past got.bound.
+    The totals agree, got.bound is the vanishing degree (at least 1) and at
+    most the reference's, got lists a prefix of the reference (all of it for
+    an explicit m_max), and the reference itself is 0 past got.bound.
     """
     assert got.total == want.total, d
-    assert got.bound == vanishing_bound(d) <= want.bound, d
+    assert got.bound == max(vanishing_degree(d), 1) <= want.bound, d
     if m_max is None:
         assert len(got.entries) == got.bound + 1, d
         assert got.entries == want.entries[: len(got.entries)], d
@@ -858,9 +871,7 @@ def test_scans_stopping_at_the_vanishing_degree_match_the_period_scans():
             criteria.add(ell.criterion)
             if m_max is not None:
                 seen["below-bound" if m_max <= got.bound else "beyond-bound"] += 1
-            genus = d.base.genus
-            vanish = max(ceil(Fraction(len(d.coefficients) + 2 * genus - 2) / degree(evaluate(d, 1))), 0)
-            seen["skipped-weights"] += vanish < got.bound
+            seen["skipped-weights"] += vanishing_degree(d) < got.bound
             seen["none-entry"] += got.total is None
     assert all(seen.values()), seen
     assert {"unique-floor-degree-minus-two", "floor-degree-below-minus-two"} <= criteria, criteria
@@ -895,8 +906,8 @@ def test_h1_bound_does_not_depend_on_the_period():
     a, b = (rank1(P1, dict(zip(points, slopes))) for slopes in (small, large))
     assert lcm(*(s.denominator for s in large)) == 7 * lcm(*(s.denominator for s in small))
     got_a, got_b = h1_report(a), h1_report(b)
-    assert got_a.bound == got_b.bound == vanishing_bound(a) == 58
-    assert len(got_a.entries) == len(got_b.entries) == 59
+    assert got_a.bound == got_b.bound == vanishing_degree(a) == 29
+    assert len(got_a.entries) == len(got_b.entries) == 30
 
 
 # ---------------------------------------------------------------------------
@@ -1111,7 +1122,7 @@ def test_rank_one_int_row_matches_the_fraction_formulas():
                 vanish = reference_classify.vanishing_degree(values, genus)
                 assert len(d.floor_profile) == vanish + 1, d
                 if base != EC_RANK_ONE:  # its degree-zero entries take long multiples
-                    assert h1_report(d, 0).bound == reference_classify.h1_bound(values, genus), d
+                    assert h1_report(d, 0).bound == max(vanish, 1), d
                 index, multiplicities = reference_classify.gorenstein_index(values, genus)
                 report = gorenstein(d)
                 assert report.canonical_index == index, d

@@ -230,5 +230,5 @@ def test_large_period_document_answers_in_bounded_output(command):
     payload = json.loads(out)
     if command in ("h1", "classify"):
         h1 = payload["h1"] if command == "classify" else payload
-        assert h1["bound"] == 58
-        assert len(h1["entries"]) == 59
+        assert h1["bound"] == 29
+        assert len(h1["entries"]) == 30

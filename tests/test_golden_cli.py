@@ -10,6 +10,14 @@ per-ring table, the closed-form monomials and the incremental echelon basis
 of the section-ring presentation, and the case on ring_many_generators.json
 before the one-pass presentation replaced the separate generator pass. Any
 change to them is a change of behaviour.
+
+One deliberate change rewrote eleven cases: h1, h1 --m-max 5, classify,
+classify --isolated and --format text classify on golden_one.json and
+golden_three.json, and the classify --batch run. Both documents are rank
+one over P1, where the h1 bound became max(V, 1), V the vanishing degree
+at which the floor profile ends, in place of max(ceil(count / deg1), 1):
+their bound moved and the known zero entries past it were dropped, while
+every total, verdict, witness and nonzero entry stayed the same.
 Regenerate them only for a deliberate output change, by running this file
 as a script with the intended ``polydiv`` on the path.
 """
