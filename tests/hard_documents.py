@@ -40,6 +40,8 @@ DOCUMENTS = HERE / "golden" / "documents"
 SCALING = HERE / "golden" / "scaling"
 
 ORTHANT = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+# simplicial, not unimodular (determinants 7 and 6), with negative entries
+SKEW = {2: [[2, -1], [1, 3]], 3: [[1, 0, 0], [1, 2, 0], [-1, 1, 3]]}
 
 
 def _document(rank, rays, base, coefficients) -> str:
@@ -186,6 +188,27 @@ def cm_document(size) -> str:
     return _document(3, ORTHANT, {"kind": "P1"}, coefficients)
 
 
+def skew_tail(rank) -> str:
+    """Rank 2 or 3 over P1 with the simplicial tail SKEW[rank], each vertex
+    written as a combination of its rays r: at 0 the vertices -r/2 for each
+    ray and -(sum of r)/3, whose ties are three walls at rank 2 and six at
+    rank 3; -(sum of r)/2 at 1, 2 and 3; 2 (sum of r) at inf. The degree
+    polyhedron touches each facet of the tail, so properness tests the
+    degree-zero evaluations there, and the floor degrees reach -2 at a ray
+    of the weight cone, so rational is no."""
+    rays = SKEW[rank]
+
+    def vertex(*c):
+        return [str(sum(Fraction(x) * r[j] for x, r in zip(c, rays))) for j in range(rank)]
+
+    at_0 = [vertex(*(Fraction(-1, 2) * (i == j) for j in range(rank))) for i in range(rank)]
+    at_0.append(vertex(*[Fraction(-1, 3)] * rank))
+    coefficients = [{"point": "0", "vertices": at_0}]
+    coefficients += [{"point": p, "vertices": [vertex(*[Fraction(-1, 2)] * rank)]} for p in "123"]
+    coefficients.append({"point": "inf", "vertices": [vertex(*[2] * rank)]})
+    return _document(rank, SKEW[rank], {"kind": "P1"}, coefficients)
+
+
 # the first two points of the scaling family, whose slopes sum to -1 in
 # every coordinate
 _ORTHANT_SCALING = {
@@ -232,6 +255,7 @@ def _cases():
     period1e7 = period("1/10")
     walls45 = walls(10, 9)
     ring_many = DOCUMENTS / "ring_many_generators.json"
+    skew2, skew3 = skew_tail(2), skew_tail(3)
     return (
         Case("toric_16x8 toric", toric_grid(16, 8), ("toric",), 0,
              "7e150633b08c45e4aced141d0bcaf0b93cffc464", 20),
@@ -310,6 +334,17 @@ def _cases():
              "c477cfa85c71f817d0fd44debec263a0853758b6", 5),
         Case("cm_large cm --isolated", cm_document("large"), ("cm", "--isolated"), 0,
              "28b93fcedddecafd6492be0e49d29aa6f298b4dd", 5),
+        # simplicial tails that are not the orthant: properness tests the
+        # degree-zero evaluations at every ray of the weight cone, and the
+        # rational witness is a weight-cone ray, (3, -1) and (0, 0, 1)
+        Case("skew_tail_2 proper", skew2, ("proper",), 0,
+             "3192def7d2bbde632acaf0037bdc9b8071b5bd1f", 5),
+        Case("skew_tail_2 classify", skew2, ("classify",), 4,
+             "e7dbf5a08f04b25c392bd68374120a19b40068bd", 5),
+        Case("skew_tail_3 proper", skew3, ("proper",), 0,
+             "3192def7d2bbde632acaf0037bdc9b8071b5bd1f", 5),
+        Case("skew_tail_3 classify", skew3, ("classify",), 4,
+             "3f249a00e023f8523283391a426026351556cd3c", 5),
         Case("ring_p1 ring 200", DOCUMENTS / "ring_p1.json", ("ring", "--max-degree", "200"), 0,
              "d055f5b0b5b3400c164bcf2fb0cd5b2f71cb8269", 15),
         # five generators in degrees 1 and 2: the span of shifted relations is wide
