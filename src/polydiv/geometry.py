@@ -4,14 +4,16 @@ Values are immutable and canonical, read off one double description each.
 Pointed cones store the sorted primitive generators of their extreme rays;
 other cones their extreme rays modulo lines plus each line both ways, as
 their dual does. A cone keeps the double description of its dual
-(``dual_dd``, one step per ray in stored order): the one make_cone ran, when
-it kept every generator, else one fresh. Its dual (``dual``) and the first
-region of its chamber fan are read off it, and membership off the dual's
-rays. Polyhedra store exactly their extreme points plus a pointed tail cone,
-and keep their vertices cleared (linalg.clear) over one common denominator;
-support minima, chamber-fan walls and minimizers are taken in int on them.
-Support minima exist only as the fan's table below, at the fan rays, where
-every polyhedron is bounded below. A chamber-fan region is its double
+(``dual_dd``, one step per ray in stored order). For a simplicial cone up to
+rank 3 make_cone writes it down from the facet normals, equal to the fold;
+otherwise it is the one make_cone ran, when it kept every generator, else
+one fresh. Its dual (``dual``) and the first region of its chamber fan are
+read off it, and membership off the dual's rays. Polyhedra store exactly
+their extreme points plus a pointed tail cone, and keep their vertices
+cleared (linalg.clear) over one common denominator; support minima,
+chamber-fan walls and minimizers are taken in int on them. Support minima
+exist only as the fan's table below, at the fan rays, where every
+polyhedron is bounded below. A chamber-fan region is its double
 description, each cut extends it by one step, and its tight sets (bitmasks
 over the normals it processed) give the facets it is triangulated along; a
 chamber stores its rays and the facet normal opposite each of them. A fan
@@ -61,7 +63,8 @@ class Cone:
     def dual_dd(self) -> DoubleDescription:
         """The double description of {m : <m, v> >= 0 for all v in the cone},
         one step per ray in stored order. Kept on the value, outside equality
-        and hashing."""
+        and hashing; make_cone stores it, written down from the facet normals
+        of a simplicial cone up to rank 3, or the fold it ran."""
         return DoubleDescription.of(self.rays, self.rank)
 
     @cached_property
@@ -73,15 +76,20 @@ class Cone:
 def make_cone(rays, rank: int) -> Cone:
     """Canonical cone from generators: primitive, deduplicated, irredundant.
 
-    One double description of the sorted generators gives the facets of
-    their cone. It is not pointed iff some generator is tight on every facet
-    (the lineality space is a face, spanned by the generators it contains),
-    and is then stored as its double dual, the dual of the cone the facets
-    and lines span. A pointed cone keeps a generator unless another's set of
-    tight facets contains its own (the tight sets are read off the fold's
-    bitmasks, with no pairing); when it keeps them all, the sorted
-    generators are its rays in the order the double description took them,
-    and that double description is its dual_dd.
+    Exactly rank generators, rank at most 3, are independent iff the facet
+    normal opposite each (_facets) is positive on it; their simplicial cone
+    stores as dual_dd the state the fold over them reaches: those normals as
+    rays, each tight on every generator but its own. Other independent
+    generators are kept as they are. Otherwise one double description of the
+    sorted generators gives the facets of their cone. It is not pointed iff
+    some generator is tight on every facet (the lineality space is a face,
+    spanned by the generators it contains), and is then stored as its double
+    dual, the dual of the cone the facets and lines span. A pointed cone
+    keeps a generator unless another's set of tight facets contains its own
+    (the tight sets are read off the fold's bitmasks, with no pairing); when
+    it keeps them all, the sorted generators are its rays in the order the
+    double description took them, and that double description is its
+    dual_dd.
     """
     prim = []
     for r in rays:
@@ -91,7 +99,14 @@ def make_cone(rays, rank: int) -> Cone:
         if not is_zero(p) and p not in prim:
             prim.append(p)
     prim.sort()
-    if len(prim) <= rank and matrix_rank(prim) == len(prim):
+    if len(prim) == rank <= 3:
+        normals = _facets(prim)
+        if all(dot(n, r) > 0 for n, r in zip(normals, prim)):
+            cone = Cone(rays=tuple(prim), rank=rank, pointed=True)
+            tight = tuple(((1 << rank) - 1) ^ (1 << i) for i in range(rank))
+            object.__setattr__(cone, "dual_dd", DoubleDescription((), normals, tight, rank))
+            return cone
+    elif len(prim) <= rank and matrix_rank(prim) == len(prim):
         # linearly independent generators: none is redundant, and the cone
         # is simplicial, hence pointed
         return Cone(rays=tuple(prim), rank=rank, pointed=True)
@@ -316,7 +331,8 @@ def _triangulate(dd, rank: int):
 def _facets(rays) -> tuple[tuple[int, ...], ...]:
     """The facet normal opposite each ray of a simplicial cone of rank 1 to 3:
     a sign, the perpendicular of the other ray, or the cross product of the
-    other two, made primitive and oriented positive on its ray."""
+    other two, made primitive and oriented positive on its ray. On dependent
+    rays some normal is 0 on its own ray."""
     out = []
     for i, u in enumerate(rays):
         others = rays[:i] + rays[i + 1 :]
@@ -342,9 +358,12 @@ def _minimizers(rays, polys, minima) -> tuple[tuple[Fraction, ...], ...]:
     for k, p in enumerate(polys):
         # a positive common denominator keeps minima and lexicographic order
         nums = p.cleared[0]
-        values = [dot(sample, n) for n in nums]
-        best = min(values)
-        chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
+        if len(nums) == 1:
+            chosen = 0
+        else:
+            values = [dot(sample, n) for n in nums]
+            best = min(values)
+            chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
         for u in rays:
             if dot(u, nums[chosen]) != minima[u][k]:
                 raise InternalError("chamber is not a linearity region")

@@ -8,8 +8,10 @@ ranks, and the kernels and pivot columns of relations, from which the
 section-ring presentation reads its relations and its generators, are read
 off it; a sparse row costs its nonzero entries, not the width. Every cone
 question in the package (duals, membership, redundancy, pointedness, full
-dimension, the facet normals of a chamber) is answered by double
-description; there is no Fourier-Motzkin elimination and no determinant.
+dimension) is answered by double description, but a simplicial cone up to
+rank 3 reads its facet normals off cross products, and writes down the
+double description of its dual from them, equal to the fold; there is no
+Fourier-Motzkin elimination and no determinant.
 
 Double description is one step on an immutable state (DoubleDescription:
 lines, rays, tight sets and the count of processed normals), and

@@ -33,6 +33,9 @@ rewrites, kept here as independent oracles:
   is tight wherever both are, before it read a shared tight normal;
 - the dual of a cone, and its double description, as a fresh fold over its
   rays, whatever make_cone stored as dual_dd;
+- the dual_dd that make_cone writes down for rank independent generators
+  through rank 3, as the fold over the cone's rays, and the cones of rank
+  dependent generators as make_cone gave them before it wrote any down;
 - the minima a chamber fan keeps at its rays as Fraction pairings with
   every vertex.
 
@@ -1142,17 +1145,46 @@ CM_NO_RANK3 = {
 }
 
 
+# rank 3 over P1, proper, on the cone over a square: not simplicial
+SQUARE_TAIL = {
+    "lattice_rank": 3,
+    "tail_cone": {"rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]},
+    "base": {"kind": "P1"},
+    "coefficients": [
+        {"point": "0", "vertices": [["-1/2", "0", "-1/2"], ["0", "-1/3", "-1/2"]]},
+        {"point": "1", "vertices": [["0", "0", "-1/2"]]},
+        {"point": "inf", "vertices": [["0", "0", "3"]]},
+    ],
+}
+
+
 @pytest.mark.parametrize(
-    "name", ["orthant_r2_eps1000.json", "orthant_r3_eps125.json", "golden_one.json", "cm_no_rank3"]
+    "name, folds",
+    [
+        pytest.param(name, folds, id=name)
+        for name, folds in (
+            ("orthant_r2_eps1000.json", 0),
+            ("orthant_r3_eps125.json", 0),
+            ("golden_one.json", 0),
+            ("cm_no_rank3", 0),
+            ("square_tail", 1),
+        )
+    ],
 )
-def test_classify_runs_one_double_description_per_tail_and_wide_region(monkeypatch, capsys, name):
+def test_classify_runs_one_double_description_per_tail_and_wide_region(
+    monkeypatch, capsys, name, folds
+):
     """A whole classify, parse included, folds the double description of the
-    tail's dual once: the weight cone and the first region of the chamber
-    fan both read the tail's dual_dd. Each cut of a region extends it by one
-    step, and the triangulation of a non-simplicial rank-3 region reads its
-    facets off the region's own tight sets."""
+    tail's dual at most once: the weight cone and the first region of the
+    chamber fan both read the tail's dual_dd. A simplicial tail through
+    rank 3, as the orthant, has it written down and folds none; the
+    four-ray tail over a square folds it once. Each cut of a region
+    extends it by one step, and the triangulation of a non-simplicial
+    rank-3 region reads its facets off the region's own tight sets."""
     if name == "cm_no_rank3":
         text = json.dumps(CM_NO_RANK3)
+    elif name == "square_tail":
+        text = json.dumps(SQUARE_TAIL)
     else:
         folder = "data" if name == "golden_one.json" else "golden/scaling"
         text = (Path(__file__).parent / folder / name).read_text(encoding="utf-8")
@@ -1169,10 +1201,11 @@ def test_classify_runs_one_double_description_per_tail_and_wide_region(monkeypat
     code = cli.main(["classify", "-"])
     report = json.loads(capsys.readouterr().out)
     assert code in (0, 4), report
-    assert len(calls) == 1, (len(calls), len(wide))
+    assert len(calls) == folds, (len(calls), len(wide))
     print(f"{name}: {len(calls)} double descriptions, {len(wide)} non-simplicial regions")
     if name == "cm_no_rank3":
         assert report["rational"]["verdict"] == "no" and report["cohen_macaulay"]["verdict"] == "no"
+    if name in ("cm_no_rank3", "square_tail"):
         assert wide
 
 
@@ -1223,14 +1256,16 @@ def seeded_dual_generators(rng, rank, shape):
 def test_make_cone_keeps_the_dual_a_fresh_double_description_gives():
     """A pointed cone that make_cone ran its double description for, and
     kept every generator of, keeps that double description as its dual_dd;
-    its dual is the value a fresh double description of its rays gives,
-    whatever the order of the generators. Simplicial cones, cones with a
-    redundant generator and non-pointed cones keep nothing and compute it.
-    Each cone is made again from its own rays, shuffled, which are all
-    extreme."""
+    so does a simplicial cone of rank generators through rank 3, whose
+    dual_dd make_cone writes down. Every kept dual_dd equals a fresh fold
+    over the rays, and the dual is the value a fresh double description of
+    the rays gives, whatever the order of the generators. Other simplicial
+    cones, cones with a redundant generator and non-pointed cones keep
+    nothing and compute it. Each cone is made again from its own rays,
+    shuffled, which are all extreme."""
     rng = Random(20261118)
     shapes = ("full", "simplicial", "flat", "lineality", "any")
-    seen = {"kept": 0, "dropped": 0, "not pointed": 0, "shortcut": 0}
+    seen = {"kept": 0, "dropped": 0, "not pointed": 0, "shortcut": 0, "written": 0}
     for rank in (2, 3, 4):
         for shape in shapes:
             for _ in range(12):
@@ -1245,11 +1280,16 @@ def test_make_cone_keeps_the_dual_a_fresh_double_description_gives():
                     distinct = {primitive(g) for g in gens if not is_zero(g)}
                     shortcut = len(cone.rays) <= rank and rref_rank(cone.rays) == len(cone.rays)
                     dropped = len(distinct) > len(cone.rays)
-                    assert kept == (cone.pointed and not shortcut and not dropped), (gens, cone)
+                    written = shortcut and len(cone.rays) == rank <= 3
+                    want = cone.pointed and not dropped and (written or not shortcut)
+                    assert kept == want, (gens, cone)
+                    if kept:
+                        assert vars(again)["dual_dd"] == DoubleDescription.of(cone.rays, rank)
                     seen["kept"] += kept
                     seen["dropped"] += cone.pointed and dropped
                     seen["not pointed"] += not cone.pointed
                     seen["shortcut"] += shortcut
+                    seen["written"] += written and not dropped
     assert all(n >= 10 for n in seen.values()), seen
     # a pointed cone short of full dimension keeps its double description too,
     # whose line is the normal of the cone's span
@@ -1296,6 +1336,68 @@ def test_a_stored_dual_dd_is_the_fold_over_the_rays():
                     assert geometry.chamber_fan(polys, cone) == want, (gens, cone)
                     seen["fan"] += 1
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_a_written_down_dual_dd_is_the_fold_over_the_rays(monkeypatch):
+    """Exactly rank independent generators at ranks 1 to 3 (signed,
+    unimodular or not), in shuffled order with duplicates, scaled copies and
+    zero vectors mixed in: make_cone runs no fold, and the dual_dd it writes
+    down from the facet normals equals DoubleDescription.of over the cone's
+    rays, field for field. The cone and its dual equal the Fourier-Motzkin
+    references."""
+    rng = Random(20261020)
+    calls = counted_folds(monkeypatch)
+    seen = {1: 0, 2: 0, 3: 0, "negative": 0, "not unimodular": 0, "padded": 0}
+    for rank in (1, 2, 3):
+        for _ in range(60):
+            rows = random_full_row_rank(rng, rank, rank)
+            gens = list(rows)
+            if rng.random() < 0.5:
+                gens.append(rng.choice(rows))
+            if rng.random() < 0.5:
+                gens.append(vec_scale(rng.randint(2, 3), rng.choice(rows)))
+            if rng.random() < 0.3:
+                gens.append((0,) * rank)
+            rng.shuffle(gens)
+            before = len(calls)
+            cone = make_cone(gens, rank)
+            assert len(calls) == before, gens
+            assert cone == reference_make_cone(gens, rank), gens
+            assert vars(cone)["dual_dd"] == DoubleDescription.of(cone.rays, rank), gens
+            assert cone.dual == reference_dual_cone(cone), gens
+            seen[rank] += 1
+            seen["negative"] += any(x < 0 for r in cone.rays for x in r)
+            seen["not unimodular"] += abs(determinant(cone.rays)) > 1
+            seen["padded"] += len(gens) > rank
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "gens, rays, pointed, dual",
+    [
+        ([(1, 0), (-1, 0)], [(-1, 0), (1, 0)], False, [(0, -1), (0, 1)]),
+        ([(2, 4), (-1, -2)], [(-1, -2), (1, 2)], False, [(-2, 1), (2, -1)]),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 1, 0), (1, 0, 0)], True,
+         [(0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+        ([(1, 0, 0), (-1, 0, 0), (0, 0, 1)], [(-1, 0, 0), (0, 0, 1), (1, 0, 0)], False,
+         [(0, -1, 0), (0, 0, 1), (0, 1, 0)]),
+        ([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [(-1, 0, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0)],
+         False, [(0, 0, -1), (0, 0, 1)]),
+        ([(1, 1, 1), (2, 0, 1), (3, 1, 2)], [(1, 1, 1), (2, 0, 1)], True,
+         [(-1, -1, 2), (0, 1, 0), (1, -1, 0), (1, 1, -2)]),
+    ],
+)
+def test_rank_dependent_generators_are_folded_as_before(monkeypatch, gens, rays, pointed, dual):
+    """Exactly rank dependent generators fail the facet-normal test:
+    make_cone folds them, keeps no dual_dd and gives the cone and dual it
+    gave before it wrote any dual_dd down."""
+    rank = len(gens[0])
+    calls = counted_folds(monkeypatch)
+    cone = make_cone(gens, rank)
+    assert calls and calls[0] == (sorted({primitive(g) for g in gens}), rank)
+    assert "dual_dd" not in vars(cone)
+    assert cone == Cone(rays=tuple(rays), rank=rank, pointed=pointed)
+    assert cone.dual == Cone(rays=tuple(dual), rank=rank, pointed=False)
 
 
 def test_parsing_the_sixteen_gon_tail_runs_one_double_description(monkeypatch):
