@@ -39,7 +39,6 @@ from .pdiv import (
     contraction_iso_codim1,
     floor_degrees,
     is_proper,
-    ray_slopes,
     require_proper,
     unit_weight,
 )
@@ -49,7 +48,7 @@ from .verdicts import Verdict
 def _floor_at(d: PolyhedralDivisor, m: int) -> QDivisor:
     """The rounded-down evaluation at weight m along the unit weight, as a
     divisor: its coefficients are (m * p) // q, read off the slopes."""
-    return divisor(d.base, {s.point: s.floor(m) for s in ray_slopes(d)})
+    return divisor(d.base, {s.point: s.floor(m) for s in d.slopes})
 
 
 def _h1_listing(d: PolyhedralDivisor) -> Iterator[int | None]:
@@ -63,7 +62,7 @@ def floor_degree_profile(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
     """deg of the rounded-down evaluation at m = 0 .. m_max (rank one)."""
     if not d.base.projective:
         raise CurveDomainError("floor degrees need a projective base curve")
-    return floor_degrees(ray_slopes(d), m_max)
+    return floor_degrees(d.slopes, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def gorenstein(d: PolyhedralDivisor) -> GorensteinReport:
     if d.rank != 1:
         return GorensteinReport(Verdict.NOT_APPLICABLE, "higher-rank-criteria-unavailable")
 
-    slopes = ray_slopes(d)
+    slopes = d.slopes
     genus = d.base.genus
     deg1 = d.ray_degrees[unit_weight(d)]
     index = (2 * genus - 2 + sum(Fraction(s.q - 1, s.q) for s in slopes)) / deg1

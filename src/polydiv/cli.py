@@ -1,19 +1,31 @@
 """Command-line front end.
 
 Every command reads one problem document (a path, or ``-`` for standard
-input), runs the requested computation and prints a report on standard
-output in the selected format.
+input), runs the requested computation and prints a report, or an error
+payload, on standard output in the selected format. classify, rational, cm,
+gorenstein, elliptic and h1 refuse a divisor that is not proper (classify
+reports every verdict pending when properness is undecided); proper,
+profile, toric and ring do not ask.
 
-classify, rational, cm, gorenstein, elliptic and h1 refuse a divisor that is
-not proper (error "not-proper", exit 3) or whose properness is undecided
-(criterion "properness-undecided", exit 4; classify reports every verdict
-pending instead). proper, profile, toric and ring do not ask.
+_process is the one place that turns a run's outcome into its payload and
+exit code, with one except clause per exception class:
 
-Exit codes: 0 the report is complete; 2 the document (or command line) does
-not parse; 3 the input is invalid for the request, including non-proper
-divisors, or an internal consistency check failed or an unforeseen exception
-was raised (payload error "internal"); 4 the report contains an undecided
-verdict.  When several apply the most severe wins, in the order 2, 3, 4, 0.
+- OSError or UnicodeError, which only reading raises: error "read", exit 2;
+- ParseError: error "parse" with its line and column, exit 2;
+- NotProperError, which only analysis raises: the divisor's cached
+  properness report, error "not-proper" with exit 3 or criterion
+  "properness-undecided" with exit 4 (error "internal" if it says yes);
+- InternalError, a failed consistency check: error "internal", exit 3;
+- any other PolydivError: error "invalid-input" if no divisor was built yet
+  (an InvalidInputError's violations, else the message as the one
+  violation), otherwise error "domain"; exit 3;
+- any other Exception: error "internal" with "Type: message", exit 3; a
+  BaseException that is not an Exception propagates;
+- no exception: exit 3 for a proper report with verdict no, 4 for a report
+  with an undecided verdict, otherwise 0.
+
+A batch exits with the most severe code of its documents, in the order 2,
+3, 4, 0; a command line that does not parse exits 2.
 """
 
 from __future__ import annotations
@@ -160,42 +172,51 @@ def _undecided(result) -> bool:
     return getattr(result, "verdict", None) == Verdict.UNKNOWN
 
 
-def _analyze(command: str, d, args) -> tuple[object, int]:
-    """Run one command on a parsed divisor, mapping analysis errors to payloads."""
+def _report(command: str, d, args):
+    """The report of one command on a parsed divisor."""
+    if command == "proper":
+        return is_proper(d)
+    if command == "classify":
+        return classify_report(d, isolated=args.isolated)
+    if command == "rational":
+        return rational_singularities(d)
+    if command == "cm":
+        return cohen_macaulay(d, isolated=args.isolated)
+    if command == "gorenstein":
+        return gorenstein(d)
+    if command == "elliptic":
+        ell = elliptic_singularity(d)
+        return {
+            "verdict": ell.verdict,
+            "criterion": ell.criterion,
+            "witness_m": ell.witness_m,
+            "minimal": minimal_elliptic_verdict(ell, gorenstein(d)),
+        }
+    if command == "h1":
+        return h1_report(d, m_max=args.m_max)
+    if command == "profile":
+        return {"m_max": args.m_max, "degrees": list(floor_degree_profile(d, args.m_max))}
+    if command == "toric":
+        cone = toric_cone(d)
+        return {"cone": cone, "diagnostics": cone_diagnostics(cone)}
+    return ring_presentation(d, args.max_degree)
+
+
+def _process(source: str, command: str, args) -> tuple[object, int]:
+    """Read one document (a path, or - for stdin), parse it and run one
+    command: the report, or an error payload, for emit_report, and the exit
+    code. The one place that maps a run's outcome to both; the module
+    docstring lists the mapping."""
+    d = None
     try:
-        if command == "proper":
-            report = is_proper(d)
-            if report.verdict == Verdict.NO:
-                return report, EXIT_INVALID
-            return report, EXIT_OK
-        if command == "classify":
-            return classify_report(d, isolated=args.isolated), EXIT_OK
-        if command == "rational":
-            return rational_singularities(d), EXIT_OK
-        if command == "cm":
-            return cohen_macaulay(d, isolated=args.isolated), EXIT_OK
-        if command == "gorenstein":
-            return gorenstein(d), EXIT_OK
-        if command == "elliptic":
-            ell = elliptic_singularity(d)
-            gor = gorenstein(d)
-            payload = {
-                "verdict": ell.verdict,
-                "criterion": ell.criterion,
-                "witness_m": ell.witness_m,
-                "minimal": minimal_elliptic_verdict(ell, gor),
-            }
-            return payload, EXIT_OK
-        if command == "h1":
-            return h1_report(d, m_max=args.m_max), EXIT_OK
-        if command == "profile":
-            degrees = floor_degree_profile(d, args.m_max)
-            return {"m_max": args.m_max, "degrees": list(degrees)}, EXIT_OK
-        if command == "toric":
-            cone = toric_cone(d)
-            return {"cone": cone, "diagnostics": cone_diagnostics(cone)}, EXIT_OK
-        if command == "ring":
-            return ring_presentation(d, args.max_degree), EXIT_OK
+        d = parse_problem(_read_text(source))
+        report = _report(command, d, args)
+    except (OSError, UnicodeError) as exc:
+        # a missing file, or bytes that are not UTF-8 text
+        return {"error": "read", "message": str(exc)}, EXIT_PARSE
+    except ParseError as exc:
+        payload = {"error": "parse", "message": str(exc), "line": exc.line, "column": exc.column}
+        return payload, EXIT_PARSE
     except NotProperError as exc:
         # the library's one properness gate refused the divisor; the report
         # it read is cached on the divisor
@@ -215,43 +236,20 @@ def _analyze(command: str, d, args) -> tuple[object, int]:
         # a consistency check failed: a bug in polydiv, not a property of the input
         return {"error": "internal", "message": str(exc)}, EXIT_INVALID
     except PolydivError as exc:
-        # the divisor is fine but this command does not apply to it
-        return {"error": "domain", "message": str(exc)}, EXIT_INVALID
-    raise AssertionError(command)
-
-
-def _process(text: str, command: str, args) -> tuple[object, int]:
-    """Parse one document and run one command, mapping errors to exit codes.
-
-    Returns the report object, or an error payload, for emit_report.
-    """
-    try:
-        try:
-            d = parse_problem(text)
-        except ParseError as exc:
-            payload = {
-                "error": "parse",
-                "message": str(exc),
-                "line": exc.line,
-                "column": exc.column,
-            }
-            return payload, EXIT_PARSE
-        except InvalidInputError as exc:
-            return {"error": "invalid-input", "violations": exc.violations}, EXIT_INVALID
-        except InternalError as exc:
-            return {"error": "internal", "message": str(exc)}, EXIT_INVALID
-        except PolydivError as exc:
-            # a structural precondition of the divisor failed, e.g. a tail cone
-            # that is not pointed
-            return {"error": "invalid-input", "violations": [str(exc)]}, EXIT_INVALID
-        result, code = _analyze(command, d, args)
-        if code == EXIT_OK and _undecided(result):
-            code = EXIT_UNKNOWN
-        return result, code
+        if d is not None:
+            # the divisor is fine but this command does not apply to it
+            return {"error": "domain", "message": str(exc)}, EXIT_INVALID
+        # the document failed validation, or a structural precondition of
+        # the divisor failed, e.g. a tail cone that is not pointed
+        violations = exc.violations if isinstance(exc, InvalidInputError) else [str(exc)]
+        return {"error": "invalid-input", "violations": violations}, EXIT_INVALID
     except Exception as exc:
-        # last resort: a failure no other branch foresaw is a bug in polydiv,
+        # last resort: a failure no other clause foresaw is a bug in polydiv,
         # answered like a failed consistency check rather than a traceback
         return {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}, EXIT_INVALID
+    if command == "proper" and report.verdict == Verdict.NO:
+        return report, EXIT_INVALID
+    return report, EXIT_UNKNOWN if _undecided(report) else EXIT_OK
 
 
 def _run_batch(directory: str, args) -> tuple[object, int]:
@@ -264,14 +262,7 @@ def _run_batch(directory: str, args) -> tuple[object, int]:
     results = {}
     codes = []
     for doc in docs:
-        try:
-            text = doc.read_text(encoding="utf-8")
-        except (OSError, UnicodeError) as exc:
-            results[doc.name] = {"error": "read", "message": str(exc)}
-            codes.append(EXIT_PARSE)
-            continue
-        result, code = _process(text, "classify", args)
-        results[doc.name] = result
+        results[doc.name], code = _process(str(doc), "classify", args)
         codes.append(code)
     return results, _worst(codes)
 
@@ -286,13 +277,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         if args.command == "classify" and args.input is None:
             build_parser().error("classify needs an input document or --batch")
-        try:
-            text = _read_text(args.input)
-        except (OSError, UnicodeError) as exc:
-            # a missing file, or bytes that are not UTF-8 text
-            payload, code = {"error": "read", "message": str(exc)}, EXIT_PARSE
-        else:
-            payload, code = _process(text, args.command, args)
+        payload, code = _process(args.input, args.command, args)
 
     sys.stdout.write(emit_report(payload, format=args.format))
     return code

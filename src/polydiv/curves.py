@@ -238,12 +238,6 @@ class QDivisor:
     curve: CurveModel
     terms: tuple[tuple[CurvePoint, Fraction], ...]
 
-    def coeff(self, pt: CurvePoint) -> Fraction:
-        for p, c in self.terms:
-            if p == pt:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if self.curve != other.curve:
             raise ShapeError("divisors live on different curves")
@@ -261,10 +255,6 @@ class QDivisor:
     def __rmul__(self, scalar) -> "QDivisor":
         s = Fraction(scalar)
         return divisor(self.curve, {p: s * c for p, c in self.terms})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def divisor(curve: CurveModel, coefficients) -> QDivisor:

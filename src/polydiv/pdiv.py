@@ -133,8 +133,12 @@ class PolyhedralDivisor:
 
     @cached_property
     def slopes(self) -> tuple[RaySlope, ...]:
-        """The evaluation at the unit weight (rank one), the fan's one row of
-        minima over each coefficient's cleared denominator; see ray_slopes."""
+        """The coefficients p / q of the evaluation at the unit weight (rank
+        one), the fan's one row of minima over each coefficient's cleared
+        denominator, in lowest terms. Support functions are positively
+        homogeneous, so the evaluation at the weight m times the unit has
+        coefficients m * p / q, and its rounding down has coefficients
+        (m * p) // q."""
         unit = unit_weight(self)
         out = []
         for (pt, poly), x in zip(self.coefficients, dict(self.fan.minima)[unit]):
@@ -232,17 +236,6 @@ class RaySlope:
     def floor(self, m: int) -> int:
         """The coefficient of the rounded-down evaluation at the weight m."""
         return (m * self.p) // self.q
-
-
-def ray_slopes(d: PolyhedralDivisor) -> tuple[RaySlope, ...]:
-    """Coefficients of the evaluation at the unit weight (rank one).
-
-    Support functions are positively homogeneous, so the evaluation at the
-    weight m times the unit has coefficients m * p / q, and its rounding down
-    has coefficients (m * p) // q. Read once per divisor off the chamber
-    fan's minima at the unit weight (``d.slopes``).
-    """
-    return d.slopes
 
 
 def floor_columns(slopes: tuple[RaySlope, ...], m_max: int) -> list[list[int]]:

@@ -46,7 +46,7 @@ from operator import add
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, InternalError, ShapeError
 from .linalg import EchelonBasis, relations
-from .pdiv import PolyhedralDivisor, floor_columns, floor_degrees, ray_slopes
+from .pdiv import PolyhedralDivisor, floor_columns, floor_degrees
 
 Vector = tuple[Fraction, ...]
 
@@ -81,7 +81,7 @@ class _RingTable:
     def __init__(self, d: PolyhedralDivisor, max_degree: int):
         if not isinstance(d.base, ProjectiveLine):
             raise CurveDomainError("section rings are computed over the projective line")
-        slopes = ray_slopes(d)
+        slopes = d.slopes
         if max_degree < 0:
             raise ShapeError("section rings are graded by nonnegative weights")
         finite = [not (isinstance(s.point, P1Point) and s.point.is_infinity) for s in slopes]

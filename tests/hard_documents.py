@@ -12,9 +12,11 @@ states the facts a row is there for. Outputs depend on the parsed document,
 not on its bytes.
 
 Run as a script, with no options, it runs every case through
-``python -m polydiv.cli`` in a subprocess under its bound, prints one JSON
+``python -m polydiv.cli`` in a subprocess under its bound and under an
+address-space cap of MEMORY_MB on that subprocess alone, prints one JSON
 line per case (case, exit, seconds, bytes, sha1, ok) and exits 1 if any
-case misses its exit code, its sha1 or its bound:
+case misses its exit code, its sha1 or its bound. A run that hits the cap
+ends in a MemoryError payload or is killed, and so misses:
 
     PYTHONPATH=src python tests/hard_documents.py
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -368,14 +371,28 @@ def _cases():
 
 CASES = _cases()
 
+# the address-space cap on each case's subprocess; every case runs well
+# under half of it
+MEMORY_MB = 512
+
+
+def _cap_memory() -> None:
+    limit = MEMORY_MB * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
 
 def run_case(case: Case) -> dict:
-    """Run one case through the CLI in a subprocess under its bound."""
+    """Run one case through the CLI in a subprocess under its bound and
+    the memory cap."""
     argv = [sys.executable, "-m", "polydiv.cli", *case.argv, "-"]
     start = time.perf_counter()
     try:
         done = subprocess.run(
-            argv, input=case.text().encode(), capture_output=True, timeout=case.bound
+            argv,
+            input=case.text().encode(),
+            capture_output=True,
+            timeout=case.bound,
+            preexec_fn=_cap_memory,
         )
     except subprocess.TimeoutExpired:
         code, out = None, b""

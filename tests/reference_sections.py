@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from polydiv.curves import ProjectiveLine
 from polydiv.errors import CurveDomainError, InternalError, ShapeError
-from polydiv.pdiv import ray_slopes, unit_weight
+from polydiv.pdiv import unit_weight
 
 from reference_curves import floor_divisor, h0_dim
 from reference_pdiv import evaluate
@@ -53,7 +53,7 @@ def multiply_sections(d, m1: int, vec1, m2: int, vec2):
     with m1 + m2 beyond the sizes of the vectors.
     """
     _check(d, m1, m2)
-    slopes = ray_slopes(d)
+    slopes = d.slopes
 
     def dimension(m):
         return max(0, sum(s.floor(m) for s in slopes) + 1)

@@ -18,7 +18,6 @@ from polydiv.classify import (
     gorenstein,
     h1_report,
     rational_singularities,
-    ray_slopes,
 )
 from polydiv.curves import (
     EC_ORIGIN,
@@ -376,7 +375,7 @@ def test_criterion_06_quasi_periodicity():
     family = [d for d, _, _ in random_rank1_family(rng, 30, 30_000)]
     family.extend(golden(name) for name in ("one", "two", "three"))
     for d in family:
-        slopes = ray_slopes(d)
+        slopes = d.slopes
         q = lcm(*[s.q for s in slopes])
         step = sum((Fraction(s.p, s.q) for s in slopes), Fraction(0)) * q
         assert step.denominator == 1

@@ -11,8 +11,14 @@ import polydiv.classify as classify
 import polydiv.cli as cli
 import polydiv.geometry as geometry
 from polydiv.cli import build_parser, main
-from polydiv.errors import NotProperError, PolydivError
-from polydiv.problem_io import parse_problem, report_payload
+from polydiv.errors import (
+    InternalError,
+    InvalidInputError,
+    NotProperError,
+    ParseError,
+    ShapeError,
+)
+from polydiv.problem_io import report_payload
 from polydiv.verdicts import Verdict
 
 DATA = Path(__file__).parent / "data"
@@ -499,6 +505,47 @@ def test_unforeseen_parse_exception_is_internal_error_in_a_batch(capsys, monkeyp
     assert all(p == {"error": "internal", "message": "ValueError: no value"} for p in payload.values())
 
 
+# one row per (phase, exception): the payload's error field and the exit
+# code; parsing is cli.parse_problem, analysis the elliptic command's
+# library call
+EXIT_CONTRACT = [
+    ("parse", ParseError("no document", line=1, column=1), "parse", 2),
+    ("parse", InvalidInputError(["lattice_rank: expected a positive integer"]), "invalid-input", 3),
+    ("parse", InternalError("a failed check"), "internal", 3),
+    ("parse", ShapeError("the tail cone must be pointed"), "invalid-input", 3),
+    ("parse", ValueError("no value"), "internal", 3),
+    ("analysis", InvalidInputError(["no such weight"]), "domain", 3),
+    ("analysis", InternalError("a failed check"), "internal", 3),
+    ("analysis", ShapeError("rank-one classification needs a nontrivial tail ray"), "domain", 3),
+    ("analysis", ValueError("no value"), "internal", 3),
+    ("analysis", NotProperError("not a proper polyhedral divisor: refused"), "internal", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "phase, exc, error, exit_code",
+    EXIT_CONTRACT,
+    ids=[f"{phase}-{type(exc).__name__}" for phase, exc, _, _ in EXIT_CONTRACT],
+)
+def test_each_exception_maps_to_one_error_and_exit_code(capsys, monkeypatch, phase, exc, error, exit_code):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse_problem" if phase == "parse" else "elliptic_singularity", broken)
+    code, payload = run_json(capsys, "elliptic", GOLDEN_ONE)
+    assert (payload["error"], code) == (error, exit_code)
+
+
+def test_unforeseen_read_exception_is_internal_error(capsys, monkeypatch):
+    def broken(source):
+        raise ValueError("no value")
+
+    monkeypatch.setattr(cli, "_read_text", broken)
+    code, payload = run_json(capsys, "elliptic", GOLDEN_ONE)
+    assert code == 3
+    assert payload == {"error": "internal", "message": "ValueError: no value"}
+
+
 def test_signals_that_are_not_exceptions_still_propagate(capsys, monkeypatch):
     class Stop(BaseException):
         pass
@@ -584,13 +631,9 @@ def test_typed_unknown_check_agrees_with_the_serialized_scan(tmp_path):
     docs += [tmp_path / name for name in extra]
     outcomes = set()
     for doc in docs:
-        d = parse_problem(doc.read_text(encoding="utf-8"))
         for argv in TYPED_CHECK_ARGV:
             args = build_parser().parse_args([*argv, str(doc)])
-            try:
-                result, _ = cli._analyze(args.command, d, args)
-            except PolydivError:
-                continue
+            result, _ = cli._process(str(doc), args.command, args)
             want = reference_has_unknown(report_payload(result))
             assert cli._undecided(result) == want, (doc.name, argv)
             outcomes.add((argv[0], want))

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import hard_documents
 from hard_documents import (
     CASES,
     SCALING,
@@ -42,13 +43,16 @@ def test_case_prints_its_pin(case, monkeypatch):
     assert hashlib.sha1(out.getvalue().encode()).hexdigest() == case.sha1
 
 
-def test_the_script_reports_every_broken_pin():
+def test_the_script_reports_every_broken_pin(monkeypatch):
     case = next(case for case in CASES if case.name == "cm_small cm")
     assert run_case(case)["ok"]
     for doctored in (replace(case, sha1="0" * 40), replace(case, exit=4), replace(case, bound=0)):
         line = run_case(doctored)
         assert line["case"] == case.name and line["ok"] is False, doctored
     assert run_case(replace(case, bound=0))["exit"] is None
+    # no interpreter starts in 4 MB of address space
+    monkeypatch.setattr(hard_documents, "MEMORY_MB", 4)
+    assert run_case(case)["ok"] is False
 
 
 def test_orthant_scaling_reproduces_the_golden_documents():

