@@ -37,7 +37,6 @@ from .pdiv import (
     PolyhedralDivisor,
     PropernessReport,
     contraction_iso_codim1,
-    floor_degrees,
     is_proper,
     require_proper,
     unit_weight,
@@ -52,17 +51,13 @@ def _floor_at(d: PolyhedralDivisor, m: int) -> QDivisor:
 
 
 def _h1_listing(d: PolyhedralDivisor) -> Iterator[int | None]:
-    """dim H^1 of the rounded-down evaluation at m = 0, 1, .. along the floor
-    profile, as it is read: principality is tested at degree zero on an
-    elliptic curve only, and only once the listing reaches that weight."""
-    return h1_dims(d.base, d.floor_profile, lambda m: is_principal(_floor_at(d, m)))
-
-
-def floor_degree_profile(d: PolyhedralDivisor, m_max: int) -> tuple[int, ...]:
-    """deg of the rounded-down evaluation at m = 0 .. m_max (rank one)."""
-    if not d.base.projective:
-        raise CurveDomainError("floor degrees need a projective base curve")
-    return floor_degrees(d.slopes, m_max)
+    """dim H^1 of the rounded-down evaluation at m = 0 .. V, the vanishing
+    degree, over the streamed floor degrees, as it is read: principality is
+    tested at degree zero on an elliptic curve only, and only once the
+    listing reaches that weight."""
+    return h1_dims(
+        d.base, d.floor_degrees(d.vanishing_degree), lambda m: is_principal(_floor_at(d, m))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +347,11 @@ def _elliptic_singularity(d: PolyhedralDivisor, h1: Iterable | None = None) -> E
     next(listing)  # both scans read the positive weights only
 
     if genus == 0:
-        hits = []
+        hits = []  # the first two weights of degree -2, all the verdict reads
         for m, h in listing:
-            if h:
-                if h > 1:
-                    return EllipticReport(Verdict.NO, "floor-degree-below-minus-two", witness_m=m)
+            if h > 1:
+                return EllipticReport(Verdict.NO, "floor-degree-below-minus-two", witness_m=m)
+            if h and len(hits) < 2:
                 hits.append(m)
         if len(hits) == 1:
             return EllipticReport(Verdict.YES, "unique-floor-degree-minus-two", witness_m=hits[0])
@@ -369,7 +364,8 @@ def _elliptic_singularity(d: PolyhedralDivisor, h1: Iterable | None = None) -> E
         if h is None:
             undecided = m
         elif h:
-            slug = "negative-floor-degree" if d.floor_profile[m] < 0 else "principal-floor"
+            negative = sum(s.floor(m) for s in d.slopes) < 0
+            slug = "negative-floor-degree" if negative else "principal-floor"
             return EllipticReport(Verdict.NO, f"{slug}-on-genus-one-base", witness_m=m)
     if undecided is not None:
         return EllipticReport(
@@ -397,10 +393,9 @@ def minimal_elliptic_verdict(elliptic: EllipticReport, gor: GorensteinReport) ->
 class H1Report:
     """First cohomology of the rounded-down evaluations, weight by weight.
 
-    bound is max(V, 1), V the vanishing degree at which the divisor's floor
-    profile ends: every entry past V provably vanishes, and the default
-    listing ends at bound. total sums the whole series and is None when some
-    entry is undecidable.
+    bound is max(V, 1), V the divisor's vanishing degree: every entry past V
+    provably vanishes, and the default listing ends at bound. total sums the
+    whole series and is None when some entry is undecidable.
     """
 
     bound: int
@@ -422,7 +417,7 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
     m >= V = max(ceil((count + 2g - 2) / deg1), 0). Past V, H^1 vanishes on
     every base model: these are the only nonzero summands of
     R^1 pi_* O = sum_m H^1(Y, O(floor D(m))). Entries are computed over the
-    floor profile, which ends at V, the total is their sum, and the listing
+    floor degrees streamed up to V, the total is their sum, and the listing
     ends at bound = max(V, 1); only that floor of 1, or an m_max beyond V,
     lists 0 past V. Nothing depends on the period lcm(q) of the slopes, so
     neither the work nor the listing grows with the denominators.
@@ -432,7 +427,7 @@ def h1_report(d: PolyhedralDivisor, m_max: int | None = None) -> H1Report:
         raise CurveDomainError("cohomology reports need a projective base curve")
     values = list(_h1_listing(d))
     total = None if None in values else sum(values)
-    bound = max(len(values) - 1, 1)
+    bound = max(d.vanishing_degree, 1)
     top = bound if m_max is None else m_max
     values += [0] * (top + 1 - len(values))
     return H1Report(bound=bound, entries=tuple(enumerate(values[: top + 1])), total=total)

@@ -42,7 +42,6 @@ from .classify import (
     classify_report,
     cohen_macaulay,
     elliptic_singularity,
-    floor_degree_profile,
     gorenstein,
     h1_report,
     minimal_elliptic_verdict,
@@ -195,7 +194,7 @@ def _report(command: str, d, args):
     if command == "h1":
         return h1_report(d, m_max=args.m_max)
     if command == "profile":
-        return {"m_max": args.m_max, "degrees": list(floor_degree_profile(d, args.m_max))}
+        return {"m_max": args.m_max, "degrees": list(d.floor_degrees(args.m_max))}
     if command == "toric":
         cone = toric_cone(d)
         return {"cone": cone, "diagnostics": cone_diagnostics(cone)}

@@ -13,8 +13,9 @@ evaluation this package takes is at a fan ray, and is read off the fan's one
 table of int minima, each over its coefficient's cleared denominator: the
 degrees along the rays, the degree-zero evaluations the properness check
 tests for torsion and, at rank one, the slopes, the evaluation at the unit
-weight. A rank-one divisor also keeps its floor profile, the degrees of the
-rounded-down evaluations up to the weight from which they exceed 2g - 2.
+weight. A rank-one divisor keeps no floor degrees: it streams them, the sum
+of the slopes' lazy (m * p) // q columns, and keeps only its vanishing
+degree V, the weight from which they exceed 2g - 2.
 
 Properness is the condition that makes the graded ring of sections behave:
 every evaluation must be semiample, and evaluations at interior weights must
@@ -25,13 +26,13 @@ decomposition of the weight cone.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, cycle, islice, repeat
+from itertools import count, islice, repeat
 from math import gcd, lcm
-from operator import sub
+from operator import floordiv
 from types import MappingProxyType
 
 from .curves import (
@@ -90,12 +91,13 @@ class PolyhedralDivisor:
     its dual, the set of weights where every evaluation is finite.
 
     The chamber fan, the degrees along its rays, the properness report, the
-    rank-one slopes and the rank-one floor profile are derived once per
+    rank-one slopes and the rank-one vanishing degree are derived once per
     divisor and kept on it (``fan``, ``ray_degrees``, ``properness``,
-    ``slopes``, ``floor_profile``); they are not fields, so they take no part
-    in equality or hashing. A failed derivation is not kept. The ray degrees,
-    the slopes and the torsion test of the properness check read the fan's
-    one table of int minima.
+    ``slopes``, ``vanishing_degree``); they are not fields, so they take no
+    part in equality or hashing. A failed derivation is not kept. The ray
+    degrees, the slopes and the torsion test of the properness check read the
+    fan's one table of int minima. The rank-one floor degrees are not kept:
+    ``floor_degrees`` streams them afresh on each call.
     """
 
     base: DivisorBase
@@ -147,18 +149,25 @@ class PolyhedralDivisor:
         return tuple(out)
 
     @cached_property
-    def floor_profile(self) -> tuple[int, ...]:
-        """The rounded-down degrees at m = 0 .. V of a proper rank-one divisor
-        over a projective curve, V = max(ceil((count + 2g - 2) / deg1), 0)
-        the vanishing degree: rounding down loses less than one unit per
-        marked point, so from V on the degree exceeds m * deg1 - count >=
-        2g - 2. deg1 is the ray degree at the unit weight."""
+    def vanishing_degree(self) -> int:
+        """V = max(ceil((count + 2g - 2) / deg1), 0) for a proper rank-one
+        divisor over a projective curve: rounding down loses less than one
+        unit per marked point, so from V on the rounded-down degree exceeds
+        m * deg1 - count >= 2g - 2. deg1 is the ray degree at the unit
+        weight."""
         if not self.base.projective:
             raise CurveDomainError("floor degrees need a projective base curve")
         require_proper(self)
         deg1 = self.ray_degrees[unit_weight(self)]
         excess = len(self.coefficients) + 2 * self.base.genus - 2
-        return floor_degrees(self.slopes, max(-(-excess * deg1.denominator // deg1.numerator), 0))
+        return max(-(-excess * deg1.denominator // deg1.numerator), 0)
+
+    def floor_degrees(self, m_max: int) -> Iterator[int]:
+        """deg of the rounded-down evaluation at m = 0 .. m_max (rank one, over
+        a projective curve), streamed: the sum of the slopes' floor columns."""
+        if not self.base.projective:
+            raise CurveDomainError("floor degrees need a projective base curve")
+        return islice(map(sum, zip(repeat(0), *floor_columns(self.slopes))), m_max + 1)
 
 
 def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) -> PolyhedralDivisor:
@@ -238,19 +247,9 @@ class RaySlope:
         return (m * self.p) // self.q
 
 
-def floor_columns(slopes: tuple[RaySlope, ...], m_max: int) -> list[list[int]]:
-    """Per slope p/q, (m * p) // q at m = 0 .. m_max, summed up from the steps
-    of one period's table (the step at m depends on m mod q only)."""
-    m_max = max(m_max, 0)
-    periods = (list(map(s.floor, range(min(s.q, m_max) + 1))) for s in slopes)
-    return [list(accumulate(islice(cycle(map(sub, p[1:], p)), m_max), initial=0)) for p in periods]
-
-
-def floor_degrees(slopes: tuple[RaySlope, ...], m_max: int, columns=None) -> tuple[int, ...]:
-    """deg of the rounded-down evaluation at m = 0 .. m_max, the sum of the
-    slopes' floor columns (columns, when the caller has built them)."""
-    columns = floor_columns(slopes, m_max) if columns is None else columns
-    return tuple(map(sum, zip(repeat(0, m_max + 1), *columns)))
+def floor_columns(slopes: Iterable[RaySlope]) -> list[Iterator[int]]:
+    """Per slope p/q, the lazy column (m * p) // q at m = 0, 1, 2, ..."""
+    return [map(floordiv, count(0, s.p), repeat(s.q)) for s in slopes]
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from operator import add
 
 from .curves import P1Point, ProjectiveLine
 from .errors import CurveDomainError, InternalError, ShapeError
 from .linalg import EchelonBasis, relations
-from .pdiv import PolyhedralDivisor, floor_columns, floor_degrees
+from .pdiv import PolyhedralDivisor, floor_columns
 
 Vector = tuple[Fraction, ...]
 
@@ -87,9 +87,9 @@ class _RingTable:
         finite = [not (isinstance(s.point, P1Point) and s.point.is_infinity) for s in slopes]
         self.finite = list(compress(slopes, finite))
         self.zero = next((z for z, s in enumerate(self.finite) if s.point.affine_value == 0), None)
-        columns = floor_columns(slopes, max_degree)
-        self.floors = tuple(zip(*compress(columns, finite))) or ((),) * (max_degree + 1)
-        self.dims = tuple(max(0, deg + 1) for deg in floor_degrees(slopes, max_degree, columns))
+        floors = islice(zip(*floor_columns(self.finite)), max_degree + 1)
+        self.floors = tuple(floors) or ((),) * (max_degree + 1)
+        self.dims = tuple(max(0, deg + 1) for deg in d.floor_degrees(max_degree))
         self._corrections: dict[tuple[int, ...], list] = {}
 
     def correction(self, exponents: tuple[int, ...]) -> list:

@@ -307,12 +307,21 @@ def _cases():
         # degree (count - 2) / deg1, total p_g = 6894
         Case("bp_31_37_41 h1", bp313741, ("h1",), 0,
              "3c144d0500c0621bedb8486a94eaa15a1f026ab5", 10),
-        # both read one floor profile; the degree -2 repeats, so not elliptic:
-        # criterion repeated-floor-degree-minus-two, witness m = 2, h1 total 6894
+        # classify streams the floor degrees once for both; the degree -2
+        # repeats, so not elliptic: criterion repeated-floor-degree-minus-two,
+        # witness m = 2, h1 total 6894
         Case("bp_31_37_41 classify", bp313741, ("classify",), 0,
              "215f1055c7cd17e1bf81d088a1904d19477d38cf", 10),
         Case("bp_31_37_41 elliptic", bp313741, ("elliptic",), 0,
              "cbb3d5dbeb3359f64ffece3b40ff9452c667c7ee", 10),
+        # the elliptic scans below read about 10^6 floor degrees one at a
+        # time: a kept list of them would not fit under MEMORY_MB
+        # deg1 = 10^-6: the genus-zero scan runs to the vanishing degree 10^6
+        Case("positive_slack_1e-6 elliptic", positive_slack(Fraction(1, 10**6)), ("elliptic",), 0,
+             "4b3b6943d375c0115558007faef8b72c9cb27a34", 10),
+        # degree 1/(101 * 103 * 107): the scan runs to 1,113,121
+        Case("bp_101_103_107 elliptic", brieskorn_pham(101, 103, 107), ("elliptic",), 0,
+             "03e8c870b9e27eec1c30d9b7fd4998e83ec14463", 10),
         # degree 1/160: elliptic reads the h1 listing lazily and stops at its
         # witness m = 1, where the degree is -1; the whole listing takes seconds
         Case("elliptic_family_160 elliptic", elliptic_family(160), ("elliptic",), 0,
@@ -372,8 +381,8 @@ def _cases():
 CASES = _cases()
 
 # the address-space cap on each case's subprocess; every case runs well
-# under half of it
-MEMORY_MB = 512
+# under it
+MEMORY_MB = 128
 
 
 def _cap_memory() -> None:
@@ -384,7 +393,8 @@ def _cap_memory() -> None:
 def run_case(case: Case) -> dict:
     """Run one case through the CLI in a subprocess under its bound and
     the memory cap."""
-    argv = [sys.executable, "-m", "polydiv.cli", *case.argv, "-"]
+    # the child runs under the optimize level of this interpreter
+    argv = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "polydiv.cli", *case.argv, "-"]
     start = time.perf_counter()
     try:
         done = subprocess.run(

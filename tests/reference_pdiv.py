@@ -10,9 +10,16 @@ decide_properness is the properness check that took each degree, and each
 degree-zero evaluation it tests for torsion, through evaluate. The tests
 compare the fan's minima, the ray degrees, the slopes and is_proper against
 them.
+
+floor_columns and floor_degrees are the rank-one floor kernel as it was
+before it streamed (m * p) // q: each column summed up from the steps of
+one period's table, built up to a given m_max. The tests compare the
+streamed floor degrees against them.
 """
 
 from fractions import Fraction
+from itertools import accumulate, cycle, islice, repeat
+from operator import sub
 
 from polydiv.curves import degree, denominator_lcm, divisor, is_torsion_class
 from polydiv.errors import CurveDomainError, InternalError, PolydivError, RankMismatchError
@@ -165,3 +172,17 @@ def decide_properness(d) -> PropernessReport:
         "positive degree on interior weights; degree-zero boundary evaluations "
         "are torsion",
     )
+
+
+def floor_columns(slopes, m_max: int) -> list[list[int]]:
+    """Per slope p/q, (m * p) // q at m = 0 .. m_max, summed up from the steps
+    of one period's table (the step at m depends on m mod q only)."""
+    m_max = max(m_max, 0)
+    periods = (list(map(s.floor, range(min(s.q, m_max) + 1))) for s in slopes)
+    return [list(accumulate(islice(cycle(map(sub, p[1:], p)), m_max), initial=0)) for p in periods]
+
+
+def floor_degrees(slopes, m_max: int) -> tuple[int, ...]:
+    """deg of the rounded-down evaluation at m = 0 .. m_max, the sum of the
+    slopes' period-table columns."""
+    return tuple(map(sum, zip(repeat(0, m_max + 1), *floor_columns(slopes, m_max))))

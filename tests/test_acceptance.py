@@ -14,7 +14,6 @@ from time import monotonic
 from polydiv.classify import (
     decide_floor_bound,
     elliptic_singularity,
-    floor_degree_profile,
     gorenstein,
     h1_report,
     rational_singularities,
@@ -379,7 +378,7 @@ def test_criterion_06_quasi_periodicity():
         q = lcm(*[s.q for s in slopes])
         step = sum((Fraction(s.p, s.q) for s in slopes), Fraction(0)) * q
         assert step.denominator == 1
-        profile = floor_degree_profile(d, 11 * q)
+        profile = tuple(d.floor_degrees(11 * q))
         for m in range(10 * q + 1):
             assert profile[m + q] == profile[m] + int(step)
     print(f"criterion 06 quasi-periodicity of floor degrees: PASS ({len(family)} instances)")

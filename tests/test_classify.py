@@ -14,7 +14,6 @@ from polydiv.classify import (
     cohen_macaulay,
     decide_floor_bound,
     elliptic_singularity,
-    floor_degree_profile,
     gorenstein,
     h1_report,
     minimal_elliptic_verdict,
@@ -47,6 +46,7 @@ from polydiv.pdiv import AffineSpace, is_proper, polyhedral_divisor
 from polydiv.verdicts import Verdict
 
 import reference_classify
+import reference_pdiv
 from reference_curves import floor_divisor, h1_dim, h1_dim_of_degree
 from reference_pdiv import evaluate
 
@@ -101,17 +101,17 @@ def test_ray_slopes_lowest_terms():
 
 
 def test_floor_degree_profile_golden_one():
-    assert floor_degree_profile(golden("one"), 4) == (0, -2, -1, 0, 1)
+    assert tuple(golden("one").floor_degrees(4)) == (0, -2, -1, 0, 1)
 
 
 def test_floor_degree_profile_golden_three():
-    profile = floor_degree_profile(golden("three"), 12)
+    profile = tuple(golden("three").floor_degrees(12))
     assert profile == (0, -1, -2, 0, -1, -1, 0, -1, -1, 0, 0, -1, 1)
 
 
 def test_profile_quasi_periodicity():
     d = golden("two")
-    profile = floor_degree_profile(d, 36)
+    profile = tuple(d.floor_degrees(36))
     period = 12
     step = 1  # period * degree = 12 * 1/12
     for m in range(0, 25):
@@ -524,7 +524,7 @@ def test_h1_report_golden_examples():
 
 def test_h1_report_bound_and_override():
     report = h1_report(golden("one"))
-    assert report.bound == len(golden("one").floor_profile) - 1 == 4
+    assert report.bound == golden("one").vanishing_degree == 4
     assert report.entries[0] == (0, 0) and report.entries[-1][0] == 4
     short = h1_report(golden("one"), m_max=3)
     assert [m for m, _ in short.entries] == [0, 1, 2, 3]
@@ -535,9 +535,9 @@ def test_h1_report_bound_and_override():
 
 def test_h1_bound_is_at_least_one():
     # two marked points on P1: V = max(ceil((count - 2) / deg1), 0) = 0, so
-    # the floor profile ends at m = 0 and the listing still reaches m = 1
+    # the floor degrees stop at m = 0 and the listing still reaches m = 1
     d = rank1(P1, {p1_point(0): Fraction(1, 2), p1_point(1): Fraction(1)})
-    assert len(d.floor_profile) == 1
+    assert d.vanishing_degree == 0
     report = h1_report(d)
     assert report.bound == 1
     assert report.entries == ((0, 0), (1, 0)) and report.total == 0
@@ -813,7 +813,7 @@ def period_scan_h1(d, m_max=None):
         weight = tuple(m * u for u in unit)
         return h1_dim_of_degree(d.base, deg, lambda: is_principal(floor_divisor(evaluate(d, weight))))
 
-    degrees = pdiv_module.floor_degrees(slopes, max(bound, top))
+    degrees = reference_pdiv.floor_degrees(slopes, max(bound, top))
     values = [entry(m, deg) for m, deg in enumerate(degrees)]
     series = values[: bound + 1]
     total = None if None in series else sum(series)
@@ -828,7 +828,7 @@ def period_scan_elliptic(d):
     deg1 = sum((Fraction(s.p, s.q) for s in slopes), Fraction(0))
     period = lcm(*[s.q for s in slopes]) if slopes else 1
     top = max(ceil(Fraction(len(slopes) - 2) / deg1), period, 1)
-    profile = pdiv_module.floor_degrees(slopes, top)
+    profile = reference_pdiv.floor_degrees(slopes, top)
     hits = [m for m in range(1, top + 1) if profile[m] == -2]
     below = [m for m in range(1, top + 1) if profile[m] < -2]
     if below:
@@ -910,7 +910,7 @@ def test_h1_bound_does_not_depend_on_the_period():
 
 
 # ---------------------------------------------------------------------------
-# one floor profile per divisor
+# one floor-degree stream per report
 
 
 @pytest.mark.parametrize(
@@ -929,16 +929,19 @@ def test_h1_bound_does_not_depend_on_the_period():
     ids=["P1", "y^2 = x^3 - x"],
 )
 def test_classify_report_builds_one_floor_profile(monkeypatch, base, slopes):
-    # elliptic_singularity and h1_report both read d.floor_profile, built once
+    # classify_report streams the floor degrees once, up to the vanishing
+    # degree, and hands the h1 listing to the elliptic decision; asked on
+    # their own, elliptic_singularity and h1_report stream them once each
     calls = []
-    real = pdiv_module.floor_degrees
-    monkeypatch.setattr(pdiv_module, "floor_degrees", lambda *a: calls.append(a) or real(*a))
+    real = pdiv_module.PolyhedralDivisor.floor_degrees
+    monkeypatch.setattr(
+        pdiv_module.PolyhedralDivisor, "floor_degrees", lambda d, m: calls.append(m) or real(d, m)
+    )
     d = rank1(base, slopes)
     report = classify_report(d)
-    assert len(calls) == 1
-    assert len(d.floor_profile) == calls[0][1] + 1 > 1
+    assert calls == [d.vanishing_degree] and d.vanishing_degree > 0
     assert elliptic_singularity(d) == report.elliptic and h1_report(d) == report.h1
-    assert len(calls) == 1
+    assert calls == [d.vanishing_degree] * 3
 
 
 def test_principality_is_tested_once_per_degree_zero_weight(monkeypatch):
@@ -960,14 +963,14 @@ def test_principality_is_tested_once_per_degree_zero_weight(monkeypatch):
             want = Counter(calls)  # the canonical difference, if it is tested
             calls.clear()
             report = classify_report(d)
-            zero = [m for m, deg in enumerate(d.floor_profile) if deg == 0]
+            zero = [m for m, deg in enumerate(d.floor_degrees(d.vanishing_degree)) if deg == 0]
             want.update(classify_module._floor_at(d, m) for m in zero)
             assert Counter(calls) == want, d
 
             calls.clear()
             ell = elliptic_singularity(fresh())
             assert ell == report.elliptic
-            stop = ell.witness_m if ell.verdict == Verdict.NO else len(d.floor_profile)
+            stop = ell.witness_m if ell.verdict == Verdict.NO else d.vanishing_degree + 1
             assert calls == [classify_module._floor_at(d, m) for m in zero if m <= stop], d
             seen["yes" if ell.verdict == Verdict.YES else ell.criterion.split("-")[0]] += 1
             seen["stopped early"] += zero[-1] > stop
@@ -999,7 +1002,7 @@ def test_reports_do_not_depend_on_the_order_of_the_questions():
                 assert h1_a == h1_b == report.h1, a
                 seen["tail (-1,)"] += ray == (-1,)
                 seen[f"genus {base.genus}"] += 1
-                seen["vanishing degree 0"] += len(a.floor_profile) == 1
+                seen["vanishing degree 0"] += a.vanishing_degree == 0
     assert all(n >= 5 for n in seen.values()), seen
 
 
@@ -1033,8 +1036,8 @@ def test_floor_profile_refuses_a_divisor_it_does_not_apply_to():
     for name, d in cases.items():
         for _ in range(2):
             with pytest.raises(PolydivError):
-                d.floor_profile
-        assert "floor_profile" not in vars(d), name
+                d.vanishing_degree
+        assert "vanishing_degree" not in vars(d), name
 
 
 # ---------------------------------------------------------------------------
@@ -1119,7 +1122,7 @@ def test_rank_one_int_row_matches_the_fraction_formulas():
                 values = [v for _, v in want]
                 genus = d.base.genus
                 vanish = reference_classify.vanishing_degree(values, genus)
-                assert len(d.floor_profile) == vanish + 1, d
+                assert d.vanishing_degree == vanish, d
                 if base != EC_RANK_ONE:  # its degree-zero entries take long multiples
                     assert h1_report(d, 0).bound == max(vanish, 1), d
                 index, multiplicities = reference_classify.gorenstein_index(values, genus)

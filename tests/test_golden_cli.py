@@ -15,7 +15,7 @@ One deliberate change rewrote eleven cases: h1, h1 --m-max 5, classify,
 classify --isolated and --format text classify on golden_one.json and
 golden_three.json, and the classify --batch run. Both documents are rank
 one over P1, where the h1 bound became max(V, 1), V the vanishing degree
-at which the floor profile ends, in place of max(ceil(count / deg1), 1):
+from which every entry vanishes, in place of max(ceil(count / deg1), 1):
 their bound moved and the known zero entries past it were dropped, while
 every total, verdict, witness and nonzero entry stayed the same.
 Regenerate them only for a deliberate output change, by running this file

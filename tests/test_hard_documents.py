@@ -8,9 +8,11 @@ every case in a subprocess under its bound.
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,8 +30,15 @@ from hard_documents import (
 from polydiv.cli import main
 from polydiv.problem_io import parse_problem
 
-# each takes 0.35 s or more in process; the script covers them
-SCRIPT_ONLY = {"ring_p1 ring 200", "ring_many_generators ring 12", "slopes_3_1_1 ring 9"}
+# each takes 0.35 s or more in process, and the two elliptic scans are there
+# for the memory cap of the script's subprocess; the script covers them
+SCRIPT_ONLY = {
+    "ring_p1 ring 200",
+    "ring_many_generators ring 12",
+    "slopes_3_1_1 ring 9",
+    "positive_slack_1e-6 elliptic",
+    "bp_101_103_107 elliptic",
+}
 FAST = [case for case in CASES if case.name not in SCRIPT_ONLY]
 
 
@@ -53,6 +62,23 @@ def test_the_script_reports_every_broken_pin(monkeypatch):
     # no interpreter starts in 4 MB of address space
     monkeypatch.setattr(hard_documents, "MEMORY_MB", 4)
     assert run_case(case)["ok"] is False
+
+
+@pytest.mark.parametrize("optimize", [0, 1, 2])
+def test_the_script_runs_each_case_at_its_own_optimize_level(monkeypatch, optimize):
+    # python -O tests/hard_documents.py checks the CLI under python -O
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return subprocess.CompletedProcess(argv, 0, b"", b"")
+
+    flags = SimpleNamespace(optimize=optimize)
+    monkeypatch.setattr(hard_documents, "sys", SimpleNamespace(executable="python", flags=flags))
+    monkeypatch.setattr(hard_documents.subprocess, "run", run)
+    case = CASES[0]
+    run_case(case)
+    assert argvs == [["python", *["-O"] * optimize, "-m", "polydiv.cli", *case.argv, "-"]]
 
 
 def test_orthant_scaling_reproduces_the_golden_documents():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from random import Random
 
 import pytest
@@ -30,7 +31,9 @@ from polydiv.geometry import make_cone, make_polyhedron
 from polydiv.linalg import dot
 from polydiv.pdiv import (
     AffineSpace,
+    RaySlope,
     contraction_iso_codim1,
+    floor_columns,
     is_proper,
     polyhedral_divisor,
     require_proper,
@@ -39,6 +42,7 @@ from polydiv.verdicts import Verdict
 
 from reference_geometry import contraction_iso_codim1 as reference_contraction
 from reference_geometry import degree_polyhedron
+import reference_pdiv
 from reference_pdiv import WeightError, check_weight, decide_properness, evaluate, support_eval
 from test_cone_kernels import solve
 
@@ -294,6 +298,35 @@ def test_slopes_are_kept_and_a_rank_two_failure_is_not():
         with pytest.raises(ShapeError):
             quadrant.slopes
     assert "slopes" not in vars(quadrant)
+
+
+def test_streamed_floor_kernel_matches_the_period_table():
+    """The lazy columns and floor degrees against the period-table kernel of
+    tests/reference_pdiv.py, on seeded slopes with negative p, q = 1 and no
+    slopes at all, at m_max = 0 and at m_max below and above each q."""
+    rng = Random(3303)
+    points = (P1_INFINITY, p1_point(0), p1_point(1), p1_point(-1), p1_point(2), p1_point(1, 2))
+    seen = dict.fromkeys(("negative p", "q = 1", "no slopes", "m_max 0", "below q", "above q"), 0)
+    for _ in range(120):
+        pts = rng.sample(points, rng.randint(0, len(points)))
+        qs = [rng.choice((1, rng.randint(2, 9), rng.randint(10, 60))) for _ in pts]
+        slopes = tuple(RaySlope(pt, rng.randint(-3 * q, 3 * q), q) for pt, q in zip(pts, qs))
+        m_max = rng.choice((0, rng.randint(1, 8), rng.randint(9, 200)))
+        want = reference_pdiv.floor_columns(slopes, m_max)
+        got = [list(islice(column, m_max + 1)) for column in floor_columns(slopes)]
+        assert got == want, (slopes, m_max)
+        # a divisor needs positive degree to be proper, not to stream its floors
+        d = rank1_divisor(P1, {s.point: Fraction(s.p, s.q) for s in slopes if s.p})
+        want = reference_pdiv.floor_degrees(d.slopes, m_max)
+        assert tuple(d.floor_degrees(m_max)) == want, (d, m_max)
+        assert len(want) == m_max + 1
+        seen["negative p"] += any(s.p < 0 for s in slopes)
+        seen["q = 1"] += 1 in qs
+        seen["no slopes"] += not d.slopes
+        seen["m_max 0"] += m_max == 0
+        seen["below q"] += any(0 < m_max < q for q in qs)
+        seen["above q"] += any(m_max > q for q in qs)
+    assert all(n >= 3 for n in seen.values()), seen
 
 
 EC_SMOOTH = EllipticCurveQ(0, 1)  # y^2 = x^3 + 1
