@@ -5,7 +5,9 @@ input), runs the requested computation and prints a report, or an error
 payload, on standard output in the selected format. classify, rational, cm,
 gorenstein, elliptic and h1 refuse a divisor that is not proper (classify
 reports every verdict pending when properness is undecided); proper,
-profile, toric and ring do not ask.
+profile, toric and ring do not ask. elliptic reads the Gorenstein report
+only when its elliptic verdict is not no: a singularity that is not elliptic
+is not minimally elliptic either.
 
 _process is the one place that turns a run's outcome into its payload and
 exit code, with one except clause per exception class:
@@ -185,11 +187,14 @@ def _report(command: str, d, args):
         return gorenstein(d)
     if command == "elliptic":
         ell = elliptic_singularity(d)
+        minimal = Verdict.NO
+        if ell.verdict != Verdict.NO:
+            minimal = minimal_elliptic_verdict(ell, gorenstein(d))
         return {
             "verdict": ell.verdict,
             "criterion": ell.criterion,
             "witness_m": ell.witness_m,
-            "minimal": minimal_elliptic_verdict(ell, gorenstein(d)),
+            "minimal": minimal,
         }
     if command == "h1":
         return h1_report(d, m_max=args.m_max)

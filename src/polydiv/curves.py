@@ -102,6 +102,10 @@ class P1Point:
             return str(self.a)
         return f"{self.a}/{self.b}"
 
+    def __lt__(self, other: P1Point) -> bool:
+        """a/b < c/d, infinity last: b and d are >= 0, so cross-multiply."""
+        return self.a * other.b < other.a * self.b
+
     @property
     def is_infinity(self) -> bool:
         return self.b == 0
@@ -115,6 +119,8 @@ class P1Point:
 
 def p1_point(a, b=1) -> P1Point:
     """The point (a : b); arguments other than ints and Fractions are read as Fractions."""
+    if b == 1 and type(a) in (int, Fraction):
+        return P1Point(a.numerator, a.denominator)  # a Fraction is in lowest terms
     a, b = (x if type(x) in (int, Fraction) else Fraction(x) for x in (a, b))
     num = a.numerator * b.denominator
     den = b.numerator * a.denominator
@@ -187,10 +193,11 @@ _ZERO = Fraction(0)
 
 
 def point_sort_key(pt: CurvePoint):
+    """Points in a fixed exact order. A P1 point a/b sorts by its integer
+    part a // b, then by itself (P1Point.__lt__ cross-multiplies), infinity
+    last: no Fraction is built, and Python code runs only on a tie."""
     if isinstance(pt, P1Point):
-        if pt.is_infinity:
-            return (1, _ZERO, _ZERO)
-        return (0, pt.affine_value, _ZERO)
+        return (0, pt.a // pt.b, pt) if pt.b else (1, 0, pt)
     if isinstance(pt, EllipticOrigin):
         return (0, _ZERO, _ZERO)
     if isinstance(pt, EllipticPoint):

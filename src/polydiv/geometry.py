@@ -10,17 +10,19 @@ otherwise it is the one make_cone ran, when it kept every generator, else
 one fresh. Its dual (``dual``) and the first region of its chamber fan are
 read off it, and membership off the dual's rays. Polyhedra store exactly
 their extreme points plus a pointed tail cone, and keep their vertices
-cleared (linalg.clear) over one common denominator; support minima,
-chamber-fan walls and minimizers are taken in int on them. Support minima
-exist only as the fan's table below, at the fan rays, where every
+cleared over one common denominator, on first use, in one int pass; support
+minima, chamber-fan walls and minimizers are taken in int on them. Support
+minima exist only as the fan's table below, at the fan rays, where every
 polyhedron is bounded below. A chamber-fan region is its double
 description, each cut extends it by one step, and its tight sets (bitmasks
 over the normals it processed) give the facets it is triangulated along; a
 chamber stores its rays and the facet normal opposite each of them. A fan
-keeps one table of minima: each distinct fan ray with its int minimum over
-each polyhedron's cleared vertices, taken once per ray however many
-chambers hold it. The minimizer check of every chamber, and the ray
-degrees, degree-zero evaluations and rank-one slopes of a divisor, read it.
+builds one pairing table: each distinct fan ray paired with each cleared
+vertex of each polyhedron, once per ray however many chambers hold it. Its
+row minima are the fan's table of minima, which the ray degrees,
+degree-zero evaluations and rank-one slopes of a divisor read; each
+chamber's minimizers are read off it too, the sample's pairings as the sum
+of those at the chamber's rays, and checked against its minima.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import ge
 
 from .errors import InternalError, RankMismatchError, ShapeError, UnsupportedRankError
 from .linalg import (
     DoubleDescription,
-    clear,
     dot,
     is_zero,
     matrix_rank,
@@ -154,14 +156,15 @@ class TailedPolyhedron:
         """(numerators, denominator): the vertices, in order, as integer
         vectors over one common positive denominator. Kept on the value,
         outside equality and hashing."""
-        return _cleared(self.vertices, self.rank)
+        return _cleared(self.vertices)
 
 
-def _cleared(vertices, rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _cleared(vertices) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The vertices, in order, as integer vectors over one common positive
-    denominator, and that denominator: one clear of all their entries."""
-    flat, den = clear([x for v in vertices for x in v])
-    return tuple(tuple(flat[k * rank : (k + 1) * rank]) for k in range(len(vertices))), den
+    denominator, and that denominator: one lcm of the entries' denominators,
+    then one int row per vertex (an int is its own numerator, over 1)."""
+    den = lcm(*(x.denominator for v in vertices for x in v))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices), den
 
 
 def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
@@ -189,7 +192,7 @@ def make_polyhedron(vertices, tail: Cone) -> TailedPolyhedron:
     if len(verts) > 1 and tail.rays:
         # over the trivial tail no vertex dominates another; the pairings
         # are taken in int, on the vertices over one common denominator
-        nums = _cleared(verts, tail.rank)[0]
+        nums = _cleared(verts)[0]
         values = [tuple(dot(f, n) for f in tail.dual.rays) for n in nums]
         keep = [not any(b is not a and all(map(ge, a, b)) for b in values) for a in values]
         verts = [v for v, k in zip(verts, keep) if k]
@@ -283,10 +286,12 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
                 continue
             cells += [(simplex, _facets(simplex)) for simplex in _triangulate(dd, rank)]
     rays = sorted({u for simplex, _ in cells for u in simplex})
-    minima = {u: tuple(min(dot(u, n) for n in p.cleared[0]) for p in polys) for u in rays}
-    chambers = [Chamber(s, f, _minimizers(s, polys, minima)) for s, f in cells]
+    # pairings[u][k]: ray u paired with each cleared vertex of the k-th polyhedron
+    pairings = {u: tuple(tuple(dot(u, n) for n in p.cleared[0]) for p in polys) for u in rays}
+    chambers = [Chamber(s, f, _minimizers(s, polys, pairings)) for s, f in cells]
     chambers.sort(key=lambda ch: ch.rays)
-    return ChamberFan(tuple(chambers), tuple(minima.items()))
+    minima = tuple((u, tuple(map(min, row))) for u, row in pairings.items())
+    return ChamberFan(tuple(chambers), minima)
 
 
 def _split(dd, wall):
@@ -348,12 +353,12 @@ def _facets(rays) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _minimizers(rays, polys, minima) -> tuple[tuple[Fraction, ...], ...]:
-    """One minimizing vertex per polyhedron on the simplicial cone of rays:
-    the k-th must attain minima[u][k], the fan's minimum over the k-th
-    polyhedron, at every ray u."""
-    rank = len(rays[0])
-    sample = tuple(sum(r[c] for r in rays) for c in range(rank))
+def _minimizers(rays, polys, pairings) -> tuple[tuple[Fraction, ...], ...]:
+    """One minimizing vertex per polyhedron on the simplicial cone of rays,
+    read off the fan's pairing table: the sample, the sum of the rays, pairs
+    with each vertex as the sum of their pairings, and the k-th minimizer
+    must attain the minimum of pairings[u][k] at every ray u."""
+    rows = [pairings[u] for u in rays]
     minimizers = []
     for k, p in enumerate(polys):
         # a positive common denominator keeps minima and lexicographic order
@@ -361,11 +366,11 @@ def _minimizers(rays, polys, minima) -> tuple[tuple[Fraction, ...], ...]:
         if len(nums) == 1:
             chosen = 0
         else:
-            values = [dot(sample, n) for n in nums]
+            values = [sum(col) for col in zip(*(row[k] for row in rows))]
             best = min(values)
             chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
-        for u in rays:
-            if dot(u, nums[chosen]) != minima[u][k]:
+        for row in rows:
+            if row[k][chosen] != min(row[k]):
                 raise InternalError("chamber is not a linearity region")
         minimizers.append(p.vertices[chosen])
     return tuple(minimizers)

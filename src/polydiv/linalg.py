@@ -27,7 +27,8 @@ test and its prefilter, Fukuda and Prodon, "Double description method
 revisited", 1996). The rays it returns are then extreme and pairwise
 distinct without any further pruning. Both kernels work in int: a Fraction
 vector is cleared of its denominators once, on entry (clear, the one clearing
-in the package), and every step after that divides by gcds. Everything they
+of a vector in the package; a polyhedron clears its vertices over one
+common denominator), and every step after that divides by gcds. Everything they
 hand out is int; no floats anywhere.
 """
 

@@ -164,10 +164,11 @@ class PolyhedralDivisor:
 
     def floor_degrees(self, m_max: int) -> Iterator[int]:
         """deg of the rounded-down evaluation at m = 0 .. m_max (rank one, over
-        a projective curve), streamed: the sum of the slopes' floor columns."""
+        a projective curve), streamed: the sum of the slopes' floor columns;
+        empty for a negative m_max."""
         if not self.base.projective:
             raise CurveDomainError("floor degrees need a projective base curve")
-        return islice(map(sum, zip(repeat(0), *floor_columns(self.slopes))), m_max + 1)
+        return islice(map(sum, zip(repeat(0), *floor_columns(self.slopes))), max(m_max + 1, 0))
 
 
 def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) -> PolyhedralDivisor:
@@ -189,7 +190,7 @@ def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) ->
         raise ShapeError("the tail cone must be pointed")
 
     items = coefficients.items() if isinstance(coefficients, dict) else list(coefficients)
-    seen = []
+    seen = set()
     kept = []
     for key, poly in items:
         if isinstance(base, AffineSpace):
@@ -205,14 +206,14 @@ def polyhedral_divisor(base: DivisorBase, rank: int, tail_rays, coefficients) ->
         if key in seen:
             violations.append(f"coefficient attached twice to {key}")
             continue
-        seen.append(key)
+        seen.add(key)
         if not isinstance(poly, TailedPolyhedron):
             violations.append(f"coefficient at {key} is not a tailed polyhedron")
             continue
         if poly.rank != rank:
             violations.append(f"coefficient at {key} has rank {poly.rank}, expected {rank}")
             continue
-        if poly.tail != tail:
+        if poly.tail is not tail and poly.tail != tail:
             violations.append(f"coefficient at {key} does not have the common tail cone")
             continue
         if poly.vertices == ((0,) * rank,):

@@ -93,7 +93,15 @@ def _json_int(literal: str):
 _DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
-def _rational(value, path: str, violations: list) -> Fraction | None:
+def _where(path, index=None) -> str:
+    """A violation's JSON path, formatted only when a violation is recorded:
+    path is a str or a (template, *indices) tuple, then [index] if given."""
+    if type(path) is tuple:
+        path = path[0].format(*path[1:])
+    return path if index is None else f"{path}[{index}]"
+
+
+def _rational(value, path, violations: list, index=None) -> Fraction | None:
     # exact type tests: the decoder builds no subclasses, and ints and strings
     # are the common cases
     kind = type(value)
@@ -103,42 +111,38 @@ def _rational(value, path: str, violations: list) -> Fraction | None:
         match = _RATIONAL.fullmatch(value)
         if match is None:
             shown = value if len(value) <= 40 else value[:40] + "..."
-            violations.append(f"{path}: cannot read {shown!r} as a rational")
-            return None
-        sign, num, den = match.groups()
-        if len(num) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
-            violations.append(
-                f"{path}: numerator or denominator has more than {MAX_DIGITS} digits"
-            )
-            return None
-        if den is not None and int(den) == 0:
-            violations.append(f"{path}: cannot read {value!r} as a rational")
-            return None
-        numerator = -int(num) if sign == "-" else int(num)
-        return Fraction(numerator, 1 if den is None else int(den))
-    if kind is bool:
-        violations.append(f"{path}: expected a rational, got a boolean")
+            problem = f"cannot read {shown!r} as a rational"
+        else:
+            sign, num, den = match.groups()
+            if len(num) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
+                problem = f"numerator or denominator has more than {MAX_DIGITS} digits"
+            elif den is not None and int(den) == 0:
+                problem = f"cannot read {value!r} as a rational"
+            else:
+                numerator = -int(num) if sign == "-" else int(num)
+                return Fraction(numerator, 1 if den is None else int(den))
+    elif kind is bool:
+        problem = "expected a rational, got a boolean"
     elif kind is _LongInteger:
-        violations.append(f"{path}: integer has more than {MAX_DIGITS} digits")
+        problem = f"integer has more than {MAX_DIGITS} digits"
     elif kind is float:
-        violations.append(
-            f"{path}: floating-point numbers are not exact; write a string like \"1/4\""
-        )
+        problem = "floating-point numbers are not exact; write a string like \"1/4\""
     else:
-        violations.append(f"{path}: expected a rational, got {kind.__name__}")
+        problem = f"expected a rational, got {kind.__name__}"
+    violations.append(f"{_where(path, index)}: {problem}")
     return None
 
 
-def _vector(value, rank: int, path: str, violations: list):
+def _vector(value, rank: int, path, violations: list):
     if not isinstance(value, list):
-        violations.append(f"{path}: expected a list of {rank} rationals")
+        violations.append(f"{_where(path)}: expected a list of {rank} rationals")
         return None
     if len(value) != rank:
-        violations.append(f"{path}: expected {rank} coordinates, got {len(value)}")
+        violations.append(f"{_where(path)}: expected {rank} coordinates, got {len(value)}")
         return None
     out = []
     for i, entry in enumerate(value):
-        q = _rational(entry, f"{path}[{i}]", violations)
+        q = _rational(entry, path, violations, i)
         if q is None:
             return None
         out.append(q)
@@ -146,20 +150,20 @@ def _vector(value, rank: int, path: str, violations: list):
 
 
 def _check_keys(
-    obj, allowed, required, path: str, violations: list, expected: str = "expected an object"
+    obj, allowed, required, path, violations: list, expected: str = "expected an object"
 ) -> bool:
     """Is obj an object with the required keys and no others? Else record why."""
     if not isinstance(obj, dict):
-        violations.append(f"{path}: {expected}")
+        violations.append(f"{_where(path)}: {expected}")
         return False
     ok = True
     for key in required:
         if key not in obj:
-            violations.append(f"{path}: missing required key {key!r}")
+            violations.append(f"{_where(path)}: missing required key {key!r}")
             ok = False
     for key in obj:
         if key not in allowed:
-            violations.append(f"{path}: unknown key {key!r}")
+            violations.append(f"{_where(path)}: unknown key {key!r}")
             ok = False
     return ok
 
@@ -225,12 +229,13 @@ def _parse_base(obj, violations: list):
     return None
 
 
-def _parse_point(value, base, path: str, violations: list):
+def _parse_point(value, base, path, violations: list):
     if isinstance(base, ProjectiveLine):
         if value == "inf":
             return P1_INFINITY
         q = _rational(value, path, violations)
         return None if q is None else p1_point(q)
+    path = _where(path)
     if isinstance(base, EllipticCurveQ):
         if value == "O":
             return EC_ORIGIN
@@ -308,7 +313,7 @@ def parse_problem(text: str) -> PolyhedralDivisor:
             violations.append(f"tail_cone.rays: at most {MAX_RAYS} are supported")
         else:
             for i, ray in enumerate(rays_obj):
-                v = _vector(ray, rank, f"tail_cone.rays[{i}]", violations)
+                v = _vector(ray, rank, ("tail_cone.rays[{}]", i), violations)
                 if v is not None:
                     tail_rays.append(v)
 
@@ -324,38 +329,39 @@ def parse_problem(text: str) -> PolyhedralDivisor:
     tail = make_cone(tail_rays, rank)
     pairs = []
     for i, entry in enumerate(entries):
-        path = f"coefficients[{i}]"
+        path = ("coefficients[{}]", i)
         if not _check_keys(
             entry, ("point", "vertices", "extra_rays"), ("point", "vertices"), path, violations
         ):
             continue
-        point = _parse_point(entry["point"], base, f"{path}.point", violations)
+        point = _parse_point(entry["point"], base, ("coefficients[{}].point", i), violations)
         verts_obj = entry["vertices"]
         if not isinstance(verts_obj, list) or not verts_obj:
-            violations.append(f"{path}.vertices: expected a nonempty list of vertices")
+            violations.append(f"coefficients[{i}].vertices: expected a nonempty list of vertices")
             continue
         if len(verts_obj) > MAX_VERTICES:
-            violations.append(f"{path}.vertices: at most {MAX_VERTICES} are supported")
+            violations.append(f"coefficients[{i}].vertices: at most {MAX_VERTICES} are supported")
             continue
         vertices = []
         for j, vert in enumerate(verts_obj):
-            v = _vector(vert, rank, f"{path}.vertices[{j}]", violations)
+            v = _vector(vert, rank, ("coefficients[{}].vertices[{}]", i, j), violations)
             if v is not None:
                 vertices.append(v)
         if len(vertices) != len(verts_obj):
             continue
         extra_rays = entry.get("extra_rays", [])
         if not isinstance(extra_rays, list):
-            violations.append(f"{path}.extra_rays: expected a list of rays")
+            violations.append(f"coefficients[{i}].extra_rays: expected a list of rays")
             continue
         if len(extra_rays) > MAX_RAYS:
-            violations.append(f"{path}.extra_rays: at most {MAX_RAYS} are supported")
+            violations.append(f"coefficients[{i}].extra_rays: at most {MAX_RAYS} are supported")
             continue
         for j, ray in enumerate(extra_rays):
-            v = _vector(ray, rank, f"{path}.extra_rays[{j}]", violations)
+            v = _vector(ray, rank, ("coefficients[{}].extra_rays[{}]", i, j), violations)
             if v is not None and not cone_contains(tail, v):
                 violations.append(
-                    f"{path}.extra_rays[{j}]: ray {tuple(map(str, v))} is not in the tail cone"
+                    f"coefficients[{i}].extra_rays[{j}]: ray {tuple(map(str, v))} "
+                    "is not in the tail cone"
                 )
         if point is None:
             continue

@@ -8,6 +8,10 @@ principality, one case per curve model, h1_dim reads it for one divisor,
 and h0_dim follows from it by Riemann-Roch. The tests rebuild the h1
 report, the floor degrees and the section-ring dimensions from
 h1_dim(floor_divisor(evaluate(d, m))) and h0_dim of the same divisor.
+
+point_sort_key is the order of points as it was before P1 points compared
+in int: a P1 point sorts by its affine value as a Fraction. The tests sort
+point sets by it and by curves.point_sort_key alike.
 """
 
 from collections.abc import Callable
@@ -17,15 +21,21 @@ from math import floor
 from polydiv.curves import (
     AbstractProjectiveCurve,
     CurveModel,
+    CurvePoint,
     EllipticCurveQ,
+    EllipticOrigin,
+    EllipticPoint,
+    LabelPoint,
+    P1Point,
     ProjectiveLine,
     QDivisor,
+    RationalPoint,
     degree,
     divisor,
     is_integral,
     is_principal,
 )
-from polydiv.errors import CurveDomainError, NonIntegralError
+from polydiv.errors import CurveDomainError, NonIntegralError, PointError
 from polydiv.verdicts import Verdict
 
 
@@ -81,3 +91,22 @@ def h1_dim_of_degree(
     if deg < 0:
         return g - 1 - deg
     return None
+
+
+_ZERO = Fraction(0)
+
+
+def point_sort_key(pt: CurvePoint):
+    if isinstance(pt, P1Point):
+        if pt.is_infinity:
+            return (1, _ZERO, _ZERO)
+        return (0, pt.affine_value, _ZERO)
+    if isinstance(pt, EllipticOrigin):
+        return (0, _ZERO, _ZERO)
+    if isinstance(pt, EllipticPoint):
+        return (1, pt.x, pt.y)
+    if isinstance(pt, RationalPoint):
+        return (0, pt.value, _ZERO)
+    if isinstance(pt, LabelPoint):
+        return (0, pt.label, "")
+    raise PointError(f"not a curve point: {pt!r}")

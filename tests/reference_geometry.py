@@ -9,13 +9,20 @@ the cone over the homogenized polyhedron and the negated ray, and
 degree_polyhedron is the Minkowski sum of the coefficients of a divisor. The
 tests compare cone_contains, make_polyhedron and the ray-degree contraction
 test of polydiv against them.
+
+cleared and minimizers are the int kernels of the chamber fan as they were
+before the fan kept one pairing table: cleared slices one linalg.clear of
+every vertex entry back into rows, and minimizers pairs the sample and each
+ray of a chamber with the cleared vertices by dot products and checks them
+against the fan's minima. The tests compare TailedPolyhedron.cleared and
+geometry._minimizers against them.
 """
 
 from fractions import Fraction
 
-from polydiv.errors import CurveDomainError, RankMismatchError, ShapeError
+from polydiv.errors import CurveDomainError, InternalError, RankMismatchError, ShapeError
 from polydiv.geometry import TailedPolyhedron, make_cone, ratvec
-from polydiv.linalg import dot, vec_neg
+from polydiv.linalg import clear, dot, vec_neg
 from polydiv.verdicts import Verdict
 from reference_linalg import cone_from_inequalities
 
@@ -82,3 +89,32 @@ def contraction_iso_codim1(d) -> Verdict:
     if any(ray_meets(deg_poly, ray) for ray in d.tail.rays):
         return Verdict.NO
     return Verdict.YES
+
+
+def cleared(vertices, rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The vertices, in order, as integer vectors over one common positive
+    denominator, and that denominator: one clear of all their entries."""
+    flat, den = clear([x for v in vertices for x in v])
+    return tuple(tuple(flat[k * rank : (k + 1) * rank]) for k in range(len(vertices))), den
+
+
+def minimizers(rays, polys, minima) -> tuple[tuple[Fraction, ...], ...]:
+    """One minimizing vertex per polyhedron on the simplicial cone of rays:
+    the k-th must attain minima[u][k], the fan's minimum over the k-th
+    polyhedron, at every ray u."""
+    rank = len(rays[0])
+    sample = tuple(sum(r[c] for r in rays) for c in range(rank))
+    out = []
+    for k, p in enumerate(polys):
+        nums = p.cleared[0]
+        if len(nums) == 1:
+            chosen = 0
+        else:
+            values = [dot(sample, n) for n in nums]
+            best = min(values)
+            chosen = min((i for i, x in enumerate(values) if x == best), key=nums.__getitem__)
+        for u in rays:
+            if dot(u, nums[chosen]) != minima[u][k]:
+                raise InternalError("chamber is not a linearity region")
+        out.append(p.vertices[chosen])
+    return tuple(out)

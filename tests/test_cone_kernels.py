@@ -912,10 +912,10 @@ def tied_polyhedron(rng, rank, tail):
     return make_polyhedron(verts, tail)
 
 
-def ray_minima(rays, polys):
-    """The table chamber_fan hands _minimizers: each ray with its int minimum
-    over the cleared vertices of each polyhedron."""
-    return {u: tuple(min(dot(u, n) for n in p.cleared[0]) for p in polys) for u in rays}
+def ray_pairings(rays, polys):
+    """The table chamber_fan hands _minimizers: each ray paired with the
+    cleared vertices of each polyhedron, in order."""
+    return {u: tuple(tuple(dot(u, n) for n in p.cleared[0]) for p in polys) for u in rays}
 
 
 def test_integer_support_minima_match_the_fraction_path():
@@ -951,9 +951,9 @@ def test_integer_support_minima_match_the_fraction_path():
                         want = reference_minimizers(rays, polys)
                     except InternalError:
                         with pytest.raises(InternalError):
-                            geometry._minimizers(rays, polys, ray_minima(rays, polys))
+                            geometry._minimizers(rays, polys, ray_pairings(rays, polys))
                         continue
-                    assert geometry._minimizers(rays, polys, ray_minima(rays, polys)) == want
+                    assert geometry._minimizers(rays, polys, ray_pairings(rays, polys)) == want
                     sample = tuple(sum(r[c] for r in rays) for c in range(rank))
                     seen["tied chamber"] += any(
                         sum(dot(sample, v) == dot(sample, w) for v in p.vertices) > 1
