@@ -8,9 +8,11 @@ their dual does. A cone keeps the double description of its dual
 rank 3 make_cone writes it down from the facet normals, equal to the fold;
 otherwise it is the one make_cone ran, when it kept every generator, else
 one fresh. Its dual (``dual``) and the first region of its chamber fan are
-read off it, and membership off the dual's rays. Polyhedra store exactly
-their extreme points plus a pointed tail cone, and keep their vertices
-cleared over one common denominator, on first use, in one int pass; support
+read off it, membership off the dual's rays, and a wall-free fan's one
+chamber off a simplicial dual (``simplicial_dual``). These facts depend on the
+cone alone, so divisors can share one Cone. Polyhedra store exactly their
+extreme points plus a pointed tail cone, and keep their vertices cleared
+over one common denominator, on first use, in one int pass; support
 minima, chamber-fan walls and minimizers are taken in int on them. Support
 minima exist only as the fan's table below, at the fan rays, where every
 polyhedron is bounded below. A chamber-fan region is its double
@@ -73,6 +75,15 @@ class Cone:
     def dual(self) -> Cone:
         """The dual cone: the rays of dual_dd and each of its lines both ways."""
         return _cone(self.dual_dd.lines, self.dual_dd.rays, self.rank)
+
+    @cached_property
+    def simplicial_dual(self) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
+        """(rays, facets) of a simplicial dual, else None: facets[i] is the ray
+        of this cone positive on rays[i], the facet normal opposite it."""
+        dual = self.dual
+        if not dual.pointed or len(dual.rays) != self.rank:
+            return None
+        return dual.rays, tuple(next(f for f in self.rays if dot(f, u) > 0) for u in dual.rays)
 
 
 def make_cone(rays, rank: int) -> Cone:
@@ -232,12 +243,12 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
 
     Without walls, that is when every input polyhedron is one vertex, a
     simplicial weight cone is one chamber at any rank, with the tail rays as
-    its facet normals. Otherwise the weight cone, the region cut out by the
-    tail rays (the tail's dual_dd), is split along every hyperplane where two
-    vertices of one input polyhedron tie, and each piece is triangulated, so
-    each chamber carries a single minimizing vertex per polyhedron; this is
-    guaranteed through rank 3 only. Once every simplex is known, the minima
-    at each distinct ray are taken once.
+    its facet normals (the tail's simplicial_dual). Otherwise the weight cone,
+    the region cut out by the tail rays (the tail's dual_dd), is split along
+    every hyperplane where two vertices of one input polyhedron tie, and each
+    piece is triangulated, so each chamber carries a single minimizing vertex
+    per polyhedron; this is guaranteed through rank 3 only. Once every simplex
+    is known, the minima at each distinct ray are taken once.
     """
     rank = tail.rank
     if not tail.pointed:
@@ -246,7 +257,7 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
     for p in polys:
         if p.rank != rank:
             raise RankMismatchError("polyhedron rank differs from the tail cone rank")
-        if p.tail != tail:
+        if p.tail is not tail and p.tail != tail:
             raise ShapeError("chamber fan requires the given tail on all polyhedra")
 
     walls = []
@@ -262,12 +273,9 @@ def chamber_fan(polys, tail: Cone) -> ChamberFan:
                 if n not in walls:
                     walls.append(n)
 
-    weight = tail.dual
-    if not walls and weight.pointed and len(weight.rays) == rank:
-        # one chamber: the tail rays are the facet normals of the simplicial
-        # weight cone, each positive on exactly one of its rays
-        facets = tuple(next(f for f in tail.rays if dot(f, u) > 0) for u in weight.rays)
-        cells = [(weight.rays, facets)]
+    if not walls and tail.simplicial_dual:
+        # one chamber: the simplicial weight cone
+        cells = [tail.simplicial_dual]
     elif rank > 3:
         raise UnsupportedRankError("chamber fan only guaranteed through rank 3")
     else:

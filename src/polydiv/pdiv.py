@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, repeat
 from math import gcd, lcm
-from operator import floordiv
+from operator import floordiv, mul
 from types import MappingProxyType
 
 from .curves import (
@@ -126,7 +126,12 @@ class PolyhedralDivisor:
     @cached_property
     def ray_degrees(self) -> Mapping[tuple[int, ...], Fraction]:
         """The degree of the evaluation at every ray u of the chamber fan, in fan order."""
-        return MappingProxyType({u: _degree(self, mins) for u, mins in self.fan.minima})
+        if not self.base.projective:
+            raise CurveDomainError("degree is undefined on an affine base")
+        dens = [poly.cleared[1] for _, poly in self.coefficients]
+        scale = lcm(*dens)
+        weights = [scale // den for den in dens]
+        return MappingProxyType({u: _degree(mins, weights, scale) for u, mins in self.fan.minima})
 
     @cached_property
     def properness(self) -> PropernessReport:
@@ -354,15 +359,11 @@ def _interior_sample(rays, rank: int) -> tuple[int, ...]:
     return tuple(sum(r[i] for r in rays) for i in range(rank))
 
 
-def _degree(d: PolyhedralDivisor, minima) -> Fraction:
+def _degree(minima, weights, scale: int) -> Fraction:
     """The degree of the evaluation whose coefficient at the i-th point is
-    minima[i] over the i-th cleared denominator: one int sum over the lcm of
-    those denominators."""
-    if not d.base.projective:
-        raise CurveDomainError("degree is undefined on an affine base")
-    dens = [poly.cleared[1] for _, poly in d.coefficients]
-    scale = lcm(*dens)
-    return Fraction(sum(x * (scale // den) for x, den in zip(minima, dens)), scale)
+    minima[i] over the i-th cleared denominator, scale // weights[i]: one int
+    sum over scale, the lcm of those denominators, taken once per divisor."""
+    return Fraction(sum(map(mul, minima, weights)), scale)
 
 
 def require_proper(d: PolyhedralDivisor) -> None:

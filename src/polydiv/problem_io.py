@@ -29,6 +29,9 @@ deeply for the decoder raises ParseError without one; well-formed JSON with
 bad content, or larger than the MAX_* caps, raises InvalidInputError carrying
 one message per violation, each prefixed with the JSON path. Only then is the
 tail cone checked for pointedness, raising ShapeError.
+
+Documents with equal validated tail rays and rank share one frozen Cone, and
+its dual and double description, while it is among the last TAIL_CONES_KEPT.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .curves import (
@@ -57,7 +60,7 @@ from .curves import (
     p1_point,
 )
 from .errors import InternalError, InvalidInputError, ParseError, ShapeError
-from .geometry import cone_contains, make_cone, make_polyhedron
+from .geometry import Cone, cone_contains, make_cone, make_polyhedron
 from .pdiv import AffineSpace, PolyhedralDivisor, polyhedral_divisor
 
 _BASE_KINDS = ("P1", "elliptic", "abstract", "affine_line", "affine_space")
@@ -73,6 +76,8 @@ MAX_COEFFICIENTS = 128
 MAX_VERTICES = 128
 MAX_RAYS = 128
 MAX_GENUS = 1000
+
+TAIL_CONES_KEPT = 16  # tail cones kept per process; each pins its dual's double description
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
@@ -272,6 +277,12 @@ def _parse_point(value, base, path, violations: list):
     return index
 
 
+@lru_cache(maxsize=TAIL_CONES_KEPT)
+def _tail_cone(rays: tuple[tuple[Fraction, ...], ...], rank: int) -> Cone:
+    """The one Cone of every document with these validated rays and rank."""
+    return make_cone(rays, rank)
+
+
 def parse_problem(text: str) -> PolyhedralDivisor:
     """Parse a problem document into a validated polyhedral divisor."""
     try:
@@ -326,7 +337,7 @@ def parse_problem(text: str) -> PolyhedralDivisor:
         raise InvalidInputError(["coefficients: expected a list"])
     if len(entries) > MAX_COEFFICIENTS:
         raise InvalidInputError([f"coefficients: at most {MAX_COEFFICIENTS} are supported"])
-    tail = make_cone(tail_rays, rank)
+    tail = _tail_cone(tuple(tail_rays), rank)
     pairs = []
     for i, entry in enumerate(entries):
         path = ("coefficients[{}]", i)

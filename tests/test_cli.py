@@ -329,8 +329,9 @@ def test_unknown_verdict_in_report_exits_four(capsys):
 
 
 def test_stdin_input(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr("sys.stdin", open(GOLDEN_ONE, encoding="utf-8"))
-    code, payload = run_json(capsys, "rational", "-")
+    with open(GOLDEN_ONE, encoding="utf-8") as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, payload = run_json(capsys, "rational", "-")
     assert code == 0
     assert payload["verdict"] == "no"
 
@@ -385,10 +386,11 @@ NOT_UTF8 = b'{"lattice_rank": 1, \xff\xfe}'
 def test_a_document_that_is_not_utf8_is_a_read_error(capsys, monkeypatch, tmp_path, source):
     doc = tmp_path / "bytes.json"
     doc.write_bytes(NOT_UTF8)
-    if source == "stdin":
-        # standard input decoded strictly, as in a UTF-8 locale
-        monkeypatch.setattr("sys.stdin", open(doc, encoding="utf-8"))
-    code, payload = run_json(capsys, "proper", str(doc) if source == "path" else "-")
+    with open(doc, encoding="utf-8") as stdin:
+        if source == "stdin":
+            # standard input decoded strictly, as in a UTF-8 locale
+            monkeypatch.setattr("sys.stdin", stdin)
+        code, payload = run_json(capsys, "proper", str(doc) if source == "path" else "-")
     assert code == 2
     assert payload["error"] == "read"
     assert "utf-8" in payload["message"]

@@ -61,6 +61,7 @@ import pytest
 
 from hard_documents import ngon_tail, walls
 import polydiv.geometry as geometry
+import polydiv.problem_io as problem_io
 from polydiv import cli
 from polydiv.errors import InternalError, PolydivError, ShapeError, UnsupportedRankError
 from polydiv.geometry import (
@@ -1188,6 +1189,7 @@ def test_classify_runs_one_double_description_per_tail_and_wide_region(
     else:
         folder = "data" if name == "golden_one.json" else "golden/scaling"
         text = (Path(__file__).parent / folder / name).read_text(encoding="utf-8")
+    problem_io._tail_cone.cache_clear()
     calls = counted_folds(monkeypatch)
     wide = []
     triangulate = geometry._triangulate
@@ -1207,6 +1209,10 @@ def test_classify_runs_one_double_description_per_tail_and_wide_region(
         assert report["rational"]["verdict"] == "no" and report["cohen_macaulay"]["verdict"] == "no"
     if name in ("cm_no_rank3", "square_tail"):
         assert wide
+    # the classify built the one tail; parsing it again builds and folds nothing
+    tail = parse_problem(text).tail
+    assert parse_problem(text).tail is tail
+    assert problem_io._tail_cone.cache_info().misses == 1 and len(calls) == folds
 
 
 def seeded_dual_generators(rng, rank, shape):
@@ -1403,10 +1409,14 @@ def test_rank_dependent_generators_are_folded_as_before(monkeypatch, gens, rays,
 def test_parsing_the_sixteen_gon_tail_runs_one_double_description(monkeypatch):
     """make_cone keeps the double description of the 16-gon tail's generators
     as its dual_dd, so parsing and reading the dual run that one fold."""
+    problem_io._tail_cone.cache_clear()
     calls = counted_folds(monkeypatch)
     d = parse_problem(ngon_tail(16))
     assert "dual_dd" in vars(d.tail)
     assert len(d.tail.rays) == 16 and len(d.tail.dual.rays) == 16
+    assert len(calls) == 1
+    # a second parse of the same tail shares the Cone and folds nothing
+    assert parse_problem(ngon_tail(16)).tail is d.tail
     assert len(calls) == 1
 
 

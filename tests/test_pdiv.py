@@ -265,10 +265,12 @@ def test_rank_four_fan_failure_is_reported_and_not_kept():
 def test_properness_reads_the_interior_sample_off_the_ray_degrees(monkeypatch):
     # the degree is concave and >= 0 at every fan ray, so it vanishes at the
     # interior sample, the sum of the fan rays, iff at each of them: the
-    # sample takes no degree of its own
-    degrees = []
-    real = pdiv_module._degree
-    monkeypatch.setattr(pdiv_module, "_degree", lambda d, mins: degrees.append(mins) or real(d, mins))
+    # sample takes no degree of its own; the denominators' lcm is taken once
+    # per divisor, not once per ray
+    degrees, lcms = [], []
+    real, real_lcm = pdiv_module._degree, pdiv_module.lcm
+    monkeypatch.setattr(pdiv_module, "_degree", lambda *a: degrees.append(a[0]) or real(*a))
+    monkeypatch.setattr(pdiv_module, "lcm", lambda *dens: lcms.append(dens) or real_lcm(*dens))
     quadrant = polyhedral_divisor(P1, 2, ((1, 0), (0, 1)), {p1_point(0): quadrant_poly((1, 0))})
     cancelled = polyhedral_divisor(
         P1,
@@ -285,6 +287,7 @@ def test_properness_reads_the_interior_sample_off_the_ray_degrees(monkeypatch):
     assert report.verdict == Verdict.NO and report.witness == (1, 1)
     assert report.reason == "the degree vanishes at an interior weight, hence everywhere"
     assert len(degrees) == 4  # one per fan ray of each divisor
+    assert lcms == [(1,), (1, 1)]
 
 
 def test_slopes_are_kept_and_a_rank_two_failure_is_not():

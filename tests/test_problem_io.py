@@ -1,6 +1,8 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -174,19 +176,117 @@ def test_parse_builds_the_tail_cone_once(monkeypatch):
 
     monkeypatch.setattr(problem_io, "make_cone", counting)
     monkeypatch.setattr(pdiv, "make_cone", counting)
+    problem_io._tail_cone.cache_clear()
     rays = [[i, i * i, 1] for i in range(6)] + [[2, 5, 1]]
-    d = parse_problem(
-        json.dumps(
-            {
-                "lattice_rank": 3,
-                "tail_cone": {"rays": rays},
-                "base": {"kind": "affine_line"},
-                "coefficients": [{"point": "0", "vertices": [[0, 0, 1], [1, 1, 1]]}],
-            }
-        )
-    )
+    doc = {
+        "lattice_rank": 3,
+        "tail_cone": {"rays": rays},
+        "base": {"kind": "affine_line"},
+        "coefficients": [{"point": "0", "vertices": [[0, 0, 1], [1, 1, 1]]}],
+    }
+    d = parse_problem(json.dumps(doc))
     assert calls == [(tuple(tuple(Fraction(x) for x in r) for r in rays), 3)]
     assert len(d.tail.rays) == 6
+    # another document with the same tail builds nothing and shares the Cone
+    doc["base"] = {"kind": "P1"}
+    assert parse_problem(json.dumps(doc)).tail is d.tail
+    assert len(calls) == 1
+
+
+def random_tail_rays(rng, rank, shape):
+    """Tail rays as a document writes them: none, the orthant's scaled axes,
+    the orthant with sums, duplicates and scaled copies mixed in, a cone
+    holding a ray and its negative, or one ray with a coordinate too many;
+    shuffled, some entries written as strings."""
+    axes = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    if shape == "trivial":
+        return []
+    rays = [[rng.randint(1, 3) * x for x in a] for a in axes]
+    if shape == "redundant":
+        rays += [[sum(col) for col in zip(*rng.sample(axes, rng.randint(1, rank)))]]
+        rays += [rng.choice(rays), [2 * x for x in rng.choice(rays)]]
+    elif shape == "non-pointed":
+        rays.append([-x for x in rng.choice(rays)])
+    elif shape == "wrong rank":
+        rays.append([1] * (rank + 1))
+    rng.shuffle(rays)
+    return [[str(x) if rng.random() < 0.3 else x for x in r] for r in rays]
+
+
+def tail_document(rng, rank, rays):
+    base = rng.choice([{"kind": "P1"}, {"kind": "affine_line"}, {"kind": "abstract", "genus": 1}])
+    vertex = [f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}" for _ in range(rank)]
+    point = str(rng.randint(0, 3)) if base["kind"] != "abstract" else "p"
+    return json.dumps(
+        {
+            "lattice_rank": rank,
+            "tail_cone": {"rays": rays},
+            "base": base,
+            "coefficients": [{"point": point, "vertices": [vertex]}],
+        }
+    )
+
+
+def parsed_tail(text):
+    """The parsed tail cone, or the error the parse raised as comparable data."""
+    try:
+        return parse_problem(text).tail
+    except ShapeError as exc:
+        return ("ShapeError", str(exc))
+    except InvalidInputError as exc:
+        return ("InvalidInputError", exc.violations)
+
+
+def test_documents_with_equal_tails_share_one_cone_a_fresh_build_equals():
+    """Random tails at ranks 1 to 3, each parsed in two different documents,
+    and now and then an earlier tail again after others may have pushed it
+    out: equal tail rays give the identical Cone, which equals a fresh
+    make_cone build with its dual and dual_dd; a non-pointed tail raises
+    its ShapeError and a ray of the wrong rank its violation on every
+    parse; and no more than TAIL_CONES_KEPT cones are ever kept."""
+    rng = Random(20261022)
+    problem_io._tail_cone.cache_clear()
+    seen = Counter()
+    earlier = []
+    for _ in range(150):
+        if earlier and rng.random() < 0.25:
+            rank, shape, rays = rng.choice(earlier)
+        else:
+            rank = rng.randint(1, 3)
+            shape = rng.choice(("trivial", "orthant", "redundant", "non-pointed", "wrong rank"))
+            rays = random_tail_rays(rng, rank, shape)
+            earlier.append((rank, shape, rays))
+        first, second = (parsed_tail(tail_document(rng, rank, rays)) for _ in range(2))
+        assert problem_io._tail_cone.cache_info().currsize <= problem_io.TAIL_CONES_KEPT
+        seen[shape] += 1
+        if shape == "non-pointed":
+            assert first == second == ("ShapeError", "the tail cone must be pointed")
+            continue
+        if shape == "wrong rank":
+            kind, violations = first
+            assert first == second and kind == "InvalidInputError"
+            assert [v for v in violations if v.startswith("tail_cone")] == [
+                f"tail_cone.rays[{[len(r) for r in rays].index(rank + 1)}]: "
+                f"expected {rank} coordinates, got {rank + 1}"
+            ]
+            continue
+        fresh = make_cone([tuple(Fraction(x) for x in r) for r in rays], rank)
+        assert second is first
+        assert first == fresh and first.dual == fresh.dual and first.dual_dd == fresh.dual_dd
+    assert problem_io._tail_cone.cache_info().currsize == problem_io.TAIL_CONES_KEPT
+    assert min(seen.values()) >= 15, seen
+
+
+def test_a_boolean_tail_entry_is_a_violation_next_to_its_equal_integer():
+    # True == 1 and hash(True) == hash(1): the cone of [[1]] is kept, and
+    # [[true]] still never reaches it
+    text = tail_document(Random(1), 1, [[1]])
+    assert parsed_tail(text) is parsed_tail(text)
+    for rays, i in (([[True]], 0), ([[1], [True]], 1)):
+        assert parsed_tail(text.replace("[[1]]", json.dumps(rays))) == (
+            "InvalidInputError",
+            [f"tail_cone.rays[{i}][0]: expected a rational, got a boolean"],
+        )
 
 
 def _sized_document(rank=1, dim=1, coefficients=1, vertices=1):
