@@ -9,6 +9,9 @@ profile, toric and ring do not ask. elliptic reads the Gorenstein report
 only when its elliptic verdict is not no: a singularity that is not elliptic
 is not minimally elliptic either.
 
+proper and profile run on the divisor core alone; every other command loads
+the analysis layer, classify, sections and toric, once per process.
+
 _process is the one place that turns a run's outcome into its payload and
 exit code, with one except clause per exception class:
 
@@ -38,22 +41,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .classify import (
-    ClassifyReport,
-    H1Report,
-    classify_report,
-    cohen_macaulay,
-    elliptic_singularity,
-    gorenstein,
-    h1_report,
-    minimal_elliptic_verdict,
-    rational_singularities,
-)
 from .errors import InternalError, InvalidInputError, NotProperError, ParseError, PolydivError
-from .pdiv import is_proper
+from .pdiv import PropernessReport, is_proper
 from .problem_io import emit_report, parse_problem
-from .sections import ring_presentation
-from .toric import cone_diagnostics, toric_cone
 from .verdicts import Verdict
 
 EXIT_OK = 0
@@ -73,6 +63,16 @@ def _nonneg(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be a nonnegative integer")
     return value
+
+
+@functools.cache
+def _analysis():
+    """The analysis layer, classify, sections and toric, imported together
+    once per process by the first command that needs it. Callers look each
+    function up on its module at call time."""
+    from . import classify, sections, toric
+
+    return classify, sections, toric
 
 
 @functools.cache
@@ -155,9 +155,12 @@ def _undecided(result) -> bool:
     """
     if isinstance(result, dict):
         return Verdict.UNKNOWN in (result.get("verdict"), result.get("minimal"))
-    if isinstance(result, H1Report):
+    if isinstance(result, PropernessReport):
+        return result.verdict == Verdict.UNKNOWN
+    classify = _analysis()[0]
+    if isinstance(result, classify.H1Report):
         return result.total is None
-    if isinstance(result, ClassifyReport):
+    if isinstance(result, classify.ClassifyReport):
         parts = (
             result.properness,
             result.rational,
@@ -177,19 +180,22 @@ def _report(command: str, d, args):
     """The report of one command on a parsed divisor."""
     if command == "proper":
         return is_proper(d)
+    if command == "profile":
+        return {"m_max": args.m_max, "degrees": list(d.floor_degrees(args.m_max))}
+    classify, sections, toric = _analysis()
     if command == "classify":
-        return classify_report(d, isolated=args.isolated)
+        return classify.classify_report(d, isolated=args.isolated)
     if command == "rational":
-        return rational_singularities(d)
+        return classify.rational_singularities(d)
     if command == "cm":
-        return cohen_macaulay(d, isolated=args.isolated)
+        return classify.cohen_macaulay(d, isolated=args.isolated)
     if command == "gorenstein":
-        return gorenstein(d)
+        return classify.gorenstein(d)
     if command == "elliptic":
-        ell = elliptic_singularity(d)
+        ell = classify.elliptic_singularity(d)
         minimal = Verdict.NO
         if ell.verdict != Verdict.NO:
-            minimal = minimal_elliptic_verdict(ell, gorenstein(d))
+            minimal = classify.minimal_elliptic_verdict(ell, classify.gorenstein(d))
         return {
             "verdict": ell.verdict,
             "criterion": ell.criterion,
@@ -197,13 +203,11 @@ def _report(command: str, d, args):
             "minimal": minimal,
         }
     if command == "h1":
-        return h1_report(d, m_max=args.m_max)
-    if command == "profile":
-        return {"m_max": args.m_max, "degrees": list(d.floor_degrees(args.m_max))}
+        return classify.h1_report(d, m_max=args.m_max)
     if command == "toric":
-        cone = toric_cone(d)
-        return {"cone": cone, "diagnostics": cone_diagnostics(cone)}
-    return ring_presentation(d, args.max_degree)
+        cone = toric.toric_cone(d)
+        return {"cone": cone, "diagnostics": toric.cone_diagnostics(cone)}
+    return sections.ring_presentation(d, args.max_degree)
 
 
 def _process(source: str, command: str, args) -> tuple[object, int]:

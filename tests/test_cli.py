@@ -490,7 +490,7 @@ def test_unforeseen_analysis_exception_is_internal_error(capsys, monkeypatch):
     def broken(d):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(cli, "elliptic_singularity", broken)
+    monkeypatch.setattr(classify, "elliptic_singularity", broken)
     code, payload = run_json(capsys, "elliptic", GOLDEN_ONE)
     assert code == 3
     assert payload == {"error": "internal", "message": "ZeroDivisionError: division by zero"}
@@ -509,7 +509,7 @@ def test_unforeseen_parse_exception_is_internal_error_in_a_batch(capsys, monkeyp
 
 # one row per (phase, exception): the payload's error field and the exit
 # code; parsing is cli.parse_problem, analysis the elliptic command's
-# library call
+# library call, classify.elliptic_singularity
 EXIT_CONTRACT = [
     ("parse", ParseError("no document", line=1, column=1), "parse", 2),
     ("parse", InvalidInputError(["lattice_rank: expected a positive integer"]), "invalid-input", 3),
@@ -533,7 +533,8 @@ def test_each_exception_maps_to_one_error_and_exit_code(capsys, monkeypatch, pha
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "parse_problem" if phase == "parse" else "elliptic_singularity", broken)
+    target = (cli, "parse_problem") if phase == "parse" else (classify, "elliptic_singularity")
+    monkeypatch.setattr(*target, broken)
     code, payload = run_json(capsys, "elliptic", GOLDEN_ONE)
     assert (payload["error"], code) == (error, exit_code)
 
@@ -555,7 +556,7 @@ def test_signals_that_are_not_exceptions_still_propagate(capsys, monkeypatch):
     def interrupted(d):
         raise Stop()
 
-    monkeypatch.setattr(cli, "elliptic_singularity", interrupted)
+    monkeypatch.setattr(classify, "elliptic_singularity", interrupted)
     with pytest.raises(Stop):
         main(["elliptic", GOLDEN_ONE])
     capsys.readouterr()
@@ -709,7 +710,7 @@ def test_a_proper_divisor_refused_by_a_classifier_is_internal_error(capsys, monk
     def refuse(d):
         raise NotProperError("not a proper polyhedral divisor: refused")
 
-    monkeypatch.setattr(cli, "rational_singularities", refuse)
+    monkeypatch.setattr(classify, "rational_singularities", refuse)
     code, payload = run_json(capsys, "rational", GOLDEN_ONE)
     assert code == 3
     assert payload == {

@@ -20,7 +20,7 @@ import pytest
 
 import reference_curves
 import reference_geometry
-from polydiv import cli, geometry
+from polydiv import classify, cli, geometry
 from polydiv.curves import P1_INFINITY, P1Point, ProjectiveLine, divisor, p1_point, point_sort_key
 from polydiv.errors import InternalError
 from polydiv.geometry import TailedPolyhedron, chamber_fan, make_cone
@@ -192,8 +192,8 @@ def test_elliptic_asks_for_gorenstein_only_when_the_verdict_is_not_no(
     monkeypatch, capsys, path, elliptic, asks
 ):
     calls = []
-    real = cli.gorenstein
-    monkeypatch.setattr(cli, "gorenstein", lambda d: calls.append(d) or real(d))
+    real = classify.gorenstein
+    monkeypatch.setattr(classify, "gorenstein", lambda d: calls.append(d) or real(d))
     assert cli.main(["elliptic", str(path)]) == 0
     out = capsys.readouterr().out
     assert f'"verdict": "{elliptic.value}"' in out

@@ -13,7 +13,14 @@ so an invariant is an explicit check that raises.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import polydiv
 
@@ -109,3 +116,38 @@ def test_every_export_imports():
     namespace = {}
     exec("from polydiv import *", namespace)
     assert set(polydiv.__all__) <= set(namespace)
+
+
+def test_each_export_is_the_object_its_home_module_defines():
+    assert sorted(polydiv._HOME) == sorted(polydiv.__all__)
+    for name in polydiv.__all__:
+        home = importlib.import_module(f"polydiv.{polydiv._HOME[name]}")
+        value = getattr(polydiv, name)
+        assert value is getattr(home, name), name
+        if isinstance(value, type) or callable(value):
+            assert value.__module__ == home.__name__, name
+
+
+def test_an_unknown_name_is_no_export():
+    with pytest.raises(AttributeError, match="no_such_export"):
+        polydiv.no_such_export
+    assert not hasattr(polydiv, "cli_main")
+
+
+BARE_IMPORT = """
+import json, sys
+import polydiv
+listed = dir(polydiv)
+print(json.dumps({
+    "loaded": sorted(name for name in sys.modules if name.startswith("polydiv.")),
+    "unlisted": sorted(set(polydiv.__all__) - set(listed)),
+}))
+"""
+
+
+def test_a_bare_import_loads_no_submodule_and_lists_every_export():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    argv = [sys.executable, *["-O"] * sys.flags.optimize, "-W", "error", "-c", BARE_IMPORT]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"loaded": [], "unlisted": []}
