@@ -67,80 +67,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbstractAffineCurve",
-    "AbstractProjectiveCurve",
-    "AffineLine",
-    "AffineSpace",
-    "ClassifyReport",
-    "CohenMacaulayReport",
-    "Cone",
-    "ConeDiagnostics",
-    "CurveDomainError",
-    "EC_ORIGIN",
-    "EllipticCurveQ",
-    "EllipticOrigin",
-    "EllipticPoint",
-    "EllipticReport",
-    "GorensteinReport",
-    "H1Report",
-    "InternalError",
-    "InvalidInputError",
-    "LabelPoint",
-    "NonIntegralError",
-    "NotProperError",
-    "P1_INFINITY",
-    "P1Point",
-    "ParseError",
-    "PointError",
-    "PolydivError",
-    "PolyhedralDivisor",
-    "ProjectiveLine",
-    "PropernessReport",
-    "QDivisor",
-    "RankMismatchError",
-    "RationalPoint",
-    "RationalReport",
-    "RaySlope",
-    "RelationBlock",
-    "RingGenerator",
-    "RingPresentation",
-    "ShapeError",
-    "TailedPolyhedron",
-    "ToricCone",
-    "UnsupportedRankError",
-    "Verdict",
-    "canonical_divisor",
-    "chamber_fan",
-    "classify_report",
-    "cohen_macaulay",
-    "cone_contains",
-    "cone_diagnostics",
-    "contraction_iso_codim1",
-    "decide_floor_bound",
-    "degree",
-    "divisor",
-    "ec_add",
-    "ec_multiple",
-    "ec_neg",
-    "elliptic_singularity",
-    "emit_report",
-    "gorenstein",
-    "h1_dims",
-    "h1_report",
-    "is_integral",
-    "is_principal",
-    "is_proper",
-    "is_torsion_class",
-    "make_cone",
-    "make_polyhedron",
-    "minimal_elliptic_verdict",
-    "p1_point",
-    "parse_problem",
-    "polyhedral_divisor",
-    "rational_singularities",
-    "report_payload",
-    "require_proper",
-    "ring_presentation",
-    "toric_cone",
-]
+__all__ = sorted(_HOME)

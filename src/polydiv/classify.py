@@ -30,8 +30,7 @@ from .curves import (
     h1_dims,
     is_principal,
 )
-from .errors import CurveDomainError, InternalError, NotProperError
-from .geometry import ratvec
+from .errors import CurveDomainError, InternalError
 from .linalg import clear, dot
 from .pdiv import (
     PolyhedralDivisor,
@@ -69,10 +68,8 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
 
     Returns None when the bound holds everywhere, otherwise a violating
     lattice weight: the lexicographically first one of the first chamber,
-    in fan order, that holds one. The exception: without coefficients
-    every degree is 0 and no chamber fan is built, so the answer is None for
-    c <= 0 and the zero weight otherwise, though the search would find a
-    lexicographically smaller one, (-1, 0), on the tail rays (-1, 0), (0, 1).
+    in fan order, that holds one. A divisor that require_proper refuses
+    raises NotProperError.
 
     The search runs in integers, chamber by chamber. On a chamber each
     coefficient is minimized by one vertex v_z = n_z / q_z
@@ -91,14 +88,7 @@ def decide_floor_bound(d: PolyhedralDivisor, c: int) -> tuple[int, ...] | None:
     """
     if not d.base.projective:
         raise CurveDomainError("floor-degree bounds need a projective base curve")
-    if not d.coefficients:
-        return None if c <= 0 else tuple(0 for _ in range(d.rank))
-    for u, g in d.ray_degrees.items():
-        if g < 0:
-            raise NotProperError(
-                f"degree {g} at weight {u}: the divisor is not semiample there",
-                witness=ratvec(u),
-            )
+    require_proper(d)
     for chamber in d.fan.chambers:
         witness = _search_chamber(chamber, c)
         if witness is not None:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -411,8 +410,8 @@ def _json_text(obj, indent: str) -> str:
     """A report object (or plain data) as JSON with indent=2, nested at
     indent, read straight off the object with one join per container:
     dataclasses as objects, divisors as [point, coefficient] pairs, points
-    and Fractions as strings, enums as their values. A float, set, bytes,
-    non-str key or any other type raises TypeError."""
+    and Fractions as strings, the str enum Verdict as its value. A float,
+    set, bytes, non-str key or any other type raises TypeError."""
     kind = type(obj)
     inner = indent + "  "
     if kind is tuple or kind is list:
@@ -434,16 +433,10 @@ def _json_text(obj, indent: str) -> str:
         return _quote(obj)
     elif obj is None or kind is bool:
         return _JSON_CONSTANTS[obj]
-    elif isinstance(obj, Enum):
-        return _json_text(obj.value, indent)
-    elif isinstance(obj, int):
-        return int.__repr__(obj)
     elif isinstance(obj, QDivisor):
         return _json_text([[str(pt), str(c)] for pt, c in obj.terms], indent)
     elif isinstance(obj, CurvePoint):
         return _quote(str(obj))
-    elif isinstance(obj, (list, tuple)):
-        return _json_text(list(obj), indent)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}" if items else "{}"

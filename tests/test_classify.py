@@ -1041,11 +1041,21 @@ def test_floor_profile_refuses_a_divisor_it_does_not_apply_to():
 
 
 # ---------------------------------------------------------------------------
-# decide_floor_bound without coefficients, and off a projective base
+# decide_floor_bound on divisors that are not proper, and off a projective base
 
 # the cone over a square times a ray: its weight cone has five rays, so at
 # rank 4 there is no chamber fan
 SQUARE_TAIL4 = ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, 1, 0))
+
+
+def assert_refused_with_cached_reason(d, reason):
+    report = is_proper(d)
+    assert report.verdict == Verdict.NO
+    assert report.reason.startswith(reason)
+    for c in (-1, 0, 1, 5):
+        with pytest.raises(NotProperError) as exc:
+            decide_floor_bound(d, c)
+        assert str(exc.value) == f"not a proper polyhedral divisor: {report.reason}"
 
 
 @pytest.mark.parametrize(
@@ -1053,23 +1063,19 @@ SQUARE_TAIL4 = ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0,
     [(2, ((-1, 0), (0, 1))), (1, ((-1,),)), (3, ORTHANT3), (4, SQUARE_TAIL4)],
     ids=["half-plane", "one-ray", "orthant", "rank-4-no-fan"],
 )
-def test_decide_floor_bound_without_coefficients_answers_the_zero_weight(rank, tail):
-    # every degree is 0, so the bound c fails exactly when c > 0, and the
-    # answer is the zero weight without a chamber fan, not the search's
-    # lexicographically first violator
+def test_decide_floor_bound_refuses_a_divisor_without_coefficients(rank, tail):
+    # every degree is 0, so the divisor is not proper and the search refuses
+    # it, at rank 4 too, where there is no chamber fan
     d = polyhedral_divisor(P1, rank, tail, {})
-    assert decide_floor_bound(d, -1) is None
-    assert decide_floor_bound(d, 0) is None
-    assert decide_floor_bound(d, 1) == (0,) * rank
-    assert decide_floor_bound(d, 5) == (0,) * rank
+    assert_refused_with_cached_reason(d, "no nontrivial coefficients")
     if rank == 4:
         with pytest.raises(UnsupportedRankError):
             d.fan
 
 
-def test_the_search_on_degree_zero_coefficients_answers_its_first_violator():
+def test_decide_floor_bound_refuses_coefficients_whose_degrees_cancel():
     # the same half-plane and one-ray tails, with coefficients that cancel:
-    # the search runs, and its first violator is not the zero weight
+    # the degree vanishes inside the weight cone, so the divisor is not proper
     for rank, tail in ((2, ((-1, 0), (0, 1))), (1, ((-1,),))):
         cone = make_cone(tail, rank)
         e = (Fraction(1),) + (Fraction(0),) * (rank - 1)
@@ -1078,8 +1084,7 @@ def test_the_search_on_degree_zero_coefficients_answers_its_first_violator():
             P1_INFINITY: make_polyhedron([tuple(-x for x in e)], cone),
         }
         d = polyhedral_divisor(P1, rank, tail, coeffs)
-        assert decide_floor_bound(d, 0) is None
-        assert decide_floor_bound(d, 1) == (-1,) + (0,) * (rank - 1)
+        assert_refused_with_cached_reason(d, "the degree vanishes at an interior weight")
 
 
 def test_decide_floor_bound_needs_a_projective_base():

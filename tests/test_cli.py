@@ -6,7 +6,7 @@ from time import monotonic
 
 import pytest
 
-from hard_documents import period
+from hard_documents import brieskorn_pham, period
 import polydiv.classify as classify
 import polydiv.cli as cli
 import polydiv.geometry as geometry
@@ -275,6 +275,38 @@ def test_failed_consistency_check_is_internal_error(capsys, monkeypatch):
     assert "h1 total 2" in payload["message"]
 
 
+def test_an_elliptic_singularity_reported_rational_is_internal_error(capsys, monkeypatch):
+    def rational_yes(d):
+        return classify.RationalReport(Verdict.YES, "floor-degrees-at-least-minus-one")
+
+    monkeypatch.setattr(classify, "rational_singularities", rational_yes)
+    code, payload = run_json(capsys, "classify", GOLDEN_ONE)
+    assert code == 3
+    assert payload == {
+        "error": "internal",
+        "message": "elliptic singularity reported with rationality verdict yes",
+    }
+
+
+def test_a_rational_singularity_with_cohomology_is_internal_error(capsys, monkeypatch, tmp_path):
+    # x^2 + y^3 + z^5 = 0 is rational, not elliptic, and has h1 total 0
+    doc = tmp_path / "e8.json"
+    doc.write_text(brieskorn_pham(2, 3, 5))
+    real = classify.h1_report
+
+    def one_more(d, m_max=None):
+        report = real(d, m_max)
+        return classify.H1Report(report.bound, report.entries, report.total + 1)
+
+    monkeypatch.setattr(classify, "h1_report", one_more)
+    code, payload = run_json(capsys, "classify", str(doc))
+    assert code == 3
+    assert payload == {
+        "error": "internal",
+        "message": "rationality verdict yes disagrees with h1 total 1",
+    }
+
+
 def test_a_chamber_that_is_not_a_linearity_region_is_internal_error(capsys, monkeypatch, tmp_path):
     # the wall m1 = 0 cuts the upper half plane in two; a triangulation that
     # ignores it hands _minimizers a simplex on which the support is not linear
@@ -287,6 +319,41 @@ def test_a_chamber_that_is_not_a_linearity_region_is_internal_error(capsys, monk
     code, payload = run_json(capsys, "proper", str(doc))
     assert code == 3
     assert payload == {"error": "internal", "message": "chamber is not a linearity region"}
+
+
+@pytest.mark.parametrize(
+    "base,first,second,shown",
+    [
+        ({"kind": "P1"}, "0", "0/3", "0"),
+        ({"kind": "affine_line"}, "1/2", "2/4", "1/2"),
+        ({"kind": "elliptic", "a": "0", "b": "-2"}, {"x": "3", "y": "5"}, {"x": "3", "y": "5"}, "(3, 5)"),
+        ({"kind": "abstract", "genus": 1}, "p", "p", "p"),
+        ({"kind": "affine_space", "dim": 2}, {"hyperplane": 1}, {"hyperplane": 1}, "1"),
+    ],
+    ids=["P1", "affine-line", "elliptic", "abstract", "affine-space"],
+)
+def test_a_point_given_twice_is_invalid_input(capsys, tmp_path, base, first, second, shown):
+    # two coefficients at one point, spelled alike or not
+    doc = tmp_path / "twice.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "lattice_rank": 1,
+                "tail_cone": {"rays": [[1]]},
+                "base": base,
+                "coefficients": [
+                    {"point": first, "vertices": [["1/2"]]},
+                    {"point": second, "vertices": [["1/2"]]},
+                ],
+            }
+        )
+    )
+    code, payload = run_json(capsys, "proper", str(doc))
+    assert code == 3
+    assert payload == {
+        "error": "invalid-input",
+        "violations": [f"coefficient attached twice to {shown}"],
+    }
 
 
 def test_non_proper_input_exits_three(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
-from collections import Counter
+from collections import Counter, namedtuple
+from enum import Enum, IntEnum
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -744,10 +745,26 @@ def test_emit_report_matches_json_dumps_on_hand_built_payloads(obj):
     assert emit_report(obj) == json_report(obj)
 
 
-@pytest.mark.parametrize("bad", [1.5, [float("nan")], {1, 2}, {"x": {3}}, [b"bytes"], {1: "key"}])
+class Shade(Enum):
+    DARK = "dark"
+
+
+class Level(IntEnum):
+    HIGH = 2
+
+
+Pair = namedtuple("Pair", "a b")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, [float("nan")], {1, 2}, {"x": {3}}, [b"bytes"], {1: "key"}]
+    + [Level.HIGH, Shade.DARK, Pair(1, 2)],
+)
 def test_the_report_writer_refuses_what_no_payload_holds(bad):
-    # reports hold no floats, sets, bytes or non-str keys, so one reaching
-    # the writer is a bug, not a number; the text format reads the same writer
+    # reports hold no floats, sets, bytes, non-str keys, enums other than
+    # the str enum Verdict, or tuple subclasses, so one reaching the writer
+    # is a bug, not a number; the text format reads the same writer
     with pytest.raises(TypeError):
         problem_io._json_text(bad, "")
     with pytest.raises(TypeError):
